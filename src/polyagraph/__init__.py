@@ -22,7 +22,6 @@ from .analytics import (
     empirical_decay_centrality,
     expected_decay_centrality,
     expected_degree,
-    rising_factorial,
 )
 from .consensus import (
     ConsensusSystem,
@@ -30,14 +29,12 @@ from .consensus import (
     SweepPoint,
     Trajectory,
     averaging_matrix,
-    expected_consensus_value,
     expected_stationary_exact,
     expected_stationary_mc,
     iterate,
     memory_sweep,
     opinion_preset,
     sample_connected_graph,
-    stationary,
 )
 from .graph import (
     ThresholdGraph,

@@ -1,34 +1,75 @@
 """Internal numeric kernels shared across the package.
 
-Every Gamma/Beta ratio in the exact laws is evaluated through the log-gamma
-kernel below and accumulated in log space; exponentiation happens once, at
-the end.  Arguments like 1/delta + n overflow a direct Gamma for small delta,
-log space does not.
+Every exact law of the urn is a ratio of rising products
+prod_{s<k} (x + s*step).  :func:`log_rising` returns all prefixes of one such
+product in log space at once; the laws combine a few of these tables and
+exponentiate once, at the end.  Working with the products themselves, rather
+than with differences of log-Gamma at arguments near x/step, avoids the
+cancellation that sets in when step is far from 1.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import NamedTuple
+
 import numpy as np
-from scipy.special import gammaln as _gammaln
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x), x > 0.  Relative accuracy better than 1e-13
-    on (0, 1e4); not part of the public API."""
-    if not x > 0:
-        raise ValueError(f"log_gamma needs x > 0, got {x!r}")
-    return float(_gammaln(x))
+def log_rising(x: float, step: float, m: int) -> np.ndarray:
+    """Prefix table of log rising products: entry k is
+    sum_{s<k} log(x + s*step), for k = 0..m.
+
+    The running sum is Neumaier-compensated (the scheme of
+    :class:`CompensatedSum`), so every entry stays within a few ulps of the
+    exactly rounded sum of its terms even for thousands of terms.
+    """
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
+    terms = np.log(x + step * np.arange(m, dtype=float))
+    # add.accumulate is a sequential left-to-right sum, so each partial sum is
+    # the rounded value of the previous one plus one term, and the rounding
+    # error of that addition can be recovered exactly from the three values
+    table = np.concatenate(([0.0], np.add.accumulate(terms)))
+    prev, cur = table[:-1], table[1:]
+    err = np.where(np.abs(prev) >= np.abs(terms), (prev - cur) + terms, (terms - cur) + prev)
+    table[1:] += np.add.accumulate(err)
+    return table
 
 
-def log_beta(x: float, y: float) -> float:
-    return log_gamma(x) + log_gamma(y) - log_gamma(x + y)
+class LogTables(NamedTuple):
+    """Prefix tables of log rising products for one (rho, delta, n).
+
+    Entry k of ``red``, ``black`` and ``total`` is the log of
+    prod_{s<k} (x + s*delta) for x = rho, 1 - rho and 1; entry k of ``fact``
+    is log k!.  A length-m draw vector with k reds then has log probability
+    red[k] + black[m-k] - total[m], and log C(m, k) is
+    fact[m] - fact[k] - fact[m-k], for every m <= n.
+    """
+
+    red: np.ndarray
+    black: np.ndarray
+    total: np.ndarray
+    fact: np.ndarray
+
+    def log_joint(self, m: int, k: int) -> float:
+        """log P(a given length-m draw vector with k reds)."""
+        return float(self.red[k] + self.black[m - k] - self.total[m])
 
 
-def log_binomial(n: int, k: int) -> float:
-    """log of C(n, k); -inf outside 0 <= k <= n."""
-    if k < 0 or k > n:
-        return float("-inf")
-    return log_gamma(n + 1) - log_gamma(k + 1) - log_gamma(n - k + 1)
+@lru_cache(maxsize=64)
+def log_tables(rho: float, delta: float, n: int) -> LogTables:
+    """The four tables up to horizon n, cached: exact enumeration evaluates
+    the joint law at one (rho, delta, n) millions of times."""
+    tables = LogTables(
+        log_rising(rho, delta, n),
+        log_rising(1.0 - rho, delta, n),
+        log_rising(1.0, delta, n),
+        log_rising(1.0, 1.0, n),
+    )
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 class CompensatedSum:

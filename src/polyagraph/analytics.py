@@ -12,9 +12,9 @@ resulting exact expressions:
 * the distance law over the attainable values {0, 1, 2, inf};
 * the expected decay centrality sum_j alpha^d(i,j), with alpha^inf = 0.
 
-All Gamma ratios go through the shared log-gamma kernel.  Binomial
-coefficients are evaluated through the same kernel so the whole pmf lives in
-log space until the final exponentiation.
+Every rising-factorial ratio and binomial coefficient is read off the
+urn's cached log tables (see :func:`polyagraph._numeric.log_tables`), so
+each law lives in log space until one final exponentiation and costs O(n).
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._numeric import log_binomial, log_gamma
+import numpy as np
+
+from ._numeric import LogTables, log_tables
 from .graph import ThresholdGraph
 from .urn import UrnParams
 
@@ -37,7 +39,6 @@ __all__ = [
     "distance_pmf",
     "expected_decay_centrality",
     "empirical_decay_centrality",
-    "rising_factorial",
 ]
 
 
@@ -108,62 +109,48 @@ def degree_pmf(params: UrnParams, n: int, i: int) -> DegreeDistribution:
     """Exact degree distribution of node i.
 
     P(deg = k) combines the isolated branch C(n-i, k) * g(k) for k <= n-i
-    with the universal branch C(n-i, k-i) * g(k-i+1) for k >= i, where g is
-    the Gamma-ratio kernel of the draw process at horizon n-i+1; both terms
-    are summed where the branches overlap.
+    with the universal branch C(n-i, k-i) * g(k-i+1) for k >= i, where g(r)
+    is the joint law of one draw vector with r reds at horizon n-i+1; both
+    terms are summed where the branches overlap.
     """
     _check_node(i, n)
-    rho, delta = params.rho, params.delta
-    a = rho / delta
-    b = (1.0 - rho) / delta
-    m = n - i + 1
-    log_norm = log_gamma(1.0 / delta) - log_gamma(a) - log_gamma(b) - log_gamma(1.0 / delta + m)
-
-    def term(choose_k: int, g_arg: int) -> float:
-        lb = log_binomial(n - i, choose_k)
-        if lb == -math.inf:
-            return 0.0
-        return math.exp(lb + log_gamma(a + g_arg) + log_gamma(b + m - g_arg) + log_norm)
-
-    pmf: dict[int, float] = {}
-    for k in degree_support(n, i):
-        p = 0.0
-        if k <= n - i:
-            p += term(k, k)
-        if k >= i:
-            p += term(k - i, k - i + 1)
-        pmf[k] = p
+    t = log_tables(params.rho, params.delta, n)
+    tail = n - i
+    m = tail + 1
+    r = np.arange(m)
+    # log C(tail, r) minus the common denominator of the joint law
+    log_base = t.fact[tail] - t.fact[r] - t.fact[tail - r] - t.total[m]
+    p = np.zeros(n + 1)
+    p[:m] += np.exp(log_base + t.red[r] + t.black[m - r])
+    p[i:] += np.exp(log_base + t.red[r + 1] + t.black[tail - r])
+    pmf = {k: float(p[k]) for k in degree_support(n, i)}
     return DegreeDistribution(
         node=i,
         horizon=n,
         support=tuple(pmf),
         pmf=pmf,
-        mean=n * rho,
+        mean=n * params.rho,
         variance=degree_variance(params, n, i),
     )
 
 
 def degree_variance(params: UrnParams, n: int, i: int) -> float:
-    """Closed-form variance of the degree of node i."""
+    """Closed-form variance of the degree of node i.
+
+    With L = n - i later draws,
+    Var = rho (1-rho) (i^2 + L (1 + L delta)/(1 + delta) + 2 i L delta/(1 + delta)):
+    the Bernoulli, Beta-Binomial and covariance parts, all non-negative, so
+    nothing cancels as rho approaches 0 or 1.
+    """
     _check_node(i, n)
     rho, delta = params.rho, params.delta
     tail = n - i
-    bb_second_moment = tail * rho * (tail * (delta + rho) + 1.0 - rho) / (1.0 + delta)
-    second_moment = (
-        (1.0 + 2.0 * i / (1.0 / delta + tail)) * bb_second_moment
-        + i * i * rho
-        + 2.0 * i * rho * rho * tail / (1.0 + n * delta - i * delta)
-    )
-    return second_moment - (n * rho) ** 2
+    return rho * (1.0 - rho) * (i * i + tail * (1.0 + tail * delta + 2.0 * i * delta) / (1.0 + delta))
 
 
-def _prob_no_later_universal(params: UrnParams, n: int, m: int) -> float:
-    """P(draws m..n are all black) = prod_{s=0}^{n-m} (1-rho+s*delta)/(1+s*delta)."""
-    rho, delta = params.rho, params.delta
-    p = 1.0
-    for s in range(n - m + 1):
-        p *= (1.0 - rho + s * delta) / (1.0 + s * delta)
-    return p
+def _prob_unreachable(t: LogTables, h: int) -> float:
+    # P(h given draws are all black) = prod_{s<h} (1-rho+s*delta)/(1+s*delta)
+    return math.exp(t.black[h] - t.total[h])
 
 
 def distance_pmf(params: UrnParams, n: int, i: int, j: int) -> DistanceDistribution:
@@ -179,7 +166,8 @@ def distance_pmf(params: UrnParams, n: int, i: int, j: int) -> DistanceDistribut
     if i == j:
         probs = {0.0: rho, 1.0: 0.0, 2.0: 0.0, math.inf: 1.0 - rho}
     else:
-        p_inf = _prob_no_later_universal(params, n, max(i, j))
+        t = log_tables(rho, params.delta, n)
+        p_inf = _prob_unreachable(t, n - max(i, j) + 1)
         probs = {0.0: 0.0, 1.0: rho, 2.0: 1.0 - rho - p_inf, math.inf: p_inf}
     return DistanceDistribution(i=i, j=j, probabilities=probs)
 
@@ -190,18 +178,18 @@ def expected_decay_centrality(
     """Expected decay centrality E(sum_j alpha^d(i,j)) of node i.
 
     Built from the distance law: the self term contributes rho, and each
-    other node j contributes alpha*rho + alpha^2 * P(d(i,j) = 2).
+    other node j contributes alpha*rho + alpha^2 * P(d(i,j) = 2), where
+    P(d = 2) = 1 - rho - P(d = inf).  The i-1 earlier nodes share one
+    unreachability probability; the later nodes j take one each, for
+    horizons n-j+1 = 1..n-i.
     """
     _check_node(i, n)
     alpha = cfg.alpha
     rho = params.rho
-    total = rho
-    for j in range(1, n + 1):
-        if j == i:
-            continue
-        p_two = distance_pmf(params, n, i, j).p(2.0)
-        total += alpha * rho + alpha * alpha * p_two
-    return total
+    t = log_tables(rho, params.delta, n)
+    h = np.arange(1, n - i + 1)
+    p_inf = (i - 1) * _prob_unreachable(t, n - i + 1) + math.fsum(np.exp(t.black[h] - t.total[h]))
+    return rho + (n - 1) * (alpha * rho + alpha * alpha * (1.0 - rho)) - alpha * alpha * p_inf
 
 
 def empirical_decay_centrality(
@@ -212,13 +200,3 @@ def empirical_decay_centrality(
     g._check_index(i)
     alpha = cfg.alpha
     return math.fsum(alpha ** g.distance(i, j) for j in range(1, g.n + 1))
-
-
-def rising_factorial(x: float, m: int) -> float:
-    """x (x+1) ... (x+m-1); the empty product is 1."""
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    p = 1.0
-    for k in range(m):
-        p *= x + k
-    return p

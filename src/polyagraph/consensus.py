@@ -45,11 +45,9 @@ __all__ = [
     "SweepPoint",
     "sample_connected_graph",
     "averaging_matrix",
-    "stationary",
     "iterate",
     "expected_stationary_exact",
     "expected_stationary_mc",
-    "expected_consensus_value",
     "memory_sweep",
     "opinion_preset",
     "X0_REFERENCE_10",
@@ -171,11 +169,6 @@ def averaging_matrix(g: ThresholdGraph) -> ConsensusSystem:
     return ConsensusSystem(graph=g, W=W, neighbor_counts=counts, pi_star=pi_star)
 
 
-def stationary(sys: ConsensusSystem) -> np.ndarray:
-    """The stationary vector pi*_i = N_i / sum_k N_k of W."""
-    return sys.pi_star.copy()
-
-
 def iterate(
     sys: ConsensusSystem,
     x0,
@@ -190,6 +183,11 @@ def iterate(
     successive differences, so slow mixing cannot fake convergence.
     Non-convergence is reported through ``converged_at = None``, never
     silently.  ``record=False`` keeps only the current state.
+
+    ``tol`` is absolute, but floored at 64 * eps * max|x0|: each step rounds
+    every entry by a few ulps of the opinion scale, so no tolerance finer
+    than that can ever be met.  The floor only binds once max|x0| exceeds
+    about 7e3 for the default tol of 1e-10.
     """
     x = np.array(x0, dtype=float)
     if x.shape != (sys.graph.n,):
@@ -198,6 +196,7 @@ def iterate(
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
+    tol = max(tol, 64 * np.finfo(float).eps * float(np.max(np.abs(x))))
     limit = float(sys.pi_star @ x)
     states = [x.copy()] if record else None
     converged_at = None
@@ -268,29 +267,6 @@ def expected_stationary_mc(params, n: int, runs: int, seed: int) -> ExpectedStat
         std_error=samples.std(axis=0, ddof=1) / math.sqrt(runs),
         urn_mode=_urn_mode(params),
     )
-
-
-def expected_consensus_value(
-    params,
-    n: int,
-    x0,
-    mode: str = "exact",
-    *,
-    runs: int = 1000,
-    seed: int = 0,
-    max_n: int = MAX_ENUMERATION_HORIZON,
-) -> float:
-    """The expected consensus limit pi_E . x(0) under the selected mode."""
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"x0 must have length {n}, got shape {x.shape}")
-    if mode == "exact":
-        pi = expected_stationary_exact(params, n, max_n=max_n).pi
-    elif mode == "mc":
-        pi = expected_stationary_mc(params, n, runs=runs, seed=seed).pi
-    else:
-        raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
-    return float(pi @ x)
 
 
 def memory_sweep(

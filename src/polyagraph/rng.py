@@ -1,11 +1,12 @@
 """Deterministic random streams.
 
 All sampling in this package draws from numpy's Philox generator, a
-counter-based bit generator whose output is a pure function of its 256-bit
-key.  A stream is addressed by the pair (master_seed, stream_index): the pair
-is packed into the key, so distinct pairs give statistically independent
-streams and the same pair always reproduces the same draws, regardless of
-how many other streams were created or in which order they run.  Monte Carlo
+counter-based bit generator whose output is a pure function of its 128-bit
+key.  A stream is addressed by the pair (master_seed, stream_index), each
+below 2^64: the seed fills the high key word and the index the low one, so
+distinct pairs give statistically independent streams and the same pair
+always reproduces the same draws, regardless of how many other streams were
+created or in which order they run.  Monte Carlo
 code derives one stream per run as (seed, run_index).
 """
 
@@ -20,8 +21,8 @@ def stream(master_seed: int, stream_index: int = 0) -> np.random.Generator:
     """Generator for the (master_seed, stream_index) stream."""
     seed = int(master_seed)
     idx = int(stream_index)
-    if seed < 0:
-        raise ValueError(f"master_seed must be non-negative, got {seed}")
+    if not 0 <= seed < (1 << _WORD):
+        raise ValueError(f"master_seed out of range [0, 2^64), got {seed}")
     if not 0 <= idx < (1 << _WORD):
         raise ValueError(f"stream_index out of range [0, 2^64), got {idx}")
     return np.random.Generator(np.random.Philox(key=(seed << _WORD) | idx))

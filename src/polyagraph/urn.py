@@ -16,7 +16,9 @@ total, the joint law of a vector with k red draws among n is
                      prod_{m<n} (1 + m*delta)
 
 and the number of red draws follows a Beta-Binomial law with shape
-(rho/delta, (1-rho)/delta).
+(rho/delta, (1-rho)/delta).  Both are read off four prefix tables of log
+rising products (:func:`polyagraph._numeric.log_tables`), built once per
+(rho, delta, n).
 
 A finite-memory variant removes each reinforcement batch ``memory`` steps
 after it was added.  The first ``memory`` draws keep the law above; later
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._numeric import log_beta, log_binomial, log_gamma
+from ._numeric import log_tables
 from .rng import stream
 
 __all__ = [
@@ -157,54 +159,28 @@ def sample_polya(params: UrnParams, n: int, seed: int, *, stream_index: int = 0)
     return CreationSequence(tuple(draws))
 
 
-def _log_joint(rho: float, delta: float, n: int, k: int) -> float:
-    # log of the product-form joint law; depends on the outcome only via (n, k)
-    acc = 0.0
-    for i in range(k):
-        acc += math.log(rho + i * delta)
-    for j in range(n - k):
-        acc += math.log(1.0 - rho + j * delta)
-    for m in range(n):
-        acc -= math.log(1.0 + m * delta)
-    return acc
-
-
 def polya_joint_pmf(params: UrnParams, z) -> float:
     """Exact probability of one draw vector.
 
-    Product of linear factors accumulated in log space and exponentiated
+    Product of linear factors read off the log tables and exponentiated
     once.  Exchangeability is automatic: the value depends on the vector
     only through its length and its number of red draws.
     """
     draws = as_draws(z)
-    return math.exp(_log_joint(params.rho, params.delta, len(draws), sum(draws)))
-
-
-def _log_joint_gamma_form(rho: float, delta: float, n: int, k: int) -> float:
-    # Gamma-ratio form of the same law; kept as an independent cross-check
-    a = rho / delta
-    b = (1.0 - rho) / delta
-    return (
-        log_gamma(1.0 / delta)
-        + log_gamma(a + k)
-        + log_gamma(b + n - k)
-        - log_gamma(a)
-        - log_gamma(b)
-        - log_gamma(1.0 / delta + n)
-    )
+    n = len(draws)
+    return math.exp(log_tables(params.rho, params.delta, n).log_joint(n, sum(draws)))
 
 
 def beta_binomial_pmf(params: UrnParams, n: int, k: int) -> float:
     """P(number of red draws among n equals k).
 
-    Beta-Binomial with shape (rho/delta, (1-rho)/delta), evaluated through
-    log-Beta ratios.
+    Beta-Binomial with shape (rho/delta, (1-rho)/delta): C(n, k) times the
+    joint law of one vector with k reds, both read off the log tables.
     """
     if k < 0 or k > n:
         raise ValueError(f"k must lie in [0, {n}], got {k}")
-    a = params.rho / params.delta
-    b = (1.0 - params.rho) / params.delta
-    return math.exp(log_binomial(n, k) + log_beta(a + k, b + n - k) - log_beta(a, b))
+    t = log_tables(params.rho, params.delta, n)
+    return math.exp(t.fact[n] - t.fact[k] - t.fact[n - k] + t.log_joint(n, k))
 
 
 def sample_finite_memory(fm: FiniteMemoryParams, n: int, seed: int, *, stream_index: int = 0) -> CreationSequence:
@@ -241,8 +217,8 @@ def finite_memory_joint_pmf(fm: FiniteMemoryParams, z) -> float:
     n = len(draws)
     memory = fm.memory
     rho, delta = fm.base.rho, fm.base.delta
-    head = draws[: min(n, memory)]
-    acc = _log_joint(rho, delta, len(head), sum(head))
+    h = min(n, memory)
+    acc = log_tables(rho, delta, h).log_joint(h, sum(draws[:h]))
     log_denom = math.log(1.0 + memory * delta)
     for t in range(memory, n):
         r = sum(draws[t - memory : t])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from polyagraph import (
     CentralityConfig,
     UrnParams,
+    beta_binomial_pmf,
     build_graph,
     degree_pmf,
     degree_support,
@@ -17,14 +18,18 @@ from polyagraph import (
     expected_decay_centrality,
     expected_degree,
     polya_joint_pmf,
-    rising_factorial,
 )
+from polyagraph._numeric import log_rising
 from polyagraph.oracle import oracle_centrality, oracle_degree_pmf
 from polyagraph.rng import stream
 
 
 def all_vectors(n):
     return itertools.product((0, 1), repeat=n)
+
+
+def rising_factorial(x, m):
+    return math.exp(log_rising(x, 1.0, m)[m])
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +235,34 @@ def test_centrality_config_validation():
 
 
 # ---------------------------------------------------------------------------
+# the whole parameter range: delta from 1e-12 to 1e8, rho near 0 and 1
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    log_delta=st.floats(min_value=-12.0, max_value=8.0),
+    rho=st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+    n=st.integers(min_value=1, max_value=300),
+)
+def test_laws_hold_across_parameter_range(data, log_delta, rho, n):
+    params = UrnParams.from_proportions(rho, 10.0**log_delta)
+    i = data.draw(st.integers(min_value=1, max_value=n))
+    dist = degree_pmf(params, n, i)
+    assert abs(math.fsum(dist.pmf.values()) - 1.0) <= 1e-10
+    mean = n * params.rho
+    assert abs(dist.moment_mean() - mean) <= 1e-10 * max(1.0, mean)
+    variance = degree_variance(params, n, i)
+    assert abs(dist.moment_variance() - variance) <= 1e-9 * variance
+    bb = math.fsum(beta_binomial_pmf(params, n, k) for k in range(n + 1))
+    assert abs(bb - 1.0) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
 # rising factorial / Chu-Vandermonde
 
 def test_rising_factorial_basics():
     assert rising_factorial(3.7, 0) == 1.0
-    assert rising_factorial(2.0, 3) == 24.0
+    assert rising_factorial(2.0, 3) == pytest.approx(24.0, rel=1e-15)
     assert rising_factorial(0.5, 2) == pytest.approx(0.75)
     with pytest.raises(ValueError):
         rising_factorial(1.0, -1)

@@ -9,14 +9,12 @@ from polyagraph import (
     UrnParams,
     averaging_matrix,
     build_graph,
-    expected_consensus_value,
     expected_stationary_exact,
     expected_stationary_mc,
     iterate,
     memory_sweep,
     opinion_preset,
     sample_connected_graph,
-    stationary,
 )
 from polyagraph.consensus import X0_REFERENCE_10, _neighbor_counts
 from polyagraph.oracle import EnumerationLimitError
@@ -41,7 +39,7 @@ def test_three_node_example():
     sys_ = averaging_matrix(build_graph((0, 0, 1)))
     assert list(sys_.neighbor_counts) == [2, 2, 3]
     assert np.allclose(sys_.W[2], [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
-    assert np.allclose(stationary(sys_), [2 / 7, 2 / 7, 3 / 7], atol=1e-15)
+    assert np.allclose(sys_.pi_star, [2 / 7, 2 / 7, 3 / 7], atol=1e-15)
 
 
 def test_complete_graph_uniform_stationary():
@@ -130,6 +128,20 @@ def test_iterate_reports_non_convergence():
     assert traj.converged_at is None
 
 
+def test_iterate_converges_at_large_opinion_scales():
+    # at max|x0| = 1e7 round-off alone exceeds the default 1e-10; the
+    # tolerance floor of 64 eps max|x0| keeps convergence detectable
+    params = UrnParams(5, 5, 2)
+    for scale in (1e7, 1e12):
+        x0 = opinion_preset("paper-n10", 10) * scale
+        for r in range(20):
+            sys_ = averaging_matrix(sample_connected_graph(params, 10, seed=3, stream_index=r))
+            traj = iterate(sys_, x0, t_max=5000, record=False)
+            assert traj.converged
+            floor = 64 * np.finfo(float).eps * np.max(np.abs(x0))
+            assert np.max(np.abs(traj.final - traj.limit)) < floor
+
+
 def test_convergence_within_budget_random():
     rng = stream(808)
     params = UrnParams(5, 5, 2)
@@ -213,15 +225,12 @@ def test_rank_one_projection_is_idempotent_on_pi(ref_params):
 
 
 def test_expected_consensus_value(ref_params):
-    assert expected_consensus_value(ref_params, 2, (0.0, 100.0)) == pytest.approx(50.0)
-    v = expected_consensus_value(ref_params, 3, (0.0, 0.0, 1.0))
-    assert v == pytest.approx(16 / 42, abs=1e-14)
-    mc = expected_consensus_value(ref_params, 3, (0.0, 0.0, 1.0), mode="mc", runs=20_000, seed=5)
+    # the expected consensus limit is pi_E . x(0)
+    assert expected_stationary_exact(ref_params, 2).pi @ (0.0, 100.0) == pytest.approx(50.0)
+    x0 = (0.0, 0.0, 1.0)
+    assert expected_stationary_exact(ref_params, 3).pi @ x0 == pytest.approx(16 / 42, abs=1e-14)
+    mc = expected_stationary_mc(ref_params, 3, runs=20_000, seed=5).pi @ x0
     assert mc == pytest.approx(16 / 42, abs=0.01)
-    with pytest.raises(ValueError):
-        expected_consensus_value(ref_params, 3, (0.0, 1.0))
-    with pytest.raises(ValueError):
-        expected_consensus_value(ref_params, 2, (0.0, 1.0), mode="bogus")
 
 
 # ---------------------------------------------------------------------------

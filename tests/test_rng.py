@@ -27,3 +27,10 @@ def test_rejects_bad_indices():
         stream(-1)
     with pytest.raises(ValueError):
         stream(0, 1 << 64)
+
+
+def test_seed_bound_is_the_low_key_word():
+    # the 128-bit Philox key holds the seed in its high 64 bits
+    assert stream((1 << 64) - 1, (1 << 64) - 1).random() == stream((1 << 64) - 1, (1 << 64) - 1).random()
+    with pytest.raises(ValueError, match="master_seed"):
+        stream(1 << 64)

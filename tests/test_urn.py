@@ -16,11 +16,26 @@ from polyagraph import (
     sample_finite_memory,
     sample_polya,
 )
-from polyagraph.urn import _log_joint_gamma_form, as_draws
+from polyagraph.urn import as_draws
 
 
 def all_vectors(n):
     return itertools.product((0, 1), repeat=n)
+
+
+def log_joint_gamma_form(rho, delta, n, k):
+    """Gamma-ratio form of the joint law of a length-n vector with k reds:
+    an oracle independent of the library's product tables."""
+    a = rho / delta
+    b = (1.0 - rho) / delta
+    return (
+        math.lgamma(1.0 / delta)
+        + math.lgamma(a + k)
+        + math.lgamma(b + n - k)
+        - math.lgamma(a)
+        - math.lgamma(b)
+        - math.lgamma(1.0 / delta + n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +156,7 @@ def test_product_and_gamma_forms_agree(grid_params):
     for n in (1, 3, 7, 12):
         for k in range(n + 1):
             product_form = polya_joint_pmf(grid_params, (1,) * k + (0,) * (n - k))
-            gamma_form = math.exp(_log_joint_gamma_form(rho, delta, n, k))
+            gamma_form = math.exp(log_joint_gamma_form(rho, delta, n, k))
             assert abs(product_form - gamma_form) <= 1e-10
 
 
