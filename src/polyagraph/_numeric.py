@@ -16,25 +16,36 @@ from typing import NamedTuple
 import numpy as np
 
 
+def prefix_table(a: np.ndarray) -> np.ndarray:
+    """Prefix sums along the last axis: entry k is a[..., 0] + .. + a[..., k-1],
+    for k = 0..m (m = a.shape[-1]); leading axes are independent rows.
+
+    The running sum is compensated, so every entry stays within a few ulps
+    of the exactly rounded sum of its terms even for thousands of terms.
+    Integer input gives exact integer sums, uncompensated.
+    """
+    table = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,), dtype=a.dtype)
+    # cumsum is a sequential left-to-right sum, so each partial sum is the
+    # rounded value of the previous one plus one term, and the rounding error
+    # of that addition is recovered exactly from the three values (Knuth's
+    # TwoSum, valid whatever their magnitudes)
+    np.cumsum(a, axis=-1, out=table[..., 1:])
+    if table.dtype.kind in "iu":
+        return table  # integer sums are exact: nothing to recover
+    prev, cur = table[..., :-1], table[..., 1:]
+    b = cur - prev
+    err = (prev - (cur - b)) + (a - b)
+    table[..., 1:] += np.cumsum(err, axis=-1)
+    return table
+
+
 def log_rising(x: float, step: float, m: int) -> np.ndarray:
     """Prefix table of log rising products: entry k is
-    sum_{s<k} log(x + s*step), for k = 0..m.
-
-    The running sum is Neumaier-compensated (the scheme of
-    :class:`CompensatedSum`), so every entry stays within a few ulps of the
-    exactly rounded sum of its terms even for thousands of terms.
-    """
+    sum_{s<k} log(x + s*step), for k = 0..m, compensated by
+    :func:`prefix_table`."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    terms = np.log(x + step * np.arange(m, dtype=float))
-    # add.accumulate is a sequential left-to-right sum, so each partial sum is
-    # the rounded value of the previous one plus one term, and the rounding
-    # error of that addition can be recovered exactly from the three values
-    table = np.concatenate(([0.0], np.add.accumulate(terms)))
-    prev, cur = table[:-1], table[1:]
-    err = np.where(np.abs(prev) >= np.abs(terms), (prev - cur) + terms, (terms - cur) + prev)
-    table[1:] += np.add.accumulate(err)
-    return table
+    return prefix_table(np.log(x + step * np.arange(m, dtype=float)))
 
 
 class LogTables(NamedTuple):

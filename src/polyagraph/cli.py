@@ -28,6 +28,7 @@ from .analytics import (
     expected_decay_centrality,
 )
 from .consensus import (
+    AveragingOperator,
     averaging_matrix,
     expected_stationary_exact,
     expected_stationary_mc,
@@ -227,16 +228,19 @@ def _cmd_pi_e(args) -> int:
 def _cmd_histogram(args) -> int:
     law = _law_params(args)
     x0 = _parse_x0(args.x0, args.n)
-    snapshots = np.empty(args.runs)
+    z = np.empty((args.runs, args.n), dtype=np.int64)
+    counts = np.empty((args.runs, args.n), dtype=np.int64)
     exact_limits = np.empty(args.runs)
     for r in range(args.runs):
-        g = sample_connected_graph(law, args.n, args.seed, stream_index=r)
-        sys_ = averaging_matrix(g)
-        x = np.array(x0)
-        for _ in range(args.t):
-            x = sys_.W @ x
-        snapshots[r] = x.mean()
+        sys_ = averaging_matrix(sample_connected_graph(law, args.n, args.seed, stream_index=r))
+        z[r], counts[r] = sys_.W.z, sys_.neighbor_counts
         exact_limits[r] = float(sys_.pi_star @ x0)
+    # one realization per row, so each step advances every run at once
+    W = AveragingOperator(z, counts)
+    x = np.tile(x0, (args.runs, 1))
+    for _ in range(args.t):
+        x = W @ x
+    snapshots = x.mean(axis=1)
     try:
         theoretical = float(expected_stationary_exact(law, args.n).pi @ x0)
         theory_mode = "exact-enumeration"

@@ -5,13 +5,15 @@ n-1 indicators from the urn and pin the last one to 1, so the final node is
 universal and every pair of nodes is within distance two of it.
 
 Each node repeatedly replaces its opinion by the average of its own and its
-neighbors' opinions.  In matrix form x(t) = W x(t-1), where
+neighbors' opinions: x(t) = W x(t-1), where
 W_ij = (1 if i = j else z_{max(i,j)}) / N_i and N_i is one plus the neighbor
 count of node i (self-loops do not enter N_i).  W is row-stochastic,
 irreducible and aperiodic, satisfies the exact detailed balance
 N_i W_ij = N_j W_ji, and has the unique stationary vector
 pi*_i = N_i / sum_k N_k, so every trajectory converges to the scalar
-pi* . x(0).
+pi* . x(0).  W is never stored: it is an O(n) operator on z and N, and one
+step costs two prefix sums (:func:`polyagraph.graph.neighbor_sums`).  The
+dense matrix is built only on request, for oracles and tests.
 
 Averaging pi* over the urn law of the free draws gives the expected
 consensus weights pi_E: the expected opinion vector converges to
@@ -28,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import CompensatedSum
-from .graph import ThresholdGraph, build_graph
+from ._numeric import CompensatedSum, log_tables
+from .graph import ThresholdGraph, build_graph, neighbor_sums
 from .oracle import MAX_ENUMERATION_HORIZON, EnumerationLimitError, _gray_vectors, _joint_pmf_fn
 from .urn import (
     FiniteMemoryParams,
@@ -39,6 +41,7 @@ from .urn import (
 )
 
 __all__ = [
+    "AveragingOperator",
     "ConsensusSystem",
     "Trajectory",
     "ExpectedStationary",
@@ -50,24 +53,48 @@ __all__ = [
     "expected_stationary_mc",
     "memory_sweep",
     "opinion_preset",
-    "X0_REFERENCE_10",
 ]
 
-# reference 10-node initial opinions behind the bundled experiment presets
-X0_REFERENCE_10 = (0.1, 0.6, 0.3, 1.0, 0.5, 3.0, 10.0, 2.0, 9.0, 0.2)
+
+@dataclass(frozen=True, eq=False)
+class AveragingOperator:
+    """The averaging matrix W as an O(n) operator.
+
+    ``W @ x`` is (x + neighbor_sums(z, x)) / N for x of shape (n,) or
+    (runs, n); z and N may be (n,) for one realization or (runs, n) for one
+    realization per row.  :meth:`toarray` builds the dense matrix of a single
+    realization.
+    """
+
+    z: np.ndarray
+    neighbor_counts: np.ndarray
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return (x + neighbor_sums(self.z, x)) / self.neighbor_counts
+
+    @property
+    def nbytes(self) -> int:
+        return self.z.nbytes + self.neighbor_counts.nbytes
+
+    def toarray(self) -> np.ndarray:
+        """Dense W: rows are N_i-ths of the 0/1 adjacency with a unit
+        diagonal, so N_i * W_ij = N_j * W_ji holds exactly."""
+        numerator = build_graph(self.z).adjacency().astype(float)
+        np.fill_diagonal(numerator, 1.0)
+        return numerator / self.neighbor_counts[:, None]
 
 
 @dataclass(frozen=True, eq=False)
 class ConsensusSystem:
-    """Averaging matrix W with its neighbor counts and stationary vector.
+    """Averaging operator W with its neighbor counts and stationary vector.
 
-    ``neighbor_counts[i]`` is the integer N_i; W rows are N_i-ths of the
-    0/1 numerator matrix, so N_i * W_ij = N_j * W_ji holds exactly at the
-    integer level.  Immutable after construction.
+    ``neighbor_counts[i]`` is the integer N_i; the system is O(n) in size.
+    Immutable after construction.
     """
 
     graph: ThresholdGraph
-    W: np.ndarray
+    W: AveragingOperator
     neighbor_counts: np.ndarray
     pi_star: np.ndarray
 
@@ -119,7 +146,7 @@ class SweepPoint:
     baseline_se: float
 
 
-def _neighbor_counts(draws: tuple[int, ...]) -> np.ndarray:
+def _neighbor_counts(draws) -> np.ndarray:
     z = np.asarray(draws, dtype=np.int64)
     n = len(z)
     suffix = np.cumsum(z[::-1])[::-1] - z
@@ -161,12 +188,10 @@ def averaging_matrix(g: ThresholdGraph) -> ConsensusSystem:
             "averaging needs a connected realization: the last draw must be 1 "
             "(use sample_connected_graph)"
         )
-    counts = _neighbor_counts(g.draws)
-    numerator = g.adjacency().astype(float)
-    np.fill_diagonal(numerator, 1.0)
-    W = numerator / counts[:, None]
+    z = np.asarray(g.draws, dtype=np.int64)
+    counts = _neighbor_counts(z)
     pi_star = counts / counts.sum()
-    return ConsensusSystem(graph=g, W=W, neighbor_counts=counts, pi_star=pi_star)
+    return ConsensusSystem(graph=g, W=AveragingOperator(z, counts), neighbor_counts=counts, pi_star=pi_star)
 
 
 def iterate(
@@ -236,7 +261,15 @@ def expected_stationary_exact(params, n: int, *, max_n: int = MAX_ENUMERATION_HO
     mode = _urn_mode(params)
     if n == 1:
         return ExpectedStationary(pi=np.array([1.0]), mode="exact-enumeration", std_error=None, urn_mode=mode)
-    weight = _joint_pmf_fn(params)
+    if isinstance(params, UrnParams):
+        # the joint law depends on a draw vector only through its red count
+        t = log_tables(params.rho, params.delta, n - 1)
+        by_reds = [math.exp(t.log_joint(n - 1, k)) for k in range(n)]
+
+        def weight(head):
+            return by_reds[sum(head)]
+    else:
+        weight = _joint_pmf_fn(params)
     acc = CompensatedSum()
     for head in _gray_vectors(n - 1):
         counts = _neighbor_counts(head + (1,))
@@ -326,14 +359,15 @@ def opinion_preset(name: str, n: int) -> np.ndarray:
     "paper-n100": the same vector tiled to 100 nodes (x_{i+10k} = x_i).
     "polarized":  first half 0, second half 100.
     """
+    reference = (0.1, 0.6, 0.3, 1.0, 0.5, 3.0, 10.0, 2.0, 9.0, 0.2)
     if name == "paper-n10":
         if n != 10:
             raise ValueError(f"preset 'paper-n10' needs n = 10, got {n}")
-        return np.array(X0_REFERENCE_10)
+        return np.array(reference)
     if name == "paper-n100":
         if n != 100:
             raise ValueError(f"preset 'paper-n100' needs n = 100, got {n}")
-        return np.tile(np.array(X0_REFERENCE_10), 10)
+        return np.tile(np.array(reference), 10)
     if name == "polarized":
         x = np.full(n, 100.0)
         x[: n // 2] = 0.0

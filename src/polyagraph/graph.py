@@ -29,6 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
+from ._numeric import prefix_table
 from .urn import CreationSequence, as_draws
 
 __all__ = [
@@ -44,8 +45,9 @@ __all__ = [
 class ThresholdGraph:
     """Immutable threshold graph; the creation sequence is the stored form.
 
-    Matrix views are materialized on demand (O(n^2)); the graph itself
-    stays O(n).  Safe to share across threads.
+    The graph stays O(n), and so do products with its adjacency-based
+    operators (see :func:`neighbor_sums`); only :meth:`adjacency` builds an
+    O(n^2) matrix, for oracles and tests.  Safe to share across threads.
     """
 
     sequence: CreationSequence
@@ -134,6 +136,23 @@ class ThresholdGraph:
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges())
+
+
+def neighbor_sums(z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_{j != i} z_{max(i,j)} x_j for every i, along the last axis.
+
+    This is the adjacency product A x without its diagonal.  Threshold
+    neighbourhoods are nested, so it equals z_i * (x_1 + .. + x_{i-1}) +
+    (z_{i+1} x_{i+1} + .. + z_n x_n): one exclusive prefix sum of x and one
+    exclusive suffix sum of z*x, O(n) per vector.  Both are compensated
+    prefix tables of the other entries alone, never cumsum(x) - x, so a
+    large x_i cannot swamp its neighbours' sum.  Leading axes broadcast: x
+    of shape (runs, n) with z of shape (n,) or (runs, n) works row by row.
+    Integer input gives exact integers.
+    """
+    before = prefix_table(x[..., :-1])
+    after = prefix_table((z * x)[..., :0:-1])[..., ::-1]
+    return z * before + after
 
 
 def build_graph(z) -> ThresholdGraph:

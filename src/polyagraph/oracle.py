@@ -322,7 +322,7 @@ def _check_expected_stationary() -> ValidationCheck:
     worst = 0.0
     for n in (3, 6):
         def pi_by_matrix_powers(z: tuple[int, ...]) -> np.ndarray:
-            w = averaging_matrix(build_graph(z)).W
+            w = averaging_matrix(build_graph(z)).W.toarray()
             return np.linalg.matrix_power(w, 1 << 9)[0]
 
         brute = enumerate_expectation(

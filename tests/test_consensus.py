@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from polyagraph import (
     opinion_preset,
     sample_connected_graph,
 )
-from polyagraph.consensus import X0_REFERENCE_10, _neighbor_counts
+from polyagraph.consensus import AveragingOperator, _neighbor_counts
 from polyagraph.oracle import EnumerationLimitError
 from polyagraph.rng import stream
 
@@ -31,14 +32,14 @@ def random_connected_draws(rng, n):
 def test_two_node_examples():
     for z in ((0, 1), (1, 1)):
         sys_ = averaging_matrix(build_graph(z))
-        assert np.allclose(sys_.W, 0.5 * np.ones((2, 2)), atol=0)
+        assert np.allclose(sys_.W.toarray(), 0.5 * np.ones((2, 2)), atol=0)
         assert np.allclose(sys_.pi_star, (0.5, 0.5), atol=0)
 
 
 def test_three_node_example():
     sys_ = averaging_matrix(build_graph((0, 0, 1)))
     assert list(sys_.neighbor_counts) == [2, 2, 3]
-    assert np.allclose(sys_.W[2], [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
+    assert np.allclose(sys_.W.toarray()[2], [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
     assert np.allclose(sys_.pi_star, [2 / 7, 2 / 7, 3 / 7], atol=1e-15)
 
 
@@ -59,22 +60,59 @@ def test_w_invariants_random():
         g = build_graph(random_connected_draws(rng, n))
         sys_ = averaging_matrix(g)
         counts = sys_.neighbor_counts
+        W = sys_.W.toarray()
         # rows sum to one
-        assert np.max(np.abs(sys_.W.sum(axis=1) - 1.0)) < 1e-14
+        assert np.max(np.abs(W.sum(axis=1) - 1.0)) < 1e-14
         # positive diagonal, exactly 1/N_i
-        assert np.array_equal(np.diag(sys_.W), 1.0 / counts)
+        assert np.array_equal(np.diag(W), 1.0 / counts)
         # detailed balance: N_i W_ij and N_j W_ji share one 0/1 numerator,
         # so the identity is exact at the integer level
-        numerator = sys_.W * counts[:, None]
+        numerator = W * counts[:, None]
         rounded = np.rint(numerator)
         assert np.max(np.abs(numerator - rounded)) < 1e-12
         assert set(np.unique(rounded)) <= {0.0, 1.0}
         assert np.array_equal(rounded, rounded.T)
         # pi* is stationary
-        assert np.max(np.abs(sys_.pi_star @ sys_.W - sys_.pi_star)) < 1e-12
+        assert np.max(np.abs(sys_.pi_star @ W - sys_.pi_star)) < 1e-12
         # N_i = 1 + deg - selfloop
         z = np.asarray(g.draws)
         assert np.array_equal(counts, 1 + g.degrees() - z)
+
+
+def test_operator_matches_dense_matrix():
+    # the O(n) step against the dense matrix it stands for, one vector and a
+    # (runs, n) batch with a different realization per row
+    eps = np.finfo(float).eps
+    rng = stream(556)
+    for n in (1, 2, 3, 50, 2000):
+        systems = [averaging_matrix(build_graph(random_connected_draws(rng, n))) for _ in range(4)]
+        X = rng.uniform(0, 100, size=(4, n))
+        X[1] -= 50.0
+        for sys_, x in zip(systems, X):
+            dense = sys_.W.toarray() @ x
+            assert np.max(np.abs(sys_.W @ x - dense)) <= 4 * eps * np.max(np.abs(x))
+        batch = AveragingOperator(
+            np.stack([s.W.z for s in systems]), np.stack([s.neighbor_counts for s in systems])
+        )
+        dense = np.stack([s.W.toarray() @ x for s, x in zip(systems, X)])
+        assert np.all(np.abs(batch @ X - dense) <= 4 * eps * np.max(np.abs(X), axis=1, keepdims=True))
+
+
+def test_operator_is_linear_in_size():
+    # a dense W at this size would need 320 GB; building and stepping the
+    # system may hold only a few dozen length-n vectors at once
+    n = 200_000
+    rng = np.random.default_rng(557)
+    g = build_graph(np.append(rng.integers(0, 2, size=n - 1), 1))
+    x0 = rng.uniform(0, 1, size=n)
+    tracemalloc.start()
+    try:
+        traj = iterate(averaging_matrix(g), x0, t_max=3, tol=1e-300, record=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.final.shape == (n,)
+    assert peak < 64 * n * 8
 
 
 def test_neighbor_counts_formula():
@@ -244,8 +282,9 @@ def test_invariants_hold_under_substituted_bernoulli_law():
         n = int(rng.integers(2, 40))
         z = tuple(int(b) for b in (rng.random(n - 1) < 0.3)) + (1,)
         sys_ = averaging_matrix(build_graph(z))
-        assert np.max(np.abs(sys_.W.sum(axis=1) - 1.0)) < 1e-14
-        assert np.max(np.abs(sys_.pi_star @ sys_.W - sys_.pi_star)) < 1e-12
+        W = sys_.W.toarray()
+        assert np.max(np.abs(W.sum(axis=1) - 1.0)) < 1e-14
+        assert np.max(np.abs(sys_.pi_star @ W - sys_.pi_star)) < 1e-12
         traj = iterate(sys_, rng.uniform(0, 1, size=n), record=False)
         assert traj.converged
 
@@ -291,7 +330,7 @@ def test_memory_sweep_validation(ref_params):
 
 def test_opinion_presets():
     x10 = opinion_preset("paper-n10", 10)
-    assert tuple(x10) == X0_REFERENCE_10
+    assert tuple(x10) == (0.1, 0.6, 0.3, 1.0, 0.5, 3.0, 10.0, 2.0, 9.0, 0.2)
     x100 = opinion_preset("paper-n100", 100)
     for i in range(10):
         for k in range(10):

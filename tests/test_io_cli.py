@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from polyagraph import UrnParams, build_graph, degree_pmf, spectrum
+from polyagraph import (
+    UrnParams,
+    averaging_matrix,
+    build_graph,
+    degree_pmf,
+    opinion_preset,
+    sample_connected_graph,
+    spectrum,
+)
 from polyagraph.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_IO, EXIT_OK, main
 from polyagraph.io import (
     emit_table,
@@ -241,6 +249,31 @@ def test_histogram_command_reproducible(tmp_path):
     lines = [l for l in text.splitlines() if not l.startswith("#")]
     assert lines[0] == "run,consensus_value"
     assert len(lines) == 21
+
+
+def test_histogram_matches_per_run_dense_steps(tmp_path):
+    # the batched run-by-row stepping against one dense W per run; t is short
+    # so that no run has settled at its limit yet
+    n, runs, t, seed = 10, 30, 4, 11
+    out = tmp_path / "h.csv"
+    code = run_cli([
+        "histogram", "--n", str(n), "--R", "5", "--B", "5", "--delta-balls", "2",
+        "--runs", str(runs), "--t", str(t), "--x0", "paper-n10", "--seed", str(seed),
+        "--out", str(out),
+    ])
+    assert code == EXIT_OK
+    rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+    values = np.array([float(v) for _, v in rows])
+    x0 = opinion_preset("paper-n10", n)
+    expected = np.empty(runs)
+    for r in range(runs):
+        W = averaging_matrix(sample_connected_graph(UrnParams(5, 5, 2), n, seed, stream_index=r)).W.toarray()
+        x = x0.copy()
+        for _ in range(t):
+            x = W @ x
+        expected[r] = x.mean()
+    assert np.unique(np.round(expected, 6)).size > 1
+    assert np.max(np.abs(values - expected) / np.abs(expected)) < 1e-12
 
 
 def test_memory_sweep_command(tmp_path):

@@ -100,3 +100,16 @@ def test_verify_eigenpairs_random_runs():
     for _ in range(200):
         z = tuple(int(b) for b in rng.integers(0, 2, size=50))
         assert verify_eigenpairs(build_graph(z)).all_passed
+
+
+def test_verify_eigenpairs_agrees_with_dense_identity():
+    # the O(n) products against the dense integer identity L u_m = lambda_m u_m
+    rng = stream(78)
+    for n in (1, 2, 3, 17, 120):
+        for _ in range(20):
+            g = build_graph(tuple(int(b) for b in rng.integers(0, 2, size=n)))
+            basis = np.column_stack(eigenbasis(n))
+            eigenvalues = np.concatenate(([0], g.degrees()[1:]))
+            dense_ok = (laplacian(g) @ basis == basis * eigenvalues).all(axis=0)
+            assert [c.passed for c in verify_eigenpairs(g).checks] == dense_ok.tolist()
+            assert dense_ok.all()
