@@ -228,15 +228,9 @@ def _cmd_pi_e(args) -> int:
 def _cmd_histogram(args) -> int:
     law = _law_params(args)
     x0 = _parse_x0(args.x0, args.n)
-    z = np.empty((args.runs, args.n), dtype=np.int64)
-    counts = np.empty((args.runs, args.n), dtype=np.int64)
-    exact_limits = np.empty(args.runs)
-    for r in range(args.runs):
-        sys_ = averaging_matrix(sample_connected_graph(law, args.n, args.seed, stream_index=r))
-        z[r], counts[r] = sys_.W.z, sys_.neighbor_counts
-        exact_limits[r] = float(sys_.pi_star @ x0)
     # one realization per row, so each step advances every run at once
-    W = AveragingOperator(z, counts)
+    W = AveragingOperator.sample(law, args.n, args.runs, args.seed)
+    exact_limits = W.pi_star @ x0
     x = np.tile(x0, (args.runs, 1))
     for _ in range(args.t):
         x = W @ x

@@ -20,7 +20,9 @@ consensus weights pi_E: the expected opinion vector converges to
 (pi_E . x(0)) at every node.  pi_E is computed exactly by enumerating the
 2^(n-1) free draw vectors (guarded) or estimated by seeded Monte Carlo with
 one independent stream per run, merged by run index so scheduling cannot
-change the estimate.
+change the estimate.  Monte Carlo runs are sampled in blocks, each in one
+vectorized pass (:func:`polyagraph.urn.sample_runs`) that reproduces the
+per-run samplers bit for bit.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .urn import (
     UrnParams,
     sample_finite_memory,
     sample_polya,
+    sample_runs,
 )
 
 __all__ = [
@@ -69,9 +72,27 @@ class AveragingOperator:
     z: np.ndarray
     neighbor_counts: np.ndarray
 
+    @classmethod
+    def sample(cls, params, n: int, runs: int, seed: int, *, first_stream: int = 0) -> "AveragingOperator":
+        """Operator over ``runs`` connected realizations, one per row: row r
+        is the realization :func:`sample_connected_graph` draws at stream
+        index ``first_stream + r``, all drawn in one vectorized pass."""
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
+        z = np.ones((runs, n), dtype=np.int64)
+        if n > 1:
+            z[:, :-1] = sample_runs(params, n - 1, runs, seed, first_stream=first_stream)
+        return cls(z, _neighbor_counts(z))
+
     def __matmul__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return (x + neighbor_sums(self.z, x)) / self.neighbor_counts
+
+    @property
+    def pi_star(self) -> np.ndarray:
+        """Stationary vector N / sum(N), per row."""
+        counts = self.neighbor_counts
+        return counts / counts.sum(axis=-1, keepdims=True)
 
     @property
     def nbytes(self) -> int:
@@ -147,10 +168,13 @@ class SweepPoint:
 
 
 def _neighbor_counts(draws) -> np.ndarray:
+    # along the last axis: i*z_i earlier neighbours, plus the later universal nodes
     z = np.asarray(draws, dtype=np.int64)
-    n = len(z)
-    suffix = np.cumsum(z[::-1])[::-1] - z
-    return 1 + np.arange(n, dtype=np.int64) * z + suffix
+    suffix = np.cumsum(z[..., ::-1], axis=-1)[..., ::-1] - z
+    return 1 + np.arange(z.shape[-1], dtype=np.int64) * z + suffix
+
+
+_BLOCK_RUNS = 256  # runs per vectorized sampling pass
 
 
 def _urn_mode(params) -> str:
@@ -189,9 +213,8 @@ def averaging_matrix(g: ThresholdGraph) -> ConsensusSystem:
             "(use sample_connected_graph)"
         )
     z = np.asarray(g.draws, dtype=np.int64)
-    counts = _neighbor_counts(z)
-    pi_star = counts / counts.sum()
-    return ConsensusSystem(graph=g, W=AveragingOperator(z, counts), neighbor_counts=counts, pi_star=pi_star)
+    W = AveragingOperator(z, _neighbor_counts(z))
+    return ConsensusSystem(graph=g, W=W, neighbor_counts=W.neighbor_counts, pi_star=W.pi_star)
 
 
 def iterate(
@@ -278,10 +301,13 @@ def expected_stationary_exact(params, n: int, *, max_n: int = MAX_ENUMERATION_HO
 
 
 def _pi_star_samples(params, n: int, runs: int, seed: int, first_stream: int = 0) -> np.ndarray:
+    # row r is pi* of the realization at stream first_stream + r; blocks of
+    # runs bound the (block, n) temporaries of the sampler
     samples = np.empty((runs, n))
-    for r in range(runs):
-        counts = _neighbor_counts(_connected_draws(params, n, seed, first_stream + r))
-        samples[r] = counts / counts.sum()
+    for start in range(0, runs, _BLOCK_RUNS):
+        stop = min(start + _BLOCK_RUNS, runs)
+        W = AveragingOperator.sample(params, n, stop - start, seed, first_stream=first_stream + start)
+        samples[start:stop] = W.pi_star
     return samples
 
 

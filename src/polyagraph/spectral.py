@@ -11,7 +11,9 @@ Everything here is exact int64 arithmetic; no eigensolver is involved
 anywhere in the library path.  L u is (deg - z) u - A' u with A' the
 off-diagonal adjacency, whose product costs two prefix sums
 (:func:`polyagraph.graph.neighbor_sums`), so checking all n eigenpairs is
-O(n^2) and the Laplacian matrix is built only by :func:`laplacian`.
+O(n^2) work.  The check builds the basis a block of rows at a time, so its
+memory stays O(n) for a fixed block, and the Laplacian matrix is built only
+by :func:`laplacian`.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ __all__ = [
 ]
 
 
+_BLOCK_ENTRIES = 1 << 16  # basis entries per block of the eigenpair check
+
+
 def laplacian(g: ThresholdGraph) -> np.ndarray:
     """Integer Laplacian matrix of the realization."""
     L = -g.adjacency()
@@ -46,17 +51,21 @@ def spectrum(g: ThresholdGraph) -> tuple[int, ...]:
     return tuple(sorted([0, *map(int, deg[1:])]))
 
 
+def _basis_rows(n: int, start: int, stop: int) -> np.ndarray:
+    # rows u_{start+1} .. u_stop: row m-1 holds m-1 ones then -(m-1), and u_1 is all ones
+    m = np.arange(start, stop)[:, None]
+    cols = np.arange(n)
+    rows = (cols < m).astype(np.int64) - m * (cols == m)
+    if start == 0:
+        rows[0] = 1
+    return rows
+
+
 def eigenbasis(n: int) -> list[np.ndarray]:
     """The deterministic eigenbasis shared by every realization of size n."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    basis = [np.ones(n, dtype=np.int64)]
-    for m in range(2, n + 1):
-        u = np.zeros(n, dtype=np.int64)
-        u[: m - 1] = 1
-        u[m - 1] = -(m - 1)
-        basis.append(u)
-    return basis
+    return list(_basis_rows(n, 0, n))
 
 
 @dataclass(frozen=True)
@@ -83,15 +92,19 @@ class EigenpairReport:
 def verify_eigenpairs(g: ThresholdGraph) -> EigenpairReport:
     """Check L u_1 = 0 and L u_m = deg(m) u_m for m = 2..n in exact integer
     arithmetic.  Failures become report entries, never exceptions."""
+    n = g.n
     z = np.asarray(g.draws, dtype=np.int64)
     deg = g.degrees()
-    basis = np.array(eigenbasis(g.n))  # u_m is row m-1
     eigenvalues = np.concatenate(([0], deg[1:])).astype(np.int64)
-    lhs = (deg - z) * basis - neighbor_sums(z, basis)
-    rhs = basis * eigenvalues[:, None]
-    ok = (lhs == rhs).all(axis=1)
+    ok = np.empty(n, dtype=bool)
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        basis = _basis_rows(n, start, stop)  # u_m is row m-1-start
+        lhs = (deg - z) * basis - neighbor_sums(z, basis)
+        ok[start:stop] = (lhs == basis * eigenvalues[start:stop, None]).all(axis=1)
     checks = tuple(
         EigenpairCheck(index=m + 1, eigenvalue=int(eigenvalues[m]), passed=bool(ok[m]))
-        for m in range(g.n)
+        for m in range(n)
     )
     return EigenpairReport(checks=checks)

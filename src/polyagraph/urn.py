@@ -24,6 +24,10 @@ A finite-memory variant removes each reinforcement batch ``memory`` steps
 after it was added.  The first ``memory`` draws keep the law above; later
 draws depend on the previous ``memory`` outcomes only, making the process a
 Markov chain of that order.
+
+:func:`sample_polya` and :func:`sample_finite_memory` draw one realization;
+:func:`sample_runs` draws a block of realizations, one per stream, in one
+pass vectorized over runs, with rows identical to the per-run samplers.
 """
 
 from __future__ import annotations
@@ -31,8 +35,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._numeric import log_tables
-from .rng import stream
+from .rng import stream, uniform_rows
 
 __all__ = [
     "UrnParams",
@@ -44,6 +50,7 @@ __all__ = [
     "beta_binomial_pmf",
     "sample_finite_memory",
     "finite_memory_joint_pmf",
+    "sample_runs",
 ]
 
 
@@ -227,3 +234,34 @@ def finite_memory_joint_pmf(fm: FiniteMemoryParams, z) -> float:
         else:
             acc += math.log(1.0 - rho + delta * (memory - r)) - log_denom
     return math.exp(acc)
+
+
+def sample_runs(params, n: int, runs: int, seed: int, *, first_stream: int = 0) -> np.ndarray:
+    """Draw ``runs`` independent realizations of n indicators at once.
+
+    Returns a (runs, n) int64 array of 0/1 whose row r is, byte for byte,
+    the draw vector of :func:`sample_polya` (``params`` a
+    :class:`UrnParams`) or :func:`sample_finite_memory` (a
+    :class:`FiniteMemoryParams`) at stream index ``first_stream + r``.  One
+    loop over t advances every run: the red count in the window of the last
+    w = min(t, memory) draws is kept as a running sum, and the infinite urn
+    is the case memory >= n, whose window is the whole past.  The red
+    probability is the per-run samplers' expression, rounded identically.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1 draws, got {n}")
+    if isinstance(params, FiniteMemoryParams):
+        rho, delta, memory = params.base.rho, params.base.delta, params.memory
+    else:
+        rho, delta, memory = params.rho, params.delta, n
+    u = uniform_rows(seed, first_stream, runs, n)
+    draws = np.empty((runs, n), dtype=np.int64)
+    reds = np.zeros(runs, dtype=np.int64)
+    for t in range(n):
+        if t:
+            reds += draws[:, t - 1]
+            if t > memory:
+                reds -= draws[:, t - 1 - memory]
+        p_red = (rho + delta * reds) / (1.0 + delta * min(t, memory))
+        draws[:, t] = u[:, t] < p_red
+    return draws

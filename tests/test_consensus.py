@@ -7,6 +7,7 @@ import pytest
 
 from polyagraph import (
     FiniteMemoryParams,
+    SweepPoint,
     UrnParams,
     averaging_matrix,
     build_graph,
@@ -113,6 +114,19 @@ def test_operator_is_linear_in_size():
         tracemalloc.stop()
     assert traj.final.shape == (n,)
     assert peak < 64 * n * 8
+
+
+def test_sampled_operator_rows_are_the_per_run_realizations(ref_params):
+    for law in (ref_params, FiniteMemoryParams(ref_params, 2)):
+        for n in (1, 2, 7):
+            W = AveragingOperator.sample(law, n, 5, 41, first_stream=9)
+            for r in range(5):
+                sys_ = averaging_matrix(sample_connected_graph(law, n, 41, stream_index=9 + r))
+                assert np.array_equal(W.z[r], sys_.W.z)
+                assert np.array_equal(W.neighbor_counts[r], sys_.neighbor_counts)
+                assert np.array_equal(W.pi_star[r], sys_.pi_star)
+    with pytest.raises(ValueError):
+        AveragingOperator.sample(ref_params, 0, 5, 41)
 
 
 def test_neighbor_counts_formula():
@@ -242,6 +256,26 @@ def test_monte_carlo_matches_exact(ref_params):
     assert np.all(np.abs(mc.pi - exact) < 4 * mc.std_error)
 
 
+def per_run_pi_star(law, n, runs, seed, first_stream=0):
+    """pi* of each run, one realization at a time: the reference for the
+    blocked samplers."""
+    return np.stack([
+        averaging_matrix(sample_connected_graph(law, n, seed, stream_index=first_stream + r)).pi_star
+        for r in range(runs)
+    ])
+
+
+@pytest.mark.parametrize("memory", [None, 1, 4])
+def test_monte_carlo_is_the_per_run_loop(ref_params, memory):
+    # 600 runs cross two block edges; blocking must not change a single bit
+    law = ref_params if memory is None else FiniteMemoryParams(ref_params, memory)
+    n, runs, seed = 10, 600, 19
+    samples = per_run_pi_star(law, n, runs, seed)
+    mc = expected_stationary_mc(law, n, runs=runs, seed=seed)
+    assert np.array_equal(mc.pi, samples.mean(axis=0))
+    assert np.array_equal(mc.std_error, samples.std(axis=0, ddof=1) / math.sqrt(runs))
+
+
 def test_monte_carlo_two_nodes_degenerate(ref_params):
     mc = expected_stationary_mc(ref_params, 2, runs=50, seed=1)
     assert np.allclose(mc.pi, 0.5, atol=0)
@@ -314,6 +348,26 @@ def test_memory_sweep_weak_reinforcement_stays_near_baseline(ref_params):
     )
     for p in points:
         assert abs(p.value - p.baseline) < 3 * math.hypot(p.std_error, p.baseline_se)
+
+
+def test_memory_sweep_is_the_per_run_loop(ref_params):
+    # each cell reads the next block of runs streams, baseline first
+    n, runs, seed = 6, 300, 5
+    x0 = opinion_preset("polarized", n)
+    points = memory_sweep(ref_params, n, deltas=(0.2, 1.0), memories=(1, 3), runs=runs, x0=x0, seed=seed)
+    want, block = [], 0
+    for delta in (0.2, 1.0):
+        params = UrnParams.from_proportions(ref_params.rho, delta)
+        base = per_run_pi_star(params, n, runs, seed, block * runs) @ x0
+        block += 1
+        for memory in (1, 3):
+            vals = per_run_pi_star(FiniteMemoryParams(params, memory), n, runs, seed, block * runs) @ x0
+            block += 1
+            want.append(SweepPoint(
+                delta, memory, float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(runs)),
+                float(base.mean()), float(base.std(ddof=1) / math.sqrt(runs)),
+            ))
+    assert points == want
 
 
 def test_memory_sweep_validation(ref_params):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,3 +115,19 @@ def test_verify_eigenpairs_agrees_with_dense_identity():
             dense_ok = (laplacian(g) @ basis == basis * eigenvalues).all(axis=0)
             assert [c.passed for c in verify_eigenpairs(g).checks] == dense_ok.tolist()
             assert dense_ok.all()
+
+
+def test_verify_eigenpairs_memory_is_linear():
+    # the whole n x n int64 eigenbasis would take 32 MB at this size; the
+    # check builds it a block of rows at a time
+    n = 2000
+    g = build_graph(tuple(int(b) for b in stream(79).integers(0, 2, size=n)))
+    tracemalloc.start()
+    try:
+        report = verify_eigenpairs(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed
+    assert len(report.checks) == n
+    assert peak < 16 * 2**20

@@ -16,7 +16,8 @@ from polyagraph import (
     sample_finite_memory,
     sample_polya,
 )
-from polyagraph.urn import as_draws
+from polyagraph.rng import stream
+from polyagraph.urn import as_draws, sample_runs
 
 
 def all_vectors(n):
@@ -213,6 +214,30 @@ def test_finite_memory_sampler_determinism(ref_params):
     assert a.draws == sample_finite_memory(fm, 7, seed=9).draws
     with pytest.raises(ValueError):
         sample_finite_memory(fm, 0, seed=9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 100])
+@pytest.mark.parametrize("memory", [None, 1, 4, 1000])
+def test_sample_runs_rows_are_the_per_run_draws(ref_params, n, memory):
+    # row r is byte for byte the per-run sampler at stream first_stream + r
+    law = ref_params if memory is None else FiniteMemoryParams(ref_params, memory)
+    per_run = sample_polya if memory is None else sample_finite_memory
+    for seed, first, runs in ((8, 3, 300), (2**64 - 1, 2**64 - 40, 40)):
+        block = sample_runs(law, n, runs, seed, first_stream=first)
+        assert block.shape == (runs, n)
+        for r in range(runs):
+            assert tuple(block[r]) == per_run(law, n, seed, stream_index=first + r).draws
+
+
+def test_sample_runs_validation(ref_params):
+    with pytest.raises(ValueError) as err:
+        sample_runs(ref_params, 3, 4, 0, first_stream=2**64 - 2)
+    with pytest.raises(ValueError) as want:
+        stream(0, 2**64)
+    assert str(err.value) == str(want.value)
+    with pytest.raises(ValueError):
+        sample_runs(ref_params, 0, 4, 0)
+    assert sample_runs(ref_params, 3, 0, 0).shape == (0, 3)
 
 
 def test_finite_memory_sliding_window_frequency(ref_params):
