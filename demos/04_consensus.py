@@ -2,7 +2,7 @@
 
 Runs one trajectory to its closed-form limit, then reproduces the
 10-node experiment: 200 independent seeded runs, consensus values read at
-t = 100, compared with the exactly enumerated expected value pi_E . x(0).
+t = 100, compared with the exact expected value pi_E . x(0).
 Emits the trajectory and histogram data as CSV.
 """
 
@@ -44,7 +44,7 @@ write_trajectory_csv(traj_path, traj)
 print(f"wrote {traj_path}")
 
 print("\n--- expected consensus weights ---")
-exact = expected_stationary_exact(params, n)  # enumerates 2^9 = 512 free draw vectors
+exact = expected_stationary_exact(params, n)  # forward-backward DP over (red count, W)
 mc = expected_stationary_mc(params, n, runs=20000, seed=99)
 print(f"exact pi_E      = {np.round(exact.pi, 5)}")
 print(f"monte carlo pi_E = {np.round(mc.pi, 5)} (20000 runs)")

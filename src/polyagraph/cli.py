@@ -7,8 +7,9 @@ flags --delta-balls (the reinforcement ball count) and --delta (the
 reinforcement ratio) are deliberately distinct.  Relative output paths land
 in $POLYAGRAPH_OUT_DIR when set, else the current directory.
 
-Exit codes: 0 success, 2 configuration error, 3 enumeration-guard refusal,
-4 validation failure, 5 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 guard refusal (a request
+over an enumeration or exact-DP size budget), 4 validation failure, 5 I/O
+error.
 """
 
 from __future__ import annotations
@@ -236,13 +237,12 @@ def _cmd_histogram(args) -> int:
         x = W @ x
     snapshots = x.mean(axis=1)
     try:
-        theoretical = float(expected_stationary_exact(law, args.n).pi @ x0)
-        theory_mode = "exact-enumeration"
+        est = expected_stationary_exact(law, args.n)
+        theory_mode = est.mode
     except EnumerationLimitError:
-        theoretical = float(
-            expected_stationary_mc(law, args.n, runs=args.theory_runs, seed=args.seed + 1).pi @ x0
-        )
-        theory_mode = f"monte-carlo({args.theory_runs} runs)"
+        est = expected_stationary_mc(law, args.n, runs=args.theory_runs, seed=args.seed + 1)
+        theory_mode = f"{est.mode}({args.theory_runs} runs)"
+    theoretical = float(est.pi @ x0)
     path = _out_path(args.out)
     io.write_histogram_csv(
         path,
@@ -353,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="trajectory.csv")
     p.set_defaults(handler=_cmd_consensus)
 
-    p = sub.add_parser("pi-e", help="expected consensus weights (exact enumeration or Monte Carlo)")
+    p = sub.add_parser("pi-e", help="expected consensus weights (exact DP or Monte Carlo)")
     _add_urn_args(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("exact", "mc"), default="exact")
@@ -371,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--theory-runs", dest="theory_runs", type=int, default=10_000,
-                   help="Monte Carlo size for the reference value when n exceeds the enumeration guard")
+                   help="Monte Carlo size for the reference value when the exact DP refuses n")
     p.add_argument("--out", default="histogram.csv")
     p.set_defaults(handler=_cmd_histogram)
 

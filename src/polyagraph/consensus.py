@@ -17,12 +17,14 @@ dense matrix is built only on request, for oracles and tests.
 
 Averaging pi* over the urn law of the free draws gives the expected
 consensus weights pi_E: the expected opinion vector converges to
-(pi_E . x(0)) at every node.  pi_E is computed exactly by enumerating the
-2^(n-1) free draw vectors (guarded) or estimated by seeded Monte Carlo with
-one independent stream per run, merged by run index so scheduling cannot
-change the estimate.  Monte Carlo runs are sampled in blocks, each in one
-vectorized pass (:func:`polyagraph.urn.sample_runs`) that reproduces the
-per-run samplers bit for bit.
+(pi_E . x(0)) at every node.  pi_E is computed exactly by a
+forward-backward pass over the urn's Markov state and the weighted red count
+W that fixes sum_k N_k (polynomial in n, guarded by a 64 MiB table budget),
+or estimated by seeded Monte Carlo with one independent stream per run,
+merged by run index so scheduling cannot change the estimate.  Monte Carlo
+runs are sampled in blocks, each in one vectorized pass
+(:func:`polyagraph.urn.sample_runs`) that reproduces the per-run samplers
+bit for bit.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import CompensatedSum, log_tables
+from ._numeric import prefix_table
 from .graph import ThresholdGraph, build_graph, neighbor_sums
-from .oracle import MAX_ENUMERATION_HORIZON, EnumerationLimitError, _gray_vectors, _joint_pmf_fn
+from .oracle import EnumerationLimitError
 from .urn import (
     FiniteMemoryParams,
     UrnParams,
@@ -144,8 +146,8 @@ class Trajectory:
 class ExpectedStationary:
     """Expected consensus weights pi_E under the chosen urn law.
 
-    ``std_error`` carries per-entry standard errors in Monte Carlo mode and
-    is None in exact mode.
+    ``mode`` is "exact-dp" or "monte-carlo"; ``std_error`` carries per-entry
+    standard errors in Monte Carlo mode and is None in exact mode.
     """
 
     pi: np.ndarray
@@ -266,38 +268,94 @@ def iterate(
     )
 
 
-def expected_stationary_exact(params, n: int, *, max_n: int = MAX_ENUMERATION_HORIZON) -> ExpectedStationary:
-    """Exact pi_E by enumerating all free draw vectors.
+_DP_BUDGET_BYTES = 64 << 20  # stored backward tables of the exact pi_E DP
 
-    The weight of the realization (z_1 .. z_{n-1}, 1) is the joint law of
-    the free n-1 draws, so the weights sum to one with nothing to
-    renormalize.  Horizons beyond ``max_n`` (default 24, i.e. 2^23 terms)
-    are refused; use :func:`expected_stationary_mc` for those.
+
+def expected_stationary_exact(params, n: int) -> ExpectedStationary:
+    """Exact pi_E as a finite sum over the urn's Markov chain.
+
+    With z_n pinned to 1, N_i = 2 + (i-1) z_i + sum_{i<j<n} z_j for i < n,
+    N_n = n, and sum_k N_k = D = 3n - 2 + 2W with W = sum_{j<n} (j-1) z_j.
+    So pi_E,i = 2c + (i-1) a_i + sum_{i<j<n} a_j and pi_E,n = n c, where
+    c = E[1/D] and a_j = E[z_j / D]: a sum of non-negative terms, so
+    nothing cancels.  A forward-backward pass over (urn state, W) gives c
+    and every a_j in polynomial time: O(n^4) for the infinite urn, and
+    O(2^M n^3) under a finite memory M < n-1.
+
+    Requests whose tables would exceed 64 MiB are refused with
+    :class:`~polyagraph.oracle.EnumerationLimitError` before anything is
+    allocated; use :func:`expected_stationary_mc` for those.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n > max_n:
-        raise EnumerationLimitError(
-            f"exact pi_E at n = {n} needs 2^{n - 1} terms (guard: n <= {max_n}); "
-            "use expected_stationary_mc instead"
-        )
-    mode = _urn_mode(params)
-    if n == 1:
-        return ExpectedStationary(pi=np.array([1.0]), mode="exact-enumeration", std_error=None, urn_mode=mode)
-    if isinstance(params, UrnParams):
-        # the joint law depends on a draw vector only through its red count
-        t = log_tables(params.rho, params.delta, n - 1)
-        by_reds = [math.exp(t.log_joint(n - 1, k)) for k in range(n)]
+    return ExpectedStationary(pi=_pi_e_dp(params, n), mode="exact-dp", std_error=None, urn_mode=_urn_mode(params))
 
-        def weight(head):
-            return by_reds[sum(head)]
+
+def _pi_e_dp(params, n: int) -> np.ndarray:
+    # The free draws are a Markov chain whose state is the red count so far
+    # (the infinite urn, or a memory covering all n-1 free draws) or the
+    # window of the last M draws.  The backward pass stores
+    # V_t(s, w) = E[1/D | state s and W = w before free draw t], only over
+    # the (s, w) reachable at t; the forward pass streams the mass over
+    # (s, w) and collects a_t = E[z_t / D].
+    if isinstance(params, FiniteMemoryParams) and params.memory < n - 1:
+        base, memory, window = params.base, params.memory, True
     else:
-        weight = _joint_pmf_fn(params)
-    acc = CompensatedSum()
-    for head in _gray_vectors(n - 1):
-        counts = _neighbor_counts(head + (1,))
-        acc.add(weight(head) * (counts / counts.sum()))
-    return ExpectedStationary(pi=acc.value, mode="exact-enumeration", std_error=None, urn_mode=mode)
+        base = params.base if isinstance(params, FiniteMemoryParams) else params
+        memory, window = n, False  # min(t, memory) = t at every free draw
+
+    def states(t):  # reachable states before free draw t are 0 .. states(t) - 1
+        return 1 << min(t, memory) if window else t + 1
+
+    def width(t):  # W before free draw t is at most 0 + 1 + .. + (t-1)
+        return t * (t - 1) // 2 + 1
+
+    stored = 0
+    for t in range(n):
+        stored += 8 * states(t) * width(t)
+        if stored > _DP_BUDGET_BYTES:
+            raise EnumerationLimitError(
+                f"exact pi_E at n = {n} ({_urn_mode(params)}) needs more than "
+                f"{_DP_BUDGET_BYTES >> 20} MiB of DP tables; use expected_stationary_mc instead"
+            )
+
+    s = np.arange(states(n - 1))
+    if window:  # bit 0 is the latest draw; draws older than M leave the window
+        reds = np.bitwise_count(s).astype(float)
+        to_black = (s << 1) & ((1 << memory) - 1)
+        to_red = to_black | 1
+    else:
+        reds, to_black, to_red = s.astype(float), s, s + 1
+    rho, delta = base.rho, base.delta
+    steps = []
+    for t in range(n - 1):
+        k, w = states(t), min(t, memory)
+        p_red = (rho + delta * reds[:k]) / (1.0 + delta * w)  # the samplers' expression
+        p_black = (1.0 - rho + delta * (w - reds[:k])) / (1.0 + delta * w)
+        steps.append((p_red[:, None], p_black[:, None], to_red[:k], to_black[:k], width(t)))
+
+    # a red draw at 0-based t adds t to W
+    V = [None] * n
+    last = 1.0 / (3 * n - 2 + 2 * np.arange(width(n - 1)))  # 1/D, whatever the state
+    V[n - 1] = np.broadcast_to(last, (states(n - 1), width(n - 1)))
+    for t in range(n - 2, -1, -1):
+        p_red, p_black, red, black, m = steps[t]
+        V[t] = p_red * V[t + 1][red, t : t + m] + p_black * V[t + 1][black, :m]
+    a = np.empty(n - 1)
+    mass = np.ones((1, 1))
+    for t, (p_red, p_black, red, black, m) in enumerate(steps):
+        red_mass = mass * p_red
+        a[t] = np.sum(red_mass * V[t + 1][red, t : t + m])
+        nxt = np.zeros((states(t + 1), width(t + 1)))
+        np.add.at(nxt, (red, slice(t, t + m)), red_mass)  # windows merge: indices repeat
+        np.add.at(nxt, (black, slice(0, m)), mass * p_black)
+        mass = nxt
+    c = float(V[0][0, 0])
+    pi = np.empty(n)
+    # sum_{i<j<n} a_j for i = 1 .. n-1, as a compensated suffix sum
+    pi[:-1] = 2.0 * c + np.arange(n - 1) * a + prefix_table(a[::-1])[-2::-1]
+    pi[-1] = n * c
+    return pi
 
 
 def _pi_star_samples(params, n: int, runs: int, seed: int, first_stream: int = 0) -> np.ndarray:

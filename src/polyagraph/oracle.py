@@ -122,9 +122,10 @@ def _degree_table(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _weight_table(rho: float, delta: float, n: int) -> np.ndarray:
-    params = UrnParams.from_proportions(rho, delta)
-    return np.array([polya_joint_pmf(params, z) for z in _gray_vectors(n)])
+def _weight_table(params, n: int) -> np.ndarray:
+    """Joint probabilities of every length-n draw vector (Gray order)."""
+    pmf = _joint_pmf_fn(params)
+    return np.array([pmf(z) for z in _gray_vectors(n)])
 
 
 def oracle_degree_pmf(params: UrnParams, n: int, i: int) -> dict[int, float]:
@@ -135,12 +136,10 @@ def oracle_degree_pmf(params: UrnParams, n: int, i: int) -> dict[int, float]:
         )
     if not 1 <= i <= n:
         raise IndexError(f"node index {i} out of range 1..{n}")
-    degrees = _degree_table(n)
-    weights = _weight_table(params.rho, params.delta, n)
-    sums: dict[int, CompensatedSum] = {}
-    for k, w in zip(degrees[:, i - 1], weights):
-        sums.setdefault(int(k), CompensatedSum()).add(w)
-    return {k: acc.value for k, acc in sorted(sums.items())}
+    terms: dict[int, list[float]] = {}
+    for k, w in zip(_degree_table(n)[:, i - 1].tolist(), _weight_table(params, n).tolist()):
+        terms.setdefault(k, []).append(w)
+    return {k: math.fsum(ws) for k, ws in sorted(terms.items())}
 
 
 def _adjacency_masks(z: tuple[int, ...]) -> list[int]:
@@ -192,12 +191,10 @@ def oracle_centrality(params: UrnParams, n: int, i: int, alpha: float = 0.5) -> 
         )
     if not 1 <= i <= n:
         raise IndexError(f"node index {i} out of range 1..{n}")
-    acc = CompensatedSum()
-    pmf = _joint_pmf_fn(params)
-    for z in _gray_vectors(n):
-        score = math.fsum(alpha**d for d in bfs_distances(z, i))
-        acc.add(pmf(z) * score)
-    return acc.value
+    return math.fsum(
+        w * math.fsum(alpha**d for d in bfs_distances(z, i))
+        for w, z in zip(_weight_table(params, n).tolist(), _gray_vectors(n))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +258,15 @@ def _check_distance_law() -> ValidationCheck:
 
     worst = 0.0
     n = 8
+    graphs = [build_graph(z) for z in _gray_vectors(n)]
     for params in _PARAM_GRID:
+        weights = _weight_table(params, n).tolist()
         for (i, j) in ((1, 2), (2, 5), (7, 8), (3, 3)):
             closed = distance_pmf(params, n, i, j).probabilities
-            sums = {v: CompensatedSum() for v in closed}
-            pmf = _joint_pmf_fn(params)
-            for z in _gray_vectors(n):
-                sums[build_graph(z).distance(i, j)].add(pmf(z))
-            worst = max(worst, max(abs(closed[v] - sums[v].value) for v in closed))
+            terms = {v: [] for v in closed}
+            for g, w in zip(graphs, weights):
+                terms[g.distance(i, j)].append(w)
+            worst = max(worst, max(abs(closed[v] - math.fsum(terms[v])) for v in closed))
     return ValidationCheck("distance law vs enumeration", worst < 1e-12, f"max |diff| = {worst:.3e}")
 
 

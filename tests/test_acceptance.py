@@ -133,7 +133,7 @@ def test_criterion_05_consensus_histogram_reproduction():
     for _ in range(t):
         x = W @ x
     snapshots = x.mean(axis=1)
-    theoretical = float(expected_stationary_exact(REF, n).pi @ x0)  # 512-term enumeration
+    theoretical = float(expected_stationary_exact(REF, n).pi @ x0)  # exact DP
     se = snapshots.std(ddof=1) / math.sqrt(runs)
     deviation = abs(snapshots.mean() - theoretical)
     elapsed = time.perf_counter() - start

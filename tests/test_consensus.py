@@ -18,8 +18,8 @@ from polyagraph import (
     opinion_preset,
     sample_connected_graph,
 )
-from polyagraph.consensus import AveragingOperator, _neighbor_counts
-from polyagraph.oracle import EnumerationLimitError
+from polyagraph.consensus import _DP_BUDGET_BYTES, AveragingOperator, _neighbor_counts
+from polyagraph.oracle import _PARAM_GRID, EnumerationLimitError, FunctionalSpec, enumerate_expectation
 from polyagraph.rng import stream
 
 
@@ -213,7 +213,7 @@ def test_convergence_within_budget_random():
 def test_expected_stationary_two_nodes(grid_params):
     est = expected_stationary_exact(grid_params, 2)
     assert np.allclose(est.pi, (0.5, 0.5), atol=1e-15)
-    assert est.mode == "exact-enumeration"
+    assert est.mode == "exact-dp"
     assert est.std_error is None
 
 
@@ -233,9 +233,51 @@ def test_expected_stationary_single_node(ref_params):
     assert expected_stationary_exact(ref_params, 1).pi == pytest.approx([1.0])
 
 
+def pi_star_of(z):
+    return averaging_matrix(build_graph(z)).pi_star
+
+
+DP_LAWS = _PARAM_GRID + (UrnParams.from_proportions(0.3, 1e-8), UrnParams.from_proportions(0.3, 1e8))
+
+
+@pytest.mark.parametrize("params", DP_LAWS, ids=("1-1-1", "5-5-2", "1-9-5", "delta=1e-8", "delta=1e8"))
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+def test_expected_stationary_matches_enumeration(params, n):
+    # the DP against the 2^(n-1)-term oracle, under both laws; memory n + 2
+    # covers the horizon, memory 1..3 runs the window states
+    spec = FunctionalSpec(arity=n, evaluator=pi_star_of, law="last-universal")
+    for law in (params, *(FiniteMemoryParams(params, m) for m in (1, 2, 3, n + 2))):
+        brute = enumerate_expectation(law, spec)
+        assert np.max(np.abs(expected_stationary_exact(law, n).pi - brute)) < 1e-12
+
+
 def test_expected_stationary_guard(ref_params):
-    with pytest.raises(EnumerationLimitError, match="expected_stationary_mc"):
-        expected_stationary_exact(ref_params, 12, max_n=8)
+    # refused from the table sizes alone: at M = 40 one state table would
+    # hold 2^40 rows, and n = 10^9 must not cost O(n) before refusing
+    for memory, n in ((None, 100), (None, 200), (None, 10**9), (40, 60), (12, 40)):
+        law = ref_params if memory is None else FiniteMemoryParams(ref_params, memory)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationLimitError, match="expected_stationary_mc"):
+                expected_stationary_exact(law, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, (memory, n)
+
+
+def test_expected_stationary_memory_within_budget(ref_params):
+    # n = 91 is the largest infinite-urn horizon the budget accepts
+    tracemalloc.start()
+    try:
+        pi = expected_stationary_exact(ref_params, 91).pi
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _DP_BUDGET_BYTES + (16 << 20)
+    assert math.fsum(pi) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(EnumerationLimitError):
+        expected_stationary_exact(ref_params, 92)
 
 
 def test_expected_stationary_finite_memory_small(ref_params):
@@ -248,7 +290,7 @@ def test_expected_stationary_finite_memory_small(ref_params):
 
 
 def test_monte_carlo_matches_exact(ref_params):
-    # 10^5 seeded runs against the 2^11-term enumeration, entrywise 4 SE
+    # 10^5 seeded runs against the exact DP, entrywise 4 SE
     n, runs = 12, 100_000
     exact = expected_stationary_exact(ref_params, n).pi
     mc = expected_stationary_mc(ref_params, n, runs=runs, seed=97)

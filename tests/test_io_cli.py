@@ -151,7 +151,7 @@ def test_pi_e_exact_prints_reference_values(capsys):
 
 
 def test_pi_e_guard_refusal(capsys):
-    code = run_cli(["pi-e", "--rho", "0.5", "--delta", "0.2", "--n", "30", "--mode", "exact"])
+    code = run_cli(["pi-e", "--rho", "0.5", "--delta", "0.2", "--n", "200", "--mode", "exact"])
     assert code == EXIT_GUARD
     assert "expected_stationary_mc" in capsys.readouterr().err
 
@@ -249,6 +249,20 @@ def test_histogram_command_reproducible(tmp_path):
     lines = [l for l in text.splitlines() if not l.startswith("#")]
     assert lines[0] == "run,consensus_value"
     assert len(lines) == 21
+
+
+@pytest.mark.parametrize("n, x0, mode", [
+    (10, "paper-n10", "exact-dp"),
+    (100, "paper-n100", "monte-carlo(5 runs)"),  # the infinite urn at n = 100 is over the DP budget
+])
+def test_histogram_theory_mode(tmp_path, n, x0, mode):
+    out = tmp_path / "h.csv"
+    assert run_cli([
+        "histogram", "--n", str(n), "--R", "5", "--B", "5", "--delta-balls", "2",
+        "--runs", "2", "--t", "1", "--x0", x0, "--theory-runs", "5", "--seed", "7",
+        "--out", str(out),
+    ]) == EXIT_OK
+    assert f"# theory_mode = {mode}" in out.read_text().splitlines()
 
 
 def test_histogram_matches_per_run_dense_steps(tmp_path):
