@@ -25,6 +25,7 @@ from .analytics import (
 )
 from .consensus import (
     ConsensusSystem,
+    EnumerationLimitError,
     ExpectedStationary,
     SweepPoint,
     Trajectory,
@@ -44,7 +45,6 @@ from .graph import (
     weights_from_sequence,
 )
 from .oracle import (
-    EnumerationLimitError,
     FunctionalSpec,
     enumerate_expectation,
     oracle_centrality,

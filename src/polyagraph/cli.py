@@ -15,6 +15,8 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import os
 import sys
 from pathlib import Path
@@ -30,6 +32,7 @@ from .analytics import (
 )
 from .consensus import (
     AveragingOperator,
+    EnumerationLimitError,
     averaging_matrix,
     expected_stationary_exact,
     expected_stationary_mc,
@@ -39,7 +42,7 @@ from .consensus import (
     sample_connected_graph,
 )
 from .graph import build_graph
-from .oracle import EnumerationLimitError, run_validation_suite
+from .oracle import run_validation_suite
 from .spectral import spectrum, verify_eigenpairs
 from .urn import FiniteMemoryParams, UrnParams, sample_finite_memory, sample_polya
 
@@ -283,17 +286,16 @@ def _cmd_memory_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     checks = run_validation_suite()
-    width = max(len(c.name) for c in checks)
-    failed = 0
-    for c in checks:
-        mark = "PASS" if c.passed else "FAIL"
-        failed += 0 if c.passed else 1
-        print(f"{mark}  {c.name:<{width}}  {c.detail}")
-    if failed:
-        print(f"{failed} of {len(checks)} checks failed")
-        return EXIT_VALIDATION
-    print(f"all {len(checks)} checks passed")
-    return EXIT_OK
+    failed = sum(not c.passed for c in checks)
+    if args.json:
+        print(json.dumps([dataclasses.asdict(c) for c in checks], sort_keys=True))
+    else:
+        width = max(len(c.name) for c in checks)
+        for c in checks:
+            mark = "PASS" if c.passed else "FAIL"
+            print(f"{mark}  {c.name:<{width}}  {c.detail}  ({c.seconds:.3f} s)")
+        print(f"{failed} of {len(checks)} checks failed" if failed else f"all {len(checks)} checks passed")
+    return EXIT_VALIDATION if failed else EXIT_OK
 
 
 # --------------------------------------------------------------------------
@@ -387,6 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_memory_sweep)
 
     p = sub.add_parser("validate", help="run the oracle-equivalence suite; nonzero exit on failure")
+    p.add_argument("--json", action="store_true", help="print the checks as one JSON list instead")
     p.set_defaults(handler=_cmd_validate)
 
     return parser

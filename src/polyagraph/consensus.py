@@ -36,7 +36,6 @@ import numpy as np
 
 from ._numeric import prefix_table
 from .graph import ThresholdGraph, build_graph, neighbor_sums
-from .oracle import EnumerationLimitError
 from .urn import (
     FiniteMemoryParams,
     UrnParams,
@@ -48,6 +47,7 @@ from .urn import (
 __all__ = [
     "AveragingOperator",
     "ConsensusSystem",
+    "EnumerationLimitError",
     "Trajectory",
     "ExpectedStationary",
     "SweepPoint",
@@ -271,6 +271,11 @@ def iterate(
 _DP_BUDGET_BYTES = 64 << 20  # stored backward tables of the exact pi_E DP
 
 
+class EnumerationLimitError(RuntimeError):
+    """A request would exceed a size budget: the exact pi_E DP's table budget
+    here, or an enumeration guard of :mod:`polyagraph.oracle`."""
+
+
 def expected_stationary_exact(params, n: int) -> ExpectedStationary:
     """Exact pi_E as a finite sum over the urn's Markov chain.
 
@@ -283,7 +288,7 @@ def expected_stationary_exact(params, n: int) -> ExpectedStationary:
     O(2^M n^3) under a finite memory M < n-1.
 
     Requests whose tables would exceed 64 MiB are refused with
-    :class:`~polyagraph.oracle.EnumerationLimitError` before anything is
+    :class:`EnumerationLimitError` before anything is
     allocated; use :func:`expected_stationary_mc` for those.
     """
     if n < 1:

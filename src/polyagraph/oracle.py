@@ -10,22 +10,44 @@ evidence rather than tautology.
 Vectors are visited in Gray-code order (consecutive vectors differ in one
 position) so stateful evaluators may update incrementally; correctness never
 depends on the order, and sums are compensated.
+
+The oracles do each piece of enumeration work once per n and read their
+answers off cached tables indexed by Gray-order row:
+
+- the joint probability of every vector.  The plain urn's law depends on a
+  vector only through its length and red count, so it is evaluated once per
+  red count and indexed by each vector's popcount; the finite-memory law is
+  evaluated per vector;
+- the degree vector of every realization, from adjacency row sums;
+- the decay table: sum_t alpha^d(s, t) for every realization and source s,
+  from one BFS per (vector, source) over neighbor bitmasks built once per
+  vector.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
 
 from ._numeric import CompensatedSum
+from .analytics import degree_pmf, distance_pmf, expected_decay_centrality
+from .consensus import (
+    EnumerationLimitError,
+    averaging_matrix,
+    expected_stationary_exact,
+    expected_stationary_mc,
+)
+from .graph import build_graph
+from .rng import stream
+from .spectral import laplacian, spectrum, verify_eigenpairs
 from .urn import FiniteMemoryParams, UrnParams, finite_memory_joint_pmf, polya_joint_pmf
 
 __all__ = [
-    "EnumerationLimitError",
     "FunctionalSpec",
     "enumerate_expectation",
     "oracle_degree_pmf",
@@ -38,10 +60,6 @@ __all__ = [
 MAX_ENUMERATION_HORIZON = 24
 MAX_DEGREE_HORIZON = 16
 MAX_CENTRALITY_HORIZON = 12
-
-
-class EnumerationLimitError(RuntimeError):
-    """A brute-force request would exceed the enumeration guard."""
 
 
 def _gray_vectors(bits: int) -> Iterator[tuple[int, ...]]:
@@ -123,7 +141,16 @@ def _degree_table(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _weight_table(params, n: int) -> np.ndarray:
-    """Joint probabilities of every length-n draw vector (Gray order)."""
+    """Joint probabilities of every length-n draw vector (Gray order).
+
+    The plain urn's law is evaluated once per red count k, on the vector of
+    k reds then n - k blacks, and indexed by each vector's popcount; the
+    values are those of one call per vector, bit for bit.
+    """
+    if isinstance(params, UrnParams):
+        by_reds = np.array([polya_joint_pmf(params, (1,) * k + (0,) * (n - k)) for k in range(n + 1)])
+        step = np.arange(1 << n)
+        return by_reds[np.bitwise_count(step ^ (step >> 1))]  # Gray vector `step` is step ^ (step >> 1)
     pmf = _joint_pmf_fn(params)
     return np.array([pmf(z) for z in _gray_vectors(n)])
 
@@ -161,9 +188,12 @@ def bfs_distances(z: tuple[int, ...], source: int) -> list[float]:
     convention applies: the source is at distance 0 from itself only if it
     has a self-loop, inf otherwise.
     """
+    return _bfs(z, _adjacency_masks(z), source - 1)
+
+
+def _bfs(z: tuple[int, ...], masks: list[int], src: int) -> list[float]:
+    """BFS distances from 0-based ``src`` over the neighbor bitmasks of z."""
     n = len(z)
-    masks = _adjacency_masks(z)
-    src = source - 1
     dist = [math.inf] * n
     dist[src] = 0.0 if z[src] else math.inf
     visited = 1 << src
@@ -183,6 +213,17 @@ def bfs_distances(z: tuple[int, ...], source: int) -> list[float]:
     return dist
 
 
+@lru_cache(maxsize=8)
+def _decay_table(n: int, alpha: float) -> np.ndarray:
+    """sum_t alpha^d(s, t) for every length-n realization (Gray order) and
+    source s: the masks are built once per vector, then one BFS per source."""
+    table = np.empty((1 << n, n))
+    for row, z in enumerate(_gray_vectors(n)):
+        masks = _adjacency_masks(z)
+        table[row] = [math.fsum(alpha**d for d in _bfs(z, masks, s)) for s in range(n)]
+    return table
+
+
 def oracle_centrality(params: UrnParams, n: int, i: int, alpha: float = 0.5) -> float:
     """Expected decay centrality of node i by enumeration with BFS distances."""
     if n > MAX_CENTRALITY_HORIZON:
@@ -191,10 +232,8 @@ def oracle_centrality(params: UrnParams, n: int, i: int, alpha: float = 0.5) -> 
         )
     if not 1 <= i <= n:
         raise IndexError(f"node index {i} out of range 1..{n}")
-    return math.fsum(
-        w * math.fsum(alpha**d for d in bfs_distances(z, i))
-        for w, z in zip(_weight_table(params, n).tolist(), _gray_vectors(n))
-    )
+    decay = _decay_table(n, alpha)[:, i - 1].tolist()
+    return math.fsum(w * c for w, c in zip(_weight_table(params, n).tolist(), decay))
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +241,13 @@ def oracle_centrality(params: UrnParams, n: int, i: int, alpha: float = 0.5) -> 
 
 @dataclass(frozen=True)
 class ValidationCheck:
+    """Outcome of one oracle-equivalence check; ``seconds`` is its wall time,
+    filled in by :func:`run_validation_suite`."""
+
     name: str
     passed: bool
     detail: str
+    seconds: float = 0.0
 
 
 _PARAM_GRID = (
@@ -215,8 +258,6 @@ _PARAM_GRID = (
 
 
 def _check_degree_pmf() -> ValidationCheck:
-    from .analytics import degree_pmf
-
     worst = 0.0
     for params in _PARAM_GRID:
         for n in (4, 8):
@@ -232,8 +273,6 @@ def _check_degree_pmf() -> ValidationCheck:
 
 
 def _check_degree_moments() -> ValidationCheck:
-    from .analytics import degree_pmf
-
     worst_mean = worst_var = 0.0
     for params in _PARAM_GRID:
         for n in (4, 8):
@@ -253,9 +292,6 @@ def _check_degree_moments() -> ValidationCheck:
 
 
 def _check_distance_law() -> ValidationCheck:
-    from .analytics import distance_pmf
-    from .graph import build_graph
-
     worst = 0.0
     n = 8
     graphs = [build_graph(z) for z in _gray_vectors(n)]
@@ -271,8 +307,6 @@ def _check_distance_law() -> ValidationCheck:
 
 
 def _check_centrality() -> ValidationCheck:
-    from .analytics import expected_decay_centrality
-
     worst = 0.0
     for params in _PARAM_GRID:
         for n in (2, 6, 9):
@@ -283,10 +317,6 @@ def _check_centrality() -> ValidationCheck:
 
 
 def _check_spectrum() -> ValidationCheck:
-    from .graph import build_graph
-    from .rng import stream
-    from .spectral import laplacian, spectrum
-
     rng = stream(20260501)
     worst = 0.0
     for _ in range(40):
@@ -300,10 +330,6 @@ def _check_spectrum() -> ValidationCheck:
 
 
 def _check_eigenpairs() -> ValidationCheck:
-    from .graph import build_graph
-    from .rng import stream
-    from .spectral import verify_eigenpairs
-
     rng = stream(20260502)
     failures = 0
     for _ in range(200):
@@ -313,9 +339,6 @@ def _check_eigenpairs() -> ValidationCheck:
 
 
 def _check_expected_stationary() -> ValidationCheck:
-    from .consensus import averaging_matrix, expected_stationary_exact
-    from .graph import build_graph
-
     params = UrnParams(5.0, 5.0, 2.0)
     worst = 0.0
     for n in (3, 6):
@@ -337,8 +360,6 @@ def _check_expected_stationary() -> ValidationCheck:
 
 
 def _check_monte_carlo() -> ValidationCheck:
-    from .consensus import expected_stationary_exact, expected_stationary_mc
-
     params = UrnParams(5.0, 5.0, 2.0)
     n, runs = 8, 20000
     exact = expected_stationary_exact(params, n).pi
@@ -370,8 +391,6 @@ def _check_finite_memory() -> ValidationCheck:
 
 
 def _check_exchangeability() -> ValidationCheck:
-    from .rng import stream
-
     rng = stream(20260504)
     params = UrnParams(1.0, 9.0, 5.0)
     worst_perm = 0.0
@@ -393,17 +412,26 @@ def _check_exchangeability() -> ValidationCheck:
     )
 
 
+_CHECKS = (
+    _check_degree_pmf,
+    _check_degree_moments,
+    _check_distance_law,
+    _check_centrality,
+    _check_spectrum,
+    _check_eigenpairs,
+    _check_expected_stationary,
+    _check_monte_carlo,
+    _check_finite_memory,
+    _check_exchangeability,
+)
+
+
 def run_validation_suite() -> list[ValidationCheck]:
-    """Run every oracle-equivalence check; used by the ``validate`` command."""
-    return [
-        _check_degree_pmf(),
-        _check_degree_moments(),
-        _check_distance_law(),
-        _check_centrality(),
-        _check_spectrum(),
-        _check_eigenpairs(),
-        _check_expected_stationary(),
-        _check_monte_carlo(),
-        _check_finite_memory(),
-        _check_exchangeability(),
-    ]
+    """Run every oracle-equivalence check, timing each; used by the
+    ``validate`` command."""
+    results = []
+    for check in _CHECKS:
+        start = time.perf_counter()
+        result = check()
+        results.append(replace(result, seconds=time.perf_counter() - start))
+    return results

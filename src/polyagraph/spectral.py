@@ -13,7 +13,8 @@ off-diagonal adjacency, whose product costs two prefix sums
 (:func:`polyagraph.graph.neighbor_sums`), so checking all n eigenpairs is
 O(n^2) work.  The check builds the basis a block of rows at a time, so its
 memory stays O(n) for a fixed block, and the Laplacian matrix is built only
-by :func:`laplacian`.
+by :func:`laplacian`.  Its report stores the eigenvalues and the pass flags
+as two length-n arrays; per-eigenpair records are built only when asked for.
 """
 
 from __future__ import annotations
@@ -75,18 +76,32 @@ class EigenpairCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenpairReport:
-    """Per-eigenpair outcome of the exact identity L u_m = deg(m) u_m."""
+    """Per-eigenpair outcome of the exact identity L u_m = deg(m) u_m.
 
-    checks: tuple[EigenpairCheck, ...]
+    Entry m-1 of ``eigenvalues`` and ``passed`` belongs to u_m.
+    """
+
+    eigenvalues: np.ndarray
+    passed: np.ndarray
 
     @property
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return bool(self.passed.all())
+
+    @property
+    def checks(self) -> tuple[EigenpairCheck, ...]:
+        return self._records(range(len(self.passed)))
 
     def failures(self) -> tuple[EigenpairCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
+        return self._records(np.flatnonzero(~self.passed).tolist())
+
+    def _records(self, indices) -> tuple[EigenpairCheck, ...]:
+        return tuple(
+            EigenpairCheck(index=m + 1, eigenvalue=int(self.eigenvalues[m]), passed=bool(self.passed[m]))
+            for m in indices
+        )
 
 
 def verify_eigenpairs(g: ThresholdGraph) -> EigenpairReport:
@@ -103,8 +118,4 @@ def verify_eigenpairs(g: ThresholdGraph) -> EigenpairReport:
         basis = _basis_rows(n, start, stop)  # u_m is row m-1-start
         lhs = (deg - z) * basis - neighbor_sums(z, basis)
         ok[start:stop] = (lhs == basis * eigenvalues[start:stop, None]).all(axis=1)
-    checks = tuple(
-        EigenpairCheck(index=m + 1, eigenvalue=int(eigenvalues[m]), passed=bool(ok[m]))
-        for m in range(n)
-    )
-    return EigenpairReport(checks=checks)
+    return EigenpairReport(eigenvalues=eigenvalues, passed=ok)

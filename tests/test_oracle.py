@@ -12,12 +12,20 @@ from polyagraph import (
     build_graph,
     enumerate_expectation,
     expected_stationary_exact,
+    finite_memory_joint_pmf,
     oracle_centrality,
     oracle_degree_pmf,
     polya_joint_pmf,
 )
 from polyagraph.analytics import degree_support
-from polyagraph.oracle import _gray_vectors, bfs_distances, run_validation_suite
+from polyagraph.oracle import (
+    _PARAM_GRID,
+    _decay_table,
+    _gray_vectors,
+    _weight_table,
+    bfs_distances,
+    run_validation_suite,
+)
 
 
 def test_gray_vectors_cover_all_and_flip_one_bit():
@@ -113,6 +121,33 @@ def test_oracle_centrality_values(ref_params):
         oracle_centrality(ref_params, 3, 0)
 
 
+def test_weight_table_matches_per_vector_evaluation():
+    # one evaluation per red count, indexed by popcount, against one per vector
+    grid = _PARAM_GRID + tuple(UrnParams.from_proportions(0.3, d) for d in (1e-12, 1e8))
+    for params in grid:
+        for n in range(1, 11):
+            per_vector = [polya_joint_pmf(params, z) for z in _gray_vectors(n)]
+            assert np.array_equal(_weight_table(params, n), per_vector)
+    fm = FiniteMemoryParams(UrnParams(5.0, 5.0, 2.0), 2)
+    assert np.array_equal(
+        _weight_table(fm, 6), [finite_memory_joint_pmf(fm, z) for z in _gray_vectors(6)]
+    )
+
+
+def test_oracle_centrality_matches_per_vector_bfs():
+    # the decay table against one BFS per (params, n, node, vector)
+    for params in _PARAM_GRID:
+        for n in range(1, 8):
+            for alpha in (0.3, 0.5):
+                for i in range(1, n + 1):
+                    direct = math.fsum(
+                        polya_joint_pmf(params, z) * math.fsum(alpha**d for d in bfs_distances(z, i))
+                        for z in _gray_vectors(n)
+                    )
+                    assert abs(oracle_centrality(params, n, i, alpha) - direct) <= 1e-15
+    assert _decay_table(3, 0.5).shape == (8, 3)
+
+
 def test_bfs_agrees_with_distance_rule_on_enumeration():
     for z in itertools.product((0, 1), repeat=6):
         g = build_graph(z)
@@ -127,3 +162,12 @@ def test_validation_suite_all_green():
     assert len(checks) == 10
     failing = [c for c in checks if not c.passed]
     assert not failing, failing
+    assert all(c.seconds > 0.0 for c in checks)
+
+
+def test_enumeration_limit_error_has_one_home():
+    import polyagraph
+    from polyagraph import consensus, oracle
+
+    assert polyagraph.EnumerationLimitError is consensus.EnumerationLimitError
+    assert oracle.EnumerationLimitError is consensus.EnumerationLimitError

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyagraph import build_graph, eigenbasis, laplacian, spectrum, verify_eigenpairs
+from polyagraph import EigenpairReport, build_graph, eigenbasis, laplacian, spectrum, verify_eigenpairs
 from polyagraph.rng import stream
+from polyagraph.spectral import EigenpairCheck
 
 draw_vectors = st.lists(st.integers(0, 1), min_size=1, max_size=15).map(tuple)
 
@@ -95,6 +96,20 @@ def test_verify_eigenpairs_examples():
     assert len(report.checks) == 5
     assert [c.eigenvalue for c in report.checks] == [0, 1, 1, 4, 0]
     assert verify_eigenpairs(build_graph((0, 0, 0))).all_passed
+
+
+def test_eigenpair_report_failure_path():
+    # verify_eigenpairs never fails on a valid graph, so build a failing report by hand
+    report = EigenpairReport(
+        eigenvalues=np.array([0, 1, 1, 4, 0], dtype=np.int64),
+        passed=np.array([True, True, False, True, True]),
+    )
+    assert report.failures() == (EigenpairCheck(index=3, eigenvalue=1, passed=False),)
+    assert report.all_passed is False
+    assert len(report.checks) == 5
+    assert [c.index for c in report.checks] == [1, 2, 3, 4, 5]
+    assert [c.passed for c in report.checks] == [True, True, False, True, True]
+    assert verify_eigenpairs(build_graph((1, 0, 0, 1, 0))).failures() == ()
 
 
 def test_verify_eigenpairs_random_runs():
