@@ -15,8 +15,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
@@ -286,16 +284,17 @@ def _cmd_memory_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     checks = run_validation_suite()
-    failed = sum(not c.passed for c in checks)
-    if args.json:
-        print(json.dumps([dataclasses.asdict(c) for c in checks], sort_keys=True))
-    else:
-        width = max(len(c.name) for c in checks)
-        for c in checks:
-            mark = "PASS" if c.passed else "FAIL"
-            print(f"{mark}  {c.name:<{width}}  {c.detail}  ({c.seconds:.3f} s)")
-        print(f"{failed} of {len(checks)} checks failed" if failed else f"all {len(checks)} checks passed")
-    return EXIT_VALIDATION if failed else EXIT_OK
+    width = max(len(c.name) for c in checks)
+    failed = 0
+    for c in checks:
+        mark = "PASS" if c.passed else "FAIL"
+        failed += 0 if c.passed else 1
+        print(f"{mark}  {c.name:<{width}}  {c.detail}")
+    if failed:
+        print(f"{failed} of {len(checks)} checks failed")
+        return EXIT_VALIDATION
+    print(f"all {len(checks)} checks passed")
+    return EXIT_OK
 
 
 # --------------------------------------------------------------------------
@@ -389,7 +388,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_memory_sweep)
 
     p = sub.add_parser("validate", help="run the oracle-equivalence suite; nonzero exit on failure")
-    p.add_argument("--json", action="store_true", help="print the checks as one JSON list instead")
     p.set_defaults(handler=_cmd_validate)
 
     return parser

@@ -19,16 +19,15 @@ answers off cached tables indexed by Gray-order row:
   red count and indexed by each vector's popcount; the finite-memory law is
   evaluated per vector;
 - the degree vector of every realization, from adjacency row sums;
-- the decay table: sum_t alpha^d(s, t) for every realization and source s,
-  from one BFS per (vector, source) over neighbor bitmasks built once per
-  vector.
+- the neighbor bitmasks of every realization, and per source s the decay
+  column sum_t alpha^d(s, t) over every realization, from one BFS per
+  (vector, source) over those masks.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
 
@@ -214,14 +213,19 @@ def _bfs(z: tuple[int, ...], masks: list[int], src: int) -> list[float]:
 
 
 @lru_cache(maxsize=8)
-def _decay_table(n: int, alpha: float) -> np.ndarray:
-    """sum_t alpha^d(s, t) for every length-n realization (Gray order) and
-    source s: the masks are built once per vector, then one BFS per source."""
-    table = np.empty((1 << n, n))
-    for row, z in enumerate(_gray_vectors(n)):
-        masks = _adjacency_masks(z)
-        table[row] = [math.fsum(alpha**d for d in _bfs(z, masks, s)) for s in range(n)]
-    return table
+def _mask_table(n: int) -> list[list[int]]:
+    """Neighbor bitmasks of every length-n realization (Gray order)."""
+    return [_adjacency_masks(z) for z in _gray_vectors(n)]
+
+
+@lru_cache(maxsize=64)
+def _decay_column(n: int, alpha: float, source: int) -> tuple[float, ...]:
+    """sum_t alpha^d(s, t) for 1-based source s over every length-n
+    realization (Gray order): one BFS per vector over the cached masks."""
+    return tuple(
+        math.fsum(alpha**d for d in _bfs(z, masks, source - 1))
+        for z, masks in zip(_gray_vectors(n), _mask_table(n))
+    )
 
 
 def oracle_centrality(params: UrnParams, n: int, i: int, alpha: float = 0.5) -> float:
@@ -232,7 +236,7 @@ def oracle_centrality(params: UrnParams, n: int, i: int, alpha: float = 0.5) -> 
         )
     if not 1 <= i <= n:
         raise IndexError(f"node index {i} out of range 1..{n}")
-    decay = _decay_table(n, alpha)[:, i - 1].tolist()
+    decay = _decay_column(n, alpha, i)
     return math.fsum(w * c for w, c in zip(_weight_table(params, n).tolist(), decay))
 
 
@@ -241,13 +245,9 @@ def oracle_centrality(params: UrnParams, n: int, i: int, alpha: float = 0.5) -> 
 
 @dataclass(frozen=True)
 class ValidationCheck:
-    """Outcome of one oracle-equivalence check; ``seconds`` is its wall time,
-    filled in by :func:`run_validation_suite`."""
-
     name: str
     passed: bool
     detail: str
-    seconds: float = 0.0
 
 
 _PARAM_GRID = (
@@ -412,26 +412,17 @@ def _check_exchangeability() -> ValidationCheck:
     )
 
 
-_CHECKS = (
-    _check_degree_pmf,
-    _check_degree_moments,
-    _check_distance_law,
-    _check_centrality,
-    _check_spectrum,
-    _check_eigenpairs,
-    _check_expected_stationary,
-    _check_monte_carlo,
-    _check_finite_memory,
-    _check_exchangeability,
-)
-
-
 def run_validation_suite() -> list[ValidationCheck]:
-    """Run every oracle-equivalence check, timing each; used by the
-    ``validate`` command."""
-    results = []
-    for check in _CHECKS:
-        start = time.perf_counter()
-        result = check()
-        results.append(replace(result, seconds=time.perf_counter() - start))
-    return results
+    """Run every oracle-equivalence check; used by the ``validate`` command."""
+    return [
+        _check_degree_pmf(),
+        _check_degree_moments(),
+        _check_distance_law(),
+        _check_centrality(),
+        _check_spectrum(),
+        _check_eigenpairs(),
+        _check_expected_stationary(),
+        _check_monte_carlo(),
+        _check_finite_memory(),
+        _check_exchangeability(),
+    ]

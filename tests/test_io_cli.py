@@ -330,27 +330,10 @@ def test_validate_command_green(capsys):
     assert "FAIL" not in out
 
 
-def test_validate_json(capsys):
-    assert run_cli(["validate", "--json"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert out.count("\n") == 1  # the JSON list and nothing else
-    checks = json.loads(out)
-    assert len(checks) == 10
-    assert out.index('"detail"') < out.index('"name"') < out.index('"passed"') < out.index('"seconds"')
-    for c in checks:
-        assert set(c) == {"name", "passed", "detail", "seconds"}
-        assert c["passed"] is True
-        assert c["seconds"] >= 0.0
-
-
 def test_validate_failure_exit_code(capsys, monkeypatch):
-    checks = [ValidationCheck("ok", True, "fine", 0.5), ValidationCheck("broken", False, "off by 1", 0.25)]
+    checks = [ValidationCheck("ok", True, "fine"), ValidationCheck("broken", False, "off by 1")]
     monkeypatch.setattr(cli, "run_validation_suite", lambda: checks)
     assert run_cli(["validate"]) == EXIT_VALIDATION
     out = capsys.readouterr().out
-    assert "FAIL  broken  off by 1  (0.250 s)" in out
+    assert "FAIL  broken  off by 1" in out
     assert "1 of 2 checks failed" in out
-    assert run_cli(["validate", "--json"]) == EXIT_VALIDATION
-    assert json.loads(capsys.readouterr().out)[1] == {
-        "detail": "off by 1", "name": "broken", "passed": False, "seconds": 0.25,
-    }

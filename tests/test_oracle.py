@@ -20,7 +20,7 @@ from polyagraph import (
 from polyagraph.analytics import degree_support
 from polyagraph.oracle import (
     _PARAM_GRID,
-    _decay_table,
+    _decay_column,
     _gray_vectors,
     _weight_table,
     bfs_distances,
@@ -135,7 +135,7 @@ def test_weight_table_matches_per_vector_evaluation():
 
 
 def test_oracle_centrality_matches_per_vector_bfs():
-    # the decay table against one BFS per (params, n, node, vector)
+    # the decay columns against one BFS per (params, n, node, vector)
     for params in _PARAM_GRID:
         for n in range(1, 8):
             for alpha in (0.3, 0.5):
@@ -145,7 +145,7 @@ def test_oracle_centrality_matches_per_vector_bfs():
                         for z in _gray_vectors(n)
                     )
                     assert abs(oracle_centrality(params, n, i, alpha) - direct) <= 1e-15
-    assert _decay_table(3, 0.5).shape == (8, 3)
+    assert len(_decay_column(3, 0.5, 1)) == 8
 
 
 def test_bfs_agrees_with_distance_rule_on_enumeration():
@@ -162,7 +162,6 @@ def test_validation_suite_all_green():
     assert len(checks) == 10
     failing = [c for c in checks if not c.passed]
     assert not failing, failing
-    assert all(c.seconds > 0.0 for c in checks)
 
 
 def test_enumeration_limit_error_has_one_home():
