@@ -16,27 +16,40 @@ from typing import NamedTuple
 import numpy as np
 
 
-def prefix_table(a: np.ndarray) -> np.ndarray:
+def prefix_table(a: np.ndarray, *, out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
     """Prefix sums along the last axis: entry k is a[..., 0] + .. + a[..., k-1],
     for k = 0..m (m = a.shape[-1]); leading axes are independent rows.
 
     The running sum is compensated, so every entry stays within a few ulps
     of the exactly rounded sum of its terms even for thousands of terms.
     Integer input gives exact integer sums, uncompensated.
+
+    ``out``, of shape a.shape[:-1] + (m + 1,), receives the table; ``work``,
+    a contiguous 1-d float array of at least 2 * a.size entries, holds the
+    compensation temporaries.  With both given the call allocates no array,
+    and the table is bit for bit the one a call without them returns.
     """
-    table = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,), dtype=a.dtype)
+    if out is None:
+        out = np.empty(a.shape[:-1] + (a.shape[-1] + 1,), dtype=a.dtype)
+    out[..., 0] = 0
+    prev, cur = out[..., :-1], out[..., 1:]
     # cumsum is a sequential left-to-right sum, so each partial sum is the
     # rounded value of the previous one plus one term, and the rounding error
     # of that addition is recovered exactly from the three values (Knuth's
     # TwoSum, valid whatever their magnitudes)
-    np.cumsum(a, axis=-1, out=table[..., 1:])
-    if table.dtype.kind in "iu":
-        return table  # integer sums are exact: nothing to recover
-    prev, cur = table[..., :-1], table[..., 1:]
-    b = cur - prev
-    err = (prev - (cur - b)) + (a - b)
-    table[..., 1:] += np.cumsum(err, axis=-1)
-    return table
+    a.cumsum(axis=-1, out=cur)
+    if out.dtype.kind in "iu":
+        return out  # integer sums are exact: nothing to recover
+    if work is None:
+        work = np.empty(2 * a.size, dtype=out.dtype)
+    b, err = work[: 2 * a.size].reshape((2,) + a.shape)  # contiguous: no ufunc buffering
+    np.subtract(cur, prev, out=b)
+    np.subtract(cur, b, out=err)
+    np.subtract(prev, err, out=err)  # prev - (cur - b)
+    np.subtract(a, b, out=b)
+    np.add(err, b, out=err)  # (prev - (cur - b)) + (a - b)
+    cur += err.cumsum(axis=-1, out=b)
+    return out
 
 
 def log_rising(x: float, step: float, m: int) -> np.ndarray:

@@ -15,6 +15,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -31,6 +32,7 @@ from .analytics import (
 from .consensus import (
     AveragingOperator,
     EnumerationLimitError,
+    _Stepper,
     averaging_matrix,
     expected_stationary_exact,
     expected_stationary_mc,
@@ -233,10 +235,10 @@ def _cmd_histogram(args) -> int:
     # one realization per row, so each step advances every run at once
     W = AveragingOperator.sample(law, args.n, args.runs, args.seed)
     exact_limits = W.pi_star @ x0
-    x = np.tile(x0, (args.runs, 1))
+    stepper = _Stepper(W, x0)
     for _ in range(args.t):
-        x = W @ x
-    snapshots = x.mean(axis=1)
+        stepper.step()
+    snapshots = stepper.x.mean(axis=1)
     try:
         est = expected_stationary_exact(law, args.n)
         theory_mode = est.mode
@@ -299,6 +301,7 @@ def _cmd_validate(args) -> int:
 
 # --------------------------------------------------------------------------
 
+@functools.cache  # built once per process: parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyagraph",

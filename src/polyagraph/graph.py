@@ -138,7 +138,9 @@ class ThresholdGraph:
         return frozenset(self.edges())
 
 
-def neighbor_sums(z: np.ndarray, x: np.ndarray) -> np.ndarray:
+def neighbor_sums(
+    z: np.ndarray, x: np.ndarray, *, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
     """sum_{j != i} z_{max(i,j)} x_j for every i, along the last axis.
 
     This is the adjacency product A x without its diagonal.  Threshold
@@ -149,10 +151,26 @@ def neighbor_sums(z: np.ndarray, x: np.ndarray) -> np.ndarray:
     large x_i cannot swamp its neighbours' sum.  Leading axes broadcast: x
     of shape (runs, n) with z of shape (n,) or (runs, n) works row by row.
     Integer input gives exact integers.
+
+    ``out``, of the broadcast shape of z and x, receives the sums; ``work``,
+    a contiguous 1-d array of out's dtype with at least 4 * out.size
+    entries, holds z*x, the suffix table and the prefix workspace.  With
+    both given the call allocates no array, so a stepping loop can reuse
+    them every step.
     """
-    before = prefix_table(x[..., :-1])
-    after = prefix_table((z * x)[..., :0:-1])[..., ::-1]
-    return z * before + after
+    if out is None:
+        out = np.empty(np.broadcast_shapes(z.shape, x.shape), dtype=np.result_type(z, x))
+    if x.shape != out.shape:
+        x = np.broadcast_to(x, out.shape)
+    if work is None:  # integer tables need no compensation workspace
+        work = np.empty((4 if out.dtype.kind == "f" else 2) * out.size, dtype=out.dtype)
+    zx, suffix = work[: 2 * out.size].reshape((2,) + out.shape)
+    scratch = work[2 * out.size :]
+    prefix_table(x[..., :-1], out=out, work=scratch)
+    np.multiply(z, x, out=zx)
+    prefix_table(zx[..., :0:-1], out=suffix, work=scratch)
+    np.multiply(z, out, out=out)
+    return np.add(out, suffix[..., ::-1], out=out)
 
 
 def build_graph(z) -> ThresholdGraph:

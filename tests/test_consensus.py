@@ -18,7 +18,14 @@ from polyagraph import (
     opinion_preset,
     sample_connected_graph,
 )
-from polyagraph.consensus import _DP_BUDGET_BYTES, AveragingOperator, _neighbor_counts
+from polyagraph.consensus import (
+    _BLOCK_RUNS,
+    _DP_BUDGET_BYTES,
+    AveragingOperator,
+    _neighbor_counts,
+    _pi_star_blocks,
+    _Stepper,
+)
 from polyagraph.oracle import _PARAM_GRID, EnumerationLimitError, FunctionalSpec, enumerate_expectation
 from polyagraph.rng import stream
 
@@ -129,6 +136,60 @@ def test_sampled_operator_rows_are_the_per_run_realizations(ref_params):
         AveragingOperator.sample(ref_params, 0, 5, 41)
 
 
+def _prefix_table_reference(a):
+    # the compensated prefix table, every temporary a fresh array
+    table = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
+    np.cumsum(a, axis=-1, out=table[..., 1:])
+    prev, cur = table[..., :-1], table[..., 1:]
+    b = cur - prev
+    err = (prev - (cur - b)) + (a - b)
+    table[..., 1:] += np.cumsum(err, axis=-1)
+    return table
+
+
+def _step_reference(z, counts, x):
+    # (x + neighbor_sums(z, x)) / N, written out with fresh arrays
+    before = _prefix_table_reference(x[..., :-1])
+    after = _prefix_table_reference((z * x)[..., :0:-1])[..., ::-1]
+    return (x + (z * before + after)) / counts
+
+
+def test_stepping_kernel_is_the_allocating_step():
+    # in-place steps over reused buffers give the same bits as fresh arrays,
+    # for one vector and for a batch with a different realization per row
+    rng = stream(558)
+    for n in (1, 2, 3, 50, 2000):
+        systems = [averaging_matrix(build_graph(random_connected_draws(rng, n))) for _ in range(3)]
+        batch = AveragingOperator(
+            np.stack([s.W.z for s in systems]), np.stack([s.neighbor_counts for s in systems])
+        )
+        for W, x0 in ((systems[0].W, rng.uniform(-50, 50, size=n)), (batch, rng.uniform(-50, 50, size=(3, n)))):
+            assert np.array_equal(W @ x0, _step_reference(W.z, W.neighbor_counts, x0))
+            stepper, want = _Stepper(W, x0), x0
+            for _ in range(25):
+                want = _step_reference(W.z, W.neighbor_counts, want)
+                assert np.array_equal(stepper.step(), want)
+
+
+def test_stepping_allocates_nothing_per_step(ref_params):
+    # numpy may buffer a strided operand within one ufunc call, but no step
+    # may allocate a (runs, n) temporary, let alone keep one
+    runs, n = 200, 100
+    stepper = _Stepper(AveragingOperator.sample(ref_params, n, runs, 7), opinion_preset("paper-n100", n))
+    tracemalloc.start()
+    try:
+        stepper.step()
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for _ in range(100):
+            stepper.step()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < runs * n * 8
+    assert current - start < 4096
+
+
 def test_neighbor_counts_formula():
     assert list(_neighbor_counts((0, 0, 1))) == [2, 2, 3]
     assert list(_neighbor_counts((1, 1))) == [2, 2]
@@ -171,6 +232,17 @@ def test_iterate_streaming_mode_and_validation():
         iterate(sys_, (1.0, 2.0), t_max=0)
     with pytest.raises(ValueError):
         iterate(sys_, (1.0, 2.0), tol=0.0)
+
+
+def test_iterate_leaves_x0_alone():
+    # the state lives in the stepper's own buffers, also when x(0) has converged
+    sys_ = averaging_matrix(build_graph((0, 0, 1)))
+    for x0 in (np.array([0.0, 1.0, 2.0]), np.full(3, 7.0)):
+        before = x0.copy()
+        traj = iterate(sys_, x0, record=True)
+        assert np.array_equal(x0, before)
+        assert traj.final is not x0 and not np.shares_memory(traj.final, x0)
+        assert np.array_equal(traj.states[0], before)
 
 
 def test_iterate_reports_non_convergence():
@@ -307,15 +379,36 @@ def per_run_pi_star(law, n, runs, seed, first_stream=0):
     ])
 
 
+# The streamed standard error merges per-block moments instead of taking
+# two passes over all runs.  That reorders roundings: at most 1.3e-15
+# relative on these runs, 5e-14 over 20 000 runs at n = 8.  1e-13 leaves room
+# for that and still fails a merge that drops its cross term.
+MC_SE_RTOL = 1e-13
+
+
 @pytest.mark.parametrize("memory", [None, 1, 4])
 def test_monte_carlo_is_the_per_run_loop(ref_params, memory):
-    # 600 runs cross two block edges; blocking must not change a single bit
+    # the runs cross two block edges; streaming must not change a bit of pi
     law = ref_params if memory is None else FiniteMemoryParams(ref_params, memory)
     n, runs, seed = 10, 600, 19
+    assert runs > 2 * _BLOCK_RUNS
     samples = per_run_pi_star(law, n, runs, seed)
     mc = expected_stationary_mc(law, n, runs=runs, seed=seed)
     assert np.array_equal(mc.pi, samples.mean(axis=0))
-    assert np.array_equal(mc.std_error, samples.std(axis=0, ddof=1) / math.sqrt(runs))
+    want = samples.std(axis=0, ddof=1) / math.sqrt(runs)
+    assert np.all(np.abs(mc.std_error - want) <= MC_SE_RTOL * want)
+
+
+@pytest.mark.parametrize("runs", [10_000, 40_000])
+def test_monte_carlo_memory_is_independent_of_runs(runs):
+    # every sample at once would take 8 * runs * n bytes: 7.6 and 31 MiB here
+    tracemalloc.start()
+    try:
+        expected_stationary_mc(UrnParams(5, 5, 2), 100, runs, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_monte_carlo_two_nodes_degenerate(ref_params):
@@ -410,6 +503,20 @@ def test_memory_sweep_is_the_per_run_loop(ref_params):
                 float(base.mean()), float(base.std(ddof=1) / math.sqrt(runs)),
             ))
     assert points == want
+
+
+def test_pi_star_blocks_leave_no_single_run_tail(ref_params):
+    # numpy takes a one-row product as a dot product, which can differ in the
+    # last bit from that row of the whole (runs, n) product, so a run past a
+    # block edge joins the block before it and memory_sweep stays the loop
+    sizes = {2: [2], _BLOCK_RUNS: [_BLOCK_RUNS], _BLOCK_RUNS + 1: [_BLOCK_RUNS + 1],
+             2 * _BLOCK_RUNS + 2: [_BLOCK_RUNS, _BLOCK_RUNS, 2]}
+    for runs, want in sizes.items():
+        assert [len(pi) for pi in _pi_star_blocks(ref_params, 3, runs, 4)] == want
+    n, runs, seed = 100, _BLOCK_RUNS + 1, 4
+    x0 = opinion_preset("paper-n100", n)
+    vals = np.concatenate([pi @ x0 for pi in _pi_star_blocks(ref_params, n, runs, seed)])
+    assert np.array_equal(vals, per_run_pi_star(ref_params, n, runs, seed) @ x0)
 
 
 def test_memory_sweep_validation(ref_params):

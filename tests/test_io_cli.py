@@ -305,6 +305,15 @@ def test_memory_sweep_command(tmp_path):
     assert len(lines) == 5
 
 
+def test_parser_is_built_once_and_each_call_parses_afresh(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    urn = ["--R", "5", "--B", "5", "--delta-balls", "2"]
+    assert main(["pi-e", *urn, "--n", "3", "--memory", "2"]) == EXIT_OK
+    assert "(exact-dp, finite-memory(M=2))" in capsys.readouterr().out
+    assert main(["pi-e", *urn, "--n", "3"]) == EXIT_OK
+    assert "(exact-dp, infinite)" in capsys.readouterr().out
+
+
 def test_io_error_exit_code(tmp_path):
     code = run_cli([
         "degree-dist", "--rho", "0.5", "--delta", "0.2", "--n", "2", "--node", "1",
