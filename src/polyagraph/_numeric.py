@@ -42,14 +42,24 @@ def prefix_table(a: np.ndarray, *, out: np.ndarray | None = None, work: np.ndarr
         return out  # integer sums are exact: nothing to recover
     if work is None:
         work = np.empty(2 * a.size, dtype=out.dtype)
-    b, err = work[: 2 * a.size].reshape((2,) + a.shape)  # contiguous: no ufunc buffering
-    np.subtract(cur, prev, out=b)
-    np.subtract(cur, b, out=err)
-    np.subtract(prev, err, out=err)  # prev - (cur - b)
-    np.subtract(a, b, out=b)
-    np.add(err, b, out=err)  # (prev - (cur - b)) + (a - b)
-    cur += err.cumsum(axis=-1, out=b)
+    b, err = work[: 2 * a.size].reshape((2,) + a.shape)
+    cur += sum_errors(prev, cur, a, out=err, scratch=b).cumsum(axis=-1, out=b)
     return out
+
+
+def sum_errors(prev, cur, a, *, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Rounding error of each floating-point sum cur = prev + a, into ``out``.
+
+    Knuth's TwoSum: with b = cur - prev, the error is
+    (prev - (cur - b)) + (a - b), exact whatever the magnitudes.  All five
+    arrays have one shape; ``scratch`` holds b.  Contiguous operands keep
+    numpy from buffering them.
+    """
+    np.subtract(cur, prev, out=scratch)
+    np.subtract(cur, scratch, out=out)
+    np.subtract(prev, out, out=out)  # prev - (cur - b)
+    np.subtract(a, scratch, out=scratch)
+    return np.add(out, scratch, out=out)  # (prev - (cur - b)) + (a - b)
 
 
 def log_rising(x: float, step: float, m: int) -> np.ndarray:

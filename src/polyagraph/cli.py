@@ -230,6 +230,12 @@ def _cmd_pi_e(args) -> int:
 
 
 def _cmd_histogram(args) -> int:
+    # checked here: an empty batch would write NaN means, a negative t the
+    # unstepped values under a t that never happened
+    if args.runs < 1:
+        raise ConfigError(f"--runs must be >= 1, got {args.runs}")
+    if args.t < 0:
+        raise ConfigError(f"--t must be >= 0, got {args.t}")
     law = _law_params(args)
     x0 = _parse_x0(args.x0, args.n)
     # one realization per row, so each step advances every run at once

@@ -24,11 +24,13 @@ forward-backward pass over the urn's Markov state and the weighted red count
 W that fixes sum_k N_k (polynomial in n, guarded by a 64 MiB table budget),
 or estimated by seeded Monte Carlo with one independent stream per run,
 merged by run index so scheduling cannot change the estimate.  Monte Carlo
-runs are sampled in blocks, each in one vectorized pass
+runs are sampled in passes of up to 1024 runs, each one vectorized call
 (:func:`polyagraph.urn.sample_runs`) that reproduces the per-run samplers
-bit for bit, and streamed: memory is O(block * n) for any number of runs.
-The estimate is one row-by-row sum in run order, bit for bit the mean of all
-samples at once; its standard error merges per-block moments.
+bit for bit into one float buffer.  The buffer's draws become pi* in place,
+and the runs stream on as blocks of 256 rows of it: memory is O(pass * n)
+for any number of runs.  The estimate is one row-by-row sum in run order,
+bit for bit the mean of all samples at once; its standard error merges
+per-block moments.
 """
 
 from __future__ import annotations
@@ -82,12 +84,9 @@ class AveragingOperator:
     def sample(cls, params, n: int, runs: int, seed: int, *, first_stream: int = 0) -> "AveragingOperator":
         """Operator over ``runs`` connected realizations, one per row: row r
         is the realization :func:`sample_connected_graph` draws at stream
-        index ``first_stream + r``, all drawn in one vectorized pass."""
-        if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
-        z = np.ones((runs, n), dtype=np.int64)
-        if n > 1:
-            z[:, :-1] = sample_runs(params, n - 1, runs, seed, first_stream=first_stream)
+        index ``first_stream + r``, all drawn in one vectorized pass.  z and
+        N are float64, exact small integers, as the stepper reads them."""
+        z = _connected_runs(params, n, runs, seed, first_stream)
         return cls(z, _neighbor_counts(z))
 
     def __matmul__(self, x) -> np.ndarray:
@@ -118,7 +117,8 @@ class _Stepper:
     them every step costs more), the current and the spare state, and the
     neighbour-sum workspace.  :meth:`step` writes (x + neighbor_sums(z, x))
     / N into the spare buffer and swaps the two, so a step allocates no
-    array (numpy may still buffer a strided operand within one ufunc call).
+    array, and a batch step hands numpy only contiguous operands, which it
+    does not buffer.
     ``W @ x``, :func:`iterate` and the ``histogram`` command all step
     through it.
     """
@@ -126,8 +126,8 @@ class _Stepper:
     def __init__(self, W: AveragingOperator, x0):
         x0 = np.asarray(x0, dtype=float)
         shape = np.broadcast_shapes(W.z.shape, x0.shape)
-        self._z = W.z.astype(float)
-        self._counts = W.neighbor_counts.astype(float)
+        self._z = np.asarray(W.z, dtype=float)
+        self._counts = np.asarray(W.neighbor_counts, dtype=float)
         self.x = np.empty(shape)
         self.x[...] = x0
         self._spare = np.empty(shape)
@@ -209,14 +209,36 @@ class SweepPoint:
     baseline_se: float
 
 
-def _neighbor_counts(draws) -> np.ndarray:
-    # along the last axis: i*z_i earlier neighbours, plus the later universal nodes
-    z = np.asarray(draws, dtype=np.int64)
-    suffix = np.cumsum(z[..., ::-1], axis=-1)[..., ::-1] - z
-    return 1 + np.arange(z.shape[-1], dtype=np.int64) * z + suffix
+def _neighbor_counts(draws, *, out=None, work=None) -> np.ndarray:
+    """N along the last axis: 1 + i*z_i earlier neighbours (0-based i) plus
+    the later universal nodes z_{i+1} + .. , which are T - c_i for the
+    inclusive cumsum c and total T.  Integer or float draws; the counts are
+    exact integers either way.  ``out`` may be the draws themselves, and
+    ``work``, of their shape, receives c."""
+    z = np.asarray(draws)
+    c = np.cumsum(z, axis=-1, out=work)
+    counts = np.multiply(z, np.arange(z.shape[-1]), out=out)
+    counts += 1
+    counts += c[..., -1:]
+    counts -= c
+    return counts
 
 
-_BLOCK_RUNS = 256  # runs per vectorized sampling pass
+def _connected_runs(params, n: int, runs: int, seed: int, first_stream: int, out=None) -> np.ndarray:
+    # draws of connected realizations as 0.0/1.0, one run per row of a float
+    # (runs, n) array: the urn's n - 1 free draws, then the pinned 1
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if out is None:
+        out = np.empty((runs, n))
+    out[:, -1] = 1.0
+    if n > 1:
+        sample_runs(params, n - 1, runs, seed, first_stream=first_stream, out=out[:, :-1])
+    return out
+
+
+_BLOCK_RUNS = 256  # runs per block of pi*, the unit the Monte Carlo sums see
+_PASS_RUNS = 4 * _BLOCK_RUNS  # runs sampled per vectorized pass
 
 
 def _urn_mode(params) -> str:
@@ -407,18 +429,38 @@ def _pi_e_dp(params, n: int) -> np.ndarray:
 
 def _pi_star_blocks(params, n: int, runs: int, seed: int, first_stream: int = 0):
     """pi* of the runs at streams first_stream .. first_stream + runs - 1, in
-    run order: one (block, n) array per vectorized sampling pass, so memory
-    stays O(block * n) whatever the number of runs."""
+    run order, one (block, n) array per block of 256 runs.
+
+    The runs are sampled in passes of up to 1024 into one float buffer,
+    whose draws become pi* in place, block by block, so memory stays
+    O(pass * n) whatever the number of runs.  A block is a view of that
+    buffer: it is valid until the next block is drawn, and its user may
+    overwrite it.
+    """
+    buf = np.empty((min(runs, _PASS_RUNS + 1), n))
+    cums = np.empty((min(runs, _BLOCK_RUNS + 1), n))
+    totals = np.empty((len(cums), 1))
     start = 0
     while start < runs:
-        stop = min(start + _BLOCK_RUNS, runs)
-        if stop == runs - 1:
-            # a last block of one run joins this one: numpy takes a one-row
-            # matrix product as a dot product, which sums in another order
-            # than a row of a larger product
-            stop = runs
-        yield AveragingOperator.sample(params, n, stop - start, seed, first_stream=first_stream + start).pi_star
+        stop = _chunk_stop(start, _PASS_RUNS, runs)
+        draws = _connected_runs(params, n, stop - start, seed, first_stream + start, buf[: stop - start])
+        lo = 0
+        while lo < len(draws):
+            hi = _chunk_stop(lo, _BLOCK_RUNS, len(draws))
+            block, k = draws[lo:hi], hi - lo
+            _neighbor_counts(block, out=block, work=cums[:k])
+            block /= np.sum(block, axis=-1, keepdims=True, out=totals[:k])
+            yield block
+            lo = hi
         start = stop
+
+
+def _chunk_stop(start: int, size: int, end: int) -> int:
+    # chunks end on multiples of their size, except that a last run on its
+    # own joins the chunk before it: numpy takes a one-row matrix product as
+    # a dot product, which sums in another order than a row of a larger one
+    stop = min(start + size, end)
+    return end if stop == end - 1 else stop
 
 
 def expected_stationary_mc(params, n: int, runs: int, seed: int) -> ExpectedStationary:
@@ -426,7 +468,7 @@ def expected_stationary_mc(params, n: int, runs: int, seed: int) -> ExpectedStat
 
     Run r draws from the (seed, r) stream, so the estimate is reproducible
     and independent of execution order.  The runs stream through in blocks,
-    so memory is O(block * n) for any number of runs.  pi is the sum over
+    so memory is O(pass * n) for any number of runs.  pi is the sum over
     runs taken row by row in run order, the same bits as the mean of one
     (runs, n) array of samples.  The standard error merges per-block means
     and squared deviations (Chan, Golub & LeVeque, 1983); it differs from

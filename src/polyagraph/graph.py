@@ -29,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._numeric import prefix_table
+from ._numeric import prefix_table, sum_errors
 from .urn import CreationSequence, as_draws
 
 __all__ = [
@@ -154,16 +154,20 @@ def neighbor_sums(
 
     ``out``, of the broadcast shape of z and x, receives the sums; ``work``,
     a contiguous 1-d array of out's dtype with at least 4 * out.size
-    entries, holds z*x, the suffix table and the prefix workspace.  With
-    both given the call allocates no array, so a stepping loop can reuse
-    them every step.
+    entries, holds z*x, the suffix table and the compensation workspace.
+    With both given the call allocates no array, so a stepping loop can
+    reuse them every step.  For a float batch with x and out C-contiguous,
+    the compensation runs over contiguous operands, with the same bits.
     """
     if out is None:
         out = np.empty(np.broadcast_shapes(z.shape, x.shape), dtype=np.result_type(z, x))
-    if x.shape != out.shape:
-        x = np.broadcast_to(x, out.shape)
     if work is None:  # integer tables need no compensation workspace
         work = np.empty((4 if out.dtype.kind == "f" else 2) * out.size, dtype=out.dtype)
+    batch = out.ndim > 1 and out.dtype.kind == "f" and x.shape == out.shape
+    if batch and out.flags.c_contiguous and x.flags.c_contiguous:
+        return _batch_neighbor_sums(z, x, out, work)
+    if x.shape != out.shape:
+        x = np.broadcast_to(x, out.shape)
     zx, suffix = work[: 2 * out.size].reshape((2,) + out.shape)
     scratch = work[2 * out.size :]
     prefix_table(x[..., :-1], out=out, work=scratch)
@@ -171,6 +175,33 @@ def neighbor_sums(
     prefix_table(zx[..., :0:-1], out=suffix, work=scratch)
     np.multiply(z, out, out=out)
     return np.add(out, suffix[..., ::-1], out=out)
+
+
+def _batch_neighbor_sums(z, x, out, work):
+    # The float batch case, with x and out C-contiguous: the same two tables,
+    # bit for bit, but their compensation runs over flat views, where entry k
+    # follows entry k - 1 of its row except at row boundaries.  The error
+    # there is garbage and is zeroed before each row's cumsum of errors.
+    # The suffix table is kept in natural order.
+    zx, suffix, b, err = work[: 4 * out.size].reshape((4,) + out.shape)
+    flat_out, flat_x, flat_zx, flat_suffix = (a.reshape(-1) for a in (out, x, zx, suffix))
+    flat_b, flat_err = b.reshape(-1), err.reshape(-1)
+    # out[..., i] = x[..., 0] + .. + x[..., i-1]
+    out[..., 0] = 0
+    x[..., :-1].cumsum(axis=-1, out=out[..., 1:])
+    sum_errors(flat_out[:-1], flat_out[1:], flat_x[:-1], out=flat_err[1:], scratch=flat_b[1:])
+    err[..., 0] = 0
+    out += err.cumsum(axis=-1, out=b)
+    # suffix[..., i] = zx[..., i+1] + .. + zx[..., n-1]
+    np.multiply(z, x, out=zx)
+    suffix[..., -1] = 0
+    zx[..., :0:-1].cumsum(axis=-1, out=suffix[..., -2::-1])
+    sum_errors(flat_suffix[1:], flat_suffix[:-1], flat_zx[1:], out=flat_err[:-1], scratch=flat_b[:-1])
+    err[..., -1] = 0
+    err[..., ::-1].cumsum(axis=-1, out=b[..., ::-1])
+    suffix += b
+    np.multiply(z, out, out=out)
+    return np.add(out, suffix, out=out)
 
 
 def build_graph(z) -> ThresholdGraph:

@@ -38,14 +38,23 @@ def stream(master_seed: int, stream_index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << _WORD) | idx))
 
 
-def uniform_rows(master_seed: int, first_stream: int, runs: int, n: int) -> np.ndarray:
+def uniform_rows(
+    master_seed: int, first_stream: int, runs: int, n: int, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """(runs, n) uniforms; row r equals stream(master_seed, first_stream + r).random(n).
 
     Philox output depends only on key and counter, so setting the key of
     one generator to the row's stream, with counter 0 and an empty buffer
     (position 4 of its four words), reproduces that stream exactly.
+
+    ``out``, a float64 (runs, n) array whose rows are each contiguous (a
+    column slice of a wider C-contiguous buffer will do), receives the
+    uniforms and is returned; without it a new array is.
     """
-    out = np.empty((runs, n))
+    if out is None:
+        out = np.empty((runs, n))
+    elif out.shape != (runs, n):
+        raise ValueError(f"out must have shape {(runs, n)}, got {out.shape}")
     if runs == 0:
         return out
     # the indices are consecutive, so checking both ends checks them all; the

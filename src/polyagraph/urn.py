@@ -236,7 +236,9 @@ def finite_memory_joint_pmf(fm: FiniteMemoryParams, z) -> float:
     return math.exp(acc)
 
 
-def sample_runs(params, n: int, runs: int, seed: int, *, first_stream: int = 0) -> np.ndarray:
+def sample_runs(
+    params, n: int, runs: int, seed: int, *, first_stream: int = 0, out: np.ndarray | None = None
+) -> np.ndarray:
     """Draw ``runs`` independent realizations of n indicators at once.
 
     Returns a (runs, n) int64 array of 0/1 whose row r is, byte for byte,
@@ -247,6 +249,12 @@ def sample_runs(params, n: int, runs: int, seed: int, *, first_stream: int = 0) 
     w = min(t, memory) draws is kept as a running sum, and the infinite urn
     is the case memory >= n, whose window is the whole past.  The red
     probability is the per-run samplers' expression, rounded identically.
+
+    ``out``, a float64 (runs, n) array whose rows are each contiguous (for
+    instance all but the last column of a C-contiguous buffer), receives
+    the draws as 0.0/1.0 instead and is returned: the uniforms of
+    :func:`polyagraph.rng.uniform_rows` are written into it and turned into
+    draws column by column, in place.
     """
     if n < 1:
         raise ValueError(f"need n >= 1 draws, got {n}")
@@ -254,14 +262,19 @@ def sample_runs(params, n: int, runs: int, seed: int, *, first_stream: int = 0) 
         rho, delta, memory = params.base.rho, params.base.delta, params.memory
     else:
         rho, delta, memory = params.rho, params.delta, n
-    u = uniform_rows(seed, first_stream, runs, n)
-    draws = np.empty((runs, n), dtype=np.int64)
-    reds = np.zeros(runs, dtype=np.int64)
+    draws = uniform_rows(seed, first_stream, runs, n, out=out)
+    # red counts are small integers, exact in float64
+    reds = np.zeros(runs)
+    p_red = np.empty(runs)
     for t in range(n):
         if t:
             reds += draws[:, t - 1]
             if t > memory:
                 reds -= draws[:, t - 1 - memory]
-        p_red = (rho + delta * reds) / (1.0 + delta * min(t, memory))
-        draws[:, t] = u[:, t] < p_red
-    return draws
+        # the samplers' (rho + delta * reds) / (1 + delta * w), same roundings
+        np.multiply(delta, reds, out=p_red)
+        np.add(rho, p_red, out=p_red)
+        p_red /= 1.0 + delta * min(t, memory)
+        col = draws[:, t]
+        np.less(col, p_red, out=col, casting="unsafe")
+    return draws.astype(np.int64) if out is None else draws

@@ -20,14 +20,17 @@ from polyagraph import (
 )
 from polyagraph.consensus import (
     _BLOCK_RUNS,
+    _PASS_RUNS,
     _DP_BUDGET_BYTES,
     AveragingOperator,
     _neighbor_counts,
     _pi_star_blocks,
     _Stepper,
 )
+from polyagraph.graph import neighbor_sums
 from polyagraph.oracle import _PARAM_GRID, EnumerationLimitError, FunctionalSpec, enumerate_expectation
 from polyagraph.rng import stream
+from polyagraph.urn import sample_runs
 
 
 def random_connected_draws(rng, n):
@@ -147,33 +150,65 @@ def _prefix_table_reference(a):
     return table
 
 
-def _step_reference(z, counts, x):
-    # (x + neighbor_sums(z, x)) / N, written out with fresh arrays
+def _neighbor_sums_reference(z, x):
+    # neighbor_sums(z, x), written out with fresh arrays
+    x = np.broadcast_to(x, np.broadcast_shapes(np.shape(z), x.shape))
     before = _prefix_table_reference(x[..., :-1])
     after = _prefix_table_reference((z * x)[..., :0:-1])[..., ::-1]
+    return z * before + after
+
+
+def _step_reference(z, counts, x):
+    # (x + neighbor_sums(z, x)) / N, written out with fresh arrays
+    return (x + _neighbor_sums_reference(z, x)) / counts
+
+
+def _plain_step(z, counts, x):
+    # the step from uncompensated cumsum tables, which the kernel is not
+    x = np.broadcast_to(x, np.broadcast_shapes(z.shape, x.shape))
+    before, after = np.zeros(x.shape), np.zeros(x.shape)
+    np.cumsum(x[..., :-1], axis=-1, out=before[..., 1:])
+    np.cumsum((z * x)[..., :0:-1], axis=-1, out=after[..., -2::-1])
     return (x + (z * before + after)) / counts
 
 
+def _mixed_magnitudes(rng, shape):
+    # 1e-8 to 1e8, both signs: sums of these lose bits to rounding
+    return rng.choice((-1.0, 1.0), size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+
+
 def test_stepping_kernel_is_the_allocating_step():
-    # in-place steps over reused buffers give the same bits as fresh arrays,
-    # for one vector and for a batch with a different realization per row
+    # in-place steps over reused buffers give the same bits as fresh arrays:
+    # for one vector, for a batch of vectors on one realization (z broadcast)
+    # and for a batch with a different realization per row; with opinions of
+    # one scale and of mixed magnitudes, where a table that dropped its
+    # compensation would differ
     rng = stream(558)
-    for n in (1, 2, 3, 50, 2000):
+    plain_differs = False
+    for n in (1, 2, 3, 100, 2000):
         systems = [averaging_matrix(build_graph(random_connected_draws(rng, n))) for _ in range(3)]
+        single = systems[0].W
         batch = AveragingOperator(
             np.stack([s.W.z for s in systems]), np.stack([s.neighbor_counts for s in systems])
         )
-        for W, x0 in ((systems[0].W, rng.uniform(-50, 50, size=n)), (batch, rng.uniform(-50, 50, size=(3, n)))):
-            assert np.array_equal(W @ x0, _step_reference(W.z, W.neighbor_counts, x0))
-            stepper, want = _Stepper(W, x0), x0
-            for _ in range(25):
-                want = _step_reference(W.z, W.neighbor_counts, want)
-                assert np.array_equal(stepper.step(), want)
+        for draw in (lambda shape: rng.uniform(-50, 50, size=shape), lambda shape: _mixed_magnitudes(rng, shape)):
+            for W, x0 in ((single, draw(n)), (single, draw((3, n))), (batch, draw((3, n))), (batch, draw(n))):
+                z = W.z.astype(float)
+                assert np.array_equal(neighbor_sums(z, x0), _neighbor_sums_reference(z, x0))
+                want = _step_reference(W.z, W.neighbor_counts, x0)
+                assert np.array_equal(W @ x0, want)
+                plain_differs |= not np.array_equal(_plain_step(W.z, W.neighbor_counts, x0), want)
+                stepper, want = _Stepper(W, x0), x0
+                for _ in range(25):
+                    want = _step_reference(W.z, W.neighbor_counts, want)
+                    assert np.array_equal(stepper.step(), want)
+    assert plain_differs
 
 
 def test_stepping_allocates_nothing_per_step(ref_params):
-    # numpy may buffer a strided operand within one ufunc call, but no step
-    # may allocate a (runs, n) temporary, let alone keep one
+    # every operand of a batch step is contiguous, so numpy buffers nothing
+    # within a ufunc call (4 KB measured); a strided operand would cost it
+    # a buffer per call, and a (runs, n) temporary 160 KB
     runs, n = 200, 100
     stepper = _Stepper(AveragingOperator.sample(ref_params, n, runs, 7), opinion_preset("paper-n100", n))
     tracemalloc.start()
@@ -186,7 +221,7 @@ def test_stepping_allocates_nothing_per_step(ref_params):
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - start < runs * n * 8
+    assert peak - start < 16 << 10
     assert current - start < 4096
 
 
@@ -517,6 +552,52 @@ def test_pi_star_blocks_leave_no_single_run_tail(ref_params):
     x0 = opinion_preset("paper-n100", n)
     vals = np.concatenate([pi @ x0 for pi in _pi_star_blocks(ref_params, n, runs, seed)])
     assert np.array_equal(vals, per_run_pi_star(ref_params, n, runs, seed) @ x0)
+
+
+# run counts around the block and pass edges
+PASS_EDGE_RUNS = (2, 255, 256, 257, _PASS_RUNS - 1, _PASS_RUNS, _PASS_RUNS + 1, _PASS_RUNS + 2, 2 * _PASS_RUNS + 1)
+
+
+def _block_sizes(runs):
+    # 256-run blocks, a last run on its own joining the block before it
+    sizes, start = [], 0
+    while start < runs:
+        stop = min(start + _BLOCK_RUNS, runs)
+        stop = runs if stop == runs - 1 else stop
+        sizes.append(stop - start)
+        start = stop
+    return sizes
+
+
+@pytest.mark.parametrize("memory", [None, 1, 4])
+@pytest.mark.parametrize("n", [1, 2, 10, 100])
+def test_pi_star_passes_yield_the_per_run_blocks(ref_params, n, memory):
+    # runs are sampled in passes of several blocks, but the blocks keep their
+    # sizes and every pi* is the per-run one, bit for bit
+    law = ref_params if memory is None else FiniteMemoryParams(ref_params, memory)
+    seed, first = 29, 5
+    want = per_run_pi_star(law, n, max(PASS_EDGE_RUNS), seed, first)
+    for runs in PASS_EDGE_RUNS:
+        sizes = []
+        for block in _pi_star_blocks(law, n, runs, seed, first):
+            done = sum(sizes)
+            assert np.array_equal(block, want[done : done + len(block)])
+            sizes.append(len(block))
+        assert sizes == _block_sizes(runs)
+
+
+@pytest.mark.parametrize("memory", [None, 1, 4])
+@pytest.mark.parametrize("n", [1, 2, 10, 100])
+def test_sample_runs_into_a_strided_view(ref_params, n, memory):
+    # the passes' in-place float draws are the int64 ones; the buffer's last
+    # column stays
+    law = ref_params if memory is None else FiniteMemoryParams(ref_params, memory)
+    for runs in PASS_EDGE_RUNS:
+        buf = np.full((runs, n + 1), 7.0)
+        view = sample_runs(law, n, runs, 13, first_stream=6, out=buf[:, :-1])
+        assert view.base is buf and view.dtype == np.float64
+        assert np.array_equal(view, sample_runs(law, n, runs, 13, first_stream=6))
+        assert np.all(buf[:, -1] == 7.0)
 
 
 def test_memory_sweep_validation(ref_params):

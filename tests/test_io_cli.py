@@ -267,6 +267,25 @@ def test_histogram_theory_mode(tmp_path, n, x0, mode):
     assert f"# theory_mode = {mode}" in out.read_text().splitlines()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--runs", "0", "--runs must be >= 1, got 0"),
+    ("--runs", "-3", "--runs must be >= 1, got -3"),
+    ("--t", "-5", "--t must be >= 0, got -5"),
+])
+def test_histogram_rejects_empty_batches_and_negative_t(tmp_path, capsys, flag, value, message):
+    # an empty batch would write NaN means, a negative t unstepped values
+    out = tmp_path / "h.csv"
+    argv = {"--runs": "2", "--t": "1"} | {flag: value}
+    code = run_cli([
+        "histogram", "--n", "10", "--R", "5", "--B", "5", "--delta-balls", "2",
+        *(tok for kv in argv.items() for tok in kv), "--x0", "paper-n10", "--seed", "7",
+        "--out", str(out),
+    ])
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_histogram_matches_per_run_dense_steps(tmp_path):
     # the batched run-by-row stepping against one dense W per run; t is short
     # so that no run has settled at its limit yet

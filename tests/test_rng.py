@@ -44,6 +44,13 @@ def test_uniform_rows_are_the_streams(seed, first):
     for r in range(5):
         assert np.array_equal(rows[r], stream(seed, first + r).random(9))
     assert uniform_rows(seed, first, 0, 9).shape == (0, 9)
+    # into the leading columns of a wider buffer, whose last column stays
+    buf = np.full((5, 10), 7.0)
+    assert uniform_rows(seed, first, 5, 9, out=buf[:, :-1]).base is buf
+    assert np.array_equal(buf[:, :-1], rows)
+    assert np.all(buf[:, -1] == 7.0)
+    with pytest.raises(ValueError, match="shape"):
+        uniform_rows(seed, first, 4, 9, out=buf[:, :-1])
 
 
 def test_uniform_rows_keep_the_stream_range_check():
