@@ -236,8 +236,24 @@ def _cmd_histogram(args) -> int:
         raise ConfigError(f"--runs must be >= 1, got {args.runs}")
     if args.t < 0:
         raise ConfigError(f"--t must be >= 0, got {args.t}")
+    if not 0 <= args.seed < 1 << 64:
+        raise ConfigError(f"--seed must be in [0, 2^64), got {args.seed}")
     law = _law_params(args)
     x0 = _parse_x0(args.x0, args.n)
+    # the theory value first: where the DP refuses n, its Monte Carlo runs
+    # draw from seed + 1, which must be a seed too, checked before sampling
+    try:
+        est = expected_stationary_exact(law, args.n)
+        theory_mode = est.mode
+    except EnumerationLimitError:
+        if args.seed + 1 >= 1 << 64:
+            raise ConfigError(
+                f"--seed must be below 2^64 - 1 when the exact DP refuses n = {args.n} "
+                f"(the Monte Carlo theory value draws from seed + 1), got {args.seed}"
+            ) from None
+        est = expected_stationary_mc(law, args.n, runs=args.theory_runs, seed=args.seed + 1)
+        theory_mode = f"{est.mode}({args.theory_runs} runs)"
+    theoretical = float(est.pi @ x0)
     # one realization per row, so each step advances every run at once
     W = AveragingOperator.sample(law, args.n, args.runs, args.seed)
     exact_limits = W.pi_star @ x0
@@ -245,13 +261,6 @@ def _cmd_histogram(args) -> int:
     for _ in range(args.t):
         stepper.step()
     snapshots = stepper.x.mean(axis=1)
-    try:
-        est = expected_stationary_exact(law, args.n)
-        theory_mode = est.mode
-    except EnumerationLimitError:
-        est = expected_stationary_mc(law, args.n, runs=args.theory_runs, seed=args.seed + 1)
-        theory_mode = f"{est.mode}({args.theory_runs} runs)"
-    theoretical = float(est.pi @ x0)
     path = _out_path(args.out)
     io.write_histogram_csv(
         path,

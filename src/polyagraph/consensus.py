@@ -26,9 +26,12 @@ or estimated by seeded Monte Carlo with one independent stream per run,
 merged by run index so scheduling cannot change the estimate.  Monte Carlo
 runs are sampled in passes of up to 1024 runs, each one vectorized call
 (:func:`polyagraph.urn.sample_runs`) that reproduces the per-run samplers
-bit for bit into one float buffer.  The buffer's draws become pi* in place,
-and the runs stream on as blocks of 256 rows of it: memory is O(pass * n)
-for any number of runs.  The estimate is one row-by-row sum in run order,
+bit for bit into one float buffer.  Its uniforms come from
+:func:`polyagraph.rng.uniform_rows`: for realizations of up to 49 nodes
+(48 free draws) a Philox kernel computes a tile of runs at once, and
+longer ones come from a generator re-keyed per run.  The buffer's draws
+become pi* in place, and the runs stream on as blocks of 256 rows of it:
+memory is O(pass * n) for any number of runs.  The estimate is one row-by-row sum in run order,
 bit for bit the mean of all samples at once; its standard error merges
 per-block moments.
 """

@@ -286,6 +286,34 @@ def test_histogram_rejects_empty_batches_and_negative_t(tmp_path, capsys, flag, 
     assert not out.exists()
 
 
+def test_histogram_names_the_seed_limit_of_its_monte_carlo_theory(tmp_path, capsys, monkeypatch):
+    # at n = 92 the DP refuses and the theory value draws from seed + 1
+    def histogram(n, seed):
+        return run_cli([
+            "histogram", "--n", str(n), "--R", "5", "--B", "5", "--delta-balls", "2",
+            "--runs", "2", "--t", "1", "--x0", "polarized", "--theory-runs", "5",
+            "--seed", str(seed), "--out", str(tmp_path / f"h{n}_{seed}.csv"),
+        ])
+
+    top = (1 << 64) - 1
+    assert histogram(10, top) == EXIT_OK  # exact theory: every seed below 2^64 is valid
+    assert histogram(92, top - 1) == EXIT_OK
+    capsys.readouterr()
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before rejecting the seed")
+
+    monkeypatch.setattr(cli.AveragingOperator, "sample", no_sampling)
+    monkeypatch.setattr(cli, "expected_stationary_mc", no_sampling)
+    assert histogram(92, top) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--seed must be below 2^64 - 1" in err and f"got {top}" in err
+    assert not (tmp_path / f"h92_{top}.csv").exists()
+    for seed in (-1, top + 1):
+        assert histogram(92, seed) == EXIT_CONFIG
+        assert f"--seed must be in [0, 2^64), got {seed}" in capsys.readouterr().err
+
+
 def test_histogram_matches_per_run_dense_steps(tmp_path):
     # the batched run-by-row stepping against one dense W per run; t is short
     # so that no run has settled at its limit yet

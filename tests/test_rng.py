@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from polyagraph.rng import stream, uniform_rows
+from polyagraph.rng import _BULK_MAX_N, _TILE_BLOCKS, stream, uniform_rows
+from polyagraph.urn import UrnParams, sample_polya
 
 
 def test_same_pair_reproduces():
@@ -36,21 +39,77 @@ def test_seed_bound_is_the_low_key_word():
         stream(1 << 64)
 
 
-@pytest.mark.parametrize("seed, first", [(123, 0), (2**64 - 1, 2**64 - 5)])
-def test_uniform_rows_are_the_streams(seed, first):
-    # one re-keyed generator per block reproduces every stream exactly
-    rows = uniform_rows(seed, first, 5, 9)
-    assert rows.shape == (5, 9)
-    for r in range(5):
-        assert np.array_equal(rows[r], stream(seed, first + r).random(9))
-    assert uniform_rows(seed, first, 0, 9).shape == (0, 9)
+def _tile_rows(n):
+    return _TILE_BLOCKS // -(-n // 4)  # rows per tile of the bulk kernel
+
+
+# row lengths on both sides of the crossover, each with one run and a few;
+# some bulk lengths also with one run past a tile of rows.  Seed 0 starts at
+# stream 3, the top seed takes the last streams below 2^64.
+_ROW_SHAPES = [
+    *((runs, n) for n in (1, 2, 3, 5, 99, _BULK_MAX_N - 1, _BULK_MAX_N + 1) for runs in (1, 5)),
+    *((_tile_rows(n) + 1, n) for n in (4, 9, _BULK_MAX_N)),
+]
+_ROW_CASES = [
+    pytest.param(123, 0, 5, 9, id="123-0"),
+    pytest.param(2**64 - 1, 2**64 - 5, 5, 9, id=f"{2**64 - 1}-{2**64 - 5}"),
+    *((seed, 3 if seed == 0 else 2**64 - runs, runs, n) for seed in (0, 2**64 - 1) for runs, n in _ROW_SHAPES),
+]
+
+
+@pytest.mark.parametrize("seed, first, runs, n", _ROW_CASES)
+def test_uniform_rows_are_the_streams(seed, first, runs, n):
+    rows = uniform_rows(seed, first, runs, n)
+    assert rows.shape == (runs, n)
+    for r in range(runs):
+        assert np.array_equal(rows[r], stream(seed, first + r).random(n))
+    assert uniform_rows(seed, first, 0, n).shape == (0, n)
     # into the leading columns of a wider buffer, whose last column stays
-    buf = np.full((5, 10), 7.0)
-    assert uniform_rows(seed, first, 5, 9, out=buf[:, :-1]).base is buf
+    buf = np.full((runs, n + 1), 7.0)
+    assert uniform_rows(seed, first, runs, n, out=buf[:, :-1]).base is buf
     assert np.array_equal(buf[:, :-1], rows)
     assert np.all(buf[:, -1] == 7.0)
     with pytest.raises(ValueError, match="shape"):
-        uniform_rows(seed, first, 4, 9, out=buf[:, :-1])
+        uniform_rows(seed, first, runs + 1, n, out=buf[:, :-1])
+
+
+def test_uniform_rows_workspace_is_independent_of_runs():
+    # the bulk kernel works tile by tile; the output buffers are not counted
+    n = 9
+    peaks = []
+    for tiles in (2, 20):
+        out = np.empty((tiles * _tile_rows(n) + 1, n))
+        tracemalloc.start()
+        try:
+            uniform_rows(5, 0, len(out), n, out=out)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 2 << 20
+    assert peaks[1] <= peaks[0] + (64 << 10)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, np.float64(3.0), np.bool_(False), "4"])
+def test_keys_must_be_integers(bad):
+    # a float or bool would otherwise be truncated to another stream's key
+    with pytest.raises(ValueError, match="master_seed must be an integer"):
+        stream(bad)
+    with pytest.raises(ValueError, match="stream_index must be an integer"):
+        stream(1, bad)
+    with pytest.raises(ValueError, match="must be an integer"):
+        uniform_rows(bad, 0, 2, 3)
+    with pytest.raises(ValueError, match="must be an integer"):
+        uniform_rows(2, bad, 2, 3)
+    with pytest.raises(ValueError, match="master_seed must be an integer"):
+        sample_polya(UrnParams(5, 5, 2), 4, bad)
+    with pytest.raises(ValueError, match="stream_index must be an integer"):
+        sample_polya(UrnParams(5, 5, 2), 4, 1, stream_index=bad)
+
+
+def test_numpy_integer_keys_are_their_values():
+    want = stream(2**64 - 1, 7).random(4)
+    assert np.array_equal(stream(np.uint64(2**64 - 1), np.int64(7)).random(4), want)
+    assert np.array_equal(uniform_rows(np.uint64(2**64 - 1), np.int32(7), 1, 4)[0], want)
 
 
 def test_uniform_rows_keep_the_stream_range_check():
