@@ -6,14 +6,33 @@ product in log space at once; the laws combine a few of these tables and
 exponentiate once, at the end.  Working with the products themselves, rather
 than with differences of log-Gamma at arguments near x/step, avoids the
 cancellation that sets in when step is far from 1.
+
+The cached tables (:func:`log_tables`) are read two ways: vectorized laws
+index the read-only arrays, and scalar laws read single entries through a
+read-only memoryview of each array, which yields Python floats.  A numpy
+scalar costs several times more to build and to add than a Python float,
+and the arithmetic is the same IEEE double arithmetic, so a scalar law
+evaluated either way gives the same bits.
 """
 
 from __future__ import annotations
 
+import numbers
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
+
+
+def as_int(name: str, value) -> int:
+    """``value`` as a Python int: Python and numpy integers pass.  A bool, a
+    float or anything else raises ValueError naming ``name``, because
+    truncating it, or indexing with it (True reads entry 1), would silently
+    answer for some other integer."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def prefix_table(a: np.ndarray, *, out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
@@ -71,7 +90,7 @@ def log_rising(x: float, step: float, m: int) -> np.ndarray:
     return prefix_table(np.log(x + step * np.arange(m, dtype=float)))
 
 
-class LogTables(NamedTuple):
+class LogTables:
     """Prefix tables of log rising products for one (rho, delta, n).
 
     Entry k of ``red``, ``black`` and ``total`` is the log of
@@ -79,31 +98,42 @@ class LogTables(NamedTuple):
     is log k!.  A length-m draw vector with k reds then has log probability
     red[k] + black[m-k] - total[m], and log C(m, k) is
     fact[m] - fact[k] - fact[m-k], for every m <= n.
+
+    The four tables are read-only float arrays, for vectorized reads.
+    :meth:`log_joint` and :meth:`log_choose` read single entries through a
+    read-only memoryview of each array instead: the items are Python floats
+    (no copy of the table is made), and the results equal, bit for bit,
+    the same expressions over numpy scalars.  Indices must be ints in range.
     """
 
-    red: np.ndarray
-    black: np.ndarray
-    total: np.ndarray
-    fact: np.ndarray
+    __slots__ = ("red", "black", "total", "fact", "_red", "_black", "_total", "_fact")
+
+    def __init__(self, red: np.ndarray, black: np.ndarray, total: np.ndarray, fact: np.ndarray):
+        for table in (red, black, total, fact):
+            table.flags.writeable = False
+        self.red, self.black, self.total, self.fact = red, black, total, fact
+        self._red, self._black, self._total, self._fact = map(memoryview, (red, black, total, fact))
 
     def log_joint(self, m: int, k: int) -> float:
         """log P(a given length-m draw vector with k reds)."""
-        return float(self.red[k] + self.black[m - k] - self.total[m])
+        return self._red[k] + self._black[m - k] - self._total[m]
+
+    def log_choose(self, m: int, k: int) -> float:
+        """log C(m, k)."""
+        fact = self._fact
+        return fact[m] - fact[k] - fact[m - k]
 
 
 @lru_cache(maxsize=64)
 def log_tables(rho: float, delta: float, n: int) -> LogTables:
     """The four tables up to horizon n, cached: exact enumeration evaluates
     the joint law at one (rho, delta, n) millions of times."""
-    tables = LogTables(
+    return LogTables(
         log_rising(rho, delta, n),
         log_rising(1.0 - rho, delta, n),
         log_rising(1.0, delta, n),
         log_rising(1.0, 1.0, n),
     )
-    for t in tables:
-        t.flags.writeable = False
-    return tables
 
 
 class CompensatedSum:

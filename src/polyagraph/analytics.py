@@ -15,6 +15,8 @@ resulting exact expressions:
 Every rising-factorial ratio and binomial coefficient is read off the
 urn's cached log tables (see :func:`polyagraph._numeric.log_tables`), so
 each law lives in log space until one final exponentiation and costs O(n).
+Node counts and indices must be integers, numpy's included; a bool or a
+float raises ValueError naming the argument.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import LogTables, log_tables
+from ._numeric import LogTables, as_int, log_tables
 from .graph import ThresholdGraph
 from .urn import UrnParams
 
@@ -42,9 +44,12 @@ __all__ = [
 ]
 
 
-def _check_node(i: int, n: int) -> None:
+def _check_node(n: int, i: int, name: str = "i") -> tuple[int, int]:
+    """(n, i) as Python ints, once both are integers and 1 <= i <= n."""
+    n, i = as_int("n", n), as_int(name, i)
     if not 1 <= i <= n:
         raise IndexError(f"node index {i} out of range 1..{n}")
+    return n, i
 
 
 @dataclass(frozen=True)
@@ -92,14 +97,14 @@ class DistanceDistribution:
 
 def expected_degree(params: UrnParams, n: int, i: int) -> float:
     """Expected degree of node i: n * rho, independent of i."""
-    _check_node(i, n)
+    n, i = _check_node(n, i)
     return n * params.rho
 
 
 def degree_support(n: int, i: int) -> tuple[int, ...]:
     """Attainable degrees of node i: all of 0..n when 2i <= n, otherwise the
     isolated branch 0..n-i together with the universal branch i..n."""
-    _check_node(i, n)
+    n, i = _check_node(n, i)
     if 2 * i <= n:
         return tuple(range(n + 1))
     return tuple(range(0, n - i + 1)) + tuple(range(i, n + 1))
@@ -113,7 +118,7 @@ def degree_pmf(params: UrnParams, n: int, i: int) -> DegreeDistribution:
     is the joint law of one draw vector with r reds at horizon n-i+1; both
     terms are summed where the branches overlap.
     """
-    _check_node(i, n)
+    n, i = _check_node(n, i)
     t = log_tables(params.rho, params.delta, n)
     tail = n - i
     m = tail + 1
@@ -123,11 +128,13 @@ def degree_pmf(params: UrnParams, n: int, i: int) -> DegreeDistribution:
     p = np.zeros(n + 1)
     p[:m] += np.exp(log_base + t.red[r] + t.black[m - r])
     p[i:] += np.exp(log_base + t.red[r + 1] + t.black[tail - r])
-    pmf = {k: float(p[k]) for k in degree_support(n, i)}
+    values = p.tolist()
+    support = degree_support(n, i)
+    pmf = {k: values[k] for k in support}
     return DegreeDistribution(
         node=i,
         horizon=n,
-        support=tuple(pmf),
+        support=support,
         pmf=pmf,
         mean=n * params.rho,
         variance=degree_variance(params, n, i),
@@ -142,15 +149,16 @@ def degree_variance(params: UrnParams, n: int, i: int) -> float:
     the Bernoulli, Beta-Binomial and covariance parts, all non-negative, so
     nothing cancels as rho approaches 0 or 1.
     """
-    _check_node(i, n)
+    n, i = _check_node(n, i)
     rho, delta = params.rho, params.delta
     tail = n - i
     return rho * (1.0 - rho) * (i * i + tail * (1.0 + tail * delta + 2.0 * i * delta) / (1.0 + delta))
 
 
 def _prob_unreachable(t: LogTables, h: int) -> float:
-    # P(h given draws are all black) = prod_{s<h} (1-rho+s*delta)/(1+s*delta)
-    return math.exp(t.black[h] - t.total[h])
+    # P(h given draws are all black) = prod_{s<h} (1-rho+s*delta)/(1+s*delta),
+    # the joint law of h blacks; red[0] = 0.0 adds nothing to black[h]
+    return math.exp(t.log_joint(h, 0))
 
 
 def distance_pmf(params: UrnParams, n: int, i: int, j: int) -> DistanceDistribution:
@@ -160,8 +168,8 @@ def distance_pmf(params: UrnParams, n: int, i: int, j: int) -> DistanceDistribut
     Distinct nodes: distance 1 with probability rho; unreachable iff no draw
     from max(i,j) on is red; distance 2 carries the remaining mass.
     """
-    _check_node(i, n)
-    _check_node(j, n)
+    n, i = _check_node(n, i)
+    n, j = _check_node(n, j, "j")
     rho = params.rho
     if i == j:
         probs = {0.0: rho, 1.0: 0.0, 2.0: 0.0, math.inf: 1.0 - rho}
@@ -183,12 +191,13 @@ def expected_decay_centrality(
     unreachability probability; the later nodes j take one each, for
     horizons n-j+1 = 1..n-i.
     """
-    _check_node(i, n)
+    n, i = _check_node(n, i)
     alpha = cfg.alpha
     rho = params.rho
     t = log_tables(rho, params.delta, n)
-    h = np.arange(1, n - i + 1)
-    p_inf = (i - 1) * _prob_unreachable(t, n - i + 1) + math.fsum(np.exp(t.black[h] - t.total[h]))
+    h = slice(1, n - i + 1)
+    later = np.exp(t.black[h] - t.total[h]).tolist()
+    p_inf = (i - 1) * _prob_unreachable(t, n - i + 1) + math.fsum(later)
     return rho + (n - 1) * (alpha * rho + alpha * alpha * (1.0 - rho)) - alpha * alpha * p_inf
 
 

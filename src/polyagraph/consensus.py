@@ -518,8 +518,11 @@ def memory_sweep(
     from ``runs`` fresh realizations, then each memory length gets its own
     ``runs`` finite-memory realizations.  Every cell uses a disjoint block of
     run streams derived from ``seed``, so the full table is reproducible.
+    Memory lengths follow :class:`FiniteMemoryParams`: integers, numpy's
+    included, are accepted, and a bool or a float is refused before any
+    cell runs.
     """
-    memories = list(memories)
+    memories = [FiniteMemoryParams(base, m).memory for m in memories]
     deltas = list(deltas)
     if not memories:
         raise ValueError("need at least one memory length")
@@ -541,12 +544,12 @@ def memory_sweep(
         baseline = float(base_vals.mean())
         baseline_se = float(base_vals.std(ddof=1) / math.sqrt(runs))
         for memory in memories:
-            vals = values(FiniteMemoryParams(params, int(memory)), block)
+            vals = values(FiniteMemoryParams(params, memory), block)
             block += 1
             points.append(
                 SweepPoint(
                     delta=float(d),
-                    memory=int(memory),
+                    memory=memory,
                     value=float(vals.mean()),
                     std_error=float(vals.std(ddof=1) / math.sqrt(runs)),
                     baseline=baseline,

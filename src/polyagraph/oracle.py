@@ -222,8 +222,10 @@ def _mask_table(n: int) -> list[list[int]]:
 def _decay_column(n: int, alpha: float, source: int) -> tuple[float, ...]:
     """sum_t alpha^d(s, t) for 1-based source s over every length-n
     realization (Gray order): one BFS per vector over the cached masks."""
+    # BFS distances are 0.0, 1.0, .., n - 1.0 or inf: each power is taken once
+    power = {d: alpha**d for d in (*map(float, range(n)), math.inf)}.__getitem__
     return tuple(
-        math.fsum(alpha**d for d in _bfs(z, masks, source - 1))
+        math.fsum(map(power, _bfs(z, masks, source - 1)))
         for z, masks in zip(_gray_vectors(n), _mask_table(n))
     )
 
@@ -321,7 +323,7 @@ def _check_spectrum() -> ValidationCheck:
     worst = 0.0
     for _ in range(40):
         n = int(rng.integers(1, 31))
-        z = tuple(int(b) for b in rng.integers(0, 2, size=n))
+        z = tuple(rng.integers(0, 2, size=n).tolist())
         g = build_graph(z)
         numeric = np.sort(np.linalg.eigvalsh(laplacian(g).astype(float)))
         exact = np.array(spectrum(g), dtype=float)
@@ -333,7 +335,7 @@ def _check_eigenpairs() -> ValidationCheck:
     rng = stream(20260502)
     failures = 0
     for _ in range(200):
-        z = tuple(int(b) for b in rng.integers(0, 2, size=50))
+        z = tuple(rng.integers(0, 2, size=50).tolist())
         failures += len(verify_eigenpairs(build_graph(z)).failures())
     return ValidationCheck("exact integer eigenpair identity", failures == 0, f"{failures} failures in 200 runs")
 
@@ -396,9 +398,9 @@ def _check_exchangeability() -> ValidationCheck:
     worst_perm = 0.0
     for n in range(2, 11):
         for _ in range(20):
-            z = tuple(int(b) for b in rng.integers(0, 2, size=n))
+            z = tuple(rng.integers(0, 2, size=n).tolist())
             sigma = rng.permutation(n)
-            permuted = tuple(z[s] for s in sigma)
+            permuted = tuple(z[s] for s in sigma.tolist())
             worst_perm = max(worst_perm, abs(polya_joint_pmf(params, z) - polya_joint_pmf(params, permuted)))
     worst_norm = 0.0
     for n in range(1, 11):

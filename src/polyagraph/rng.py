@@ -23,9 +23,9 @@ both routes match bit for bit.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
+
+from ._numeric import as_int
 
 _WORD = 64  # stream index occupies the low key word
 
@@ -56,12 +56,9 @@ _TILE_BLOCKS = 8192
 
 
 def _key_words(master_seed: int, stream_index: int) -> tuple[int, int]:
-    for name, value in (("master_seed", master_seed), ("stream_index", stream_index)):
-        # a float or bool would be truncated to some other stream's key
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    seed = int(master_seed)
-    idx = int(stream_index)
+    # a float or bool would be truncated to some other stream's key
+    seed = as_int("master_seed", master_seed)
+    idx = as_int("stream_index", stream_index)
     if not 0 <= seed < (1 << _WORD):
         raise ValueError(f"master_seed out of range [0, 2^64), got {seed}")
     if not 0 <= idx < (1 << _WORD):

@@ -18,7 +18,7 @@ total, the joint law of a vector with k red draws among n is
 and the number of red draws follows a Beta-Binomial law with shape
 (rho/delta, (1-rho)/delta).  Both are read off four prefix tables of log
 rising products (:func:`polyagraph._numeric.log_tables`), built once per
-(rho, delta, n).
+(rho, delta, n) and read entry by entry as Python floats.
 
 A finite-memory variant removes each reinforcement batch ``memory`` steps
 after it was added.  The first ``memory`` draws keep the law above; later
@@ -33,11 +33,13 @@ pass vectorized over runs, with rows identical to the per-run samplers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._numeric import log_tables
+from ._numeric import as_int, log_tables
 from .rng import stream, uniform_rows
 
 __all__ = [
@@ -60,7 +62,8 @@ class UrnParams:
 
     Ball counts may be any positive reals, since draws depend only on color
     proportions.  ``rho`` is the initial red proportion R/(R+B) and ``delta``
-    the reinforcement divided by the initial total.
+    the reinforcement divided by the initial total; both, and ``total``, are
+    computed on first access and then kept.
     """
 
     red_initial: float
@@ -74,15 +77,15 @@ class UrnParams:
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")
             object.__setattr__(self, name, v)
 
-    @property
+    @cached_property
     def total(self) -> float:
         return self.red_initial + self.black_initial
 
-    @property
+    @cached_property
     def rho(self) -> float:
         return self.red_initial / self.total
 
-    @property
+    @cached_property
     def delta(self) -> float:
         return self.reinforcement / self.total
 
@@ -98,15 +101,20 @@ class UrnParams:
 
 @dataclass(frozen=True)
 class FiniteMemoryParams:
-    """Urn whose reinforcement balls expire ``memory`` steps after insertion."""
+    """Urn whose reinforcement balls expire ``memory`` steps after insertion.
+
+    ``memory`` may be a Python or numpy integer and is stored as an int; a
+    bool or a float is refused rather than truncated.
+    """
 
     base: UrnParams
     memory: int
 
     def __post_init__(self):
         m = self.memory
-        if not (isinstance(m, int) and not isinstance(m, bool) and m >= 1):
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
             raise ValueError(f"memory must be an integer >= 1, got {m!r}")
+        object.__setattr__(self, "memory", int(m))
 
 
 @dataclass(frozen=True)
@@ -123,10 +131,12 @@ class CreationSequence:
         raw = tuple(self.draws)
         if not raw:
             raise ValueError("a creation sequence needs at least one draw")
-        for z in raw:
-            if not (z == 0 or z == 1):
-                raise ValueError(f"draws must be 0 or 1, got {z!r}")
-        object.__setattr__(self, "draws", tuple(int(z) for z in raw))
+        # one C-level pass for the common case; the loop names the first bad draw
+        if raw.count(0) + raw.count(1) != len(raw):
+            for z in raw:
+                if not (z == 0 or z == 1):
+                    raise ValueError(f"draws must be 0 or 1, got {z!r}")
+        object.__setattr__(self, "draws", tuple(map(int, raw)))
 
     def __len__(self) -> int:
         return len(self.draws)
@@ -183,11 +193,15 @@ def beta_binomial_pmf(params: UrnParams, n: int, k: int) -> float:
 
     Beta-Binomial with shape (rho/delta, (1-rho)/delta): C(n, k) times the
     joint law of one vector with k reds, both read off the log tables.
+    ``n`` and ``k`` must be integers (numpy's included); a bool or a float
+    raises ValueError.
     """
+    n = as_int("n", n)
+    k = as_int("k", k)
     if k < 0 or k > n:
         raise ValueError(f"k must lie in [0, {n}], got {k}")
     t = log_tables(params.rho, params.delta, n)
-    return math.exp(t.fact[n] - t.fact[k] - t.fact[n - k] + t.log_joint(n, k))
+    return math.exp(t.log_choose(n, k) + t.log_joint(n, k))
 
 
 def sample_finite_memory(fm: FiniteMemoryParams, n: int, seed: int, *, stream_index: int = 0) -> CreationSequence:

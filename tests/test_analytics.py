@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ from polyagraph import (
     expected_degree,
     polya_joint_pmf,
 )
-from polyagraph._numeric import log_rising
+from polyagraph._numeric import log_rising, log_tables
 from polyagraph.oracle import oracle_centrality, oracle_degree_pmf
 from polyagraph.rng import stream
 
@@ -111,6 +112,99 @@ def test_degree_pmf_index_errors(ref_params):
         degree_pmf(ref_params, 5, 0)
     with pytest.raises(IndexError):
         degree_pmf(ref_params, 5, 6)
+
+
+_CENTRALITY = CentralityConfig()
+
+
+@pytest.mark.parametrize("law,args,name", [
+    (degree_pmf, (5, True), "i"),
+    (degree_pmf, (5, 2.0), "i"),
+    (degree_pmf, (5.0, 2), "n"),
+    (degree_support, (5, 2.0), "i"),
+    (degree_support, (True, 1), "n"),
+    (distance_pmf, (5, 1, True), "j"),
+    (distance_pmf, (5, 2.0, 1), "i"),
+    (expected_decay_centrality, (5, True, _CENTRALITY), "i"),
+    (expected_decay_centrality, (5.0, 2, _CENTRALITY), "n"),
+])
+def test_law_arguments_must_be_integers(ref_params, law, args, name):
+    # a bool or float index would otherwise read some other node's entry
+    if law is not degree_support:
+        args = (ref_params, *args)
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        law(*args)
+
+
+def test_laws_take_numpy_integers(ref_params):
+    n, i, j = np.int64(9), np.int32(3), np.uint8(7)
+    assert degree_support(n, i) == degree_support(9, 3)
+    assert degree_pmf(ref_params, n, i) == degree_pmf(ref_params, 9, 3)
+    assert distance_pmf(ref_params, n, i, j) == distance_pmf(ref_params, 9, 3, 7)
+    assert expected_decay_centrality(ref_params, n, i) == expected_decay_centrality(ref_params, 9, 3)
+
+
+# The laws read their log tables as Python floats; these are the same laws
+# over numpy scalars and arrays, which every value must equal bit for bit.
+
+def numpy_scalar_joint(params, n, k):
+    t = log_tables(params.rho, params.delta, n)
+    return float(t.red[k] + t.black[n - k] - t.total[n])
+
+
+def numpy_scalar_beta_binomial(params, n, k):
+    t = log_tables(params.rho, params.delta, n)
+    return math.exp(t.fact[n] - t.fact[k] - t.fact[n - k] + numpy_scalar_joint(params, n, k))
+
+
+def numpy_scalar_degree_pmf(params, n, i):
+    t = log_tables(params.rho, params.delta, n)
+    tail = n - i
+    m = tail + 1
+    r = np.arange(m)
+    log_base = t.fact[tail] - t.fact[r] - t.fact[tail - r] - t.total[m]
+    p = np.zeros(n + 1)
+    p[:m] += np.exp(log_base + t.red[r] + t.black[m - r])
+    p[i:] += np.exp(log_base + t.red[r + 1] + t.black[tail - r])
+    return {k: float(p[k]) for k in degree_support(n, i)}
+
+
+def numpy_scalar_p_unreachable(params, n, h):
+    t = log_tables(params.rho, params.delta, n)
+    return math.exp(t.black[h] - t.total[h])
+
+
+def numpy_scalar_centrality(params, n, i, alpha):
+    t = log_tables(params.rho, params.delta, n)
+    h = np.arange(1, n - i + 1)
+    p_inf = (i - 1) * numpy_scalar_p_unreachable(params, n, n - i + 1) + math.fsum(np.exp(t.black[h] - t.total[h]))
+    return params.rho + (n - 1) * (alpha * params.rho + alpha * alpha * (1.0 - params.rho)) - alpha * alpha * p_inf
+
+
+@pytest.mark.parametrize("delta", [1e-12, 1e-8, 0.2, 1e4, 1e8])
+@pytest.mark.parametrize("n", [1, 7, 40, 5000])
+def test_laws_equal_their_numpy_scalar_forms(delta, n):
+    for rho in (0.3, 1.0 - 1e-6):
+        params = UrnParams.from_proportions(rho, delta)
+        for k in range(n + 1):
+            assert beta_binomial_pmf(params, n, k) == numpy_scalar_beta_binomial(params, n, k)
+        for k in sorted({0, 1, n // 2, n - 1, n}):
+            z = (1,) * k + (0,) * (n - k)
+            assert polya_joint_pmf(params, z) == math.exp(numpy_scalar_joint(params, n, k))
+        nodes = sorted({1, 2 if n > 1 else 1, (n + 1) // 2, n // 2 + 1, n})
+        for i in nodes:
+            dist = degree_pmf(params, n, i)
+            assert dist.pmf == numpy_scalar_degree_pmf(params, n, i)
+            assert dist.support == tuple(dist.pmf)
+            assert expected_decay_centrality(params, n, i) == numpy_scalar_centrality(params, n, i, 0.5)
+            for j in nodes:
+                probs = distance_pmf(params, n, i, j).probabilities
+                r = params.rho
+                if i == j:
+                    assert probs == {0.0: r, 1.0: 0.0, 2.0: 0.0, math.inf: 1.0 - r}
+                else:
+                    p_inf = numpy_scalar_p_unreachable(params, n, n - max(i, j) + 1)
+                    assert probs == {0.0: 0.0, 1.0: r, 2.0: 1.0 - r - p_inf, math.inf: p_inf}
 
 
 # ---------------------------------------------------------------------------

@@ -540,6 +540,17 @@ def test_memory_sweep_is_the_per_run_loop(ref_params):
     assert points == want
 
 
+def test_memory_sweep_memories_follow_the_finite_memory_rule(ref_params):
+    # a bool or float memory used to be truncated to another M without a word
+    n, x0 = 4, opinion_preset("polarized", 4)
+    for bad in (2.7, True, 2.0):
+        with pytest.raises(ValueError, match="memory must be an integer >= 1"):
+            memory_sweep(ref_params, n, deltas=(0.2,), memories=(1, bad), runs=4, x0=x0, seed=1)
+    points = memory_sweep(ref_params, n, deltas=(0.2,), memories=np.array([1, 3]), runs=4, x0=x0, seed=1)
+    assert points == memory_sweep(ref_params, n, deltas=(0.2,), memories=(1, 3), runs=4, x0=x0, seed=1)
+    assert [type(p.memory) for p in points] == [int, int]
+
+
 def test_pi_star_blocks_leave_no_single_run_tail(ref_params):
     # numpy takes a one-row product as a dot product, which can differ in the
     # last bit from that row of the whole (runs, n) product, so a run past a

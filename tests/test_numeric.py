@@ -47,8 +47,16 @@ def test_factorial_table_matches_exact_binomials():
 def test_log_tables_are_cached_and_read_only():
     t = log_tables(0.3, 0.2, 10)
     assert log_tables(0.3, 0.2, 10) is t
-    with pytest.raises(ValueError):
-        t.red[0] = 1.0
+    for name in ("red", "black", "total", "fact"):
+        table, view = getattr(t, name), getattr(t, "_" + name)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+        # the scalar view is the table itself, not a copy, and refuses writes too
+        assert view.readonly and view.obj is table
+        with pytest.raises(TypeError):
+            view[0] = 1.0
+    assert type(t.log_joint(10, 4)) is float and type(t.log_choose(10, 4)) is float
 
 
 def test_compensated_sum_scalar():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,13 +75,27 @@ def test_creation_sequence_validation():
         CreationSequence((0.5,))
 
 
+@pytest.mark.parametrize("ok", [0, 1, True, 1.0, np.int64(1), np.bool_(True)])
+def test_creation_sequence_accepts_zero_one_values_as_ints(ok):
+    draws = CreationSequence((1, ok, 0)).draws
+    assert draws == (1, int(ok), 0)
+    assert all(type(z) is int for z in draws)
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, math.nan, "1", None])
+def test_creation_sequence_names_the_first_bad_draw(bad):
+    with pytest.raises(ValueError, match=re.escape(f"draws must be 0 or 1, got {bad!r}")):
+        CreationSequence((1, 0, bad, 3))
+
+
 def test_finite_memory_params_validation():
     base = UrnParams(1, 1, 1)
     assert FiniteMemoryParams(base, 3).memory == 3
-    with pytest.raises(ValueError):
-        FiniteMemoryParams(base, 0)
-    with pytest.raises(ValueError):
-        FiniteMemoryParams(base, True)
+    numpy_memory = FiniteMemoryParams(base, np.int64(3))
+    assert numpy_memory == FiniteMemoryParams(base, 3) and type(numpy_memory.memory) is int
+    for bad in (0, True, 2.7, 3.0, "3"):
+        with pytest.raises(ValueError, match="memory must be an integer >= 1"):
+            FiniteMemoryParams(base, bad)
 
 
 def test_as_draws_accepts_iterables():
@@ -179,6 +194,19 @@ def test_beta_binomial_values_and_errors(ref_params):
         beta_binomial_pmf(ref_params, 3, 4)
     with pytest.raises(ValueError):
         beta_binomial_pmf(ref_params, 3, -1)
+
+
+@pytest.mark.parametrize("name,args", [
+    ("k", (5, True)), ("k", (5, 2.0)), ("k", (5, np.bool_(True))), ("n", (5.0, 2)), ("n", (True, 0)),
+])
+def test_beta_binomial_arguments_must_be_integers(ref_params, name, args):
+    # read through the table views, True would silently be index 1
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        beta_binomial_pmf(ref_params, *args)
+
+
+def test_beta_binomial_takes_numpy_integers(ref_params):
+    assert beta_binomial_pmf(ref_params, np.int64(5), np.int32(2)) == beta_binomial_pmf(ref_params, 5, 2)
 
 
 # ---------------------------------------------------------------------------
