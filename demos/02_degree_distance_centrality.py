@@ -14,10 +14,9 @@ from polyagraph import (
     distance_pmf,
     expected_decay_centrality,
     expected_degree,
-    oracle_centrality,
-    oracle_degree_pmf,
 )
 from polyagraph.io import write_distribution_csv
+from polyagraph.oracle import oracle_centrality, oracle_degree_pmf
 
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)

@@ -44,13 +44,6 @@ from .graph import (
     creation_sequence_from_weights,
     weights_from_sequence,
 )
-from .oracle import (
-    FunctionalSpec,
-    enumerate_expectation,
-    oracle_centrality,
-    oracle_degree_pmf,
-    run_validation_suite,
-)
 from .spectral import EigenpairReport, eigenbasis, laplacian, spectrum, verify_eigenpairs
 from .urn import (
     CreationSequence,

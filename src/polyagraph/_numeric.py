@@ -135,35 +135,3 @@ def log_tables(rho: float, delta: float, n: int) -> LogTables:
         log_rising(1.0, 1.0, n),
     )
 
-
-class CompensatedSum:
-    """Neumaier-compensated running sum of scalars or fixed-shape vectors.
-
-    Keeps 2^n-term enumeration sums well inside a 1e-12 tolerance budget and
-    makes the result independent of summation order at that scale.
-    """
-
-    __slots__ = ("_sum", "_comp")
-
-    def __init__(self):
-        self._sum = None
-        self._comp = None
-
-    def add(self, value) -> None:
-        v = np.asarray(value, dtype=float)
-        if self._sum is None:
-            self._sum = np.zeros_like(v)
-            self._comp = np.zeros_like(v)
-        t = self._sum + v
-        swap = np.abs(self._sum) >= np.abs(v)
-        self._comp = self._comp + np.where(swap, (self._sum - t) + v, (v - t) + self._sum)
-        self._sum = t
-
-    @property
-    def value(self):
-        if self._sum is None:
-            return 0.0
-        total = self._sum + self._comp
-        if total.ndim == 0:
-            return float(total)
-        return total

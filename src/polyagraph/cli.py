@@ -32,7 +32,6 @@ from .analytics import (
 from .consensus import (
     AveragingOperator,
     EnumerationLimitError,
-    _Stepper,
     averaging_matrix,
     expected_stationary_exact,
     expected_stationary_mc,
@@ -257,10 +256,7 @@ def _cmd_histogram(args) -> int:
     # one realization per row, so each step advances every run at once
     W = AveragingOperator.sample(law, args.n, args.runs, args.seed)
     exact_limits = W.pi_star @ x0
-    stepper = _Stepper(W, x0)
-    for _ in range(args.t):
-        stepper.step()
-    snapshots = stepper.x.mean(axis=1)
+    snapshots = W.power(x0, args.t).mean(axis=1)
     path = _out_path(args.out)
     io.write_histogram_csv(
         path,

@@ -12,10 +12,11 @@ irreducible and aperiodic, satisfies the exact detailed balance
 N_i W_ij = N_j W_ji, and has the unique stationary vector
 pi*_i = N_i / sum_k N_k, so every trajectory converges to the scalar
 pi* . x(0).  W is never stored: it is an O(n) operator on z and N, and one
-step costs two prefix sums (:func:`polyagraph.graph.neighbor_sums`).  Every
-step, of one vector or of a (runs, n) batch, runs in place over a fixed set
-of buffers, so a step allocates no arrays.  The dense matrix is built only
-on request, for oracles and tests.
+step costs two prefix sums (:func:`polyagraph.graph.neighbor_sums`).
+:meth:`AveragingOperator.power` gives W^t x, and :func:`iterate` runs to
+the limit; both step one vector or a (runs, n) batch in place over one fixed
+set of buffers, so a step allocates no arrays.  The dense matrix is built
+only on request, for oracles and tests.
 
 Averaging pi* over the urn law of the free draws gives the expected
 consensus weights pi_E: the expected opinion vector converges to
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import prefix_table
+from ._numeric import as_int, prefix_table
 from .graph import ThresholdGraph, build_graph, neighbor_sums
 from .urn import (
     FiniteMemoryParams,
@@ -74,10 +75,10 @@ __all__ = [
 class AveragingOperator:
     """The averaging matrix W as an O(n) operator.
 
-    ``W @ x`` is (x + neighbor_sums(z, x)) / N for x of shape (n,) or
-    (runs, n); z and N may be (n,) for one realization or (runs, n) for one
-    realization per row.  :meth:`toarray` builds the dense matrix of a single
-    realization.
+    ``W.power(x, t)`` is W^t x and ``W @ x`` is W x, one step
+    (x + neighbor_sums(z, x)) / N, for x of shape (n,) or (runs, n); z and N
+    may be (n,) for one realization or (runs, n) for one realization per
+    row.  :meth:`toarray` builds the dense matrix of a single realization.
     """
 
     z: np.ndarray
@@ -92,8 +93,19 @@ class AveragingOperator:
         z = _connected_runs(params, n, runs, seed, first_stream)
         return cls(z, _neighbor_counts(z))
 
+    def power(self, x, t: int) -> np.ndarray:
+        """W^t x: t steps in place over one set of buffers.  The result is a
+        fresh array, also for t = 0."""
+        t = as_int("t", t)
+        if t < 0:
+            raise ValueError(f"t must be >= 0, got {t}")
+        stepper = _Stepper(self, x)
+        for _ in range(t):
+            stepper.step()
+        return stepper.x
+
     def __matmul__(self, x) -> np.ndarray:
-        return _Stepper(self, x).step()
+        return self.power(x, 1)
 
     @property
     def pi_star(self) -> np.ndarray:
@@ -122,8 +134,7 @@ class _Stepper:
     / N into the spare buffer and swaps the two, so a step allocates no
     array, and a batch step hands numpy only contiguous operands, which it
     does not buffer.
-    ``W @ x``, :func:`iterate` and the ``histogram`` command all step
-    through it.
+    :meth:`AveragingOperator.power` and :func:`iterate` step through it.
     """
 
     def __init__(self, W: AveragingOperator, x0):
@@ -153,16 +164,23 @@ class _Stepper:
 
 @dataclass(frozen=True, eq=False)
 class ConsensusSystem:
-    """Averaging operator W with its neighbor counts and stationary vector.
+    """A connected realization and its averaging operator W.
 
-    ``neighbor_counts[i]`` is the integer N_i; the system is O(n) in size.
-    Immutable after construction.
+    ``neighbor_counts[i]`` is the integer N_i and ``pi_star`` the stationary
+    vector, both read from W; the system is O(n) in size.  Immutable after
+    construction.
     """
 
     graph: ThresholdGraph
     W: AveragingOperator
-    neighbor_counts: np.ndarray
-    pi_star: np.ndarray
+
+    @property
+    def neighbor_counts(self) -> np.ndarray:
+        return self.W.neighbor_counts
+
+    @property
+    def pi_star(self) -> np.ndarray:
+        return self.W.pi_star
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,8 +298,7 @@ def averaging_matrix(g: ThresholdGraph) -> ConsensusSystem:
             "(use sample_connected_graph)"
         )
     z = np.asarray(g.draws, dtype=np.int64)
-    W = AveragingOperator(z, _neighbor_counts(z))
-    return ConsensusSystem(graph=g, W=W, neighbor_counts=W.neighbor_counts, pi_star=W.pi_star)
+    return ConsensusSystem(graph=g, W=AveragingOperator(z, _neighbor_counts(z)))
 
 
 def iterate(
@@ -307,6 +324,7 @@ def iterate(
     x = np.asarray(x0, dtype=float)
     if x.shape != (sys.graph.n,):
         raise ValueError(f"x0 must have length {sys.graph.n}, got shape {x.shape}")
+    t_max = as_int("t_max", t_max)
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     if not tol > 0:
@@ -358,6 +376,7 @@ def expected_stationary_exact(params, n: int) -> ExpectedStationary:
     :class:`EnumerationLimitError` before anything is
     allocated; use :func:`expected_stationary_mc` for those.
     """
+    n = as_int("n", n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return ExpectedStationary(pi=_pi_e_dp(params, n), mode="exact-dp", std_error=None, urn_mode=_urn_mode(params))
@@ -477,6 +496,7 @@ def expected_stationary_mc(params, n: int, runs: int, seed: int) -> ExpectedStat
     and squared deviations (Chan, Golub & LeVeque, 1983); it differs from
     the two-pass value by rounding only (at most 5e-14 relative measured).
     """
+    n = as_int("n", n)
     if runs < 2:
         raise ValueError(f"need runs >= 2 for a standard error, got {runs}")
     total = np.zeros(n)

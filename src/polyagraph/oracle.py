@@ -9,7 +9,7 @@ evidence rather than tautology.
 
 Vectors are visited in Gray-code order (consecutive vectors differ in one
 position) so stateful evaluators may update incrementally; correctness never
-depends on the order, and sums are compensated.
+depends on the order, and sums are exactly rounded (:func:`math.fsum`).
 
 The oracles do each piece of enumeration work once per n and read their
 answers off cached tables indexed by Gray-order row:
@@ -33,7 +33,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from ._numeric import CompensatedSum
 from .analytics import degree_pmf, distance_pmf, expected_decay_centrality
 from .consensus import (
     EnumerationLimitError,
@@ -104,7 +103,9 @@ def enumerate_expectation(params, spec: FunctionalSpec):
     """Exact expectation of the functional under the chosen law.
 
     ``params`` selects the draw law: an UrnParams for the plain urn, a
-    FiniteMemoryParams for the finite-memory variant.
+    FiniteMemoryParams for the finite-memory variant.  Each component is
+    the exactly rounded sum (:func:`math.fsum`) of its weighted terms, so
+    the result does not depend on the enumeration order.
     """
     if spec.arity > MAX_ENUMERATION_HORIZON:
         raise EnumerationLimitError(
@@ -113,16 +114,17 @@ def enumerate_expectation(params, spec: FunctionalSpec):
     pmf = _joint_pmf_fn(params)
     pinned = spec.law == "last-universal"
     free = spec.arity - 1 if pinned else spec.arity
-    acc = CompensatedSum()
-    if free == 0:
-        acc.add(np.asarray(spec.evaluator((1,)), dtype=float))
-        return acc.value
     evaluator = spec.evaluator
-    for z in _gray_vectors(free):
-        w = pmf(z)
-        full = z + (1,) if pinned else z
-        acc.add(w * np.asarray(evaluator(full), dtype=float))
-    return acc.value
+    if free == 0:
+        terms = [np.asarray(evaluator((1,)), dtype=float)]
+    else:
+        terms = [
+            pmf(z) * np.asarray(evaluator(z + (1,) if pinned else z), dtype=float)
+            for z in _gray_vectors(free)
+        ]
+    stacked = np.array(terms)
+    sums = np.array([math.fsum(column) for column in stacked.reshape(len(terms), -1).T.tolist()])
+    return float(sums[0]) if stacked.ndim == 1 else sums.reshape(stacked.shape[1:])
 
 
 @lru_cache(maxsize=8)

@@ -129,10 +129,7 @@ def test_criterion_05_consensus_histogram_reproduction():
     x0 = opinion_preset("paper-n10", n)
     # the 200 runs of streams (505, r) as one batch, one realization per row
     W = AveragingOperator.sample(REF, n, runs, seed=505)
-    x = np.tile(x0, (runs, 1))
-    for _ in range(t):
-        x = W @ x
-    snapshots = x.mean(axis=1)
+    snapshots = W.power(x0, t).mean(axis=1)
     theoretical = float(expected_stationary_exact(REF, n).pi @ x0)  # exact DP
     se = snapshots.std(ddof=1) / math.sqrt(runs)
     deviation = abs(snapshots.mean() - theoretical)

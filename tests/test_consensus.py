@@ -182,7 +182,8 @@ def test_stepping_kernel_is_the_allocating_step():
     # for one vector, for a batch of vectors on one realization (z broadcast)
     # and for a batch with a different realization per row; with opinions of
     # one scale and of mixed magnitudes, where a table that dropped its
-    # compensation would differ
+    # compensation would differ.  W.power(x0, t) is t such steps, returned in
+    # a fresh array
     rng = stream(558)
     plain_differs = False
     for n in (1, 2, 3, 100, 2000):
@@ -199,9 +200,14 @@ def test_stepping_kernel_is_the_allocating_step():
                 assert np.array_equal(W @ x0, want)
                 plain_differs |= not np.array_equal(_plain_step(W.z, W.neighbor_counts, x0), want)
                 stepper, want = _Stepper(W, x0), x0
-                for _ in range(25):
+                for t in range(1, 26):
                     want = _step_reference(W.z, W.neighbor_counts, want)
                     assert np.array_equal(stepper.step(), want)
+                    if t in (1, 25):
+                        assert np.array_equal(W.power(x0, t), want)
+                unstepped = W.power(x0, 0)
+                assert unstepped is not x0 and not np.shares_memory(unstepped, x0)
+                assert np.array_equal(unstepped, np.broadcast_to(x0, unstepped.shape))
     assert plain_differs
 
 
@@ -267,6 +273,17 @@ def test_iterate_streaming_mode_and_validation():
         iterate(sys_, (1.0, 2.0), t_max=0)
     with pytest.raises(ValueError):
         iterate(sys_, (1.0, 2.0), tol=0.0)
+    # a bool or a float step count is refused by name, not run as another
+    # count (t_max=True used to take one step) or failed inside range()
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError, match="t_max must be an integer"):
+            iterate(sys_, (1.0, 2.0), t_max=bad)
+        with pytest.raises(ValueError, match="t must be an integer"):
+            sys_.W.power((1.0, 2.0), bad)
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        sys_.W.power((1.0, 2.0), -1)
+    assert iterate(sys_, (1.0, 2.0), t_max=np.int64(3), record=False).converged_at == 1
+    assert np.array_equal(sys_.W.power((1.0, 2.0), np.int64(2)), sys_.W @ (sys_.W @ (1.0, 2.0)))
 
 
 def test_iterate_leaves_x0_alone():
@@ -338,6 +355,13 @@ def test_expected_stationary_ten_nodes(ref_params):
 
 def test_expected_stationary_single_node(ref_params):
     assert expected_stationary_exact(ref_params, 1).pi == pytest.approx([1.0])
+    three = expected_stationary_exact(ref_params, 3).pi
+    assert np.array_equal(expected_stationary_exact(ref_params, np.int64(3)).pi, three)
+    for bad in (True, 3.0):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            expected_stationary_exact(ref_params, bad)
+    with pytest.raises(ValueError, match="n >= 1"):
+        expected_stationary_exact(ref_params, 0)
 
 
 def pi_star_of(z):
@@ -456,8 +480,12 @@ def test_monte_carlo_reproducible(ref_params):
     a = expected_stationary_mc(ref_params, 5, runs=300, seed=12)
     b = expected_stationary_mc(ref_params, 5, runs=300, seed=12)
     assert np.array_equal(a.pi, b.pi)
+    assert np.array_equal(expected_stationary_mc(ref_params, np.int64(5), runs=300, seed=12).pi, a.pi)
     with pytest.raises(ValueError):
         expected_stationary_mc(ref_params, 5, runs=1, seed=12)
+    for bad in (True, 5.0):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            expected_stationary_mc(ref_params, bad, runs=300, seed=12)
 
 
 def test_rank_one_projection_is_idempotent_on_pi(ref_params):

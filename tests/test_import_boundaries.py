@@ -1,0 +1,65 @@
+"""Module boundaries of the package, read from its source with ``ast``.
+
+The library path never reaches into the enumeration oracles, which are test
+ground truth: only the ``validate`` command (``cli``) imports ``oracle``, and
+the package namespace does not re-export oracle names.  The stepping kernel
+``consensus._Stepper`` stays inside ``consensus``; everyone else steps
+through ``AveragingOperator.power`` or ``iterate``.
+"""
+
+import ast
+from pathlib import Path
+
+import polyagraph
+
+PACKAGE = Path(polyagraph.__file__).parent
+ORACLE_NAMES = (
+    "FunctionalSpec",
+    "enumerate_expectation",
+    "oracle_centrality",
+    "oracle_degree_pmf",
+    "run_validation_suite",
+)
+
+
+def _modules():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _imported_modules(tree):
+    # absolute names of what a module imports; the package is flat, so a
+    # relative import always starts from polyagraph
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module if node.level == 0 else ".".join(filter(None, ("polyagraph", node.module)))
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_only_cli_imports_the_oracles():
+    importers = [
+        module for module, tree in _modules()
+        if module not in ("cli", "oracle") and "polyagraph.oracle" in set(_imported_modules(tree))
+    ]
+    assert importers == []
+
+
+def test_only_consensus_names_the_stepper():
+    namers = [
+        module for module, tree in _modules()
+        if module != "consensus"
+        and any(
+            (isinstance(node, ast.Name) and node.id == "_Stepper")
+            or (isinstance(node, ast.Attribute) and node.attr == "_Stepper")
+            or (isinstance(node, ast.alias) and node.name == "_Stepper")
+            for node in ast.walk(tree)
+        )
+    ]
+    assert namers == []
+
+
+def test_package_namespace_has_no_oracle_names():
+    assert [name for name in ORACLE_NAMES if hasattr(polyagraph, name)] == []

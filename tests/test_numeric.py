@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from polyagraph._numeric import CompensatedSum, log_rising, log_tables
+from polyagraph._numeric import log_rising, log_tables
 
 
 def test_log_rising_matches_gamma_ratio():
@@ -58,18 +58,3 @@ def test_log_tables_are_cached_and_read_only():
             view[0] = 1.0
     assert type(t.log_joint(10, 4)) is float and type(t.log_choose(10, 4)) is float
 
-
-def test_compensated_sum_scalar():
-    acc = CompensatedSum()
-    for v in (1e16, 1.0, -1e16):
-        acc.add(v)
-    assert acc.value == 1.0
-
-
-def test_compensated_sum_vector_and_empty():
-    acc = CompensatedSum()
-    acc.add(np.array([1e16, 1.0]))
-    acc.add(np.array([1.0, 1.0]))
-    acc.add(np.array([-1e16, -2.0]))
-    assert np.array_equal(acc.value, np.array([1.0, 0.0]))
-    assert CompensatedSum().value == 0.0

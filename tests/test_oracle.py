@@ -7,23 +7,23 @@ import pytest
 from polyagraph import (
     EnumerationLimitError,
     FiniteMemoryParams,
-    FunctionalSpec,
     UrnParams,
     build_graph,
-    enumerate_expectation,
     expected_stationary_exact,
     finite_memory_joint_pmf,
-    oracle_centrality,
-    oracle_degree_pmf,
     polya_joint_pmf,
 )
 from polyagraph.analytics import degree_support
 from polyagraph.oracle import (
     _PARAM_GRID,
+    FunctionalSpec,
     _decay_column,
     _gray_vectors,
     _weight_table,
     bfs_distances,
+    enumerate_expectation,
+    oracle_centrality,
+    oracle_degree_pmf,
     run_validation_suite,
 )
 
@@ -81,6 +81,24 @@ def test_order_invariance_of_enumeration(ref_params):
         for z in itertools.product((0, 1), repeat=n)
     )
     assert gray == pytest.approx(plain, abs=1e-13)
+
+
+def test_enumeration_sum_is_exactly_rounded(ref_params):
+    # exchangeable draws weigh (1, 0) and (0, 1) alike, so the weighted terms
+    # of +-1e16 cancel and leave the terms of 1 behind, which a plain running
+    # sum in Gray order partly drops; each component must be the exactly
+    # rounded sum of its terms, for a scalar and for a vector functional
+    values = {(0, 0): 1.0, (1, 0): 1e16, (1, 1): 1.0, (0, 1): -1e16}
+    terms = [polya_joint_pmf(ref_params, z) * values[z] for z in _gray_vectors(2)]
+    exact = math.fsum(terms)
+    assert sum(terms) != exact
+    scalar = enumerate_expectation(ref_params, FunctionalSpec(arity=2, evaluator=values.__getitem__))
+    assert type(scalar) is float and scalar == exact
+    vector = enumerate_expectation(
+        ref_params, FunctionalSpec(arity=2, evaluator=lambda z: np.array([[values[z], -values[z], 1.0]]))
+    )
+    assert vector.shape == (1, 3)
+    assert np.array_equal(vector, [[exact, -exact, 1.0]])
 
 
 def test_enumeration_guards():
