@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from polyagraph import polya_joint_pmf
 from polyagraph._numeric import log_rising, log_tables
+from polyagraph.oracle import FunctionalSpec, _gray_vectors, enumerate_expectation
 
 
 def test_log_rising_matches_gamma_ratio():
@@ -58,3 +60,40 @@ def test_log_tables_are_cached_and_read_only():
             view[0] = 1.0
     assert type(t.log_joint(10, 4)) is float and type(t.log_choose(10, 4)) is float
 
+
+
+# Exchangeable draws weigh (1, 0) and (0, 1) alike, so the weighted terms of
+# +-1e16 cancel and leave the terms of 1 behind, which a plain running sum in
+# Gray order partly drops.  enumerate_expectation must return the exactly
+# rounded sum (math.fsum) of its weighted terms, per component.
+_CANCELLING = {(0, 0): 1.0, (1, 0): 1e16, (1, 1): 1.0, (0, 1): -1e16}
+
+
+def _cancelling_sum(params) -> float:
+    terms = [polya_joint_pmf(params, z) * _CANCELLING[z] for z in _gray_vectors(2)]
+    exact = math.fsum(terms)
+    assert sum(terms) != exact
+    return exact
+
+
+def test_compensated_sum_scalar(ref_params):
+    exact = _cancelling_sum(ref_params)
+    scalar = enumerate_expectation(ref_params, FunctionalSpec(arity=2, evaluator=_CANCELLING.__getitem__))
+    assert type(scalar) is float and scalar == exact
+
+
+def test_compensated_sum_vector_and_empty(ref_params):
+    exact = _cancelling_sum(ref_params)
+    vector = enumerate_expectation(
+        ref_params, FunctionalSpec(arity=2, evaluator=lambda z: np.array([[_CANCELLING[z], -_CANCELLING[z], 1.0]]))
+    )
+    assert vector.shape == (1, 3)
+    assert np.array_equal(vector, [[exact, -exact, 1.0]])
+    # an enumeration is never empty: arity 0 is refused, and the smallest sum,
+    # one pinned draw, returns the evaluator's value as it is
+    with pytest.raises(ValueError):
+        FunctionalSpec(arity=0, evaluator=_CANCELLING.__getitem__)
+    one = enumerate_expectation(
+        ref_params, FunctionalSpec(arity=1, evaluator=lambda z: np.array([1e16, 1.0]), law="last-universal")
+    )
+    assert np.array_equal(one, [1e16, 1.0])

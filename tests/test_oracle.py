@@ -83,24 +83,6 @@ def test_order_invariance_of_enumeration(ref_params):
     assert gray == pytest.approx(plain, abs=1e-13)
 
 
-def test_enumeration_sum_is_exactly_rounded(ref_params):
-    # exchangeable draws weigh (1, 0) and (0, 1) alike, so the weighted terms
-    # of +-1e16 cancel and leave the terms of 1 behind, which a plain running
-    # sum in Gray order partly drops; each component must be the exactly
-    # rounded sum of its terms, for a scalar and for a vector functional
-    values = {(0, 0): 1.0, (1, 0): 1e16, (1, 1): 1.0, (0, 1): -1e16}
-    terms = [polya_joint_pmf(ref_params, z) * values[z] for z in _gray_vectors(2)]
-    exact = math.fsum(terms)
-    assert sum(terms) != exact
-    scalar = enumerate_expectation(ref_params, FunctionalSpec(arity=2, evaluator=values.__getitem__))
-    assert type(scalar) is float and scalar == exact
-    vector = enumerate_expectation(
-        ref_params, FunctionalSpec(arity=2, evaluator=lambda z: np.array([[values[z], -values[z], 1.0]]))
-    )
-    assert vector.shape == (1, 3)
-    assert np.array_equal(vector, [[exact, -exact, 1.0]])
-
-
 def test_enumeration_guards():
     params = UrnParams(1, 1, 1)
     with pytest.raises(EnumerationLimitError):
