@@ -496,7 +496,7 @@ def expected_stationary_mc(params, n: int, runs: int, seed: int) -> ExpectedStat
     and squared deviations (Chan, Golub & LeVeque, 1983); it differs from
     the two-pass value by rounding only (at most 5e-14 relative measured).
     """
-    n = as_int("n", n)
+    n, runs = as_int("n", n), as_int("runs", runs)
     if runs < 2:
         raise ValueError(f"need runs >= 2 for a standard error, got {runs}")
     total = np.zeros(n)
@@ -538,10 +538,11 @@ def memory_sweep(
     from ``runs`` fresh realizations, then each memory length gets its own
     ``runs`` finite-memory realizations.  Every cell uses a disjoint block of
     run streams derived from ``seed``, so the full table is reproducible.
-    Memory lengths follow :class:`FiniteMemoryParams`: integers, numpy's
-    included, are accepted, and a bool or a float is refused before any
-    cell runs.
+    ``n``, ``runs`` and the memory lengths (as :class:`FiniteMemoryParams`
+    takes them) must be integers, numpy's included; a bool or a float is
+    refused before any cell runs.
     """
+    n, runs = as_int("n", n), as_int("runs", runs)
     memories = [FiniteMemoryParams(base, m).memory for m in memories]
     deltas = list(deltas)
     if not memories:

@@ -149,12 +149,15 @@ def neighbor_sums(
     exclusive suffix sum of z*x, O(n) per vector.  Both are compensated
     prefix tables of the other entries alone, never cumsum(x) - x, so a
     large x_i cannot swamp its neighbours' sum.  Leading axes broadcast: x
-    of shape (runs, n) with z of shape (n,) or (runs, n) works row by row.
-    Integer input gives exact integers.
+    of shape (runs, n) with z of shape (n,) or (runs, n) works row by row,
+    and an x that broadcasts against z (one set of vectors for a stack of
+    sequences) has its prefix table taken once.  Integer input gives exact
+    integers.
 
     ``out``, of the broadcast shape of z and x, receives the sums; ``work``,
     a contiguous 1-d array of out's dtype with at least 4 * out.size
-    entries, holds z*x, the suffix table and the compensation workspace.
+    entries (2 * out.size for integers), holds z*x, the suffix table and
+    the compensation workspace.
     With both given the call allocates no array, so a stepping loop can
     reuse them every step.  For a float batch with x and out C-contiguous,
     the compensation runs over contiguous operands, with the same bits.
@@ -166,14 +169,15 @@ def neighbor_sums(
     batch = out.ndim > 1 and out.dtype.kind == "f" and x.shape == out.shape
     if batch and out.flags.c_contiguous and x.flags.c_contiguous:
         return _batch_neighbor_sums(z, x, out, work)
-    if x.shape != out.shape:
-        x = np.broadcast_to(x, out.shape)
     zx, suffix = work[: 2 * out.size].reshape((2,) + out.shape)
     scratch = work[2 * out.size :]
-    prefix_table(x[..., :-1], out=out, work=scratch)
+    if x.shape == out.shape:
+        prefix = prefix_table(x[..., :-1], out=out, work=scratch)
+    else:  # x is shared by rows of z: its table is taken once, in zx's place
+        prefix = prefix_table(x[..., :-1], out=zx.reshape(-1)[: x.size].reshape(x.shape), work=scratch)
+    np.multiply(z, prefix, out=out)
     np.multiply(z, x, out=zx)
     prefix_table(zx[..., :0:-1], out=suffix, work=scratch)
-    np.multiply(z, out, out=out)
     return np.add(out, suffix[..., ::-1], out=out)
 
 

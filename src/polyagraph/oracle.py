@@ -19,9 +19,13 @@ answers off cached tables indexed by Gray-order row:
   red count and indexed by each vector's popcount; the finite-memory law is
   evaluated per vector;
 - the degree vector of every realization, from adjacency row sums;
-- the neighbor bitmasks of every realization, and per source s the decay
-  column sum_t alpha^d(s, t) over every realization, from one BFS per
-  (vector, source) over those masks.
+- the distance from every source to every node of every realization, from
+  one level-synchronous breadth-first search over the whole enumeration at
+  once: each level's frontier is the boolean product of the last frontier
+  with the stacked adjacency matrices, less the nodes already reached
+  (Kepner & Gilbert, *Graph Algorithms in the Language of Linear Algebra*,
+  2011).  The distance law check and, per source s, the decay column
+  sum_t alpha^d(s, t) read that table.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .consensus import (
 )
 from .graph import build_graph
 from .rng import stream
-from .spectral import laplacian, spectrum, verify_eigenpairs
+from .spectral import _eigenpair_flags, laplacian, spectrum
 from .urn import FiniteMemoryParams, UrnParams, finite_memory_joint_pmf, polya_joint_pmf
 
 __all__ = [
@@ -127,6 +131,12 @@ def enumerate_expectation(params, spec: FunctionalSpec):
     return float(sums[0]) if stacked.ndim == 1 else sums.reshape(stacked.shape[1:])
 
 
+def _gray_codes(n: int) -> np.ndarray:
+    # Gray vector `step` is step ^ (step >> 1), with z_{t+1} at bit t
+    step = np.arange(1 << n)
+    return step ^ (step >> 1)
+
+
 @lru_cache(maxsize=8)
 def _degree_table(n: int) -> np.ndarray:
     """Degree vectors of every length-n realization (Gray order), the degrees
@@ -150,8 +160,7 @@ def _weight_table(params, n: int) -> np.ndarray:
     """
     if isinstance(params, UrnParams):
         by_reds = np.array([polya_joint_pmf(params, (1,) * k + (0,) * (n - k)) for k in range(n + 1)])
-        step = np.arange(1 << n)
-        return by_reds[np.bitwise_count(step ^ (step >> 1))]  # Gray vector `step` is step ^ (step >> 1)
+        return by_reds[np.bitwise_count(_gray_codes(n))]
     pmf = _joint_pmf_fn(params)
     return np.array([pmf(z) for z in _gray_vectors(n)])
 
@@ -170,16 +179,34 @@ def oracle_degree_pmf(params: UrnParams, n: int, i: int) -> dict[int, float]:
     return {k: math.fsum(ws) for k, ws in sorted(terms.items())}
 
 
-def _adjacency_masks(z: tuple[int, ...]) -> list[int]:
-    """Neighbor bitmasks (self excluded) of the realization z."""
-    n = len(z)
-    masks = [0] * n
-    for t in range(n):
-        if z[t]:
-            for j in range(t):
-                masks[t] |= 1 << j
-                masks[j] |= 1 << t
-    return masks
+def _bfs_table(draws) -> np.ndarray:
+    """Breadth-first-search distances over a (rows, n) 0/1 stack of draw
+    vectors: entry (r, s, t) is the distance from 0-based s to t in
+    realization r, for every row and source at once, as float32 (the
+    levels and inf are exact).
+
+    Each level's frontier is the boolean matrix product of the last one
+    with the adjacency, less every node already reached; bool products
+    cannot wrap, whatever the number of neighbours.  Independent of the
+    closed-form distance rule.  The source starts reached, so its distance
+    to itself is 0 with a self-loop and inf otherwise.
+    """
+    z = np.asarray(draws, dtype=bool)
+    n = z.shape[1]
+    idx = np.arange(n)
+    adjacency = z[:, np.maximum.outer(idx, idx)]  # entry (r, s, t) is z_{max(s,t)}
+    reached = np.zeros_like(adjacency)
+    reached[:, idx, idx] = True
+    dist = np.full(adjacency.shape, math.inf, dtype=np.float32)
+    dist[:, idx, idx] = np.where(z, 0.0, math.inf)
+    frontier, spare = adjacency > reached, np.empty_like(adjacency)  # for bools, a > b is a and not b
+    level = 1.0
+    while frontier.any():
+        np.putmask(dist, frontier, level)
+        reached |= frontier
+        np.greater(np.matmul(frontier, adjacency, out=spare), reached, out=frontier)
+        level += 1.0
+    return dist
 
 
 def bfs_distances(z: tuple[int, ...], source: int) -> list[float]:
@@ -187,49 +214,32 @@ def bfs_distances(z: tuple[int, ...], source: int) -> list[float]:
 
     Independent of the closed-form distance rule.  The stated self-loop
     convention applies: the source is at distance 0 from itself only if it
-    has a self-loop, inf otherwise.
+    has a self-loop, inf otherwise.  This is the one-vector case of the
+    search that builds the distance table.
     """
-    return _bfs(z, _adjacency_masks(z), source - 1)
+    if not 1 <= source <= len(z):
+        raise IndexError(f"node index {source} out of range 1..{len(z)}")
+    return _bfs_table([z])[0, source - 1].tolist()
 
 
-def _bfs(z: tuple[int, ...], masks: list[int], src: int) -> list[float]:
-    """BFS distances from 0-based ``src`` over the neighbor bitmasks of z."""
-    n = len(z)
-    dist = [math.inf] * n
-    dist[src] = 0.0 if z[src] else math.inf
-    visited = 1 << src
-    frontier = masks[src] & ~visited
-    d = 1
-    while frontier:
-        m = frontier
-        nxt = 0
-        while m:
-            low = m & -m
-            dist[low.bit_length() - 1] = float(d)
-            nxt |= masks[low.bit_length() - 1]
-            m ^= low
-        visited |= frontier
-        frontier = nxt & ~visited
-        d += 1
-    return dist
-
-
-@lru_cache(maxsize=8)
-def _mask_table(n: int) -> list[list[int]]:
-    """Neighbor bitmasks of every length-n realization (Gray order)."""
-    return [_adjacency_masks(z) for z in _gray_vectors(n)]
+@lru_cache(maxsize=1)
+def _distance_table(n: int) -> np.ndarray:
+    """BFS distances of every length-n realization (Gray order), shape
+    (2^n, n, n): entry (row, s, t) is d(s+1, t+1).  One table is kept: the
+    checks read all they need of one n before the next, and the decay
+    columns are cached on their own."""
+    table = _bfs_table((_gray_codes(n)[:, None] >> np.arange(n)) & 1)
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=64)
 def _decay_column(n: int, alpha: float, source: int) -> tuple[float, ...]:
     """sum_t alpha^d(s, t) for 1-based source s over every length-n
-    realization (Gray order): one BFS per vector over the cached masks."""
+    realization (Gray order), read off the distance table."""
     # BFS distances are 0.0, 1.0, .., n - 1.0 or inf: each power is taken once
     power = {d: alpha**d for d in (*map(float, range(n)), math.inf)}.__getitem__
-    return tuple(
-        math.fsum(map(power, _bfs(z, masks, source - 1)))
-        for z, masks in zip(_gray_vectors(n), _mask_table(n))
-    )
+    return tuple(math.fsum(map(power, row.tolist())) for row in _distance_table(n)[:, source - 1])
 
 
 def oracle_centrality(params: UrnParams, n: int, i: int, alpha: float = 0.5) -> float:
@@ -298,14 +308,14 @@ def _check_degree_moments() -> ValidationCheck:
 def _check_distance_law() -> ValidationCheck:
     worst = 0.0
     n = 8
-    graphs = [build_graph(z) for z in _gray_vectors(n)]
+    table = _distance_table(n)
     for params in _PARAM_GRID:
         weights = _weight_table(params, n).tolist()
         for (i, j) in ((1, 2), (2, 5), (7, 8), (3, 3)):
             closed = distance_pmf(params, n, i, j).probabilities
             terms = {v: [] for v in closed}
-            for g, w in zip(graphs, weights):
-                terms[g.distance(i, j)].append(w)
+            for d, w in zip(table[:, i - 1, j - 1].tolist(), weights):
+                terms[d].append(w)
             worst = max(worst, max(abs(closed[v] - math.fsum(terms[v])) for v in closed))
     return ValidationCheck("distance law vs enumeration", worst < 1e-12, f"max |diff| = {worst:.3e}")
 
@@ -334,11 +344,8 @@ def _check_spectrum() -> ValidationCheck:
 
 
 def _check_eigenpairs() -> ValidationCheck:
-    rng = stream(20260502)
-    failures = 0
-    for _ in range(200):
-        z = tuple(rng.integers(0, 2, size=50).tolist())
-        failures += len(verify_eigenpairs(build_graph(z)).failures())
+    draws = stream(20260502).integers(0, 2, size=(200, 50))  # row by row, the draws of 200 calls of size 50
+    failures = int(np.count_nonzero(~_eigenpair_flags(draws)))
     return ValidationCheck("exact integer eigenpair identity", failures == 0, f"{failures} failures in 200 runs")
 
 

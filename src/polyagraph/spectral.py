@@ -11,10 +11,16 @@ Everything here is exact int64 arithmetic; no eigensolver is involved
 anywhere in the library path.  L u is (deg - z) u - A' u with A' the
 off-diagonal adjacency, whose product costs two prefix sums
 (:func:`polyagraph.graph.neighbor_sums`), so checking all n eigenpairs is
-O(n^2) work.  The check builds the basis a block of rows at a time, so its
-memory stays O(n) for a fixed block, and the Laplacian matrix is built only
-by :func:`laplacian`.  Its report stores the eigenvalues and the pass flags
-as two length-n arrays; per-eigenpair records are built only when asked for.
+O(n^2) work.  One kernel checks a whole (runs, n) stack of draw vectors
+at once; :func:`verify_eigenpairs` is its one-row case.  The basis is the
+same for every realization, so the kernel takes blocks of basis rows times
+as many graphs as fit, and one neighbour-sum call takes the prefix table of
+those rows once for all of the block's graphs.  Every array of a block,
+workspace included, is counted against a fixed number of entries, and the
+block buffers are allocated once per call, so memory stays O(n) for one
+graph, and the Laplacian matrix is built only by :func:`laplacian`.  The report stores the
+eigenvalues and the pass flags as two length-n arrays; per-eigenpair
+records are built only when asked for.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ __all__ = [
 ]
 
 
-_BLOCK_ENTRIES = 1 << 16  # basis entries per block of the eigenpair check
+_BLOCK_ENTRIES = 1 << 16  # int64 entries of all of one eigenpair-check block's arrays
 
 
 def laplacian(g: ThresholdGraph) -> np.ndarray:
@@ -54,9 +60,9 @@ def spectrum(g: ThresholdGraph) -> tuple[int, ...]:
 
 def _basis_rows(n: int, start: int, stop: int) -> np.ndarray:
     # rows u_{start+1} .. u_stop: row m-1 holds m-1 ones then -(m-1), and u_1 is all ones
-    m = np.arange(start, stop)[:, None]
-    cols = np.arange(n)
-    rows = (cols < m).astype(np.int64) - m * (cols == m)
+    m = np.arange(start, stop)
+    rows = np.greater.outer(m, np.arange(n)).astype(np.int64)
+    rows[m - start, m] = -m
     if start == 0:
         rows[0] = 1
     return rows
@@ -107,15 +113,51 @@ class EigenpairReport:
 def verify_eigenpairs(g: ThresholdGraph) -> EigenpairReport:
     """Check L u_1 = 0 and L u_m = deg(m) u_m for m = 2..n in exact integer
     arithmetic.  Failures become report entries, never exceptions."""
-    n = g.n
-    z = np.asarray(g.draws, dtype=np.int64)
-    deg = g.degrees()
-    eigenvalues = np.concatenate(([0], deg[1:])).astype(np.int64)
-    ok = np.empty(n, dtype=bool)
-    rows = max(1, _BLOCK_ENTRIES // n)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        basis = _basis_rows(n, start, stop)  # u_m is row m-1-start
-        lhs = (deg - z) * basis - neighbor_sums(z, basis)
-        ok[start:stop] = (lhs == basis * eigenvalues[start:stop, None]).all(axis=1)
-    return EigenpairReport(eigenvalues=eigenvalues, passed=ok)
+    eigenvalues = np.concatenate(([0], g.degrees()[1:])).astype(np.int64)
+    draws = np.asarray(g.draws, dtype=np.int64)[None]
+    return EigenpairReport(eigenvalues=eigenvalues, passed=_eigenpair_flags(draws, eigenvalues[None])[0])
+
+
+def _eigenpair_flags(draws: np.ndarray, eigenvalues: np.ndarray | None = None) -> np.ndarray:
+    """Pass flags of L u_m = lambda_m u_m for every row of a (runs, n) int64
+    stack of draw vectors; entry (r, m-1) belongs to u_m on realization r.
+
+    ``eigenvalues``, of the same shape, are the claimed lambda_m; by default
+    the spectrum 0, deg(2), .., deg(n) of each row.  A block is ``graphs``
+    realizations times ``rows`` basis rows.  Its arrays (A'u, the
+    neighbour-sum workspace of twice its size, which then holds the
+    comparison, and the block's Laplacian diagonals and basis rows) come to
+    about _BLOCK_ENTRIES int64 entries.
+    """
+    runs, n = draws.shape
+    block = max(n, _BLOCK_ENTRIES // 4)
+    graphs = max(1, min(runs, block // n))
+    rows = min(n, block // (graphs * n))
+    buffer = np.empty(3 * graphs * rows * n, dtype=np.int64)
+    i_minus_2 = np.arange(-1, n - 1)  # for 1-based node i
+    flags = np.empty((runs, n), dtype=bool)
+    for first in range(0, runs, graphs):
+        z = draws[first : first + graphs]
+        # the diagonal of L: the off-diagonal degrees (i-1) z_i + #(later
+        # universal nodes), that is (i-2) z_i + #(universal nodes from i on)
+        off = np.empty(z.shape, dtype=np.int64)
+        z[:, ::-1].cumsum(axis=1, out=off[:, ::-1])
+        off += np.multiply(i_minus_2, z, out=buffer[: z.size].reshape(z.shape))
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            if eigenvalues is None:  # deg(m) = off(m) + z_m, and lambda_1 = 0
+                lam = off[:, start:stop] + z[:, start:stop]
+                if start == 0:
+                    lam[:, 0] = 0
+            else:
+                lam = eigenvalues[first : first + graphs, start:stop]
+            basis = _basis_rows(n, start, stop)  # u_m is row m-1-start
+            shape = (len(z), stop - start, n)
+            size = shape[0] * shape[1] * n
+            out = neighbor_sums(z[:, None], basis, out=buffer[:size].reshape(shape), work=buffer[size : 3 * size])
+            # L u - lambda u = (off - lambda) u - A'u
+            residual = np.subtract(off[:, None], lam[:, :, None], out=buffer[size : 2 * size].reshape(shape))
+            residual *= basis
+            same = np.equal(residual, out, out=buffer[2 * size : 3 * size].view(bool)[:size].reshape(shape))
+            same.all(axis=-1, out=flags[first : first + graphs, start:stop])
+    return flags

@@ -486,6 +486,11 @@ def test_monte_carlo_reproducible(ref_params):
     for bad in (True, 5.0):
         with pytest.raises(ValueError, match="n must be an integer"):
             expected_stationary_mc(ref_params, bad, runs=300, seed=12)
+    # runs follows the same rule: a float used to fail inside numpy, True read as 1
+    for bad in (True, 300.0):
+        with pytest.raises(ValueError, match="runs must be an integer"):
+            expected_stationary_mc(ref_params, 5, runs=bad, seed=12)
+    assert np.array_equal(expected_stationary_mc(ref_params, 5, runs=np.int64(300), seed=12).pi, a.pi)
 
 
 def test_rank_one_projection_is_idempotent_on_pi(ref_params):
@@ -646,6 +651,17 @@ def test_memory_sweep_validation(ref_params):
         memory_sweep(ref_params, 4, deltas=(0.2,), memories=(1,), runs=1, x0=np.zeros(4), seed=0)
     with pytest.raises(ValueError):
         memory_sweep(ref_params, 4, deltas=(0.2,), memories=(1,), runs=10, x0=np.zeros(3), seed=0)
+
+
+def test_memory_sweep_counts_follow_the_integer_rule(ref_params):
+    # n = True used to pass the x0 shape check ((1,) == (True,)) and fail deep
+    # in the sampler; a float n or runs failed there with a TypeError
+    x0 = opinion_preset("polarized", 4)
+    for name, n, runs in (("n", True, 4), ("n", 4.0, 4), ("runs", 4, True), ("runs", 4, 4.0)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            memory_sweep(ref_params, n, deltas=(0.2,), memories=(1,), runs=runs, x0=x0[: int(n)], seed=1)
+    want = memory_sweep(ref_params, 4, deltas=(0.2,), memories=(1,), runs=4, x0=x0, seed=1)
+    assert memory_sweep(ref_params, np.int64(4), deltas=(0.2,), memories=(1,), runs=np.int64(4), x0=x0, seed=1) == want
 
 
 # ---------------------------------------------------------------------------

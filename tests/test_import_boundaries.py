@@ -4,7 +4,9 @@ The library path never reaches into the enumeration oracles, which are test
 ground truth: only the ``validate`` command (``cli``) imports ``oracle``, and
 the package namespace does not re-export oracle names.  The stepping kernel
 ``consensus._Stepper`` stays inside ``consensus``; everyone else steps
-through ``AveragingOperator.power`` or ``iterate``.
+through ``AveragingOperator.power`` or ``iterate``.  The batched eigenpair
+kernel ``spectral._eigenpair_flags`` serves ``spectral`` and the ``oracle``
+check alone.
 """
 
 import ast
@@ -47,18 +49,27 @@ def test_only_cli_imports_the_oracles():
     assert importers == []
 
 
-def test_only_consensus_names_the_stepper():
-    namers = [
+def _namers(name):
+    # modules that mention ``name`` as a variable, an attribute or an import
+    return [
         module for module, tree in _modules()
-        if module != "consensus"
-        and any(
-            (isinstance(node, ast.Name) and node.id == "_Stepper")
-            or (isinstance(node, ast.Attribute) and node.attr == "_Stepper")
-            or (isinstance(node, ast.alias) and node.name == "_Stepper")
+        if any(
+            (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.alias) and node.name == name)
             for node in ast.walk(tree)
         )
     ]
-    assert namers == []
+
+
+def test_only_consensus_names_the_stepper():
+    assert _namers("_Stepper") == ["consensus"]
+
+
+def test_only_spectral_and_oracle_name_the_eigenpair_kernel():
+    # the batched check is validation machinery: verify_eigenpairs is the
+    # library's way to check one realization
+    assert _namers("_eigenpair_flags") == ["oracle", "spectral"]
 
 
 def test_package_namespace_has_no_oracle_names():

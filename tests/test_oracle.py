@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,14 @@ from polyagraph import (
     polya_joint_pmf,
 )
 from polyagraph.analytics import degree_support
+from polyagraph.graph import ThresholdGraph
 from polyagraph.oracle import (
     _PARAM_GRID,
     FunctionalSpec,
+    _check_distance_law,
+    _check_eigenpairs,
     _decay_column,
+    _distance_table,
     _gray_vectors,
     _weight_table,
     bfs_distances,
@@ -26,6 +31,7 @@ from polyagraph.oracle import (
     oracle_degree_pmf,
     run_validation_suite,
 )
+from polyagraph.rng import stream
 
 
 def test_gray_vectors_cover_all_and_flip_one_bit():
@@ -155,6 +161,78 @@ def test_bfs_agrees_with_distance_rule_on_enumeration():
             bfs = bfs_distances(z, i)
             for j in range(1, 7):
                 assert bfs[j - 1] == g.distance(i, j)
+
+
+def test_distance_table_matches_distance_rule():
+    # every pair of every realization up to n = 10, against the closed-form rule
+    for n in range(1, 11):
+        table = _distance_table(n)
+        assert table.shape == (1 << n, n, n)
+        for row, z in zip(table.tolist(), _gray_vectors(n)):
+            g = build_graph(z)
+            assert row == [[g.distance(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+
+
+def test_bfs_self_loop_convention_and_isolated_sources():
+    inf = math.inf
+    assert bfs_distances((0,), 1) == [inf]
+    assert bfs_distances((1,), 1) == [0.0]
+    assert bfs_distances((1, 0, 0), 1) == [0.0, inf, inf]
+    assert bfs_distances((1, 0, 0), 2) == [inf, inf, inf]
+    # node 2 reaches itself through node 3, yet without a self-loop d(2, 2) is inf
+    assert bfs_distances((0, 0, 1), 2) == [2.0, inf, 1.0]
+    with pytest.raises(IndexError):
+        bfs_distances((1, 0), 3)
+
+
+def test_bfs_frontier_products_do_not_wrap():
+    # node 2 neighbours all 256 universal nodes, which make up level 1 from
+    # node 1: a uint8 count of frontier neighbours would wrap to 0 there
+    d = bfs_distances((0, 0) + (1,) * 256, 1)
+    assert d[:2] == [math.inf, 2.0]
+    assert set(d[2:]) == {1.0}
+
+
+def test_decay_column_is_the_per_vector_sum():
+    # bit for bit the exactly rounded sum over t of alpha^d(s, t), one vector at a time
+    for n in range(1, 9):
+        graphs = [build_graph(z) for z in _gray_vectors(n)]
+        for alpha in (0.3, 0.5):
+            for s in range(1, n + 1):
+                want = tuple(math.fsum(alpha ** g.distance(s, t) for t in range(1, n + 1)) for g in graphs)
+                assert _decay_column(n, alpha, s) == want
+
+
+def test_distance_law_check_reads_bfs(monkeypatch):
+    def closed_form(self, i, j):
+        raise AssertionError("the distance law check must not use the rule it checks")
+
+    monkeypatch.setattr(ThresholdGraph, "distance", closed_form)
+    _distance_table.cache_clear()
+    check = _check_distance_law()
+    assert check.passed, check
+
+
+def test_eigenpair_check_draws_are_the_per_run_draws():
+    # the check draws its (200, 50) stack in one call; row r is what the r-th
+    # of 200 calls of size 50 on the same stream returns
+    rng = stream(20260502)
+    per_run = [rng.integers(0, 2, size=50) for _ in range(200)]
+    assert np.array_equal(stream(20260502).integers(0, 2, size=(200, 50)), per_run)
+
+
+def test_eigenpair_check_memory():
+    # a block's arrays come to at most 2^16 int64 entries (512 KiB); with the
+    # 80 KB draw stack and numpy's ufunc buffers the check stays under 1 MiB
+    _check_eigenpairs()  # a first call also pays for numpy's lazy imports
+    tracemalloc.start()
+    try:
+        check = _check_eigenpairs()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert check.passed
+    assert peak < 1 << 20
 
 
 def test_validation_suite_all_green():

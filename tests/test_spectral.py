@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyagraph import EigenpairReport, build_graph, eigenbasis, laplacian, spectrum, verify_eigenpairs
+from polyagraph import spectral
 from polyagraph.rng import stream
-from polyagraph.spectral import EigenpairCheck
+from polyagraph.spectral import EigenpairCheck, _eigenpair_flags
 
 draw_vectors = st.lists(st.integers(0, 1), min_size=1, max_size=15).map(tuple)
 
@@ -146,3 +147,42 @@ def test_verify_eigenpairs_memory_is_linear():
     assert report.all_passed
     assert len(report.checks) == n
     assert peak < 16 * 2**20
+
+
+def _spectrum_rows(draws):
+    # the theorem's eigenvalues 0, deg(2), .., deg(n) of every row, from the graphs
+    return np.array([np.concatenate(([0], build_graph(z).degrees()[1:])) for z in draws.tolist()])
+
+
+def test_eigenpair_kernel_matches_per_graph_checks():
+    rng = stream(80)
+    for n in (1, 2, 5, 50, 130):
+        draws = rng.integers(0, 2, size=(37, n))
+        flags = _eigenpair_flags(draws)
+        assert flags.shape == (37, n) and flags.all()
+        per_graph = [verify_eigenpairs(build_graph(z)).passed for z in draws.tolist()]
+        assert np.array_equal(flags, per_graph)
+        assert np.array_equal(_eigenpair_flags(draws, _spectrum_rows(draws)), flags)
+    assert _eigenpair_flags(np.zeros((0, 4), dtype=np.int64)).shape == (0, 4)
+
+
+@pytest.mark.parametrize("entries", [4, 4 * 20, 4 * 45, 4 * 100, 1 << 16])
+def test_eigenpair_kernel_block_edges_and_corruption(monkeypatch, entries):
+    # 4 entries: one graph by one basis row per block; 80: graph blocks of 2
+    # (n = 7) or all 10 graphs (n = 1); 180: graph blocks of 6 + 4 (n = 7);
+    # 400: graph blocks of 3 + 3 + 3 + 1 (n = 31), and row blocks of 3 that
+    # leave one row over when a single graph is checked (n = 31)
+    monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", entries)
+    rng = stream(81)
+    for n in (1, 7, 31):
+        for runs in (1, 10):
+            draws = rng.integers(0, 2, size=(runs, n))
+            eigenvalues = _spectrum_rows(draws)
+            assert _eigenpair_flags(draws).all()
+            for r in {0, runs - 1}:
+                for m in {0, 1 % n, n // 2, n - 1}:
+                    bad = eigenvalues.copy()
+                    bad[r, m] += 1
+                    want = np.ones((runs, n), dtype=bool)
+                    want[r, m] = False
+                    assert np.array_equal(_eigenpair_flags(draws, bad), want), (n, runs, r, m)
