@@ -171,10 +171,8 @@ def neighbor_sums(
         return _batch_neighbor_sums(z, x, out, work)
     zx, suffix = work[: 2 * out.size].reshape((2,) + out.shape)
     scratch = work[2 * out.size :]
-    if x.shape == out.shape:
-        prefix = prefix_table(x[..., :-1], out=out, work=scratch)
-    else:  # x is shared by rows of z: its table is taken once, in zx's place
-        prefix = prefix_table(x[..., :-1], out=zx.reshape(-1)[: x.size].reshape(x.shape), work=scratch)
+    # x's own shape: an x shared by rows of z has its table taken once
+    prefix = prefix_table(x[..., :-1], out=zx.reshape(-1)[: x.size].reshape(x.shape), work=scratch)
     np.multiply(z, prefix, out=out)
     np.multiply(z, x, out=zx)
     prefix_table(zx[..., :0:-1], out=suffix, work=scratch)

@@ -137,17 +137,23 @@ def _gray_codes(n: int) -> np.ndarray:
     return step ^ (step >> 1)
 
 
+def _gray_draws(n: int) -> np.ndarray:
+    """Every length-n draw vector as a (2^n, n) 0/1 stack, in Gray order."""
+    return (_gray_codes(n)[:, None] >> np.arange(n)) & 1
+
+
+def _stacked_adjacency(draws) -> np.ndarray:
+    """Adjacency matrices, self-loops included, of a (rows, n) 0/1 stack of
+    draw vectors, as bool: entry (r, s, t) is z_{max(s,t)} of row r."""
+    idx = np.arange(np.shape(draws)[1])
+    return np.asarray(draws, dtype=bool)[:, np.maximum.outer(idx, idx)]
+
+
 @lru_cache(maxsize=8)
 def _degree_table(n: int) -> np.ndarray:
     """Degree vectors of every length-n realization (Gray order), the degrees
     read off adjacency row sums rather than the degree formula."""
-    idx = np.arange(n)
-    pos = np.maximum.outer(idx, idx)
-    degrees = np.empty((1 << n, n), dtype=np.int64)
-    for row, z in enumerate(_gray_vectors(n)):
-        adjacency = np.asarray(z, dtype=np.int64)[pos]
-        degrees[row] = adjacency.sum(axis=1)
-    return degrees
+    return _stacked_adjacency(_gray_draws(n)).sum(axis=2)
 
 
 @lru_cache(maxsize=32)
@@ -191,14 +197,12 @@ def _bfs_table(draws) -> np.ndarray:
     closed-form distance rule.  The source starts reached, so its distance
     to itself is 0 with a self-loop and inf otherwise.
     """
-    z = np.asarray(draws, dtype=bool)
-    n = z.shape[1]
-    idx = np.arange(n)
-    adjacency = z[:, np.maximum.outer(idx, idx)]  # entry (r, s, t) is z_{max(s,t)}
+    adjacency = _stacked_adjacency(draws)
+    idx = np.arange(adjacency.shape[1])
     reached = np.zeros_like(adjacency)
     reached[:, idx, idx] = True
     dist = np.full(adjacency.shape, math.inf, dtype=np.float32)
-    dist[:, idx, idx] = np.where(z, 0.0, math.inf)
+    dist[:, idx, idx] = np.where(adjacency[:, idx, idx], 0.0, math.inf)
     frontier, spare = adjacency > reached, np.empty_like(adjacency)  # for bools, a > b is a and not b
     level = 1.0
     while frontier.any():
@@ -228,7 +232,7 @@ def _distance_table(n: int) -> np.ndarray:
     (2^n, n, n): entry (row, s, t) is d(s+1, t+1).  One table is kept: the
     checks read all they need of one n before the next, and the decay
     columns are cached on their own."""
-    table = _bfs_table((_gray_codes(n)[:, None] >> np.arange(n)) & 1)
+    table = _bfs_table(_gray_draws(n))
     table.flags.writeable = False
     return table
 
@@ -344,8 +348,13 @@ def _check_spectrum() -> ValidationCheck:
 
 
 def _check_eigenpairs() -> ValidationCheck:
-    draws = stream(20260502).integers(0, 2, size=(200, 50))  # row by row, the draws of 200 calls of size 50
-    failures = int(np.count_nonzero(~_eigenpair_flags(draws)))
+    # row by row the draws of 200 calls of size 50, kept as int16 like the
+    # kernel's arithmetic at this size
+    z = stream(20260502).integers(0, 2, size=(200, 50)).astype(np.int16)
+    # the claimed spectrum 0, deg(2), .., deg(n): deg(i) = (i-1) z_i + #(universal nodes from i on)
+    eigenvalues = z[:, ::-1].cumsum(axis=1, dtype=np.int16)[:, ::-1] + np.arange(50, dtype=np.int16) * z
+    eigenvalues[:, 0] = 0
+    failures = int(np.count_nonzero(~_eigenpair_flags(z, eigenvalues)))
     return ValidationCheck("exact integer eigenpair identity", failures == 0, f"{failures} failures in 200 runs")
 
 

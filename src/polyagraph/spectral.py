@@ -7,19 +7,21 @@ are exactly {0, deg(2), deg(3), ..., deg(n)} (the degree of node 1 plays no
 role), and the eigenvectors do not depend on the realization at all:
 u_1 is all ones and u_m (m >= 2) has m-1 leading ones followed by -(m-1).
 
-Everything here is exact int64 arithmetic; no eigensolver is involved
+Everything here is exact integer arithmetic; no eigensolver is involved
 anywhere in the library path.  L u is (deg - z) u - A' u with A' the
 off-diagonal adjacency, whose product costs two prefix sums
 (:func:`polyagraph.graph.neighbor_sums`), so checking all n eigenpairs is
 O(n^2) work.  One kernel checks a whole (runs, n) stack of draw vectors
-at once; :func:`verify_eigenpairs` is its one-row case.  The basis is the
-same for every realization, so the kernel takes blocks of basis rows times
-as many graphs as fit, and one neighbour-sum call takes the prefix table of
-those rows once for all of the block's graphs.  Every array of a block,
-workspace included, is counted against a fixed number of entries, and the
-block buffers are allocated once per call, so memory stays O(n) for one
-graph, and the Laplacian matrix is built only by :func:`laplacian`.  The report stores the
-eigenvalues and the pass flags as two length-n arrays; per-eigenpair
+against the eigenvalues claimed for them; :func:`verify_eigenpairs` is its
+one-row case.  The basis is the same for every realization, so the kernel
+takes blocks of basis rows times as many graphs as fit, and one
+neighbour-sum call takes the prefix table of those rows once for all of
+the block's graphs.  Its arithmetic runs in the narrowest integer type
+that holds every intermediate, and every array of a block, workspace
+included, counts against a fixed number of bytes, with the buffers
+allocated once per call.  So memory stays O(n) for one graph, and the
+Laplacian matrix is built only by :func:`laplacian`.  The report stores
+the eigenvalues and the pass flags as two length-n arrays; per-eigenpair
 records are built only when asked for.
 """
 
@@ -41,7 +43,8 @@ __all__ = [
 ]
 
 
-_BLOCK_ENTRIES = 1 << 16  # int64 entries of all of one eigenpair-check block's arrays
+_BLOCK_BYTES = 1 << 19  # all of one eigenpair-check block's arrays, for one realization
+_STACK_BLOCK_BYTES = 3 << 14  # the same for a stack of realizations (48 KiB)
 
 
 def laplacian(g: ThresholdGraph) -> np.ndarray:
@@ -58,10 +61,10 @@ def spectrum(g: ThresholdGraph) -> tuple[int, ...]:
     return tuple(sorted([0, *map(int, deg[1:])]))
 
 
-def _basis_rows(n: int, start: int, stop: int) -> np.ndarray:
+def _basis_rows(n: int, start: int, stop: int, dtype=np.int64) -> np.ndarray:
     # rows u_{start+1} .. u_stop: row m-1 holds m-1 ones then -(m-1), and u_1 is all ones
     m = np.arange(start, stop)
-    rows = np.greater.outer(m, np.arange(n)).astype(np.int64)
+    rows = np.greater.outer(m, np.arange(n)).astype(dtype)
     rows[m - start, m] = -m
     if start == 0:
         rows[0] = 1
@@ -118,46 +121,58 @@ def verify_eigenpairs(g: ThresholdGraph) -> EigenpairReport:
     return EigenpairReport(eigenvalues=eigenvalues, passed=_eigenpair_flags(draws, eigenvalues[None])[0])
 
 
-def _eigenpair_flags(draws: np.ndarray, eigenvalues: np.ndarray | None = None) -> np.ndarray:
-    """Pass flags of L u_m = lambda_m u_m for every row of a (runs, n) int64
-    stack of draw vectors; entry (r, m-1) belongs to u_m on realization r.
+def _eigenpair_flags(draws: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
+    """Pass flags of L u_m = lambda_m u_m for a (runs, n) integer stack of
+    draw vectors and the same-shaped stack of claimed eigenvalues lambda_m;
+    entry (r, m-1) belongs to u_m on realization r.
 
-    ``eigenvalues``, of the same shape, are the claimed lambda_m; by default
-    the spectrum 0, deg(2), .., deg(n) of each row.  A block is ``graphs``
+    The arithmetic runs in the narrowest of int16, int32 and int64 that
+    holds every intermediate, so it is exact.  A block is ``graphs``
     realizations times ``rows`` basis rows.  Its arrays (A'u, the
     neighbour-sum workspace of twice its size, which then holds the
-    comparison, and the block's Laplacian diagonals and basis rows) come to
-    about _BLOCK_ENTRIES int64 entries.
+    comparison, the block's draws and Laplacian diagonals, and its basis
+    rows) take at most _BLOCK_BYTES for one realization and
+    _STACK_BLOCK_BYTES for a stack, which also holds its draws, eigenvalues
+    and flags.
     """
     runs, n = draws.shape
-    block = max(n, _BLOCK_ENTRIES // 4)
-    graphs = max(1, min(runs, block // n))
-    rows = min(n, block // (graphs * n))
-    buffer = np.empty(3 * graphs * rows * n, dtype=np.int64)
-    i_minus_2 = np.arange(-1, n - 1)  # for 1-based node i
+    dtype = _work_dtype(n, eigenvalues)
+    # (3 rows + 2) n entries per graph and n per basis row: as many graphs
+    # as fit with one row each, then as many rows as fit
+    per_n = (_BLOCK_BYTES if runs == 1 else _STACK_BLOCK_BYTES) // dtype.itemsize // n
+    graphs = max(1, min(runs, (per_n - 1) // 5))
+    rows = max(1, min(n, (per_n - 2 * graphs) // (3 * graphs + 1)))
+    buffer = np.empty(3 * graphs * rows * n, dtype=dtype)
+    z_block, off_block = np.empty((2, graphs, n), dtype=dtype)
+    i_minus_2 = np.arange(-1, n - 1, dtype=dtype)  # for 1-based node i
     flags = np.empty((runs, n), dtype=bool)
     for first in range(0, runs, graphs):
-        z = draws[first : first + graphs]
+        count = min(graphs, runs - first)
+        z, off = z_block[:count], off_block[:count]
+        z[...] = draws[first : first + count]
         # the diagonal of L: the off-diagonal degrees (i-1) z_i + #(later
         # universal nodes), that is (i-2) z_i + #(universal nodes from i on)
-        off = np.empty(z.shape, dtype=np.int64)
         z[:, ::-1].cumsum(axis=1, out=off[:, ::-1])
         off += np.multiply(i_minus_2, z, out=buffer[: z.size].reshape(z.shape))
         for start in range(0, n, rows):
             stop = min(start + rows, n)
-            if eigenvalues is None:  # deg(m) = off(m) + z_m, and lambda_1 = 0
-                lam = off[:, start:stop] + z[:, start:stop]
-                if start == 0:
-                    lam[:, 0] = 0
-            else:
-                lam = eigenvalues[first : first + graphs, start:stop]
-            basis = _basis_rows(n, start, stop)  # u_m is row m-1-start
-            shape = (len(z), stop - start, n)
-            size = shape[0] * shape[1] * n
+            lam = eigenvalues[first : first + count, start:stop].astype(dtype)
+            basis = _basis_rows(n, start, stop, dtype)  # u_m is row m-1-start
+            shape = (count, stop - start, n)
+            size = count * (stop - start) * n
             out = neighbor_sums(z[:, None], basis, out=buffer[:size].reshape(shape), work=buffer[size : 3 * size])
             # L u - lambda u = (off - lambda) u - A'u
             residual = np.subtract(off[:, None], lam[:, :, None], out=buffer[size : 2 * size].reshape(shape))
             residual *= basis
             same = np.equal(residual, out, out=buffer[2 * size : 3 * size].view(bool)[:size].reshape(shape))
-            same.all(axis=-1, out=flags[first : first + graphs, start:stop])
+            same.all(axis=-1, out=flags[first : first + count, start:stop])
     return flags
+
+
+def _work_dtype(n: int, eigenvalues: np.ndarray) -> np.dtype:
+    # The basis entries, their partial sums and the Laplacian diagonal are
+    # below n in size, A'u below 2n, and (off - lambda) u at most
+    # (n - 1) (n - 1 + |lambda|)
+    peak = max(int(eigenvalues.max(initial=0)), -int(eigenvalues.min(initial=0)))
+    bound = max(2 * n, (n - 1) * (n - 1 + peak))
+    return next(np.dtype(t) for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)

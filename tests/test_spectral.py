@@ -158,27 +158,30 @@ def test_eigenpair_kernel_matches_per_graph_checks():
     rng = stream(80)
     for n in (1, 2, 5, 50, 130):
         draws = rng.integers(0, 2, size=(37, n))
-        flags = _eigenpair_flags(draws)
+        flags = _eigenpair_flags(draws, _spectrum_rows(draws))
         assert flags.shape == (37, n) and flags.all()
         per_graph = [verify_eigenpairs(build_graph(z)).passed for z in draws.tolist()]
         assert np.array_equal(flags, per_graph)
-        assert np.array_equal(_eigenpair_flags(draws, _spectrum_rows(draws)), flags)
-    assert _eigenpair_flags(np.zeros((0, 4), dtype=np.int64)).shape == (0, 4)
+    empty = np.zeros((0, 4), dtype=np.int64)
+    assert _eigenpair_flags(empty, empty).shape == (0, 4)
 
 
-@pytest.mark.parametrize("entries", [4, 4 * 20, 4 * 45, 4 * 100, 1 << 16])
-def test_eigenpair_kernel_block_edges_and_corruption(monkeypatch, entries):
-    # 4 entries: one graph by one basis row per block; 80: graph blocks of 2
-    # (n = 7) or all 10 graphs (n = 1); 180: graph blocks of 6 + 4 (n = 7);
-    # 400: graph blocks of 3 + 3 + 3 + 1 (n = 31), and row blocks of 3 that
-    # leave one row over when a single graph is checked (n = 31)
-    monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", entries)
+@pytest.mark.parametrize("budget", [2, 224, 992, 2480, 8060, 1 << 19])
+def test_eigenpair_kernel_block_edges_and_corruption(monkeypatch, budget):
+    # int16 arithmetic at these sizes.  2 bytes: one graph by one basis row
+    # per block; 224: graph blocks of 3 + 3 + 3 + 1 and row blocks of
+    # 3 + 3 + 1 (n = 7); 992: graph blocks of 3 + 3 + 3 + 1 and row blocks of
+    # 3 that leave one row over (n = 31); 2480: row blocks of 5 + 2 for all
+    # 10 graphs (n = 7) and graph blocks of 7 + 3 (n = 31); 8060: row blocks
+    # of 3 for all 10 graphs (n = 31); 2^19: one block
+    monkeypatch.setattr(spectral, "_BLOCK_BYTES", budget)
+    monkeypatch.setattr(spectral, "_STACK_BLOCK_BYTES", budget)
     rng = stream(81)
     for n in (1, 7, 31):
         for runs in (1, 10):
             draws = rng.integers(0, 2, size=(runs, n))
             eigenvalues = _spectrum_rows(draws)
-            assert _eigenpair_flags(draws).all()
+            assert _eigenpair_flags(draws, eigenvalues).all()
             for r in {0, runs - 1}:
                 for m in {0, 1 % n, n // 2, n - 1}:
                     bad = eigenvalues.copy()
@@ -186,3 +189,19 @@ def test_eigenpair_kernel_block_edges_and_corruption(monkeypatch, entries):
                     want = np.ones((runs, n), dtype=bool)
                     want[r, m] = False
                     assert np.array_equal(_eigenpair_flags(draws, bad), want), (n, runs, r, m)
+
+
+def test_eigenpair_kernel_arithmetic_is_wide_enough():
+    # (off - lambda) u_m must not wrap: an eigenvalue off by a multiple of
+    # 2^16 or 2^32 would pass in int16 or int32 arithmetic
+    draws = stream(82).integers(0, 2, size=(4, 9))
+    eigenvalues = _spectrum_rows(draws)
+    assert spectral._work_dtype(9, eigenvalues) == np.int16
+    assert spectral._work_dtype(400, np.array([[0, 400]])) == np.int32
+    for shift, dtype in ((16, np.int32), (32, np.int64)):
+        bad = eigenvalues.copy()
+        bad[2, 5] += 1 << shift
+        assert spectral._work_dtype(9, bad) == dtype
+        want = np.ones(draws.shape, dtype=bool)
+        want[2, 5] = False
+        assert np.array_equal(_eigenpair_flags(draws, bad), want)
