@@ -12,20 +12,22 @@ position) so stateful evaluators may update incrementally; correctness never
 depends on the order, and sums are exactly rounded (:func:`math.fsum`).
 
 The oracles do each piece of enumeration work once per n and read their
-answers off cached tables indexed by Gray-order row:
+answers off tables indexed by Gray-order row:
 
-- the joint probability of every vector.  The plain urn's law depends on a
-  vector only through its length and red count, so it is evaluated once per
-  red count and indexed by each vector's popcount; the finite-memory law is
-  evaluated per vector;
-- the degree vector of every realization, from adjacency row sums;
+- the joint probability of every vector (cached).  The plain urn's law
+  depends on a vector only through its length and red count, so it is
+  evaluated once per red count and indexed by each vector's popcount; the
+  finite-memory law is evaluated per vector;
+- the degree vector of every realization (cached), from row sums of the
+  stacked adjacency matrices of the whole enumeration;
 - the distance from every source to every node of every realization, from
   one level-synchronous breadth-first search over the whole enumeration at
   once: each level's frontier is the boolean product of the last frontier
   with the stacked adjacency matrices, less the nodes already reached
   (Kepner & Gilbert, *Graph Algorithms in the Language of Linear Algebra*,
-  2011).  The distance law check and, per source s, the decay column
-  sum_t alpha^d(s, t) read that table.
+  2011).  The distance law check reads that table, and so do the decay
+  columns sum_t alpha^d(s, t), which are cached for every source s of an
+  (n, alpha) at once; the table itself is not kept.
 """
 
 from __future__ import annotations
@@ -226,24 +228,22 @@ def bfs_distances(z: tuple[int, ...], source: int) -> list[float]:
     return _bfs_table([z])[0, source - 1].tolist()
 
 
-@lru_cache(maxsize=1)
 def _distance_table(n: int) -> np.ndarray:
     """BFS distances of every length-n realization (Gray order), shape
-    (2^n, n, n): entry (row, s, t) is d(s+1, t+1).  One table is kept: the
-    checks read all they need of one n before the next, and the decay
-    columns are cached on their own."""
-    table = _bfs_table(_gray_draws(n))
-    table.flags.writeable = False
-    return table
+    (2^n, n, n): entry (row, s, t) is d(s+1, t+1).  Not cached: each reader
+    takes what it needs in one pass (the decay columns are cached), so the
+    table is freed before the next check runs."""
+    return _bfs_table(_gray_draws(n))
 
 
-@lru_cache(maxsize=64)
-def _decay_column(n: int, alpha: float, source: int) -> tuple[float, ...]:
-    """sum_t alpha^d(s, t) for 1-based source s over every length-n
-    realization (Gray order), read off the distance table."""
+@lru_cache(maxsize=16)
+def _decay_columns(n: int, alpha: float) -> tuple[tuple[float, ...], ...]:
+    """Entry s-1 is sum_t alpha^d(s, t) for 1-based source s over every
+    length-n realization (Gray order), read off one distance table."""
     # BFS distances are 0.0, 1.0, .., n - 1.0 or inf: each power is taken once
     power = {d: alpha**d for d in (*map(float, range(n)), math.inf)}.__getitem__
-    return tuple(math.fsum(map(power, row.tolist())) for row in _distance_table(n)[:, source - 1])
+    table = _distance_table(n)
+    return tuple(tuple(math.fsum(map(power, row)) for row in table[:, s].tolist()) for s in range(n))
 
 
 def oracle_centrality(params: UrnParams, n: int, i: int, alpha: float = 0.5) -> float:
@@ -254,7 +254,7 @@ def oracle_centrality(params: UrnParams, n: int, i: int, alpha: float = 0.5) -> 
         )
     if not 1 <= i <= n:
         raise IndexError(f"node index {i} out of range 1..{n}")
-    decay = _decay_column(n, alpha, i)
+    decay = _decay_columns(n, alpha)[i - 1]
     return math.fsum(w * c for w, c in zip(_weight_table(params, n).tolist(), decay))
 
 

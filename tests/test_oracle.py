@@ -21,7 +21,7 @@ from polyagraph.oracle import (
     FunctionalSpec,
     _check_distance_law,
     _check_eigenpairs,
-    _decay_column,
+    _decay_columns,
     _distance_table,
     _gray_vectors,
     _weight_table,
@@ -151,7 +151,7 @@ def test_oracle_centrality_matches_per_vector_bfs():
                         for z in _gray_vectors(n)
                     )
                     assert abs(oracle_centrality(params, n, i, alpha) - direct) <= 1e-15
-    assert len(_decay_column(3, 0.5, 1)) == 8
+    assert [len(column) for column in _decay_columns(3, 0.5)] == [8, 8, 8]
 
 
 def test_bfs_agrees_with_distance_rule_on_enumeration():
@@ -200,7 +200,7 @@ def test_decay_column_is_the_per_vector_sum():
         for alpha in (0.3, 0.5):
             for s in range(1, n + 1):
                 want = tuple(math.fsum(alpha ** g.distance(s, t) for t in range(1, n + 1)) for g in graphs)
-                assert _decay_column(n, alpha, s) == want
+                assert _decay_columns(n, alpha)[s - 1] == want
 
 
 def test_distance_law_check_reads_bfs(monkeypatch):
@@ -208,7 +208,6 @@ def test_distance_law_check_reads_bfs(monkeypatch):
         raise AssertionError("the distance law check must not use the rule it checks")
 
     monkeypatch.setattr(ThresholdGraph, "distance", closed_form)
-    _distance_table.cache_clear()
     check = _check_distance_law()
     assert check.passed, check
 
