@@ -128,7 +128,12 @@ def _realization(args):
         return build_graph(_parse_draws(args.draws))
     if args.n is None or args.seed is None:
         raise ConfigError("need either --draws or (--n and --seed with urn parameters)")
-    law = _law_params(args)
+    return _sampled_graph(args, _law_params(args))
+
+
+def _sampled_graph(args, law):
+    """Graph sampled under ``law`` at --n and --seed, its last node forced
+    universal under --force-last-universal."""
     if args.force_last_universal:
         return sample_connected_graph(law, args.n, args.seed)
     if isinstance(law, FiniteMemoryParams):
@@ -142,12 +147,7 @@ def _realization(args):
 def _cmd_generate(args) -> int:
     law = _law_params(args)
     params = law.base if isinstance(law, FiniteMemoryParams) else law
-    if args.force_last_universal:
-        g = sample_connected_graph(law, args.n, args.seed)
-    elif isinstance(law, FiniteMemoryParams):
-        g = build_graph(sample_finite_memory(law, args.n, args.seed))
-    else:
-        g = build_graph(sample_polya(law, args.n, args.seed))
+    g = _sampled_graph(args, law)
     json_path = _out_path(args.json_out)
     edges_path = _out_path(args.edges_out)
     io.write_json(json_path, io.graph_json_payload(g, params=params, seed=args.seed, memory=args.memory))

@@ -208,9 +208,9 @@ def _batch_neighbor_sums(z, x, out, work):
 
 def build_graph(z) -> ThresholdGraph:
     """Graph for a creation sequence: node t added at step t, connected to
-    all earlier nodes and itself when z_t = 1 and to nothing when z_t = 0."""
-    draws = as_draws(z)
-    return ThresholdGraph(CreationSequence(draws))
+    all earlier nodes and itself when z_t = 1 and to nothing when z_t = 0.
+    A CreationSequence is kept as it is; anything else is validated once."""
+    return ThresholdGraph(z if isinstance(z, CreationSequence) else CreationSequence(tuple(z)))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,11 @@ here deliberately avoid the closed forms they check (degrees come from
 adjacency row sums, distances from breadth-first search), so agreement is
 evidence rather than tautology.
 
-Vectors are visited in Gray-code order (consecutive vectors differ in one
-position) so stateful evaluators may update incrementally; correctness never
-depends on the order, and sums are exactly rounded (:func:`math.fsum`).
+There is one enumeration: :func:`_gray_draws` stacks every length-n draw
+vector in Gray-code order (consecutive rows differ in one position), and
+:func:`_weight_table` holds their joint probabilities in the same order.
+Correctness never depends on the order, and sums are exactly rounded
+(:func:`math.fsum`).
 
 The oracles do each piece of enumeration work once per n and read their
 answers off tables indexed by Gray-order row:
@@ -28,17 +30,24 @@ answers off tables indexed by Gray-order row:
   2011).  The distance law check reads that table, and so do the decay
   columns sum_t alpha^d(s, t), which are cached for every source s of an
   (n, alpha) at once; the table itself is not kept.
+
+Each check of the validation suite is a function of its inputs: parameter
+grid, sizes, seeds and counts.  ``_CHECKS`` lists the ``validate``
+command's checks with the inputs they run on; the acceptance suite calls
+the same functions on its own grids.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
+from ._numeric import as_int
 from .analytics import degree_pmf, distance_pmf, expected_decay_centrality
 from .consensus import (
     EnumerationLimitError,
@@ -52,7 +61,6 @@ from .spectral import _eigenpair_flags, laplacian, spectrum
 from .urn import FiniteMemoryParams, UrnParams, finite_memory_joint_pmf, polya_joint_pmf
 
 __all__ = [
-    "FunctionalSpec",
     "enumerate_expectation",
     "oracle_degree_pmf",
     "oracle_centrality",
@@ -64,73 +72,6 @@ __all__ = [
 MAX_ENUMERATION_HORIZON = 24
 MAX_DEGREE_HORIZON = 16
 MAX_CENTRALITY_HORIZON = 12
-
-
-def _gray_vectors(bits: int) -> Iterator[tuple[int, ...]]:
-    """All 0/1 tuples of the given length in Gray-code order."""
-    z = [0] * bits
-    yield tuple(z)
-    for step in range(1, 1 << bits):
-        z[(step & -step).bit_length() - 1] ^= 1
-        yield tuple(z)
-
-
-def _joint_pmf_fn(params) -> Callable[[tuple[int, ...]], float]:
-    if isinstance(params, FiniteMemoryParams):
-        return lambda z: finite_memory_joint_pmf(params, z)
-    if isinstance(params, UrnParams):
-        return lambda z: polya_joint_pmf(params, z)
-    raise TypeError(f"expected UrnParams or FiniteMemoryParams, got {type(params).__name__}")
-
-
-@dataclass(frozen=True)
-class FunctionalSpec:
-    """What to average over the draw process.
-
-    ``evaluator`` must be a pure, total function of a 0/1 tuple of length
-    ``arity`` returning a float or a fixed-shape vector.  Under law "joint"
-    all vectors of that length are enumerated.  Under law "last-universal"
-    the final entry is pinned to 1 and the weight of (z_1..z_{n-1}, 1) is
-    the joint probability of the free n-1 draws, which already sums to one.
-    """
-
-    arity: int
-    evaluator: Callable
-    law: str = "joint"
-
-    def __post_init__(self):
-        if self.arity < 1:
-            raise ValueError(f"arity must be >= 1, got {self.arity}")
-        if self.law not in ("joint", "last-universal"):
-            raise ValueError(f"unknown law {self.law!r}")
-
-
-def enumerate_expectation(params, spec: FunctionalSpec):
-    """Exact expectation of the functional under the chosen law.
-
-    ``params`` selects the draw law: an UrnParams for the plain urn, a
-    FiniteMemoryParams for the finite-memory variant.  Each component is
-    the exactly rounded sum (:func:`math.fsum`) of its weighted terms, so
-    the result does not depend on the enumeration order.
-    """
-    if spec.arity > MAX_ENUMERATION_HORIZON:
-        raise EnumerationLimitError(
-            f"horizon {spec.arity} exceeds the enumeration guard of {MAX_ENUMERATION_HORIZON}"
-        )
-    pmf = _joint_pmf_fn(params)
-    pinned = spec.law == "last-universal"
-    free = spec.arity - 1 if pinned else spec.arity
-    evaluator = spec.evaluator
-    if free == 0:
-        terms = [np.asarray(evaluator((1,)), dtype=float)]
-    else:
-        terms = [
-            pmf(z) * np.asarray(evaluator(z + (1,) if pinned else z), dtype=float)
-            for z in _gray_vectors(free)
-        ]
-    stacked = np.array(terms)
-    sums = np.array([math.fsum(column) for column in stacked.reshape(len(terms), -1).T.tolist()])
-    return float(sums[0]) if stacked.ndim == 1 else sums.reshape(stacked.shape[1:])
 
 
 def _gray_codes(n: int) -> np.ndarray:
@@ -169,18 +110,57 @@ def _weight_table(params, n: int) -> np.ndarray:
     if isinstance(params, UrnParams):
         by_reds = np.array([polya_joint_pmf(params, (1,) * k + (0,) * (n - k)) for k in range(n + 1)])
         return by_reds[np.bitwise_count(_gray_codes(n))]
-    pmf = _joint_pmf_fn(params)
-    return np.array([pmf(z) for z in _gray_vectors(n)])
+    if isinstance(params, FiniteMemoryParams):
+        return np.array([finite_memory_joint_pmf(params, z) for z in _gray_draws(n).tolist()])
+    raise TypeError(f"expected UrnParams or FiniteMemoryParams, got {type(params).__name__}")
+
+
+def enumerate_expectation(params, n: int, evaluator: Callable, *, pin_last: bool = False):
+    """Exact expectation of ``evaluator`` over the draw process.
+
+    ``evaluator`` must be a pure, total function of a 0/1 tuple of length n
+    returning a float or a fixed-shape vector.  ``params`` selects the draw
+    law: an UrnParams for the plain urn, a FiniteMemoryParams for the
+    finite-memory variant.  All length-n vectors are enumerated; with
+    ``pin_last`` the final draw is pinned to 1 and (z_1..z_{n-1}, 1) weighs
+    the joint probability of the free n - 1 draws, which already sums to
+    one.  Each component is the exactly rounded sum (:func:`math.fsum`) of
+    its weighted terms, so the result does not depend on the enumeration
+    order.
+    """
+    n = as_int("n", n)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n > MAX_ENUMERATION_HORIZON:
+        raise EnumerationLimitError(
+            f"horizon {n} exceeds the enumeration guard of {MAX_ENUMERATION_HORIZON}"
+        )
+    free = n - 1 if pin_last else n
+    weights = _weight_table(params, free).tolist() if free else [1.0]
+    tail = (1,) if pin_last else ()
+    terms = [
+        w * np.asarray(evaluator((*z, *tail)), dtype=float)
+        for z, w in zip(_gray_draws(free).tolist(), weights)
+    ]
+    stacked = np.array(terms)
+    sums = np.array([math.fsum(column) for column in stacked.reshape(len(terms), -1).T.tolist()])
+    return float(sums[0]) if stacked.ndim == 1 else sums.reshape(stacked.shape[1:])
+
+
+def _node(n, i, horizon: int, what: str) -> tuple[int, int]:
+    """(n, i) as Python ints, once both are integers, n is within the
+    enumeration guard and 1 <= i <= n."""
+    n, i = as_int("n", n), as_int("i", i)
+    if n > horizon:
+        raise EnumerationLimitError(f"{what} enumeration is guarded at n <= {horizon}, got {n}")
+    if not 1 <= i <= n:
+        raise IndexError(f"node index {i} out of range 1..{n}")
+    return n, i
 
 
 def oracle_degree_pmf(params: UrnParams, n: int, i: int) -> dict[int, float]:
     """Degree law of node i by full enumeration."""
-    if n > MAX_DEGREE_HORIZON:
-        raise EnumerationLimitError(
-            f"degree enumeration is guarded at n <= {MAX_DEGREE_HORIZON}, got {n}"
-        )
-    if not 1 <= i <= n:
-        raise IndexError(f"node index {i} out of range 1..{n}")
+    n, i = _node(n, i, MAX_DEGREE_HORIZON, "degree")
     terms: dict[int, list[float]] = {}
     for k, w in zip(_degree_table(n)[:, i - 1].tolist(), _weight_table(params, n).tolist()):
         terms.setdefault(k, []).append(w)
@@ -248,12 +228,7 @@ def _decay_columns(n: int, alpha: float) -> tuple[tuple[float, ...], ...]:
 
 def oracle_centrality(params: UrnParams, n: int, i: int, alpha: float = 0.5) -> float:
     """Expected decay centrality of node i by enumeration with BFS distances."""
-    if n > MAX_CENTRALITY_HORIZON:
-        raise EnumerationLimitError(
-            f"centrality enumeration is guarded at n <= {MAX_CENTRALITY_HORIZON}, got {n}"
-        )
-    if not 1 <= i <= n:
-        raise IndexError(f"node index {i} out of range 1..{n}")
+    n, i = _node(n, i, MAX_CENTRALITY_HORIZON, "centrality")
     decay = _decay_columns(n, alpha)[i - 1]
     return math.fsum(w * c for w, c in zip(_weight_table(params, n).tolist(), decay))
 
@@ -275,174 +250,174 @@ _PARAM_GRID = (
 )
 
 
-def _check_degree_pmf() -> ValidationCheck:
-    worst = 0.0
-    for params in _PARAM_GRID:
-        for n in (4, 8):
-            for i in range(1, n + 1):
-                closed = degree_pmf(params, n, i).pmf
-                brute = oracle_degree_pmf(params, n, i)
-                keys = set(closed) | set(brute)
-                worst = max(
-                    worst,
-                    max(abs(closed.get(k, 0.0) - brute.get(k, 0.0)) for k in keys),
-                )
-    return ValidationCheck("degree pmf vs enumeration", worst < 1e-10, f"max |diff| = {worst:.3e}")
-
-
-def _check_degree_moments() -> ValidationCheck:
-    worst_mean = worst_var = 0.0
-    for params in _PARAM_GRID:
-        for n in (4, 8):
+def _check_degree_laws(grid, sizes) -> list[ValidationCheck]:
+    """The degree law of every node at each size, against enumeration: the
+    pmf, and its mean and variance, from one pass over the nodes."""
+    worst_pmf = worst_mean = worst_var = 0.0
+    for params in grid:
+        for n in sizes:
             for i in range(1, n + 1):
                 dist = degree_pmf(params, n, i)
                 brute = oracle_degree_pmf(params, n, i)
+                closed = dist.pmf
+                worst_pmf = max(
+                    worst_pmf, max(abs(closed.get(k, 0.0) - brute.get(k, 0.0)) for k in set(closed) | set(brute))
+                )
                 mean = math.fsum(k * p for k, p in brute.items())
                 var = math.fsum((k - mean) ** 2 * p for k, p in brute.items())
                 worst_mean = max(worst_mean, abs(dist.mean - mean))
                 worst_var = max(worst_var, abs(dist.variance - var))
-    ok = worst_mean < 1e-10 and worst_var < 1e-8
-    return ValidationCheck(
-        "degree mean/variance vs enumeration",
-        ok,
-        f"max mean diff = {worst_mean:.3e}, max var diff = {worst_var:.3e}",
-    )
+    return [
+        ValidationCheck("degree pmf vs enumeration", worst_pmf < 1e-10, f"max |diff| = {worst_pmf:.3e}"),
+        ValidationCheck(
+            "degree mean/variance vs enumeration",
+            worst_mean < 1e-10 and worst_var < 1e-8,
+            f"max mean diff = {worst_mean:.3e}, max var diff = {worst_var:.3e}",
+        ),
+    ]
 
 
-def _check_distance_law() -> ValidationCheck:
+def _check_distance_law(grid, n, pairs) -> list[ValidationCheck]:
     worst = 0.0
-    n = 8
     table = _distance_table(n)
-    for params in _PARAM_GRID:
+    for params in grid:
         weights = _weight_table(params, n).tolist()
-        for (i, j) in ((1, 2), (2, 5), (7, 8), (3, 3)):
+        for (i, j) in pairs:
             closed = distance_pmf(params, n, i, j).probabilities
             terms = {v: [] for v in closed}
             for d, w in zip(table[:, i - 1, j - 1].tolist(), weights):
                 terms[d].append(w)
             worst = max(worst, max(abs(closed[v] - math.fsum(terms[v])) for v in closed))
-    return ValidationCheck("distance law vs enumeration", worst < 1e-12, f"max |diff| = {worst:.3e}")
+    return [ValidationCheck("distance law vs enumeration", worst < 1e-12, f"max |diff| = {worst:.3e}")]
 
 
-def _check_centrality() -> ValidationCheck:
+def _check_centrality(grid, sizes) -> list[ValidationCheck]:
     worst = 0.0
-    for params in _PARAM_GRID:
-        for n in (2, 6, 9):
+    for params in grid:
+        for n in sizes:
             for i in range(1, n + 1):
                 closed = expected_decay_centrality(params, n, i)
                 worst = max(worst, abs(closed - oracle_centrality(params, n, i)))
-    return ValidationCheck("decay centrality vs BFS enumeration", worst < 1e-10, f"max |diff| = {worst:.3e}")
+    return [ValidationCheck("decay centrality vs BFS enumeration", worst < 1e-10, f"max |diff| = {worst:.3e}")]
 
 
-def _check_spectrum() -> ValidationCheck:
-    rng = stream(20260501)
+def _check_spectrum(seed, graphs) -> list[ValidationCheck]:
+    """``graphs`` random sequences of 1..30 draws; ``seed`` is a master seed
+    or a Generator to continue."""
+    rng = seed if isinstance(seed, np.random.Generator) else stream(seed)
     worst = 0.0
-    for _ in range(40):
+    for _ in range(graphs):
         n = int(rng.integers(1, 31))
         z = tuple(rng.integers(0, 2, size=n).tolist())
         g = build_graph(z)
         numeric = np.sort(np.linalg.eigvalsh(laplacian(g).astype(float)))
         exact = np.array(spectrum(g), dtype=float)
         worst = max(worst, float(np.max(np.abs(numeric - exact))))
-    return ValidationCheck("spectrum vs numeric eigensolver", worst < 1e-8, f"max |diff| = {worst:.3e}")
+    return [ValidationCheck("spectrum vs numeric eigensolver", worst < 1e-8, f"max |diff| = {worst:.3e}")]
 
 
-def _check_eigenpairs() -> ValidationCheck:
-    # row by row the draws of 200 calls of size 50, kept as int16 like the
-    # kernel's arithmetic at this size
-    z = stream(20260502).integers(0, 2, size=(200, 50)).astype(np.int16)
+def _check_eigenpairs(seed, runs, n) -> list[ValidationCheck]:
+    # row by row the draws of `runs` calls of size n, kept as int16 like the
+    # kernel's arithmetic at n = 50 (eigenvalues stay below 2n)
+    z = stream(seed).integers(0, 2, size=(runs, n)).astype(np.int16)
     # the claimed spectrum 0, deg(2), .., deg(n): deg(i) = (i-1) z_i + #(universal nodes from i on)
-    eigenvalues = z[:, ::-1].cumsum(axis=1, dtype=np.int16)[:, ::-1] + np.arange(50, dtype=np.int16) * z
+    eigenvalues = z[:, ::-1].cumsum(axis=1, dtype=np.int16)[:, ::-1] + np.arange(n, dtype=np.int16) * z
     eigenvalues[:, 0] = 0
     failures = int(np.count_nonzero(~_eigenpair_flags(z, eigenvalues)))
-    return ValidationCheck("exact integer eigenpair identity", failures == 0, f"{failures} failures in 200 runs")
+    return [ValidationCheck("exact integer eigenpair identity", failures == 0, f"{failures} failures in {runs} runs")]
 
 
-def _check_expected_stationary() -> ValidationCheck:
-    params = UrnParams(5.0, 5.0, 2.0)
+def _check_expected_stationary(params, sizes) -> list[ValidationCheck]:
     worst = 0.0
-    for n in (3, 6):
+    for n in sizes:
         def pi_by_matrix_powers(z: tuple[int, ...]) -> np.ndarray:
             w = averaging_matrix(build_graph(z)).W.toarray()
             return np.linalg.matrix_power(w, 1 << 9)[0]
 
-        brute = enumerate_expectation(
-            params, FunctionalSpec(arity=n, evaluator=pi_by_matrix_powers, law="last-universal")
-        )
+        brute = enumerate_expectation(params, n, pi_by_matrix_powers, pin_last=True)
         closed = expected_stationary_exact(params, n).pi
         worst = max(worst, float(np.max(np.abs(brute - closed))))
     exact3 = expected_stationary_exact(params, 3).pi
     known = np.array([13.0, 13.0, 16.0]) / 42.0
     worst = max(worst, float(np.max(np.abs(exact3 - known))))
-    return ValidationCheck(
-        "expected stationary vs matrix-power enumeration", worst < 1e-10, f"max |diff| = {worst:.3e}"
-    )
+    return [
+        ValidationCheck("expected stationary vs matrix-power enumeration", worst < 1e-10, f"max |diff| = {worst:.3e}")
+    ]
 
 
-def _check_monte_carlo() -> ValidationCheck:
-    params = UrnParams(5.0, 5.0, 2.0)
-    n, runs = 8, 20000
+def _check_monte_carlo(params, n, runs, seed) -> list[ValidationCheck]:
     exact = expected_stationary_exact(params, n).pi
-    mc = expected_stationary_mc(params, n, runs=runs, seed=20260503)
+    mc = expected_stationary_mc(params, n, runs=runs, seed=seed)
     dev = np.abs(mc.pi - exact) / mc.std_error
     worst = float(np.max(dev))
-    return ValidationCheck(
-        "monte carlo stationary within 4 SE of exact", worst < 4.0, f"max |dev| = {worst:.2f} SE"
-    )
+    return [ValidationCheck("monte carlo stationary within 4 SE of exact", worst < 4.0, f"max |dev| = {worst:.2f} SE")]
 
 
-def _check_finite_memory() -> ValidationCheck:
-    params = UrnParams(5.0, 5.0, 2.0)
-    n = 8
-    worst = 0.0
-    for memory in (n, n + 2):
-        fm = FiniteMemoryParams(params, memory)
-        for z in _gray_vectors(n):
-            worst = max(worst, abs(finite_memory_joint_pmf(fm, z) - polya_joint_pmf(params, z)))
-    total = math.fsum(
-        finite_memory_joint_pmf(FiniteMemoryParams(params, 2), z) for z in _gray_vectors(n)
-    )
-    ok = worst < 1e-12 and abs(total - 1.0) < 1e-12
-    return ValidationCheck(
-        "finite-memory law reduction and normalization",
-        ok,
-        f"max |diff| = {worst:.3e}, sum = {total:.15f}",
-    )
+def _check_finite_memory(params, sizes, extra_memory, short_memory) -> list[ValidationCheck]:
+    """At each size n, memory n + m for m in ``extra_memory`` gives the plain
+    urn's law vector by vector, and memory ``short_memory`` still sums to
+    one; the sum reported is the one farthest from 1."""
+    worst, total = 0.0, 1.0
+    for n in sizes:
+        plain = _weight_table(params, n)
+        for m in extra_memory:
+            worst = max(worst, float(np.max(np.abs(_weight_table(FiniteMemoryParams(params, n + m), n) - plain))))
+        mass = math.fsum(_weight_table(FiniteMemoryParams(params, short_memory), n).tolist())
+        total = max(total, mass, key=lambda s: abs(s - 1.0))
+    return [
+        ValidationCheck(
+            "finite-memory law reduction and normalization",
+            worst < 1e-12 and abs(total - 1.0) < 1e-12,
+            f"max |diff| = {worst:.3e}, sum = {total:.15f}",
+        )
+    ]
 
 
-def _check_exchangeability() -> ValidationCheck:
-    rng = stream(20260504)
-    params = UrnParams(1.0, 9.0, 5.0)
-    worst_perm = 0.0
-    for n in range(2, 11):
-        for _ in range(20):
-            z = tuple(rng.integers(0, 2, size=n).tolist())
-            sigma = rng.permutation(n)
-            permuted = tuple(z[s] for s in sigma.tolist())
-            worst_perm = max(worst_perm, abs(polya_joint_pmf(params, z) - polya_joint_pmf(params, permuted)))
-    worst_norm = 0.0
-    for n in range(1, 11):
-        total = math.fsum(polya_joint_pmf(params, z) for z in _gray_vectors(n))
-        worst_norm = max(worst_norm, abs(total - 1.0))
-    ok = worst_perm < 1e-12 and worst_norm < 1e-12
-    return ValidationCheck(
-        "exchangeability and normalization",
-        ok,
-        f"max perm diff = {worst_perm:.3e}, max norm error = {worst_norm:.3e}",
-    )
+def _check_exchangeability(grid, seed, sizes, samples, exhaustive_up_to) -> list[ValidationCheck]:
+    """Permuting a draw vector keeps its probability: at each size, every
+    vector under every permutation up to ``exhaustive_up_to`` draws, else
+    ``samples`` random pairs drawn from stream ``seed`` across the grid.
+    The law sums to one at every n from 1 to the largest size."""
+    rng = stream(seed)
+    worst_perm = worst_norm = 0.0
+    for params in grid:
+        for n in sizes:
+            if n <= exhaustive_up_to:
+                cases = itertools.product(_gray_draws(n).tolist(), itertools.permutations(range(n)))
+            else:
+                cases = ((rng.integers(0, 2, size=n).tolist(), rng.permutation(n).tolist()) for _ in range(samples))
+            for z, sigma in cases:
+                permuted = [z[s] for s in sigma]
+                worst_perm = max(worst_perm, abs(polya_joint_pmf(params, z) - polya_joint_pmf(params, permuted)))
+        for n in range(1, max(sizes) + 1):
+            worst_norm = max(worst_norm, abs(math.fsum(_weight_table(params, n).tolist()) - 1.0))
+    return [
+        ValidationCheck(
+            "exchangeability and normalization",
+            worst_perm < 1e-12 and worst_norm < 1e-12,
+            f"max perm diff = {worst_perm:.3e}, max norm error = {worst_norm:.3e}",
+        )
+    ]
+
+
+# The checks of the `validate` command with their inputs, in report order;
+# UrnParams(5, 5, 2) is _PARAM_GRID[1] and UrnParams(1, 9, 5) _PARAM_GRID[2]
+_CHECKS = (
+    (_check_degree_laws, dict(grid=_PARAM_GRID, sizes=(4, 8))),
+    (_check_distance_law, dict(grid=_PARAM_GRID, n=8, pairs=((1, 2), (2, 5), (7, 8), (3, 3)))),
+    (_check_centrality, dict(grid=_PARAM_GRID, sizes=(2, 6, 9))),
+    (_check_spectrum, dict(seed=20260501, graphs=40)),
+    (_check_eigenpairs, dict(seed=20260502, runs=200, n=50)),
+    (_check_expected_stationary, dict(params=_PARAM_GRID[1], sizes=(3, 6))),
+    (_check_monte_carlo, dict(params=_PARAM_GRID[1], n=8, runs=20000, seed=20260503)),
+    (_check_finite_memory, dict(params=_PARAM_GRID[1], sizes=(8,), extra_memory=(0, 2), short_memory=2)),
+    (
+        _check_exchangeability,
+        dict(grid=_PARAM_GRID[2:], seed=20260504, sizes=range(2, 11), samples=20, exhaustive_up_to=0),
+    ),
+)
 
 
 def run_validation_suite() -> list[ValidationCheck]:
     """Run every oracle-equivalence check; used by the ``validate`` command."""
-    return [
-        _check_degree_pmf(),
-        _check_degree_moments(),
-        _check_distance_law(),
-        _check_centrality(),
-        _check_spectrum(),
-        _check_eigenpairs(),
-        _check_expected_stationary(),
-        _check_monte_carlo(),
-        _check_finite_memory(),
-        _check_exchangeability(),
-    ]
+    return [check for run, inputs in _CHECKS for check in run(**inputs)]

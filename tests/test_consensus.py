@@ -28,7 +28,7 @@ from polyagraph.consensus import (
     _Stepper,
 )
 from polyagraph.graph import neighbor_sums
-from polyagraph.oracle import _PARAM_GRID, EnumerationLimitError, FunctionalSpec, enumerate_expectation
+from polyagraph.oracle import _PARAM_GRID, EnumerationLimitError, enumerate_expectation
 from polyagraph.rng import stream
 from polyagraph.urn import sample_runs
 
@@ -376,9 +376,8 @@ DP_LAWS = _PARAM_GRID + (UrnParams.from_proportions(0.3, 1e-8), UrnParams.from_p
 def test_expected_stationary_matches_enumeration(params, n):
     # the DP against the 2^(n-1)-term oracle, under both laws; memory n + 2
     # covers the horizon, memory 1..3 runs the window states
-    spec = FunctionalSpec(arity=n, evaluator=pi_star_of, law="last-universal")
     for law in (params, *(FiniteMemoryParams(params, m) for m in (1, 2, 3, n + 2))):
-        brute = enumerate_expectation(law, spec)
+        brute = enumerate_expectation(law, n, pi_star_of, pin_last=True)
         assert np.max(np.abs(expected_stationary_exact(law, n).pi - brute)) < 1e-12
 
 

@@ -34,6 +34,24 @@ def test_example_graph_edges():
     assert g.edge_set() == {(1, 1), (4, 1), (4, 2), (4, 3), (4, 4)}
 
 
+def test_build_graph_validates_each_sequence_once(monkeypatch):
+    from polyagraph import urn
+
+    seq = urn.CreationSequence(EXAMPLE_DRAWS)
+    assert build_graph(seq).sequence is seq
+    checks = []
+    real = urn.CreationSequence.__post_init__
+    monkeypatch.setattr(urn.CreationSequence, "__post_init__", lambda self: checks.append(real(self)))
+    assert build_graph(EXAMPLE_DRAWS).draws == EXAMPLE_DRAWS
+    assert len(checks) == 1
+    build_graph(seq)
+    assert len(checks) == 1
+    with pytest.raises(ValueError, match="draws must be 0 or 1, got 2"):
+        build_graph((1, 0, 2, 3))
+    with pytest.raises(ValueError, match="at least one draw"):
+        build_graph(())
+
+
 def test_all_isolated_graph_is_empty():
     assert build_graph((0, 0, 0)).edge_set() == frozenset()
 

@@ -16,7 +16,6 @@ import polyagraph
 
 PACKAGE = Path(polyagraph.__file__).parent
 ORACLE_NAMES = (
-    "FunctionalSpec",
     "enumerate_expectation",
     "oracle_centrality",
     "oracle_degree_pmf",

@@ -5,7 +5,7 @@ import pytest
 
 from polyagraph import polya_joint_pmf
 from polyagraph._numeric import log_rising, log_tables
-from polyagraph.oracle import FunctionalSpec, _gray_vectors, enumerate_expectation
+from polyagraph.oracle import _gray_draws, enumerate_expectation
 
 
 def test_log_rising_matches_gamma_ratio():
@@ -70,7 +70,7 @@ _CANCELLING = {(0, 0): 1.0, (1, 0): 1e16, (1, 1): 1.0, (0, 1): -1e16}
 
 
 def _cancelling_sum(params) -> float:
-    terms = [polya_joint_pmf(params, z) * _CANCELLING[z] for z in _gray_vectors(2)]
+    terms = [polya_joint_pmf(params, z) * _CANCELLING[z] for z in map(tuple, _gray_draws(2).tolist())]
     exact = math.fsum(terms)
     assert sum(terms) != exact
     return exact
@@ -78,22 +78,18 @@ def _cancelling_sum(params) -> float:
 
 def test_compensated_sum_scalar(ref_params):
     exact = _cancelling_sum(ref_params)
-    scalar = enumerate_expectation(ref_params, FunctionalSpec(arity=2, evaluator=_CANCELLING.__getitem__))
+    scalar = enumerate_expectation(ref_params, 2, _CANCELLING.__getitem__)
     assert type(scalar) is float and scalar == exact
 
 
 def test_compensated_sum_vector_and_empty(ref_params):
     exact = _cancelling_sum(ref_params)
-    vector = enumerate_expectation(
-        ref_params, FunctionalSpec(arity=2, evaluator=lambda z: np.array([[_CANCELLING[z], -_CANCELLING[z], 1.0]]))
-    )
+    vector = enumerate_expectation(ref_params, 2, lambda z: np.array([[_CANCELLING[z], -_CANCELLING[z], 1.0]]))
     assert vector.shape == (1, 3)
     assert np.array_equal(vector, [[exact, -exact, 1.0]])
-    # an enumeration is never empty: arity 0 is refused, and the smallest sum,
+    # an enumeration is never empty: n = 0 is refused, and the smallest sum,
     # one pinned draw, returns the evaluator's value as it is
     with pytest.raises(ValueError):
-        FunctionalSpec(arity=0, evaluator=_CANCELLING.__getitem__)
-    one = enumerate_expectation(
-        ref_params, FunctionalSpec(arity=1, evaluator=lambda z: np.array([1e16, 1.0]), law="last-universal")
-    )
+        enumerate_expectation(ref_params, 0, _CANCELLING.__getitem__)
+    one = enumerate_expectation(ref_params, 1, lambda z: np.array([1e16, 1.0]), pin_last=True)
     assert np.array_equal(one, [1e16, 1.0])

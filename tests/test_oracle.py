@@ -17,13 +17,13 @@ from polyagraph import (
 from polyagraph.analytics import degree_support
 from polyagraph.graph import ThresholdGraph
 from polyagraph.oracle import (
+    _CHECKS,
     _PARAM_GRID,
-    FunctionalSpec,
     _check_distance_law,
     _check_eigenpairs,
     _decay_columns,
     _distance_table,
-    _gray_vectors,
+    _gray_draws,
     _weight_table,
     bfs_distances,
     enumerate_expectation,
@@ -34,36 +34,37 @@ from polyagraph.oracle import (
 from polyagraph.rng import stream
 
 
-def test_gray_vectors_cover_all_and_flip_one_bit():
-    seen = list(_gray_vectors(5))
-    assert len(seen) == 32
-    assert len(set(seen)) == 32
-    for a, b in zip(seen, seen[1:]):
-        assert sum(x != y for x, y in zip(a, b)) == 1
-    assert list(_gray_vectors(0)) == [()]
+def _inputs(check):
+    # the inputs the validate command runs ``check`` on
+    [inputs] = [inputs for run, inputs in _CHECKS if run is check]
+    return inputs
+
+
+def test_gray_draws_cover_all_and_flip_one_bit():
+    for n in range(1, 7):
+        rows = _gray_draws(n).tolist()
+        assert len(rows) == 1 << n
+        assert len(set(map(tuple, rows))) == 1 << n
+        for a, b in zip(rows, rows[1:]):
+            assert sum(x != y for x, y in zip(a, b)) == 1
+    assert _gray_draws(0).shape == (1, 0)
 
 
 def test_weights_sum_to_one_under_each_law(ref_params):
     one = lambda z: 1.0
-    for law, params in (
-        ("joint", ref_params),
-        ("joint", FiniteMemoryParams(ref_params, 2)),
-        ("last-universal", ref_params),
-        ("last-universal", FiniteMemoryParams(ref_params, 2)),
-    ):
-        total = enumerate_expectation(params, FunctionalSpec(arity=6, evaluator=one, law=law))
-        assert total == pytest.approx(1.0, abs=1e-12)
+    for pin_last in (False, True):
+        for params in (ref_params, FiniteMemoryParams(ref_params, 2)):
+            total = enumerate_expectation(params, 6, one, pin_last=pin_last)
+            assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expectation_of_red_count(ref_params):
-    spec = FunctionalSpec(arity=2, evaluator=lambda z: float(sum(z)))
-    assert enumerate_expectation(ref_params, spec) == pytest.approx(1.0, abs=1e-12)
+    assert enumerate_expectation(ref_params, 2, lambda z: float(sum(z))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expectation_of_first_degree_is_n_rho(ref_params):
-    n = 8
-    spec = FunctionalSpec(arity=n, evaluator=lambda z: float(z[0] + sum(z[1:])))
-    assert enumerate_expectation(ref_params, spec) == pytest.approx(4.0, abs=1e-12)
+    evaluator = lambda z: float(z[0] + sum(z[1:]))
+    assert enumerate_expectation(ref_params, 8, evaluator) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_vector_functional_matches_exact_stationary(ref_params):
@@ -71,8 +72,7 @@ def test_vector_functional_matches_exact_stationary(ref_params):
         counts = 1 + np.arange(len(z)) * np.asarray(z) + (np.cumsum(np.asarray(z)[::-1])[::-1] - np.asarray(z))
         return counts / counts.sum()
 
-    spec = FunctionalSpec(arity=3, evaluator=pi_star, law="last-universal")
-    brute = enumerate_expectation(ref_params, spec)
+    brute = enumerate_expectation(ref_params, 3, pi_star, pin_last=True)
     assert np.max(np.abs(brute - np.array([13, 13, 16]) / 42)) < 1e-14
     assert np.max(np.abs(brute - expected_stationary_exact(ref_params, 3).pi)) < 1e-14
 
@@ -81,7 +81,7 @@ def test_order_invariance_of_enumeration(ref_params):
     # same expectation accumulated in plain binary order with fsum
     n = 8
     evaluator = lambda z: math.cos(sum(z))
-    gray = enumerate_expectation(ref_params, FunctionalSpec(arity=n, evaluator=evaluator))
+    gray = enumerate_expectation(ref_params, n, evaluator)
     plain = math.fsum(
         polya_joint_pmf(ref_params, z) * evaluator(z)
         for z in itertools.product((0, 1), repeat=n)
@@ -92,18 +92,34 @@ def test_order_invariance_of_enumeration(ref_params):
 def test_enumeration_guards():
     params = UrnParams(1, 1, 1)
     with pytest.raises(EnumerationLimitError):
-        enumerate_expectation(params, FunctionalSpec(arity=25, evaluator=lambda z: 0.0))
+        enumerate_expectation(params, 25, lambda z: 0.0)
     with pytest.raises(EnumerationLimitError):
         oracle_degree_pmf(params, 17, 1)
     with pytest.raises(EnumerationLimitError):
         oracle_centrality(params, 13, 1)
-    with pytest.raises(ValueError):
-        FunctionalSpec(arity=3, evaluator=lambda z: 0.0, law="weird")
 
 
 def test_single_free_draw_under_last_universal(ref_params):
-    spec = FunctionalSpec(arity=1, evaluator=lambda z: float(z[0]), law="last-universal")
-    assert enumerate_expectation(ref_params, spec) == 1.0
+    assert enumerate_expectation(ref_params, 1, lambda z: float(z[0]), pin_last=True) == 1.0
+
+
+def test_oracle_arguments_follow_the_integer_rule(ref_params):
+    # True would read as n = 1 or node 1, and 2.0 would reach numpy indexing
+    for bad in (True, 2.0):
+        for oracle in (oracle_degree_pmf, oracle_centrality):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                oracle(ref_params, bad, 1)
+            with pytest.raises(ValueError, match="i must be an integer"):
+                oracle(ref_params, 5, bad)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            enumerate_expectation(ref_params, bad, lambda z: 1.0)
+    assert oracle_degree_pmf(ref_params, np.int64(5), np.int32(2)) == oracle_degree_pmf(ref_params, 5, 2)
+    assert oracle_centrality(ref_params, np.int64(5), np.int8(2)) == oracle_centrality(ref_params, 5, 2)
+    assert enumerate_expectation(ref_params, np.int16(3), lambda z: 1.0) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(IndexError):
+        oracle_degree_pmf(ref_params, np.int64(4), np.int64(5))
+    with pytest.raises(IndexError):
+        oracle_centrality(ref_params, 3, np.int64(0))
 
 
 def test_oracle_degree_pmf_values(ref_params):
@@ -132,11 +148,11 @@ def test_weight_table_matches_per_vector_evaluation():
     grid = _PARAM_GRID + tuple(UrnParams.from_proportions(0.3, d) for d in (1e-12, 1e8))
     for params in grid:
         for n in range(1, 11):
-            per_vector = [polya_joint_pmf(params, z) for z in _gray_vectors(n)]
+            per_vector = [polya_joint_pmf(params, z) for z in _gray_draws(n).tolist()]
             assert np.array_equal(_weight_table(params, n), per_vector)
     fm = FiniteMemoryParams(UrnParams(5.0, 5.0, 2.0), 2)
     assert np.array_equal(
-        _weight_table(fm, 6), [finite_memory_joint_pmf(fm, z) for z in _gray_vectors(6)]
+        _weight_table(fm, 6), [finite_memory_joint_pmf(fm, z) for z in _gray_draws(6).tolist()]
     )
 
 
@@ -148,7 +164,7 @@ def test_oracle_centrality_matches_per_vector_bfs():
                 for i in range(1, n + 1):
                     direct = math.fsum(
                         polya_joint_pmf(params, z) * math.fsum(alpha**d for d in bfs_distances(z, i))
-                        for z in _gray_vectors(n)
+                        for z in _gray_draws(n).tolist()
                     )
                     assert abs(oracle_centrality(params, n, i, alpha) - direct) <= 1e-15
     assert [len(column) for column in _decay_columns(3, 0.5)] == [8, 8, 8]
@@ -168,7 +184,7 @@ def test_distance_table_matches_distance_rule():
     for n in range(1, 11):
         table = _distance_table(n)
         assert table.shape == (1 << n, n, n)
-        for row, z in zip(table.tolist(), _gray_vectors(n)):
+        for row, z in zip(table.tolist(), _gray_draws(n).tolist()):
             g = build_graph(z)
             assert row == [[g.distance(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
 
@@ -196,7 +212,7 @@ def test_bfs_frontier_products_do_not_wrap():
 def test_decay_column_is_the_per_vector_sum():
     # bit for bit the exactly rounded sum over t of alpha^d(s, t), one vector at a time
     for n in range(1, 9):
-        graphs = [build_graph(z) for z in _gray_vectors(n)]
+        graphs = [build_graph(z) for z in _gray_draws(n).tolist()]
         for alpha in (0.3, 0.5):
             for s in range(1, n + 1):
                 want = tuple(math.fsum(alpha ** g.distance(s, t) for t in range(1, n + 1)) for g in graphs)
@@ -208,16 +224,18 @@ def test_distance_law_check_reads_bfs(monkeypatch):
         raise AssertionError("the distance law check must not use the rule it checks")
 
     monkeypatch.setattr(ThresholdGraph, "distance", closed_form)
-    check = _check_distance_law()
+    [check] = _check_distance_law(**_inputs(_check_distance_law))
     assert check.passed, check
 
 
 def test_eigenpair_check_draws_are_the_per_run_draws():
-    # the check draws its (200, 50) stack in one call; row r is what the r-th
-    # of 200 calls of size 50 on the same stream returns
-    rng = stream(20260502)
-    per_run = [rng.integers(0, 2, size=50) for _ in range(200)]
-    assert np.array_equal(stream(20260502).integers(0, 2, size=(200, 50)), per_run)
+    # the check draws its (runs, n) stack in one call; row r is what the r-th
+    # of `runs` calls of size n on the same stream returns
+    inputs = _inputs(_check_eigenpairs)
+    seed, runs, n = inputs["seed"], inputs["runs"], inputs["n"]
+    rng = stream(seed)
+    per_run = [rng.integers(0, 2, size=n) for _ in range(runs)]
+    assert np.array_equal(stream(seed).integers(0, 2, size=(runs, n)), per_run)
 
 
 def test_eigenpair_check_memory():
@@ -225,10 +243,11 @@ def test_eigenpair_check_memory():
     # flags and one 48 KiB block.  Checking the 200 graphs one at a time
     # instead, in int64 through verify_eigenpairs, peaked at 127.4 KB
     # measured the same way; the stack must not need more.
-    _check_eigenpairs()  # a first call also pays for numpy's lazy imports
+    inputs = _inputs(_check_eigenpairs)
+    _check_eigenpairs(**inputs)  # a first call also pays for numpy's lazy imports
     tracemalloc.start()
     try:
-        check = _check_eigenpairs()
+        [check] = _check_eigenpairs(**inputs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -238,7 +257,18 @@ def test_eigenpair_check_memory():
 
 def test_validation_suite_all_green():
     checks = run_validation_suite()
-    assert len(checks) == 10
+    assert [c.name for c in checks] == [
+        "degree pmf vs enumeration",
+        "degree mean/variance vs enumeration",
+        "distance law vs enumeration",
+        "decay centrality vs BFS enumeration",
+        "spectrum vs numeric eigensolver",
+        "exact integer eigenpair identity",
+        "expected stationary vs matrix-power enumeration",
+        "monte carlo stationary within 4 SE of exact",
+        "finite-memory law reduction and normalization",
+        "exchangeability and normalization",
+    ]
     failing = [c for c in checks if not c.passed]
     assert not failing, failing
 
