@@ -12,11 +12,10 @@ from pathlib import Path
 from polyagraph import (
     FiniteMemoryParams,
     UrnParams,
-    finite_memory_joint_pmf,
     memory_sweep,
     opinion_preset,
     polya_joint_pmf,
-    sample_finite_memory,
+    sample_polya,
 )
 from polyagraph.io import write_sweep_csv
 
@@ -27,13 +26,13 @@ params = UrnParams(5, 5, 2)
 
 print("--- the finite-memory law ---")
 fm1 = FiniteMemoryParams(params, memory=1)
-print(f"M = 1: P(1,1,1) = {finite_memory_joint_pmf(fm1, (1, 1, 1)):.7f} "
+print(f"M = 1: P(1,1,1) = {polya_joint_pmf(fm1, (1, 1, 1)):.7f} "
       f"(infinite memory: {polya_joint_pmf(params, (1, 1, 1)):.7f})")
 fm_big = FiniteMemoryParams(params, memory=6)
 z = (1, 0, 1, 1, 0, 1)
 print(f"M = 6 covers the horizon, laws coincide: "
-      f"{finite_memory_joint_pmf(fm_big, z):.10f} vs {polya_joint_pmf(params, z):.10f}")
-print(f"sampled with M = 2: {sample_finite_memory(FiniteMemoryParams(params, 2), 12, seed=5).draws}")
+      f"{polya_joint_pmf(fm_big, z):.10f} vs {polya_joint_pmf(params, z):.10f}")
+print(f"sampled with M = 2: {sample_polya(FiniteMemoryParams(params, 2), 12, seed=5).draws}")
 
 print("\n--- memory sweep of the expected consensus ---")
 n, runs = 10, 2000

@@ -50,9 +50,7 @@ from .urn import (
     FiniteMemoryParams,
     UrnParams,
     beta_binomial_pmf,
-    finite_memory_joint_pmf,
     polya_joint_pmf,
-    sample_finite_memory,
     sample_polya,
 )
 

@@ -35,6 +35,15 @@ def as_int(name: str, value) -> int:
     return int(value)
 
 
+def check_node(n, i, name: str = "i") -> tuple[int, int]:
+    """(n, i) as Python ints, once both are integers (:func:`as_int`) and
+    the 1-based node index i lies in 1..n; out of range raises IndexError."""
+    n, i = as_int("n", n), as_int(name, i)
+    if not 1 <= i <= n:
+        raise IndexError(f"node index {i} out of range 1..{n}")
+    return n, i
+
+
 def prefix_table(a: np.ndarray, *, out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
     """Prefix sums along the last axis: entry k is a[..., 0] + .. + a[..., k-1],
     for k = 0..m (m = a.shape[-1]); leading axes are independent rows.

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import LogTables, as_int, log_tables
+from ._numeric import LogTables, check_node, log_tables
 from .graph import ThresholdGraph
 from .urn import UrnParams
 
@@ -42,14 +42,6 @@ __all__ = [
     "expected_decay_centrality",
     "empirical_decay_centrality",
 ]
-
-
-def _check_node(n: int, i: int, name: str = "i") -> tuple[int, int]:
-    """(n, i) as Python ints, once both are integers and 1 <= i <= n."""
-    n, i = as_int("n", n), as_int(name, i)
-    if not 1 <= i <= n:
-        raise IndexError(f"node index {i} out of range 1..{n}")
-    return n, i
 
 
 @dataclass(frozen=True)
@@ -97,14 +89,14 @@ class DistanceDistribution:
 
 def expected_degree(params: UrnParams, n: int, i: int) -> float:
     """Expected degree of node i: n * rho, independent of i."""
-    n, i = _check_node(n, i)
+    n, i = check_node(n, i)
     return n * params.rho
 
 
 def degree_support(n: int, i: int) -> tuple[int, ...]:
     """Attainable degrees of node i: all of 0..n when 2i <= n, otherwise the
     isolated branch 0..n-i together with the universal branch i..n."""
-    n, i = _check_node(n, i)
+    n, i = check_node(n, i)
     if 2 * i <= n:
         return tuple(range(n + 1))
     return tuple(range(0, n - i + 1)) + tuple(range(i, n + 1))
@@ -118,7 +110,7 @@ def degree_pmf(params: UrnParams, n: int, i: int) -> DegreeDistribution:
     is the joint law of one draw vector with r reds at horizon n-i+1; both
     terms are summed where the branches overlap.
     """
-    n, i = _check_node(n, i)
+    n, i = check_node(n, i)
     t = log_tables(params.rho, params.delta, n)
     tail = n - i
     m = tail + 1
@@ -149,7 +141,7 @@ def degree_variance(params: UrnParams, n: int, i: int) -> float:
     the Bernoulli, Beta-Binomial and covariance parts, all non-negative, so
     nothing cancels as rho approaches 0 or 1.
     """
-    n, i = _check_node(n, i)
+    n, i = check_node(n, i)
     rho, delta = params.rho, params.delta
     tail = n - i
     return rho * (1.0 - rho) * (i * i + tail * (1.0 + tail * delta + 2.0 * i * delta) / (1.0 + delta))
@@ -168,8 +160,8 @@ def distance_pmf(params: UrnParams, n: int, i: int, j: int) -> DistanceDistribut
     Distinct nodes: distance 1 with probability rho; unreachable iff no draw
     from max(i,j) on is red; distance 2 carries the remaining mass.
     """
-    n, i = _check_node(n, i)
-    n, j = _check_node(n, j, "j")
+    n, i = check_node(n, i)
+    n, j = check_node(n, j, "j")
     rho = params.rho
     if i == j:
         probs = {0.0: rho, 1.0: 0.0, 2.0: 0.0, math.inf: 1.0 - rho}
@@ -191,7 +183,7 @@ def expected_decay_centrality(
     unreachability probability; the later nodes j take one each, for
     horizons n-j+1 = 1..n-i.
     """
-    n, i = _check_node(n, i)
+    n, i = check_node(n, i)
     alpha = cfg.alpha
     rho = params.rho
     t = log_tables(rho, params.delta, n)
@@ -206,6 +198,6 @@ def empirical_decay_centrality(
 ) -> float:
     """Realized decay centrality sum_j alpha^d(i,j) on one graph, with
     alpha^inf = 0."""
-    g._check_index(i)
+    i = g._check_index(i)
     alpha = cfg.alpha
     return math.fsum(alpha ** g.distance(i, j) for j in range(1, g.n + 1))

@@ -43,7 +43,7 @@ from .consensus import (
 from .graph import build_graph
 from .oracle import run_validation_suite
 from .spectral import spectrum, verify_eigenpairs
-from .urn import FiniteMemoryParams, UrnParams, sample_finite_memory, sample_polya
+from .urn import FiniteMemoryParams, UrnParams, sample_polya
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -112,6 +112,9 @@ def _parse_x0(source: str, n: int) -> np.ndarray:
         raise ConfigError(f"cannot parse x0: {exc}") from exc
     if x.shape != (n,):
         raise ConfigError(f"x0 must have {n} entries, got {len(x)}")
+    bad = x[~np.isfinite(x)]
+    if bad.size:
+        raise ConfigError(f"x0 must be finite, got {float(bad[0])}")
     return x
 
 
@@ -136,8 +139,6 @@ def _sampled_graph(args, law):
     universal under --force-last-universal."""
     if args.force_last_universal:
         return sample_connected_graph(law, args.n, args.seed)
-    if isinstance(law, FiniteMemoryParams):
-        return build_graph(sample_finite_memory(law, args.n, args.seed))
     return build_graph(sample_polya(law, args.n, args.seed))
 
 

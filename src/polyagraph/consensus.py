@@ -26,7 +26,7 @@ W that fixes sum_k N_k (polynomial in n, guarded by a 64 MiB table budget),
 or estimated by seeded Monte Carlo with one independent stream per run,
 merged by run index so scheduling cannot change the estimate.  Monte Carlo
 runs are sampled in passes of up to 1024 runs, each one vectorized call
-(:func:`polyagraph.urn.sample_runs`) that reproduces the per-run samplers
+(:func:`polyagraph.urn.sample_runs`) that reproduces the scalar sampler
 bit for bit into one float buffer.  Its uniforms come from
 :func:`polyagraph.rng.uniform_rows`: for realizations of up to 49 nodes
 (48 free draws) a Philox kernel computes a tile of runs at once, and
@@ -46,13 +46,7 @@ import numpy as np
 
 from ._numeric import as_int, prefix_table
 from .graph import ThresholdGraph, build_graph, neighbor_sums
-from .urn import (
-    FiniteMemoryParams,
-    UrnParams,
-    sample_finite_memory,
-    sample_polya,
-    sample_runs,
-)
+from .urn import FiniteMemoryParams, UrnParams, _law, sample_polya, sample_runs
 
 __all__ = [
     "AveragingOperator",
@@ -248,8 +242,11 @@ def _neighbor_counts(draws, *, out=None, work=None) -> np.ndarray:
 def _connected_runs(params, n: int, runs: int, seed: int, first_stream: int, out=None) -> np.ndarray:
     # draws of connected realizations as 0.0/1.0, one run per row of a float
     # (runs, n) array: the urn's n - 1 free draws, then the pinned 1
+    n, runs = as_int("n", n), as_int("runs", runs)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if runs < 0:
+        raise ValueError(f"runs must be >= 0, got {runs}")
     if out is None:
         out = np.empty((runs, n))
     out[:, -1] = 1.0
@@ -268,22 +265,15 @@ def _urn_mode(params) -> str:
     return "infinite"
 
 
-def _connected_draws(params, n: int, seed: int, stream_index: int) -> tuple[int, ...]:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n == 1:
-        return (1,)
-    if isinstance(params, FiniteMemoryParams):
-        head = sample_finite_memory(params, n - 1, seed, stream_index=stream_index)
-    else:
-        head = sample_polya(params, n - 1, seed, stream_index=stream_index)
-    return head.draws + (1,)
-
-
 def sample_connected_graph(params, n: int, seed: int, *, stream_index: int = 0) -> ThresholdGraph:
     """Sample a realization with the last node forced universal, matching the
-    connected experimental protocol."""
-    return build_graph(_connected_draws(params, n, seed, stream_index))
+    connected experimental protocol: the urn's n - 1 free draws, then a
+    pinned 1.  ``n`` must be an integer (numpy's included)."""
+    n = as_int("n", n)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    head = sample_polya(params, n - 1, seed, stream_index=stream_index).draws if n > 1 else ()
+    return build_graph(head + (1,))
 
 
 def averaging_matrix(g: ThresholdGraph) -> ConsensusSystem:
@@ -299,6 +289,18 @@ def averaging_matrix(g: ThresholdGraph) -> ConsensusSystem:
         )
     z = np.asarray(g.draws, dtype=np.int64)
     return ConsensusSystem(graph=g, W=AveragingOperator(z, _neighbor_counts(z)))
+
+
+def _opinions(x0, n: int) -> np.ndarray:
+    """x0 as a float vector, once it has length n and only finite entries: a
+    NaN or an infinity would spread to every node and never converge."""
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"x0 must have length {n}, got shape {x.shape}")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValueError(f"x0 must be finite, got {float(x[bad[0]])} at entry {bad[0] + 1}")
+    return x
 
 
 def iterate(
@@ -321,9 +323,7 @@ def iterate(
     than that can ever be met.  The floor only binds once max|x0| exceeds
     about 7e3 for the default tol of 1e-10.
     """
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (sys.graph.n,):
-        raise ValueError(f"x0 must have length {sys.graph.n}, got shape {x.shape}")
+    x = _opinions(x0, sys.graph.n)
     t_max = as_int("t_max", t_max)
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
@@ -389,11 +389,8 @@ def _pi_e_dp(params, n: int) -> np.ndarray:
     # V_t(s, w) = E[1/D | state s and W = w before free draw t], only over
     # the (s, w) reachable at t; the forward pass streams the mass over
     # (s, w) and collects a_t = E[z_t / D].
-    if isinstance(params, FiniteMemoryParams) and params.memory < n - 1:
-        base, memory, window = params.base, params.memory, True
-    else:
-        base = params.base if isinstance(params, FiniteMemoryParams) else params
-        memory, window = n, False  # min(t, memory) = t at every free draw
+    rho, delta, memory = _law(params, n - 1)
+    window = memory < n - 1  # else min(t, memory) = t at every free draw
 
     def states(t):  # reachable states before free draw t are 0 .. states(t) - 1
         return 1 << min(t, memory) if window else t + 1
@@ -417,11 +414,10 @@ def _pi_e_dp(params, n: int) -> np.ndarray:
         to_red = to_black | 1
     else:
         reds, to_black, to_red = s.astype(float), s, s + 1
-    rho, delta = base.rho, base.delta
     steps = []
     for t in range(n - 1):
         k, w = states(t), min(t, memory)
-        p_red = (rho + delta * reds[:k]) / (1.0 + delta * w)  # the samplers' expression
+        p_red = (rho + delta * reds[:k]) / (1.0 + delta * w)  # the sampler's expression
         p_black = (1.0 - rho + delta * (w - reds[:k])) / (1.0 + delta * w)
         steps.append((p_red[:, None], p_black[:, None], to_red[:k], to_black[:k], width(t)))
 
@@ -549,9 +545,7 @@ def memory_sweep(
         raise ValueError("need at least one memory length")
     if runs < 2:
         raise ValueError(f"need runs >= 2, got {runs}")
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"x0 must have length {n}, got shape {x.shape}")
+    x = _opinions(x0, n)
     points: list[SweepPoint] = []
     block = 0
 

@@ -29,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._numeric import prefix_table, sum_errors
+from ._numeric import check_node, prefix_table, sum_errors
 from .urn import CreationSequence, as_draws
 
 __all__ = [
@@ -82,9 +82,9 @@ class ThresholdGraph:
         deg.flags.writeable = False
         return deg
 
-    def _check_index(self, i: int) -> None:
-        if not 1 <= i <= self.n:
-            raise IndexError(f"node index {i} out of range 1..{self.n}")
+    def _check_index(self, i: int, name: str = "i") -> int:
+        """i as a Python int, once it is an integer node index in 1..n."""
+        return check_node(self.n, i, name)[1]
 
     def adjacency(self) -> np.ndarray:
         """Dense adjacency matrix, entry (i, j) = z_{max(i,j)}."""
@@ -92,12 +92,12 @@ class ThresholdGraph:
         return self._z[np.maximum.outer(idx, idx)].copy()
 
     def has_self_loop(self, i: int) -> bool:
-        self._check_index(i)
+        i = self._check_index(i)
         return self.sequence.draws[i - 1] == 1
 
     def degree(self, i: int) -> int:
         """Edges at node i, a self-loop counting exactly once."""
-        self._check_index(i)
+        i = self._check_index(i)
         return int(self._degree_array[i - 1])
 
     def degrees(self) -> np.ndarray:
@@ -114,8 +114,7 @@ class ThresholdGraph:
         Returns 0.0, 1.0, 2.0 or math.inf; no other value is attainable.
         d(i, i) is 0 with a self-loop and inf without one.
         """
-        self._check_index(i)
-        self._check_index(j)
+        i, j = self._check_index(i), self._check_index(j, "j")
         draws = self.sequence.draws
         if i == j:
             return 0.0 if draws[i - 1] == 1 else math.inf

@@ -47,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._numeric import as_int
+from ._numeric import as_int, check_node
 from .analytics import degree_pmf, distance_pmf, expected_decay_centrality
 from .consensus import (
     EnumerationLimitError,
@@ -58,7 +58,7 @@ from .consensus import (
 from .graph import build_graph
 from .rng import stream
 from .spectral import _eigenpair_flags, laplacian, spectrum
-from .urn import FiniteMemoryParams, UrnParams, finite_memory_joint_pmf, polya_joint_pmf
+from .urn import FiniteMemoryParams, UrnParams, polya_joint_pmf
 
 __all__ = [
     "enumerate_expectation",
@@ -111,7 +111,7 @@ def _weight_table(params, n: int) -> np.ndarray:
         by_reds = np.array([polya_joint_pmf(params, (1,) * k + (0,) * (n - k)) for k in range(n + 1)])
         return by_reds[np.bitwise_count(_gray_codes(n))]
     if isinstance(params, FiniteMemoryParams):
-        return np.array([finite_memory_joint_pmf(params, z) for z in _gray_draws(n).tolist()])
+        return np.array([polya_joint_pmf(params, z) for z in _gray_draws(n).tolist()])
     raise TypeError(f"expected UrnParams or FiniteMemoryParams, got {type(params).__name__}")
 
 
@@ -150,12 +150,10 @@ def enumerate_expectation(params, n: int, evaluator: Callable, *, pin_last: bool
 def _node(n, i, horizon: int, what: str) -> tuple[int, int]:
     """(n, i) as Python ints, once both are integers, n is within the
     enumeration guard and 1 <= i <= n."""
-    n, i = as_int("n", n), as_int("i", i)
+    n = as_int("n", n)
     if n > horizon:
         raise EnumerationLimitError(f"{what} enumeration is guarded at n <= {horizon}, got {n}")
-    if not 1 <= i <= n:
-        raise IndexError(f"node index {i} out of range 1..{n}")
-    return n, i
+    return check_node(n, i)
 
 
 def oracle_degree_pmf(params: UrnParams, n: int, i: int) -> dict[int, float]:
@@ -203,8 +201,7 @@ def bfs_distances(z: tuple[int, ...], source: int) -> list[float]:
     has a self-loop, inf otherwise.  This is the one-vector case of the
     search that builds the distance table.
     """
-    if not 1 <= source <= len(z):
-        raise IndexError(f"node index {source} out of range 1..{len(z)}")
+    source = check_node(len(z), source, "source")[1]
     return _bfs_table([z])[0, source - 1].tolist()
 
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numeric import as_int
 from .graph import ThresholdGraph, neighbor_sums
 
 __all__ = [
@@ -72,7 +73,9 @@ def _basis_rows(n: int, start: int, stop: int, dtype=np.int64) -> np.ndarray:
 
 
 def eigenbasis(n: int) -> list[np.ndarray]:
-    """The deterministic eigenbasis shared by every realization of size n."""
+    """The deterministic eigenbasis shared by every realization of size n.
+    ``n`` must be an integer (numpy's included)."""
+    n = as_int("n", n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return list(_basis_rows(n, 0, n))

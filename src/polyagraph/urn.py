@@ -23,11 +23,14 @@ rising products (:func:`polyagraph._numeric.log_tables`), built once per
 A finite-memory variant removes each reinforcement batch ``memory`` steps
 after it was added.  The first ``memory`` draws keep the law above; later
 draws depend on the previous ``memory`` outcomes only, making the process a
-Markov chain of that order.
+Markov chain of that order.  The infinite urn is the finite-memory urn
+whose window of past draws is the whole past, so one sampler and one joint
+law serve both: each takes an :class:`UrnParams` or a
+:class:`FiniteMemoryParams`, and ``_law`` alone tells them apart.
 
-:func:`sample_polya` and :func:`sample_finite_memory` draw one realization;
-:func:`sample_runs` draws a block of realizations, one per stream, in one
-pass vectorized over runs, with rows identical to the per-run samplers.
+:func:`sample_polya` draws one realization; :func:`sample_runs` draws a
+block of realizations, one per stream, in one pass vectorized over runs,
+with rows identical to the scalar sampler's.
 """
 
 from __future__ import annotations
@@ -50,8 +53,6 @@ __all__ = [
     "sample_polya",
     "polya_joint_pmf",
     "beta_binomial_pmf",
-    "sample_finite_memory",
-    "finite_memory_joint_pmf",
     "sample_runs",
 ]
 
@@ -155,37 +156,67 @@ def as_draws(z) -> tuple[int, ...]:
     return CreationSequence(tuple(z)).draws
 
 
-def sample_polya(params: UrnParams, n: int, seed: int, *, stream_index: int = 0) -> CreationSequence:
-    """Draw n indicators from the urn.
+def _law(law, n: int) -> tuple[float, float, int]:
+    """(rho, delta, window) of either urn over n draws: the red probability
+    of a draw is set by the last ``window`` draws, the memory capped at n
+    for a :class:`FiniteMemoryParams` and the whole past, n, for an
+    :class:`UrnParams`."""
+    if isinstance(law, FiniteMemoryParams):
+        return law.base.rho, law.base.delta, min(law.memory, n)
+    return law.rho, law.delta, n
 
-    Given the history, draw t is red with probability
-    (rho + delta * reds_so_far) / (1 + (t-1) * delta).  The output is fully
-    determined by (seed, stream_index); see :func:`polyagraph.rng.stream`.
+
+def sample_polya(law, n: int, seed: int, *, stream_index: int = 0) -> CreationSequence:
+    """Draw n indicators from the urn ``law``, an :class:`UrnParams` or a
+    :class:`FiniteMemoryParams`.
+
+    Given the history, draw t (0-based) is red with probability
+    (rho + delta * r) / (1 + w * delta), where w = min(t, memory) and r is
+    the number of red draws among the last w; the infinite urn's window is
+    the whole past, w = t.  The output is fully determined by
+    (seed, stream_index); see :func:`polyagraph.rng.stream`.  ``n`` must
+    be an integer (numpy's included); a bool or a float raises ValueError.
     """
+    n = as_int("n", n)
     if n < 1:
         raise ValueError(f"need n >= 1 draws, got {n}")
-    u = stream(seed, stream_index).random(n)
-    rho, delta = params.rho, params.delta
-    draws = []
-    reds = 0
+    rho, delta, window = _law(law, n)
+    u = stream(seed, stream_index).random(n).tolist()
+    draws: list[int] = []
+    reds = 0  # red draws among the last w
     for t in range(n):
-        p_red = (rho + delta * reds) / (1.0 + delta * t)
-        z = 1 if u[t] < p_red else 0
+        if t > window:
+            reds -= draws[t - 1 - window]
+        z = 1 if u[t] < (rho + delta * reds) / (1.0 + delta * (t if t < window else window)) else 0
         reds += z
         draws.append(z)
     return CreationSequence(tuple(draws))
 
 
-def polya_joint_pmf(params: UrnParams, z) -> float:
-    """Exact probability of one draw vector.
+def polya_joint_pmf(law, z) -> float:
+    """Exact probability of one draw vector under the urn ``law``, an
+    :class:`UrnParams` or a :class:`FiniteMemoryParams`.
 
-    Product of linear factors read off the log tables and exponentiated
-    once.  Exchangeability is automatic: the value depends on the vector
-    only through its length and its number of red draws.
+    The first min(n, memory) draws carry the exchangeable law: a product of
+    linear factors read off the log tables, which depends on those draws
+    only through their number of reds.  Under a memory M < n every later
+    draw contributes an order-M Markov factor driven by the red count of
+    the previous M outcomes.  The log probability is exponentiated once.
     """
     draws = as_draws(z)
     n = len(draws)
-    return math.exp(log_tables(params.rho, params.delta, n).log_joint(n, sum(draws)))
+    rho, delta, window = _law(law, n)
+    reds = sum(draws[:window])
+    acc = log_tables(rho, delta, window).log_joint(window, reds)
+    if window < n:
+        log_denom = math.log(1.0 + window * delta)
+        for t in range(window, n):
+            if draws[t] == 1:
+                acc += math.log(rho + delta * reds) - log_denom
+            else:
+                acc += math.log(1.0 - rho + delta * (window - reds)) - log_denom
+            reds += draws[t] - draws[t - window]
+    return math.exp(acc)
 
 
 def beta_binomial_pmf(params: UrnParams, n: int, k: int) -> float:
@@ -204,65 +235,19 @@ def beta_binomial_pmf(params: UrnParams, n: int, k: int) -> float:
     return math.exp(t.log_choose(n, k) + t.log_joint(n, k))
 
 
-def sample_finite_memory(fm: FiniteMemoryParams, n: int, seed: int, *, stream_index: int = 0) -> CreationSequence:
-    """Draw n indicators from the finite-memory urn.
-
-    Reinforcement added at step t leaves the urn at step t + memory, so the
-    red probability at step t is (rho + delta * r) / (1 + w * delta) with
-    w = min(t-1, memory) and r the number of red draws among the last w.
-    For t <= memory this coincides with the infinite-memory urn.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1 draws, got {n}")
-    rho, delta = fm.base.rho, fm.base.delta
-    memory = fm.memory
-    u = stream(seed, stream_index).random(n)
-    draws: list[int] = []
-    for t in range(n):
-        w = min(t, memory)
-        r = sum(draws[t - w : t])
-        p_red = (rho + delta * r) / (1.0 + delta * w)
-        draws.append(1 if u[t] < p_red else 0)
-    return CreationSequence(tuple(draws))
-
-
-def finite_memory_joint_pmf(fm: FiniteMemoryParams, z) -> float:
-    """Exact probability of a draw vector under finite memory.
-
-    The first min(n, memory) draws carry the infinite-memory law; every later
-    draw contributes an order-``memory`` Markov factor driven by the sliding
-    window of the previous ``memory`` outcomes.  For n <= memory the value
-    coincides with :func:`polya_joint_pmf`.
-    """
-    draws = as_draws(z)
-    n = len(draws)
-    memory = fm.memory
-    rho, delta = fm.base.rho, fm.base.delta
-    h = min(n, memory)
-    acc = log_tables(rho, delta, h).log_joint(h, sum(draws[:h]))
-    log_denom = math.log(1.0 + memory * delta)
-    for t in range(memory, n):
-        r = sum(draws[t - memory : t])
-        if draws[t] == 1:
-            acc += math.log(rho + delta * r) - log_denom
-        else:
-            acc += math.log(1.0 - rho + delta * (memory - r)) - log_denom
-    return math.exp(acc)
-
-
 def sample_runs(
-    params, n: int, runs: int, seed: int, *, first_stream: int = 0, out: np.ndarray | None = None
+    law, n: int, runs: int, seed: int, *, first_stream: int = 0, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Draw ``runs`` independent realizations of n indicators at once.
 
     Returns a (runs, n) int64 array of 0/1 whose row r is, byte for byte,
-    the draw vector of :func:`sample_polya` (``params`` a
-    :class:`UrnParams`) or :func:`sample_finite_memory` (a
-    :class:`FiniteMemoryParams`) at stream index ``first_stream + r``.  One
-    loop over t advances every run: the red count in the window of the last
-    w = min(t, memory) draws is kept as a running sum, and the infinite urn
-    is the case memory >= n, whose window is the whole past.  The red
-    probability is the per-run samplers' expression, rounded identically.
+    the draw vector of :func:`sample_polya` under the same ``law`` at
+    stream index ``first_stream + r``.  One loop over t advances every run:
+    the red count in the window of the last w = min(t, memory) draws is
+    kept as a running sum, and the infinite urn's window is the whole past.
+    The red probability is the scalar sampler's expression, rounded
+    identically.  ``n`` and ``runs`` must be integers (numpy's included),
+    n >= 1 and runs >= 0.
 
     ``out``, a float64 (runs, n) array whose rows are each contiguous (for
     instance all but the last column of a C-contiguous buffer), receives
@@ -270,12 +255,12 @@ def sample_runs(
     :func:`polyagraph.rng.uniform_rows` are written into it and turned into
     draws column by column, in place.
     """
+    n, runs = as_int("n", n), as_int("runs", runs)
     if n < 1:
         raise ValueError(f"need n >= 1 draws, got {n}")
-    if isinstance(params, FiniteMemoryParams):
-        rho, delta, memory = params.base.rho, params.base.delta, params.memory
-    else:
-        rho, delta, memory = params.rho, params.delta, n
+    if runs < 0:
+        raise ValueError(f"runs must be >= 0, got {runs}")
+    rho, delta, window = _law(law, n)
     draws = uniform_rows(seed, first_stream, runs, n, out=out)
     # red counts are small integers, exact in float64
     reds = np.zeros(runs)
@@ -283,12 +268,12 @@ def sample_runs(
     for t in range(n):
         if t:
             reds += draws[:, t - 1]
-            if t > memory:
-                reds -= draws[:, t - 1 - memory]
-        # the samplers' (rho + delta * reds) / (1 + delta * w), same roundings
+            if t > window:
+                reds -= draws[:, t - 1 - window]
+        # the scalar sampler's (rho + delta * reds) / (1 + delta * w), same roundings
         np.multiply(delta, reds, out=p_red)
         np.add(rho, p_red, out=p_red)
-        p_red /= 1.0 + delta * min(t, memory)
+        p_red /= 1.0 + delta * min(t, window)
         col = draws[:, t]
         np.less(col, p_red, out=col, casting="unsafe")
     return draws.astype(np.int64) if out is None else draws

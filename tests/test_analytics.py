@@ -319,6 +319,11 @@ def test_empirical_centrality_values():
     assert empirical_decay_centrality(g, 4) == pytest.approx(2.5, abs=1e-15)
     assert empirical_decay_centrality(build_graph((0, 0, 0)), 2) == 0.0
     assert empirical_decay_centrality(build_graph((1,)), 1) == 1.0
+    # the graph's node rule: True used to answer for node 1, 2.0 failed late
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError, match="i must be an integer"):
+            empirical_decay_centrality(g, bad)
+    assert empirical_decay_centrality(g, np.int64(4)) == empirical_decay_centrality(g, 4)
 
 
 def test_centrality_config_validation():

@@ -137,6 +137,19 @@ def test_sampled_operator_rows_are_the_per_run_realizations(ref_params):
                 assert np.array_equal(W.pi_star[r], sys_.pi_star)
     with pytest.raises(ValueError):
         AveragingOperator.sample(ref_params, 0, 5, 41)
+    # True used to give a 1-node graph, and 3.0 a complaint about '2.0'
+    for bad in (True, 3.0):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            sample_connected_graph(ref_params, bad, 1)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            AveragingOperator.sample(ref_params, bad, 5, 41)
+        with pytest.raises(ValueError, match="runs must be an integer"):
+            AveragingOperator.sample(ref_params, 3, bad, 41)
+    with pytest.raises(ValueError, match="runs must be >= 0"):
+        AveragingOperator.sample(ref_params, 3, -1, 41)
+    assert sample_connected_graph(ref_params, np.int64(7), 1) == sample_connected_graph(ref_params, 7, 1)
+    W = AveragingOperator.sample(ref_params, np.int64(7), np.int32(5), 41, first_stream=9)
+    assert np.array_equal(W.z, AveragingOperator.sample(ref_params, 7, 5, 41, first_stream=9).z)
 
 
 def _prefix_table_reference(a):
@@ -283,6 +296,10 @@ def test_iterate_streaming_mode_and_validation():
     with pytest.raises(ValueError, match="t must be >= 0"):
         sys_.W.power((1.0, 2.0), -1)
     assert iterate(sys_, (1.0, 2.0), t_max=np.int64(3), record=False).converged_at == 1
+    # a NaN used to run all t_max steps and read as slow mixing
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            iterate(sys_, (1.0, bad))
     assert np.array_equal(sys_.W.power((1.0, 2.0), np.int64(2)), sys_.W @ (sys_.W @ (1.0, 2.0)))
 
 
@@ -650,6 +667,10 @@ def test_memory_sweep_validation(ref_params):
         memory_sweep(ref_params, 4, deltas=(0.2,), memories=(1,), runs=1, x0=np.zeros(4), seed=0)
     with pytest.raises(ValueError):
         memory_sweep(ref_params, 4, deltas=(0.2,), memories=(1,), runs=10, x0=np.zeros(3), seed=0)
+    # a NaN or an infinity used to come back as NaN cells
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            memory_sweep(ref_params, 4, deltas=(0.2,), memories=(1,), runs=10, x0=(0.0, bad, 1.0, 2.0), seed=0)
 
 
 def test_memory_sweep_counts_follow_the_integer_rule(ref_params):

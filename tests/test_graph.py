@@ -112,6 +112,24 @@ def test_distance_examples():
         g.distance(1, 6)
 
 
+def test_node_methods_follow_the_integer_rule():
+    # True used to answer for node 1, and a float index failed inside a tuple
+    g = build_graph((1, 0, 1))
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError, match="i must be an integer"):
+            g.degree(bad)
+        with pytest.raises(ValueError, match="i must be an integer"):
+            g.has_self_loop(bad)
+        with pytest.raises(ValueError, match="i must be an integer"):
+            g.distance(bad, 2)
+        with pytest.raises(ValueError, match="j must be an integer"):
+            g.distance(2, bad)
+    assert g.distance(np.int64(1), np.int32(2)) == g.distance(1, 2)
+    assert g.degree(np.int64(3)) == g.degree(3) and g.has_self_loop(np.int8(1))
+    with pytest.raises(IndexError, match=r"node index 4 out of range 1\.\.3"):
+        g.degree(np.int64(4))
+
+
 def test_distance_rule_equals_bfs_exhaustively():
     # every realization up to n = 10, every ordered pair
     for n in range(1, 11):

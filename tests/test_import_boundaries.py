@@ -6,7 +6,8 @@ the package namespace does not re-export oracle names.  The stepping kernel
 ``consensus._Stepper`` stays inside ``consensus``; everyone else steps
 through ``AveragingOperator.power`` or ``iterate``.  The batched eigenpair
 kernel ``spectral._eigenpair_flags`` serves ``spectral`` and the ``oracle``
-check alone.
+check alone.  ``urn._law`` decides which urn a law is, for ``urn`` and the
+exact pi_E DP in ``consensus``.
 """
 
 import ast
@@ -69,6 +70,16 @@ def test_only_spectral_and_oracle_name_the_eigenpair_kernel():
     # the batched check is validation machinery: verify_eigenpairs is the
     # library's way to check one realization
     assert _namers("_eigenpair_flags") == ["oracle", "spectral"]
+
+
+def test_only_urn_and_consensus_name_the_urn_law():
+    # urn._law alone tells the infinite urn from the finite-memory one; the
+    # exact pi_E DP unpacks through it too
+    assert _namers("_law") == ["consensus", "urn"]
+
+
+def test_one_sampler_and_one_joint_law_for_both_urns():
+    assert [name for name in ("sample_finite_memory", "finite_memory_joint_pmf") if hasattr(polyagraph, name)] == []
 
 
 def test_package_namespace_has_no_oracle_names():

@@ -233,6 +233,20 @@ def test_consensus_rejects_disconnected_draws(capsys):
     assert run_cli(["consensus", "--draws", "1,0", "--x0", "0,1"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv", [
+    ["consensus", "--draws", "0,0,1", "--x0", "0,nan,1"],
+    ["histogram", "--rho", "0.5", "--delta", "0.2", "--n", "3", "--runs", "2", "--seed", "1", "--x0", "0,1,inf"],
+    ["memory-sweep", "--rho", "0.5", "--delta", "0.2", "--n", "3", "--deltas", "1", "--memories", "1",
+     "--runs", "2", "--x0=-inf,0,1"],
+])
+def test_non_finite_opinions_are_config_errors(tmp_path, monkeypatch, capsys, argv):
+    # a NaN used to run to t_max, or to come back as NaN table cells
+    monkeypatch.setenv("POLYAGRAPH_OUT_DIR", str(tmp_path))
+    assert run_cli(argv) == EXIT_CONFIG
+    assert "x0 must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_histogram_command_reproducible(tmp_path):
     outs = []
     for tag in ("a", "b"):

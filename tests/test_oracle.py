@@ -11,7 +11,6 @@ from polyagraph import (
     UrnParams,
     build_graph,
     expected_stationary_exact,
-    finite_memory_joint_pmf,
     polya_joint_pmf,
 )
 from polyagraph.analytics import degree_support
@@ -152,7 +151,7 @@ def test_weight_table_matches_per_vector_evaluation():
             assert np.array_equal(_weight_table(params, n), per_vector)
     fm = FiniteMemoryParams(UrnParams(5.0, 5.0, 2.0), 2)
     assert np.array_equal(
-        _weight_table(fm, 6), [finite_memory_joint_pmf(fm, z) for z in _gray_draws(6).tolist()]
+        _weight_table(fm, 6), [polya_joint_pmf(fm, z) for z in _gray_draws(6).tolist()]
     )
 
 
@@ -199,6 +198,11 @@ def test_bfs_self_loop_convention_and_isolated_sources():
     assert bfs_distances((0, 0, 1), 2) == [2.0, inf, 1.0]
     with pytest.raises(IndexError):
         bfs_distances((1, 0), 3)
+    # True used to answer for node 1, and 2.0 failed inside numpy
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError, match="source must be an integer"):
+            bfs_distances((1, 0), bad)
+    assert bfs_distances((0, 0, 1), np.int64(2)) == [2.0, inf, 1.0]
 
 
 def test_bfs_frontier_products_do_not_wrap():

@@ -89,6 +89,11 @@ def test_eigenbasis_deterministic_and_realization_free():
     assert all(np.array_equal(a, b) for a, b in zip(eigenbasis(6), eigenbasis(6)))
     with pytest.raises(ValueError):
         eigenbasis(0)
+    # True used to give a 1-node basis, and 2.0 failed inside numpy
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            eigenbasis(bad)
+    assert all(np.array_equal(a, b) for a, b in zip(eigenbasis(np.int64(4)), eigenbasis(4)))
 
 
 def test_verify_eigenpairs_examples():

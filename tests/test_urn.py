@@ -12,9 +12,7 @@ from polyagraph import (
     FiniteMemoryParams,
     UrnParams,
     beta_binomial_pmf,
-    finite_memory_joint_pmf,
     polya_joint_pmf,
-    sample_finite_memory,
     sample_polya,
 )
 from polyagraph.rng import stream
@@ -119,6 +117,12 @@ def test_sampler_range_and_determinism(ref_params):
 def test_sampler_rejects_empty(ref_params):
     with pytest.raises(ValueError):
         sample_polya(ref_params, 0, seed=1)
+    # a bool or a float is refused by name rather than read as a count
+    for law in (ref_params, FiniteMemoryParams(ref_params, 2)):
+        for bad in (True, 3.0):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                sample_polya(law, bad, seed=1)
+        assert sample_polya(law, np.int64(5), seed=1).draws == sample_polya(law, 5, seed=1).draws
 
 
 def test_first_draw_frequency_matches_rho(ref_params):
@@ -216,45 +220,61 @@ def test_finite_memory_reduces_to_infinite_when_memory_covers_horizon(ref_params
     fm = FiniteMemoryParams(ref_params, 8)
     for n in (1, 4, 8):
         for z in all_vectors(n):
-            assert abs(finite_memory_joint_pmf(fm, z) - polya_joint_pmf(ref_params, z)) <= 1e-12
+            assert abs(polya_joint_pmf(fm, z) - polya_joint_pmf(ref_params, z)) <= 1e-12
     # with the same stream the sampled sequences are identical outright
     for r in range(20):
         a = sample_polya(ref_params, 6, seed=3, stream_index=r)
-        b = sample_finite_memory(FiniteMemoryParams(ref_params, 6), 6, seed=3, stream_index=r)
+        b = sample_polya(FiniteMemoryParams(ref_params, 6), 6, seed=3, stream_index=r)
         assert a.draws == b.draws
 
 
 def test_finite_memory_known_value(ref_params):
     fm = FiniteMemoryParams(ref_params, 1)
     expected = 0.5 * (0.7 / 1.2) ** 2
-    assert finite_memory_joint_pmf(fm, (1, 1, 1)) == pytest.approx(expected, abs=1e-14)
+    assert polya_joint_pmf(fm, (1, 1, 1)) == pytest.approx(expected, abs=1e-14)
 
 
 def test_finite_memory_normalizes(ref_params):
     fm = FiniteMemoryParams(ref_params, 2)
-    total = math.fsum(finite_memory_joint_pmf(fm, z) for z in all_vectors(4))
+    total = math.fsum(polya_joint_pmf(fm, z) for z in all_vectors(4))
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_finite_memory_sampler_determinism(ref_params):
     fm = FiniteMemoryParams(ref_params, 2)
-    a = sample_finite_memory(fm, 7, seed=9)
-    assert a.draws == sample_finite_memory(fm, 7, seed=9).draws
+    a = sample_polya(fm, 7, seed=9)
+    assert a.draws == sample_polya(fm, 7, seed=9).draws
     with pytest.raises(ValueError):
-        sample_finite_memory(fm, 0, seed=9)
+        sample_polya(fm, 0, seed=9)
 
 
-@pytest.mark.parametrize("n", [1, 2, 10, 100])
-@pytest.mark.parametrize("memory", [None, 1, 4, 1000])
+def test_sampler_follows_the_sliding_window_rule(ref_params):
+    # draw t is red when its uniform falls below (rho + delta * r) / (1 + w * delta),
+    # r the reds among the last w = min(t, memory) draws, written out here
+    rho, delta = ref_params.rho, ref_params.delta
+    u = stream(4, 2).random(60)
+    for memory in (1, 3, 59, 60, None):
+        law = ref_params if memory is None else FiniteMemoryParams(ref_params, memory)
+        z = sample_polya(law, 60, seed=4, stream_index=2).draws
+        for t in range(60):
+            w = t if memory is None else min(t, memory)
+            assert z[t] == int(u[t] < (rho + delta * sum(z[t - w : t])) / (1.0 + delta * w))
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 48, 49, 100])
+@pytest.mark.parametrize("memory", [None, 1, 4, 1000, "n-1"])
 def test_sample_runs_rows_are_the_per_run_draws(ref_params, n, memory):
-    # row r is byte for byte the per-run sampler at stream first_stream + r
+    # row r is byte for byte the scalar sampler at stream first_stream + r;
+    # 48 and 49 draws straddle the Philox route of rng.uniform_rows, and a
+    # memory of n - 1 (1 at n = 1) drops only the first draw, at the last step
+    if memory == "n-1":
+        memory = max(n - 1, 1)
     law = ref_params if memory is None else FiniteMemoryParams(ref_params, memory)
-    per_run = sample_polya if memory is None else sample_finite_memory
     for seed, first, runs in ((8, 3, 300), (2**64 - 1, 2**64 - 40, 40)):
         block = sample_runs(law, n, runs, seed, first_stream=first)
         assert block.shape == (runs, n)
         for r in range(runs):
-            assert tuple(block[r]) == per_run(law, n, seed, stream_index=first + r).draws
+            assert tuple(block[r]) == sample_polya(law, n, seed, stream_index=first + r).draws
 
 
 def test_sample_runs_validation(ref_params):
@@ -266,6 +286,13 @@ def test_sample_runs_validation(ref_params):
     with pytest.raises(ValueError):
         sample_runs(ref_params, 0, 4, 0)
     assert sample_runs(ref_params, 3, 0, 0).shape == (0, 3)
+    # a negative count used to fail inside numpy with "negative dimensions"
+    with pytest.raises(ValueError, match="runs must be >= 0"):
+        sample_runs(ref_params, 3, -1, 1)
+    for name, n, runs in (("n", True, 4), ("n", 3.0, 4), ("runs", 3, True), ("runs", 3, 4.0)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            sample_runs(ref_params, n, runs, 1)
+    assert np.array_equal(sample_runs(ref_params, np.int64(3), np.int32(4), 1), sample_runs(ref_params, 3, 4, 1))
 
 
 def test_finite_memory_sliding_window_frequency(ref_params):
@@ -274,7 +301,7 @@ def test_finite_memory_sliding_window_frequency(ref_params):
     runs = 100_000
     cond, hits = 0, 0
     for r in range(runs):
-        z = sample_finite_memory(fm, 3, seed=17, stream_index=r)
+        z = sample_polya(fm, 3, seed=17, stream_index=r)
         if z[1] == 1:
             cond += 1
             hits += z[2]
@@ -291,8 +318,8 @@ def test_finite_memory_is_markov_of_its_order(ref_params):
         fm = FiniteMemoryParams(ref_params, memory)
         for t in range(memory + 1, 9):
             for past in all_vectors(t - 1):
-                p_past = finite_memory_joint_pmf(fm, past)
-                p_next = finite_memory_joint_pmf(fm, past + (1,))
+                p_past = polya_joint_pmf(fm, past)
+                p_next = polya_joint_pmf(fm, past + (1,))
                 window = sum(past[-memory:])
                 expected = (rho + delta * window) / (1.0 + memory * delta)
                 assert abs(p_next / p_past - expected) <= 1e-12
