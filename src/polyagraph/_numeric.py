@@ -44,21 +44,15 @@ def check_node(n, i, name: str = "i") -> tuple[int, int]:
     return n, i
 
 
-def prefix_table(a: np.ndarray, *, out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
-    """Prefix sums along the last axis: entry k is a[..., 0] + .. + a[..., k-1],
-    for k = 0..m (m = a.shape[-1]); leading axes are independent rows.
+def prefix_table(a: np.ndarray) -> np.ndarray:
+    """Prefix sums of a float array along the last axis: entry k is
+    a[..., 0] + .. + a[..., k-1], for k = 0..m (m = a.shape[-1]); leading
+    axes are independent rows.
 
     The running sum is compensated, so every entry stays within a few ulps
     of the exactly rounded sum of its terms even for thousands of terms.
-    Integer input gives exact integer sums, uncompensated.
-
-    ``out``, of shape a.shape[:-1] + (m + 1,), receives the table; ``work``,
-    a contiguous 1-d float array of at least 2 * a.size entries, holds the
-    compensation temporaries.  With both given the call allocates no array,
-    and the table is bit for bit the one a call without them returns.
     """
-    if out is None:
-        out = np.empty(a.shape[:-1] + (a.shape[-1] + 1,), dtype=a.dtype)
+    out = np.empty(a.shape[:-1] + (a.shape[-1] + 1,), dtype=a.dtype)
     out[..., 0] = 0
     prev, cur = out[..., :-1], out[..., 1:]
     # cumsum is a sequential left-to-right sum, so each partial sum is the
@@ -66,11 +60,7 @@ def prefix_table(a: np.ndarray, *, out: np.ndarray | None = None, work: np.ndarr
     # of that addition is recovered exactly from the three values (Knuth's
     # TwoSum, valid whatever their magnitudes)
     a.cumsum(axis=-1, out=cur)
-    if out.dtype.kind in "iu":
-        return out  # integer sums are exact: nothing to recover
-    if work is None:
-        work = np.empty(2 * a.size, dtype=out.dtype)
-    b, err = work[: 2 * a.size].reshape((2,) + a.shape)
+    b, err = np.empty((2,) + a.shape, dtype=a.dtype)
     cur += sum_errors(prev, cur, a, out=err, scratch=b).cumsum(axis=-1, out=b)
     return out
 

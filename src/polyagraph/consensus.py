@@ -11,8 +11,9 @@ count of node i (self-loops do not enter N_i).  W is row-stochastic,
 irreducible and aperiodic, satisfies the exact detailed balance
 N_i W_ij = N_j W_ji, and has the unique stationary vector
 pi*_i = N_i / sum_k N_k, so every trajectory converges to the scalar
-pi* . x(0).  W is never stored: it is an O(n) operator on z and N, and one
-step costs two prefix sums (:func:`polyagraph.graph.neighbor_sums`).
+pi* . x(0).  W is never stored: it is an O(n) operator on z and N
+(:func:`polyagraph.graph.neighbor_counts`), and one step costs two prefix
+sums (:func:`polyagraph.graph.neighbor_sums`).
 :meth:`AveragingOperator.power` gives W^t x, and :func:`iterate` runs to
 the limit; both step one vector or a (runs, n) batch in place over one fixed
 set of buffers, so a step allocates no arrays.  The dense matrix is built
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numeric import as_int, prefix_table
-from .graph import ThresholdGraph, build_graph, neighbor_sums
+from .graph import ThresholdGraph, build_graph, neighbor_counts, neighbor_sums
 from .urn import FiniteMemoryParams, UrnParams, _law, sample_polya, sample_runs
 
 __all__ = [
@@ -85,7 +86,7 @@ class AveragingOperator:
         index ``first_stream + r``, all drawn in one vectorized pass.  z and
         N are float64, exact small integers, as the stepper reads them."""
         z = _connected_runs(params, n, runs, seed, first_stream)
-        return cls(z, _neighbor_counts(z))
+        return cls(z, neighbor_counts(z))
 
     def power(self, x, t: int) -> np.ndarray:
         """W^t x: t steps in place over one set of buffers.  The result is a
@@ -126,8 +127,8 @@ class _Stepper:
     them every step costs more), the current and the spare state, and the
     neighbour-sum workspace.  :meth:`step` writes (x + neighbor_sums(z, x))
     / N into the spare buffer and swaps the two, so a step allocates no
-    array, and a batch step hands numpy only contiguous operands, which it
-    does not buffer.
+    array, and it hands numpy only contiguous operands, which it does not
+    buffer.
     :meth:`AveragingOperator.power` and :func:`iterate` step through it.
     """
 
@@ -224,21 +225,6 @@ class SweepPoint:
     baseline_se: float
 
 
-def _neighbor_counts(draws, *, out=None, work=None) -> np.ndarray:
-    """N along the last axis: 1 + i*z_i earlier neighbours (0-based i) plus
-    the later universal nodes z_{i+1} + .. , which are T - c_i for the
-    inclusive cumsum c and total T.  Integer or float draws; the counts are
-    exact integers either way.  ``out`` may be the draws themselves, and
-    ``work``, of their shape, receives c."""
-    z = np.asarray(draws)
-    c = np.cumsum(z, axis=-1, out=work)
-    counts = np.multiply(z, np.arange(z.shape[-1]), out=out)
-    counts += 1
-    counts += c[..., -1:]
-    counts -= c
-    return counts
-
-
 def _connected_runs(params, n: int, runs: int, seed: int, first_stream: int, out=None) -> np.ndarray:
     # draws of connected realizations as 0.0/1.0, one run per row of a float
     # (runs, n) array: the urn's n - 1 free draws, then the pinned 1
@@ -288,7 +274,7 @@ def averaging_matrix(g: ThresholdGraph) -> ConsensusSystem:
             "(use sample_connected_graph)"
         )
     z = np.asarray(g.draws, dtype=np.int64)
-    return ConsensusSystem(graph=g, W=AveragingOperator(z, _neighbor_counts(z)))
+    return ConsensusSystem(graph=g, W=AveragingOperator(z, neighbor_counts(z)))
 
 
 def _opinions(x0, n: int) -> np.ndarray:
@@ -466,7 +452,7 @@ def _pi_star_blocks(params, n: int, runs: int, seed: int, first_stream: int = 0)
         while lo < len(draws):
             hi = _chunk_stop(lo, _BLOCK_RUNS, len(draws))
             block, k = draws[lo:hi], hi - lo
-            _neighbor_counts(block, out=block, work=cums[:k])
+            neighbor_counts(block, out=block, work=cums[:k])
             block /= np.sum(block, axis=-1, keepdims=True, out=totals[:k])
             yield block
             lo = hi
@@ -575,12 +561,15 @@ def memory_sweep(
 
 
 def opinion_preset(name: str, n: int) -> np.ndarray:
-    """Named initial-opinion vectors.
+    """Named initial-opinion vectors of length n, an integer >= 1.
 
     "paper-n10":  the reference 10-node experiment vector.
     "paper-n100": the same vector tiled to 100 nodes (x_{i+10k} = x_i).
     "polarized":  first half 0, second half 100.
     """
+    n = as_int("n", n)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     reference = (0.1, 0.6, 0.3, 1.0, 0.5, 3.0, 10.0, 2.0, 9.0, 0.2)
     if name == "paper-n10":
         if n != 10:

@@ -7,7 +7,9 @@ from z alone: the adjacency entry for nodes i and j is z_{max(i,j)}
 (including i = j, the self-loop indicator), node degrees are
 i*z_i + #(later universal nodes), and any two nodes are at distance 0, 1, 2
 or unreachable.  A node without a self-loop counts as disconnected from
-itself.
+itself.  :func:`neighbor_counts` (one plus the off-diagonal degrees) and
+:func:`neighbor_sums` (the off-diagonal adjacency product) read z, or a
+stack of them, and serve the degrees, consensus and the eigenpair check.
 
 The same graphs admit a weight characterization: node weights Phi and a
 threshold tau > 0 with an edge (u, v) exactly when Phi(u) + Phi(v) > tau
@@ -29,7 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._numeric import check_node, prefix_table, sum_errors
+from ._numeric import check_node, sum_errors
 from .urn import CreationSequence, as_draws
 
 __all__ = [
@@ -67,18 +69,9 @@ class ThresholdGraph:
         return z
 
     @cached_property
-    def _suffix_universal(self) -> np.ndarray:
-        # entry i: number of universal nodes strictly after 1-based node i+1
-        z = self._z
-        total = np.cumsum(z[::-1])[::-1]
-        suffix = total - z
-        suffix.flags.writeable = False
-        return suffix
-
-    @cached_property
     def _degree_array(self) -> np.ndarray:
-        z = self._z
-        deg = np.arange(1, self.n + 1, dtype=np.int64) * z + self._suffix_universal
+        # the self-loop, which N leaves out, counts once
+        deg = neighbor_counts(self._z) - 1 + self._z
         deg.flags.writeable = False
         return deg
 
@@ -121,7 +114,7 @@ class ThresholdGraph:
         m = max(i, j)
         if draws[m - 1] == 1:
             return 1.0
-        if self._suffix_universal[m - 1] > 0:
+        if self._degree_array[m - 1] > 0:  # m is isolated: its neighbours are universal
             return 2.0
         return math.inf
 
@@ -145,44 +138,47 @@ def neighbor_sums(
     This is the adjacency product A x without its diagonal.  Threshold
     neighbourhoods are nested, so it equals z_i * (x_1 + .. + x_{i-1}) +
     (z_{i+1} x_{i+1} + .. + z_n x_n): one exclusive prefix sum of x and one
-    exclusive suffix sum of z*x, O(n) per vector.  Both are compensated
-    prefix tables of the other entries alone, never cumsum(x) - x, so a
-    large x_i cannot swamp its neighbours' sum.  Leading axes broadcast: x
-    of shape (runs, n) with z of shape (n,) or (runs, n) works row by row,
-    and an x that broadcasts against z (one set of vectors for a stack of
-    sequences) has its prefix table taken once.  Integer input gives exact
-    integers.
+    exclusive suffix sum of z*x, O(n) per vector.  Leading axes broadcast:
+    x of shape (runs, n) with z of shape (n,) or (runs, n) works row by row.
 
-    ``out``, of the broadcast shape of z and x, receives the sums; ``work``,
-    a contiguous 1-d array of out's dtype with at least 4 * out.size
-    entries (2 * out.size for integers), holds z*x, the suffix table and
-    the compensation workspace.
-    With both given the call allocates no array, so a stepping loop can
-    reuse them every step.  For a float batch with x and out C-contiguous,
-    the compensation runs over contiguous operands, with the same bits.
+    Float sums are compensated prefix tables of the other entries alone,
+    never cumsum(x) - x, so a large x_i cannot swamp its neighbours' sum;
+    an x that is not a C-contiguous array of out's shape and dtype is first
+    copied into one.  Integer sums are exact cumsums, and an x shared by
+    the rows of z (one set of vectors for a stack of sequences) has its
+    prefix sums taken once.
+
+    ``out``, C-contiguous and of the broadcast shape of z and x, receives
+    the sums; ``work``, a contiguous 1-d array of out's dtype with at least
+    4 * out.size entries (2 * out.size for integers), holds z*x, the suffix
+    table and the compensation workspace.  With both given, and x not
+    copied, the call allocates no array, so a stepping loop can reuse them.
     """
     if out is None:
         out = np.empty(np.broadcast_shapes(z.shape, x.shape), dtype=np.result_type(z, x))
-    if work is None:  # integer tables need no compensation workspace
-        work = np.empty((4 if out.dtype.kind == "f" else 2) * out.size, dtype=out.dtype)
-    batch = out.ndim > 1 and out.dtype.kind == "f" and x.shape == out.shape
-    if batch and out.flags.c_contiguous and x.flags.c_contiguous:
-        return _batch_neighbor_sums(z, x, out, work)
-    zx, suffix = work[: 2 * out.size].reshape((2,) + out.shape)
-    scratch = work[2 * out.size :]
-    # x's own shape: an x shared by rows of z has its table taken once
-    prefix = prefix_table(x[..., :-1], out=zx.reshape(-1)[: x.size].reshape(x.shape), work=scratch)
-    np.multiply(z, prefix, out=out)
-    np.multiply(z, x, out=zx)
-    prefix_table(zx[..., :0:-1], out=suffix, work=scratch)
-    return np.add(out, suffix[..., ::-1], out=out)
-
-
-def _batch_neighbor_sums(z, x, out, work):
-    # The float batch case, with x and out C-contiguous: the same two tables,
-    # bit for bit, but their compensation runs over flat views, where entry k
-    # follows entry k - 1 of its row except at row boundaries.  The error
-    # there is garbage and is zeroed before each row's cumsum of errors.
+    if out.dtype.kind in "iu":
+        if work is None:
+            work = np.empty(2 * out.size, dtype=out.dtype)
+        # the suffix table is kept in reversed order: a cumsum into a
+        # reversed view is slower
+        zx, suffix = work[: 2 * out.size].reshape((2,) + out.shape)
+        prefix = zx.reshape(-1)[: x.size].reshape(x.shape)  # x's own shape
+        prefix[..., 0] = 0
+        x[..., :-1].cumsum(axis=-1, out=prefix[..., 1:])
+        np.multiply(z, prefix, out=out)
+        np.multiply(z, x, out=zx)
+        suffix[..., 0] = 0
+        zx[..., :0:-1].cumsum(axis=-1, out=suffix[..., 1:])
+        return np.add(out, suffix[..., ::-1], out=out)
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    if x.shape != out.shape or x.dtype != out.dtype or not x.flags.c_contiguous:
+        x = np.ascontiguousarray(np.broadcast_to(x, out.shape), dtype=out.dtype)
+    if work is None:
+        work = np.empty(4 * out.size, dtype=out.dtype)
+    # The compensation runs over flat views, so numpy buffers nothing.  There
+    # entry k follows entry k - 1 of its row except at row boundaries, where
+    # the error is garbage and is zeroed before each row's cumsum of errors.
     # The suffix table is kept in natural order.
     zx, suffix, b, err = work[: 4 * out.size].reshape((4,) + out.shape)
     flat_out, flat_x, flat_zx, flat_suffix = (a.reshape(-1) for a in (out, x, zx, suffix))
@@ -205,6 +201,21 @@ def _batch_neighbor_sums(z, x, out, work):
     return np.add(out, suffix, out=out)
 
 
+def neighbor_counts(draws, *, out=None, work=None) -> np.ndarray:
+    """One plus the off-diagonal degree along the last axis: for 1-based i,
+    N_i = 1 + (i-1) z_i + #(universal nodes after i), which are T - c_i for
+    the inclusive cumsum c and total T.  Exact integers of the draws' dtype,
+    integer or float.  ``out`` may be the draws themselves, and ``work``, of
+    their shape, receives c."""
+    z = np.asarray(draws)
+    c = np.cumsum(z, axis=-1, dtype=z.dtype, out=work)
+    counts = np.multiply(z, np.arange(z.shape[-1], dtype=z.dtype), out=out)
+    counts += 1
+    counts += c[..., -1:]
+    counts -= c
+    return counts
+
+
 def build_graph(z) -> ThresholdGraph:
     """Graph for a creation sequence: node t added at step t, connected to
     all earlier nodes and itself when z_t = 1 and to nothing when z_t = 0.
@@ -217,8 +228,9 @@ class WeightAssignment:
     """Node weights and threshold realizing a threshold graph.
 
     The edge rule is strict: (i, j) is an edge iff weights[i] + weights[j]
-    exceeds the threshold.  ``epsilons`` records the offsets used when the
-    assignment was produced from a creation sequence.
+    exceeds the threshold, which is finite and positive; the weights are
+    finite.  ``epsilons`` records the offsets used when the assignment was
+    produced from a creation sequence.
     """
 
     weights: tuple[float, ...]
@@ -226,11 +238,15 @@ class WeightAssignment:
     epsilons: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if not self.threshold > 0:
-            raise ValueError(f"threshold must be positive, got {self.threshold!r}")
+        if not (math.isfinite(self.threshold) and self.threshold > 0):
+            raise ValueError(f"threshold must be finite and positive, got {self.threshold!r}")
         if len(self.weights) < 1:
             raise ValueError("need at least one node weight")
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        weights = tuple(float(w) for w in self.weights)
+        for i, w in enumerate(weights, start=1):
+            if not math.isfinite(w):
+                raise ValueError(f"weight {i} must be finite, got {w!r}")
+        object.__setattr__(self, "weights", weights)
 
     @property
     def n(self) -> int:
@@ -290,8 +306,8 @@ def weights_from_sequence(z, tau: float) -> WeightAssignment:
     uniform spacing keeps every comparison safely away from the threshold.
     """
     draws = as_draws(z)
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau!r}")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and positive, got {tau!r}")
     n = len(draws)
     eps = tuple((i + 1) * tau / (2.0 * (n + 1)) for i in range(n))
     weights = tuple(

@@ -8,14 +8,15 @@ role), and the eigenvectors do not depend on the realization at all:
 u_1 is all ones and u_m (m >= 2) has m-1 leading ones followed by -(m-1).
 
 Everything here is exact integer arithmetic; no eigensolver is involved
-anywhere in the library path.  L u is (deg - z) u - A' u with A' the
-off-diagonal adjacency, whose product costs two prefix sums
+anywhere in the library path.  L u is (N - 1) u - A' u, with N - 1 the
+off-diagonal degrees (:func:`polyagraph.graph.neighbor_counts`) and A' the
+off-diagonal adjacency, whose product costs two exact prefix sums
 (:func:`polyagraph.graph.neighbor_sums`), so checking all n eigenpairs is
 O(n^2) work.  One kernel checks a whole (runs, n) stack of draw vectors
 against the eigenvalues claimed for them; :func:`verify_eigenpairs` is its
 one-row case.  The basis is the same for every realization, so the kernel
 takes blocks of basis rows times as many graphs as fit, and one
-neighbour-sum call takes the prefix table of those rows once for all of
+neighbour-sum call takes the prefix sums of those rows once for all of
 the block's graphs.  Its arithmetic runs in the narrowest integer type
 that holds every intermediate, and every array of a block, workspace
 included, counts against a fixed number of bytes, with the buffers
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numeric import as_int
-from .graph import ThresholdGraph, neighbor_sums
+from .graph import ThresholdGraph, neighbor_counts, neighbor_sums
 
 __all__ = [
     "laplacian",
@@ -147,16 +148,14 @@ def _eigenpair_flags(draws: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
     rows = max(1, min(n, (per_n - 2 * graphs) // (3 * graphs + 1)))
     buffer = np.empty(3 * graphs * rows * n, dtype=dtype)
     z_block, off_block = np.empty((2, graphs, n), dtype=dtype)
-    i_minus_2 = np.arange(-1, n - 1, dtype=dtype)  # for 1-based node i
     flags = np.empty((runs, n), dtype=bool)
     for first in range(0, runs, graphs):
         count = min(graphs, runs - first)
         z, off = z_block[:count], off_block[:count]
         z[...] = draws[first : first + count]
-        # the diagonal of L: the off-diagonal degrees (i-1) z_i + #(later
-        # universal nodes), that is (i-2) z_i + #(universal nodes from i on)
-        z[:, ::-1].cumsum(axis=1, out=off[:, ::-1])
-        off += np.multiply(i_minus_2, z, out=buffer[: z.size].reshape(z.shape))
+        # the diagonal of L: the off-diagonal degrees N - 1
+        neighbor_counts(z, out=off, work=buffer[: z.size].reshape(z.shape))
+        off -= 1
         for start in range(0, n, rows):
             stop = min(start + rows, n)
             lam = eigenvalues[first : first + count, start:stop].astype(dtype)

@@ -23,11 +23,10 @@ from polyagraph.consensus import (
     _PASS_RUNS,
     _DP_BUDGET_BYTES,
     AveragingOperator,
-    _neighbor_counts,
     _pi_star_blocks,
     _Stepper,
 )
-from polyagraph.graph import neighbor_sums
+from polyagraph.graph import neighbor_counts, neighbor_sums
 from polyagraph.oracle import _PARAM_GRID, EnumerationLimitError, enumerate_expectation
 from polyagraph.rng import stream
 from polyagraph.urn import sample_runs
@@ -244,9 +243,56 @@ def test_stepping_allocates_nothing_per_step(ref_params):
     assert current - start < 4096
 
 
+def test_neighbor_sums_copies_a_non_contiguous_float_x():
+    # a strided or Fortran-order x, or one of another shape or dtype, is
+    # copied to out's layout once and gives the reference's bits
+    rng = stream(559)
+    for n in (2, 7, 300):
+        z = np.array(random_connected_draws(rng, n), dtype=float)
+        zs = np.stack([np.array(random_connected_draws(rng, n), dtype=float) for _ in range(3)])
+        wide = _mixed_magnitudes(rng, (3, 2 * n))
+        for zz, x in (
+            (z, wide[0, ::2]),
+            (zs, wide[:, ::2]),
+            (zs, np.asfortranarray(wide[:, :n])),
+            (zs, wide[0, :n]),
+            (z, wide[:, :n].astype(np.float32)),
+        ):
+            assert not (x.flags.c_contiguous and x.shape == zz.shape and x.dtype == float)
+            assert np.array_equal(neighbor_sums(zz, x), _neighbor_sums_reference(zz, x.astype(float)))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        neighbor_sums(z, wide[0, :n], out=np.empty((n, 2))[:, 0])
+
+
+def test_neighbor_sums_integer_rows_shared_by_a_stack():
+    # the eigenpair kernel's call: z[:, None] against a block of basis rows,
+    # in int16, equals int64 sums written out with fresh arrays
+    rng = stream(560)
+    for n in (1, 2, 9, 50):
+        z = rng.integers(0, 2, size=(4, n))
+        basis = rng.integers(-n, n, size=(3, n))
+        before = np.concatenate((np.zeros((3, 1), dtype=np.int64), np.cumsum(basis[:, :-1], axis=-1)), axis=-1)
+        zx = z[:, None] * basis
+        after = np.cumsum(zx[..., ::-1], axis=-1)[..., ::-1] - zx
+        want = z[:, None] * before + after
+        assert np.array_equal(neighbor_sums(z[:, None], basis), want)
+        size = want.size
+        work = np.empty(2 * size, dtype=np.int16)
+        got = neighbor_sums(
+            z[:, None].astype(np.int16), basis.astype(np.int16), out=np.empty(want.shape, np.int16), work=work
+        )
+        assert got.dtype == np.int16 and np.array_equal(got, want)
+
+
 def test_neighbor_counts_formula():
-    assert list(_neighbor_counts((0, 0, 1))) == [2, 2, 3]
-    assert list(_neighbor_counts((1, 1))) == [2, 2]
+    assert list(neighbor_counts((0, 0, 1))) == [2, 2, 3]
+    assert list(neighbor_counts((1, 1))) == [2, 2]
+    # every dtype the callers hand it, exact and in that dtype
+    z = np.array([[0, 1, 0, 0, 1], [1, 0, 1, 1, 1]])
+    want = [[3, 3, 2, 2, 5], [4, 4, 5, 5, 5]]
+    for dtype in (np.int16, np.int64, np.float64):
+        counts = neighbor_counts(z.astype(dtype))
+        assert counts.dtype == dtype and np.array_equal(counts, want)
 
 
 # ---------------------------------------------------------------------------
@@ -700,3 +746,17 @@ def test_opinion_presets():
         opinion_preset("paper-n10", 9)
     with pytest.raises(ValueError):
         opinion_preset("nope", 10)
+
+
+def test_opinion_presets_follow_the_integer_rule():
+    # "polarized" used to fail inside numpy for True, 2.0 and -1 and return
+    # an empty vector for 0, and "paper-n10" accepted 10.0
+    for name in ("paper-n10", "paper-n100", "polarized"):
+        for bad in (True, 2.0, 10.0):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                opinion_preset(name, bad)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match=f"need n >= 1, got {bad}"):
+                opinion_preset(name, bad)
+    assert list(opinion_preset("polarized", np.int64(3))) == [0.0, 100.0, 100.0]
+    assert np.array_equal(opinion_preset("paper-n10", np.int32(10)), opinion_preset("paper-n10", 10))

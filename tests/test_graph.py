@@ -141,6 +141,19 @@ def test_distance_rule_equals_bfs_exhaustively():
                     assert g.distance(i, j) == bfs[j - 1], (z, i, j)
 
 
+def test_degrees_and_distances_equal_bfs_on_random_sequences():
+    # the degree kernel behind degrees() and distance, past the exhaustive sizes
+    rng = stream(100)
+    for _ in range(40):
+        n = int(rng.integers(11, 40))
+        z = tuple(int(b) for b in rng.integers(0, 2, size=n))
+        g = build_graph(z)
+        assert np.array_equal(g.degrees(), g.adjacency().sum(axis=1))
+        for i in range(1, n + 1):
+            bfs = bfs_distances(z, i)
+            assert [g.distance(i, j) for j in range(1, n + 1)] == list(bfs), (z, i)
+
+
 def test_connected_when_last_node_universal():
     rng = stream(99)
     for _ in range(100):
@@ -194,6 +207,22 @@ def test_weights_from_sequence_basics():
     assert w.edge_set() == frozenset()
     with pytest.raises(ValueError):
         weights_from_sequence((1, 0), 0.0)
+
+
+def test_weights_and_thresholds_must_be_finite():
+    # an infinite tau used to give weights (inf, nan, inf) and no edges, and
+    # a NaN weight silently answered edge queries
+    for tau in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match=f"tau must be finite and positive, got {tau!r}"):
+            weights_from_sequence((1, 0, 1), tau)
+    for threshold in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match=f"threshold must be finite and positive, got {threshold!r}"):
+            WeightAssignment((0.2, 1.0), threshold)
+    for weight in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"weight 1 must be finite, got {weight!r}"):
+            WeightAssignment((weight, 1.0), 1.0)
+        with pytest.raises(ValueError, match=f"weight 3 must be finite, got {weight!r}"):
+            WeightAssignment((0.5, 1.0, weight), 1.0)
 
 
 def test_epsilon_ladder_strictly_increasing():

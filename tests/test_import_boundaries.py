@@ -7,7 +7,9 @@ the package namespace does not re-export oracle names.  The stepping kernel
 through ``AveragingOperator.power`` or ``iterate``.  The batched eigenpair
 kernel ``spectral._eigenpair_flags`` serves ``spectral`` and the ``oracle``
 check alone.  ``urn._law`` decides which urn a law is, for ``urn`` and the
-exact pi_E DP in ``consensus``.
+exact pi_E DP in ``consensus``.  The creation-sequence kernels
+``neighbor_sums`` and ``neighbor_counts`` are defined in ``graph`` alone,
+and ``consensus`` and ``spectral`` take both from there.
 """
 
 import ast
@@ -76,6 +78,22 @@ def test_only_urn_and_consensus_name_the_urn_law():
     # urn._law alone tells the infinite urn from the finite-memory one; the
     # exact pi_E DP unpacks through it too
     assert _namers("_law") == ["consensus", "urn"]
+
+
+def test_graph_owns_the_creation_sequence_kernels():
+    kernels = ("neighbor_sums", "neighbor_counts")
+    imports = {module: set(_imported_modules(tree)) for module, tree in _modules()}
+    assert [
+        (module, name) for module in ("consensus", "spectral") for name in kernels
+        if f"polyagraph.graph.{name}" not in imports[module]
+    ] == []
+    # module-level functions only: consensus keeps a neighbor_counts property
+    defining = [
+        module for module, tree in _modules()
+        if any(isinstance(node, ast.FunctionDef) and node.name.lstrip("_") in kernels for node in tree.body)
+    ]
+    assert defining == ["graph"]
+    assert [name for name in kernels if hasattr(polyagraph, name)] == []
 
 
 def test_one_sampler_and_one_joint_law_for_both_urns():
