@@ -26,14 +26,16 @@ forward-backward pass over the urn's Markov state and the weighted red count
 W that fixes sum_k N_k (polynomial in n, guarded by a 64 MiB table budget),
 or estimated by seeded Monte Carlo with one independent stream per run,
 merged by run index so scheduling cannot change the estimate.  Monte Carlo
-runs are sampled in passes of up to 1024 runs, each one vectorized call
-(:func:`polyagraph.urn.sample_runs`) that reproduces the scalar sampler
-bit for bit into one float buffer.  Its uniforms come from
-:func:`polyagraph.rng.uniform_rows`: for realizations of up to 49 nodes
-(48 free draws) a Philox kernel computes a tile of runs at once, and
-longer ones come from a generator re-keyed per run.  The buffer's draws
-become pi* in place, and the runs stream on as blocks of 256 rows of it:
-memory is O(pass * n) for any number of runs.  The estimate is one row-by-row sum in run order,
+runs are sampled in time-major passes of up to 1024 runs, each one
+vectorized call of the urn's batched sampler that reproduces the scalar
+sampler bit for bit: row t of the pass buffer holds draw t of every run,
+each row contiguous, so an urn step is a few array operations over one
+row.  Its uniforms come from :func:`polyagraph.rng.uniform_rows`: for
+realizations of up to 49 nodes (48 free draws) a Philox kernel computes a
+tile of runs at once, and longer ones come from a generator re-keyed per
+run.  The runs stream on as blocks of 256, each copied run-major into one
+block buffer whose draws become pi* in place: memory is O(pass * n) for
+any number of runs.  The estimate is one row-by-row sum in run order,
 bit for bit the mean of all samples at once; its standard error merges
 per-block moments.
 """
@@ -47,7 +49,7 @@ import numpy as np
 
 from ._numeric import as_int, prefix_table
 from .graph import ThresholdGraph, build_graph, neighbor_counts, neighbor_sums
-from .urn import FiniteMemoryParams, UrnParams, _law, sample_polya, sample_runs
+from .urn import _PASS_RUNS, FiniteMemoryParams, UrnParams, _draw_pass, _law, sample_polya, sample_runs
 
 __all__ = [
     "AveragingOperator",
@@ -83,9 +85,18 @@ class AveragingOperator:
     def sample(cls, params, n: int, runs: int, seed: int, *, first_stream: int = 0) -> "AveragingOperator":
         """Operator over ``runs`` connected realizations, one per row: row r
         is the realization :func:`sample_connected_graph` draws at stream
-        index ``first_stream + r``, all drawn in one vectorized pass.  z and
-        N are float64, exact small integers, as the stepper reads them."""
-        z = _connected_runs(params, n, runs, seed, first_stream)
+        index ``first_stream + r``, drawn by the batched sampler
+        :func:`polyagraph.urn.sample_runs`.  z and N are float64, exact
+        small integers, as the stepper reads them."""
+        n, runs = as_int("n", n), as_int("runs", runs)
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
+        if runs < 0:
+            raise ValueError(f"runs must be >= 0, got {runs}")
+        z = np.empty((runs, n))
+        z[:, -1] = 1.0  # the urn's n - 1 free draws, then the pinned 1
+        if n > 1:
+            sample_runs(params, n - 1, runs, seed, first_stream=first_stream, out=z[:, :-1])
         return cls(z, neighbor_counts(z))
 
     def power(self, x, t: int) -> np.ndarray:
@@ -225,24 +236,7 @@ class SweepPoint:
     baseline_se: float
 
 
-def _connected_runs(params, n: int, runs: int, seed: int, first_stream: int, out=None) -> np.ndarray:
-    # draws of connected realizations as 0.0/1.0, one run per row of a float
-    # (runs, n) array: the urn's n - 1 free draws, then the pinned 1
-    n, runs = as_int("n", n), as_int("runs", runs)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if runs < 0:
-        raise ValueError(f"runs must be >= 0, got {runs}")
-    if out is None:
-        out = np.empty((runs, n))
-    out[:, -1] = 1.0
-    if n > 1:
-        sample_runs(params, n - 1, runs, seed, first_stream=first_stream, out=out[:, :-1])
-    return out
-
-
-_BLOCK_RUNS = 256  # runs per block of pi*, the unit the Monte Carlo sums see
-_PASS_RUNS = 4 * _BLOCK_RUNS  # runs sampled per vectorized pass
+_BLOCK_RUNS = _PASS_RUNS // 4  # runs per block of pi*, the unit the Monte Carlo sums see
 
 
 def _urn_mode(params) -> str:
@@ -435,25 +429,34 @@ def _pi_star_blocks(params, n: int, runs: int, seed: int, first_stream: int = 0)
     """pi* of the runs at streams first_stream .. first_stream + runs - 1, in
     run order, one (block, n) array per block of 256 runs.
 
-    The runs are sampled in passes of up to 1024 into one float buffer,
-    whose draws become pi* in place, block by block, so memory stays
-    O(pass * n) whatever the number of runs.  A block is a view of that
-    buffer: it is valid until the next block is drawn, and its user may
-    overwrite it.
+    The runs are sampled in time-major passes of up to 1024: row t of the
+    pass buffer holds draw t of every run, each row contiguous, and its
+    last row the pinned 1.  Each block of the pass is copied, transposed,
+    into one run-major block buffer, whose draws become pi* in place; the
+    copied pass columns are the workspace of the neighbour counts.  So
+    memory stays O(pass * n) whatever the number of runs.  A block is a
+    view of the block buffer: it is valid until the next block is made, and
+    its user may overwrite it.
     """
-    buf = np.empty((min(runs, _PASS_RUNS + 1), n))
-    cums = np.empty((min(runs, _BLOCK_RUNS + 1), n))
-    totals = np.empty((len(cums), 1))
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    passes = np.empty((n, min(runs, _PASS_RUNS + 1)))
+    blocks = np.empty((min(runs, _BLOCK_RUNS + 1), n))
+    totals = np.empty((len(blocks), 1))
     start = 0
     while start < runs:
         stop = _chunk_stop(start, _PASS_RUNS, runs)
-        draws = _connected_runs(params, n, stop - start, seed, first_stream + start, buf[: stop - start])
+        draws = passes[:, : stop - start]
+        draws[-1] = 1.0  # the last node is universal; the previous pass's counts overwrote it
+        if n > 1:
+            _draw_pass(params, seed, first_stream + start, draws[:-1])
         lo = 0
-        while lo < len(draws):
-            hi = _chunk_stop(lo, _BLOCK_RUNS, len(draws))
-            block, k = draws[lo:hi], hi - lo
-            neighbor_counts(block, out=block, work=cums[:k])
-            block /= np.sum(block, axis=-1, keepdims=True, out=totals[:k])
+        while lo < stop - start:
+            hi = _chunk_stop(lo, _BLOCK_RUNS, stop - start)
+            cols, block = draws[:, lo:hi].T, blocks[: hi - lo]
+            np.copyto(block, cols)
+            neighbor_counts(block, out=block, work=cols)
+            block /= np.sum(block, axis=-1, keepdims=True, out=totals[: hi - lo])
             yield block
             lo = hi
         start = stop

@@ -253,6 +253,9 @@ class WeightAssignment:
         return len(self.weights)
 
     def edge_present(self, i: int, j: int) -> bool:
+        """Whether 1-based nodes i and j are joined; each index must be an
+        integer (numpy's included) in 1..n, else ValueError or IndexError."""
+        i, j = check_node(self.n, i, "i")[1], check_node(self.n, j, "j")[1]
         return self.weights[i - 1] + self.weights[j - 1] > self.threshold
 
     def edge_set(self) -> frozenset[tuple[int, int]]:

@@ -18,7 +18,9 @@ round is a fixed set of numpy operations over every row and counter block
 of the tile.  That costs a fixed amount of array work per word, while
 re-keying one numpy generator per row costs a fixed overhead per row; long
 rows keep the re-keyed generator, which is faster there.  :func:`stream` is the reference
-both routes match bit for bit.
+both routes match bit for bit.  Both write into a float64 view of any
+strides, so a sampler can keep its runs time-major, with row t of an
+(n, runs) buffer holding draw t of every run, and hand over its transpose.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ _BULK_MAX_N = 48
 # then at most 1.1 MiB for any number of runs.  Of tiles of 2048, 4096,
 # 8192 and 16 384 blocks, 8192 was fastest for 10 000 rows of 7 or 9.
 _TILE_BLOCKS = 8192
+# Uniforms per chunk of rows of the re-keyed route: 32 KiB of workspace.
+_CHUNK_WORDS = 4096
 
 
 def _key_words(master_seed: int, stream_index: int) -> tuple[int, int]:
@@ -85,14 +89,15 @@ def uniform_rows(
     the two are even near n = 48..52, and the generator is about 1.4x
     faster at n = 99.  Both give the same bits.
 
-    ``out``, a float64 (runs, n) array whose rows are each contiguous (a
-    column slice of a wider C-contiguous buffer will do), receives the
-    uniforms and is returned; without it a new array is.
+    ``out``, any float64 (runs, n) array or view, receives the uniforms
+    and is returned; without it a new array is.  Its strides are free: the
+    transpose of a time-major (n, runs) buffer, whose rows are each
+    contiguous, will do.
     """
     if out is None:
         out = np.empty((runs, n))
-    elif out.shape != (runs, n):
-        raise ValueError(f"out must have shape {(runs, n)}, got {out.shape}")
+    else:
+        _check_out(out, runs, n)
     if runs == 0:
         return out
     # the indices are consecutive, so checking both ends checks them all; the
@@ -100,11 +105,19 @@ def uniform_rows(
     # would fail there.  No uint64 key is formed before this check.
     seed, first = _key_words(master_seed, first_stream)
     _key_words(seed, min(first + runs - 1, 1 << _WORD))
-    if 0 < n <= _BULK_MAX_N:
-        _philox_rows(seed, first, out)
-    else:
+    if n > _BULK_MAX_N:
         _rekeyed_rows(seed, first, out)
+    elif n:
+        _philox_rows(seed, first, out)
     return out
+
+
+def _check_out(out: np.ndarray, runs: int, n: int) -> None:
+    # a float32 out would round every uniform and no longer be the stream's
+    if out.dtype != np.float64:
+        raise ValueError(f"out must be float64, got {out.dtype}")
+    if out.shape != (runs, n):
+        raise ValueError(f"out must have shape {(runs, n)}, got {out.shape}")
 
 
 def _philox_rows(seed: int, first: int, out: np.ndarray) -> None:
@@ -173,8 +186,12 @@ def _rekeyed_rows(seed: int, first: int, out: np.ndarray) -> None:
 
     Philox output depends only on key and counter, so setting the key of
     one generator to the row's stream, with counter 0 and an empty buffer
-    (position 4 of its four words), reproduces that stream exactly.
+    (position 4 of its four words), reproduces that stream exactly.  The
+    generator writes only contiguous rows, so it fills a bounded chunk of
+    rows, which is copied into ``out`` whatever its strides.
     """
+    runs, n = out.shape
+    chunk = np.empty((min(runs, max(1, _CHUNK_WORDS // n)), n))
     bit_gen = np.random.Philox(key=0)
     gen = np.random.Generator(bit_gen)
     # plain lists: the state setter reads them faster than numpy arrays
@@ -187,7 +204,10 @@ def _rekeyed_rows(seed: int, first: int, out: np.ndarray) -> None:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for r in range(out.shape[0]):
-        key[0] = first + r
-        bit_gen.state = state
-        gen.random(out=out[r])
+    for start in range(0, runs, len(chunk)):
+        rows = chunk[: min(len(chunk), runs - start)]
+        for r, row in enumerate(rows, first + start):
+            key[0] = r
+            bit_gen.state = state
+            gen.random(out=row)
+        out[start : start + len(rows)] = rows

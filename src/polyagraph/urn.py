@@ -29,8 +29,10 @@ law serve both: each takes an :class:`UrnParams` or a
 :class:`FiniteMemoryParams`, and ``_law`` alone tells them apart.
 
 :func:`sample_polya` draws one realization; :func:`sample_runs` draws a
-block of realizations, one per stream, in one pass vectorized over runs,
-with rows identical to the scalar sampler's.
+block of realizations, one per stream, with rows identical to the scalar
+sampler's.  It steps every run of a pass at once over a time-major buffer,
+whose row t holds draw t of each run, so each step works on one contiguous
+row.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from ._numeric import as_int, log_tables
-from .rng import stream, uniform_rows
+from .rng import _check_out, stream, uniform_rows
 
 __all__ = [
     "UrnParams",
@@ -235,6 +237,9 @@ def beta_binomial_pmf(params: UrnParams, n: int, k: int) -> float:
     return math.exp(t.log_choose(n, k) + t.log_joint(n, k))
 
 
+_PASS_RUNS = 1024  # runs per time-major pass of the batched sampler
+
+
 def sample_runs(
     law, n: int, runs: int, seed: int, *, first_stream: int = 0, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -242,38 +247,59 @@ def sample_runs(
 
     Returns a (runs, n) int64 array of 0/1 whose row r is, byte for byte,
     the draw vector of :func:`sample_polya` under the same ``law`` at
-    stream index ``first_stream + r``.  One loop over t advances every run:
-    the red count in the window of the last w = min(t, memory) draws is
-    kept as a running sum, and the infinite urn's window is the whole past.
-    The red probability is the scalar sampler's expression, rounded
-    identically.  ``n`` and ``runs`` must be integers (numpy's included),
-    n >= 1 and runs >= 0.
+    stream index ``first_stream + r``.  The runs are drawn in time-major
+    passes of up to 1024 through one scratch buffer (:func:`_draw_pass`),
+    and each pass is copied into its rows of the result, so the workspace
+    does not grow with ``runs``.  ``n`` and ``runs`` must be integers
+    (numpy's included), n >= 1 and runs >= 0.
 
-    ``out``, a float64 (runs, n) array whose rows are each contiguous (for
-    instance all but the last column of a C-contiguous buffer), receives
-    the draws as 0.0/1.0 instead and is returned: the uniforms of
-    :func:`polyagraph.rng.uniform_rows` are written into it and turned into
-    draws column by column, in place.
+    ``out``, any float64 (runs, n) array or view (for instance all but the
+    last column of a wider buffer), receives the draws as 0.0/1.0 instead
+    and is returned.
     """
     n, runs = as_int("n", n), as_int("runs", runs)
     if n < 1:
         raise ValueError(f"need n >= 1 draws, got {n}")
     if runs < 0:
         raise ValueError(f"runs must be >= 0, got {runs}")
+    if out is None:
+        out = np.empty((runs, n), np.int64)
+    else:
+        _check_out(out, runs, n)
+    scratch = np.empty((n, min(runs, _PASS_RUNS)))
+    for start in range(0, runs, _PASS_RUNS):
+        stop = min(start + _PASS_RUNS, runs)
+        draws = scratch[:, : stop - start]
+        _draw_pass(law, seed, first_stream + start, draws)
+        out[start:stop] = draws.T
+    return out
+
+
+def _draw_pass(law, seed: int, first: int, draws: np.ndarray) -> None:
+    """Fill a time-major (n, runs) float64 view, whose rows are each
+    contiguous, with draws as 0.0/1.0: row t is draw t of every run, and
+    column r the run of stream index ``first + r``.
+
+    The uniforms of :func:`polyagraph.rng.uniform_rows` are written into
+    the view's transpose and turned into draws row by row, in place.  The
+    red count in the window of the last w = min(t, memory) draws is kept
+    as a running sum (the infinite urn's window is the whole past), and the
+    red probability is the scalar sampler's expression, rounded
+    identically, so column r is :func:`sample_polya`'s draw vector.
+    """
+    n, runs = draws.shape
     rho, delta, window = _law(law, n)
-    draws = uniform_rows(seed, first_stream, runs, n, out=out)
+    uniform_rows(seed, first, runs, n, out=draws.T)
     # red counts are small integers, exact in float64
     reds = np.zeros(runs)
     p_red = np.empty(runs)
-    for t in range(n):
+    for t, row in enumerate(draws):
         if t:
-            reds += draws[:, t - 1]
+            reds += draws[t - 1]
             if t > window:
-                reds -= draws[:, t - 1 - window]
+                reds -= draws[t - 1 - window]
         # the scalar sampler's (rho + delta * reds) / (1 + delta * w), same roundings
         np.multiply(delta, reds, out=p_red)
         np.add(rho, p_red, out=p_red)
         p_red /= 1.0 + delta * min(t, window)
-        col = draws[:, t]
-        np.less(col, p_red, out=col, casting="unsafe")
-    return draws.astype(np.int64) if out is None else draws
+        np.less(row, p_red, out=row, casting="unsafe")

@@ -532,6 +532,23 @@ def test_monte_carlo_memory_is_independent_of_runs(runs):
     assert peak < 4 << 20
 
 
+# tracemalloc peaks of the run-major passes, in KiB, after a first call has
+# made numpy's one-off allocations; the time-major passes keep the same two
+# buffers.  A pass workspace that grows shows up here before it lifts the
+# resident memory of a process.
+@pytest.mark.parametrize("n, runs, kib", [(8, 20_000, 520), (10, 1_000, 670), (100, 10_000, 1474)])
+def test_monte_carlo_workspace_is_pinned(n, runs, kib):
+    law = UrnParams(5, 5, 2)
+    expected_stationary_mc(law, n, 2, 3)
+    tracemalloc.start()
+    try:
+        expected_stationary_mc(law, n, runs, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (kib + 64) << 10
+
+
 def test_monte_carlo_two_nodes_degenerate(ref_params):
     mc = expected_stationary_mc(ref_params, 2, runs=50, seed=1)
     assert np.allclose(mc.pi, 0.5, atol=0)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -207,6 +208,24 @@ def test_weights_from_sequence_basics():
     assert w.edge_set() == frozenset()
     with pytest.raises(ValueError):
         weights_from_sequence((1, 0), 0.0)
+
+
+def test_edge_present_checks_its_indices():
+    # index 0 used to read the last weight, True passed as node 1 and n + 1
+    # raised a bare IndexError of the weight tuple
+    w = WeightAssignment((0.2, 0.9), 1.0)
+    for bad in (True, 1.0, np.float64(2.0)):
+        with pytest.raises(ValueError, match=re.escape(f"i must be an integer, got {bad!r}")):
+            w.edge_present(bad, 2)
+        with pytest.raises(ValueError, match=re.escape(f"j must be an integer, got {bad!r}")):
+            w.edge_present(2, bad)
+    for bad in (0, 3, -1):
+        with pytest.raises(IndexError, match=f"node index {bad} out of range 1..2"):
+            w.edge_present(bad, 1)
+        with pytest.raises(IndexError, match=f"node index {bad} out of range 1..2"):
+            w.edge_present(1, bad)
+    assert w.edge_present(np.int64(1), np.int32(2)) and not w.edge_present(np.uint8(1), 1)
+    assert w.edge_set() == {(2, 1), (2, 2)}
 
 
 def test_weights_and_thresholds_must_be_finite():

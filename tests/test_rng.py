@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polyagraph.rng import _BULK_MAX_N, _TILE_BLOCKS, stream, uniform_rows
-from polyagraph.urn import UrnParams, sample_polya
+from polyagraph.urn import UrnParams, sample_polya, sample_runs
 
 
 def test_same_pair_reproduces():
@@ -71,6 +71,26 @@ def test_uniform_rows_are_the_streams(seed, first, runs, n):
     assert np.all(buf[:, -1] == 7.0)
     with pytest.raises(ValueError, match="shape"):
         uniform_rows(seed, first, runs + 1, n, out=buf[:, :-1])
+    # time-major: the transpose of an (n, runs) buffer, and of the leading
+    # rows and columns of a wider one, whose other entries stay
+    major = np.empty((n, runs))
+    assert uniform_rows(seed, first, runs, n, out=major.T).base is major
+    assert np.array_equal(major.T, rows)
+    wide = np.full((n + 1, runs + 3), 7.0)
+    uniform_rows(seed, first, runs, n, out=wide[:-1, :runs].T)
+    assert np.array_equal(wide[:-1, :runs].T, rows)
+    assert np.all(wide[-1] == 7.0) and np.all(wide[:, runs:] == 7.0)
+
+
+@pytest.mark.parametrize("n", [6, 60])
+def test_out_must_be_float64(n):
+    # a float32 out used to receive rounded uniforms on the kernel route, and
+    # numpy's own contiguity complaint on the re-keyed one
+    for dtype in (np.float32, np.int64):
+        with pytest.raises(ValueError, match=f"out must be float64, got {np.dtype(dtype)}"):
+            uniform_rows(1, 0, 5, n, out=np.empty((5, n), dtype))
+        with pytest.raises(ValueError, match=f"out must be float64, got {np.dtype(dtype)}"):
+            sample_runs(UrnParams(5, 5, 2), n, 5, 1, out=np.empty((5, n), dtype))
 
 
 def test_uniform_rows_workspace_is_independent_of_runs():
