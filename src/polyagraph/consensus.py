@@ -16,8 +16,10 @@ pi* . x(0).  W is never stored: it is an O(n) operator on z and N
 sums (:func:`polyagraph.graph.neighbor_sums`).
 :meth:`AveragingOperator.power` gives W^t x, and :func:`iterate` runs to
 the limit; both step one vector or a (runs, n) batch in place over one fixed
-set of buffers, so a step allocates no arrays.  The dense matrix is built
-only on request, for oracles and tests.
+set of buffers, so a step allocates no arrays, and through two fixed plans
+of the neighbour-sum tables' views, so it builds no views either; the
+convergence test of :func:`iterate` is two reductions.  The dense matrix is
+built only on request, for oracles and tests.
 
 Averaging pi* over the urn law of the free draws gives the expected
 consensus weights pi_E: the expected opinion vector converges to
@@ -48,8 +50,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numeric import as_int, prefix_table
-from .graph import ThresholdGraph, build_graph, neighbor_counts, neighbor_sums
-from .urn import _PASS_RUNS, FiniteMemoryParams, UrnParams, _draw_pass, _law, sample_polya, sample_runs
+from .graph import ThresholdGraph, _FloatSums, build_graph, neighbor_counts
+from .urn import (
+    _PASS_RUNS,
+    CreationSequence,
+    FiniteMemoryParams,
+    UrnParams,
+    _draw_list,
+    _draw_pass,
+    _law,
+    sample_runs,
+)
 
 __all__ = [
     "AveragingOperator",
@@ -76,6 +87,8 @@ class AveragingOperator:
     (x + neighbor_sums(z, x)) / N, for x of shape (n,) or (runs, n); z and N
     may be (n,) for one realization or (runs, n) for one realization per
     row.  :meth:`toarray` builds the dense matrix of a single realization.
+    From :func:`averaging_matrix`, ``z`` is the graph's own int64 copy of
+    its draws and read-only.
     """
 
     z: np.ndarray
@@ -139,7 +152,10 @@ class _Stepper:
     neighbour-sum workspace.  :meth:`step` writes (x + neighbor_sums(z, x))
     / N into the spare buffer and swaps the two, so a step allocates no
     array, and it hands numpy only contiguous operands, which it does not
-    buffer.
+    buffer.  The neighbour sums run through two plans of their tables'
+    views (:class:`polyagraph.graph._FloatSums`), one per direction
+    between the two buffers, each built on its first step; so the views
+    are made at most twice, not once per step.
     :meth:`AveragingOperator.power` and :func:`iterate` step through it.
     """
 
@@ -152,20 +168,26 @@ class _Stepper:
         self.x[...] = x0
         self._spare = np.empty(shape)
         self._work = np.empty(4 * self.x.size)
+        self._plan = self._next_plan = None  # sums of x into the spare buffer, then back
 
     def step(self) -> np.ndarray:
         """Advance one step and return the state, a buffer the step after
         next overwrites."""
-        nxt = neighbor_sums(self._z, self.x, out=self._spare, work=self._work)
+        plan = self._plan or _FloatSums(self._z, self.x, self._spare, self._work)
+        nxt = plan()
         np.add(self.x, nxt, out=nxt)
         np.divide(nxt, self._counts, out=nxt)
         self.x, self._spare = nxt, self.x
+        self._plan, self._next_plan = self._next_plan, plan
         return nxt
 
     def max_deviation(self, limit: float) -> float:
-        """max |x - limit|, computed in the spare buffer."""
-        dev = np.subtract(self.x, limit, out=self._spare)
-        return float(np.abs(dev, out=dev).max())
+        """max |x - limit| from two reductions and no temporary.  Rounding
+        is monotone and symmetric, so the largest x_i - limit is
+        max(x) - limit and the largest limit - x_i is limit - min(x), each
+        rounded as the entry's own difference; abs only turns a -0.0 into
+        the 0.0 that |x - limit| gives."""
+        return abs(max(float(self.x.max()) - limit, limit - float(self.x.min())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,12 +270,14 @@ def _urn_mode(params) -> str:
 def sample_connected_graph(params, n: int, seed: int, *, stream_index: int = 0) -> ThresholdGraph:
     """Sample a realization with the last node forced universal, matching the
     connected experimental protocol: the urn's n - 1 free draws, then a
-    pinned 1.  ``n`` must be an integer (numpy's included)."""
+    pinned 1, checked once as one packed sequence.  ``n`` must be an
+    integer (numpy's included)."""
     n = as_int("n", n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    head = sample_polya(params, n - 1, seed, stream_index=stream_index).draws if n > 1 else ()
-    return build_graph(head + (1,))
+    draws = _draw_list(params, n - 1, seed, stream_index) if n > 1 else []
+    draws.append(1)
+    return build_graph(CreationSequence(bytes(draws)))
 
 
 def averaging_matrix(g: ThresholdGraph) -> ConsensusSystem:
@@ -267,7 +291,7 @@ def averaging_matrix(g: ThresholdGraph) -> ConsensusSystem:
             "averaging needs a connected realization: the last draw must be 1 "
             "(use sample_connected_graph)"
         )
-    z = np.asarray(g.draws, dtype=np.int64)
+    z = g._z  # the graph's read-only int64 copy of its draws
     return ConsensusSystem(graph=g, W=AveragingOperator(z, neighbor_counts(z)))
 
 
@@ -294,7 +318,9 @@ def iterate(
     limit pi* . x(0), or until ``t_max`` steps have been taken.
 
     Convergence is detected against the closed-form limit rather than by
-    successive differences, so slow mixing cannot fake convergence.
+    successive differences, so slow mixing cannot fake convergence.  The
+    test takes max|x - limit| as max(max(x) - limit, limit - min(x)): two
+    reductions, no temporary, and the same bits.
     Non-convergence is reported through ``converged_at = None``, never
     silently.  ``record=False`` keeps only the current state.
 

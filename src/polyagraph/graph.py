@@ -64,7 +64,7 @@ class ThresholdGraph:
 
     @cached_property
     def _z(self) -> np.ndarray:
-        z = np.array(self.sequence.draws, dtype=np.int64)
+        z = np.frombuffer(bytes(self.sequence.draws), np.uint8).astype(np.int64)
         z.flags.writeable = False
         return z
 
@@ -152,7 +152,9 @@ def neighbor_sums(
     the sums; ``work``, a contiguous 1-d array of out's dtype with at least
     4 * out.size entries (2 * out.size for integers), holds z*x, the suffix
     table and the compensation workspace.  With both given, and x not
-    copied, the call allocates no array, so a stepping loop can reuse them.
+    copied, the call allocates no array.  A float call builds a plan of its
+    tables' views (:class:`_FloatSums`) and runs it once; a stepping loop
+    keeps the plans and calls them instead, paying for the views once.
     """
     if out is None:
         out = np.empty(np.broadcast_shapes(z.shape, x.shape), dtype=np.result_type(z, x))
@@ -176,29 +178,58 @@ def neighbor_sums(
         x = np.ascontiguousarray(np.broadcast_to(x, out.shape), dtype=out.dtype)
     if work is None:
         work = np.empty(4 * out.size, dtype=out.dtype)
-    # The compensation runs over flat views, so numpy buffers nothing.  There
-    # entry k follows entry k - 1 of its row except at row boundaries, where
-    # the error is garbage and is zeroed before each row's cumsum of errors.
-    # The suffix table is kept in natural order.
-    zx, suffix, b, err = work[: 4 * out.size].reshape((4,) + out.shape)
-    flat_out, flat_x, flat_zx, flat_suffix = (a.reshape(-1) for a in (out, x, zx, suffix))
-    flat_b, flat_err = b.reshape(-1), err.reshape(-1)
-    # out[..., i] = x[..., 0] + .. + x[..., i-1]
-    out[..., 0] = 0
-    x[..., :-1].cumsum(axis=-1, out=out[..., 1:])
-    sum_errors(flat_out[:-1], flat_out[1:], flat_x[:-1], out=flat_err[1:], scratch=flat_b[1:])
-    err[..., 0] = 0
-    out += err.cumsum(axis=-1, out=b)
-    # suffix[..., i] = zx[..., i+1] + .. + zx[..., n-1]
-    np.multiply(z, x, out=zx)
-    suffix[..., -1] = 0
-    zx[..., :0:-1].cumsum(axis=-1, out=suffix[..., -2::-1])
-    sum_errors(flat_suffix[1:], flat_suffix[:-1], flat_zx[1:], out=flat_err[:-1], scratch=flat_b[:-1])
-    err[..., -1] = 0
-    err[..., ::-1].cumsum(axis=-1, out=b[..., ::-1])
-    suffix += b
-    np.multiply(z, out, out=out)
-    return np.add(out, suffix, out=out)
+    return _FloatSums(z, x, out, work)()
+
+
+class _FloatSums:
+    """The float path of :func:`neighbor_sums` for one fixed (z, x, out, work).
+
+    x is C-contiguous, of out's shape and dtype.  Every view and flat view
+    of the compensated prefix and suffix tables is made here, once, so a
+    call runs the ufuncs alone: a stepping loop keeps one plan per
+    direction of its two state buffers and calls it every step.  Each call
+    reads x as it is then and writes the sums into out, which it returns.
+    """
+
+    def __init__(self, z: np.ndarray, x: np.ndarray, out: np.ndarray, work: np.ndarray):
+        # The compensation runs over flat views, so numpy buffers nothing.
+        # There entry k follows entry k - 1 of its row except at row
+        # boundaries, where the error is garbage and is zeroed before each
+        # row's cumsum of errors.  The suffix table is kept in natural order.
+        zx, suffix, b, err = work[: 4 * out.size].reshape((4,) + out.shape)
+        flat_out, flat_x, flat_zx, flat_suffix, flat_b, flat_err = (
+            a.reshape(-1) for a in (out, x, zx, suffix, b, err)
+        )
+        self._z, self._x, self._out, self._zx, self._suffix, self._b, self._err = z, x, out, zx, suffix, b, err
+        # out[..., i] = x[..., 0] + .. + x[..., i-1]
+        self._prefix = (out[..., 0], x[..., :-1], out[..., 1:])
+        self._prefix_errors = (flat_out[:-1], flat_out[1:], flat_x[:-1], flat_err[1:], flat_b[1:])
+        self._err_first = err[..., 0]
+        # suffix[..., i] = zx[..., i+1] + .. + zx[..., n-1]
+        self._suffix_tables = (suffix[..., -1], zx[..., :0:-1], suffix[..., -2::-1])
+        self._suffix_errors = (flat_suffix[1:], flat_suffix[:-1], flat_zx[1:], flat_err[:-1], flat_b[:-1])
+        self._err_last, self._err_reversed, self._b_reversed = err[..., -1], err[..., ::-1], b[..., ::-1]
+
+    def __call__(self) -> np.ndarray:
+        z, x, out, zx, suffix, b, err = self._z, self._x, self._out, self._zx, self._suffix, self._b, self._err
+        first, head, tail = self._prefix
+        first.fill(0)
+        head.cumsum(axis=-1, out=tail)
+        prev, cur, a, errors, scratch = self._prefix_errors
+        sum_errors(prev, cur, a, out=errors, scratch=scratch)
+        self._err_first.fill(0)
+        out += err.cumsum(axis=-1, out=b)
+        np.multiply(z, x, out=zx)
+        last, head, tail = self._suffix_tables
+        last.fill(0)
+        head.cumsum(axis=-1, out=tail)
+        prev, cur, a, errors, scratch = self._suffix_errors
+        sum_errors(prev, cur, a, out=errors, scratch=scratch)
+        self._err_last.fill(0)
+        self._err_reversed.cumsum(axis=-1, out=self._b_reversed)
+        suffix += b
+        np.multiply(z, out, out=out)
+        return np.add(out, suffix, out=out)
 
 
 def neighbor_counts(draws, *, out=None, work=None) -> np.ndarray:

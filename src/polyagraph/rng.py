@@ -120,6 +120,11 @@ def _check_out(out: np.ndarray, runs: int, n: int) -> None:
         raise ValueError(f"out must have shape {(runs, n)}, got {out.shape}")
 
 
+def _tile_rows(n: int) -> int:
+    """Rows of n >= 1 uniforms in one tile of the Philox kernel."""
+    return _TILE_BLOCKS // -(-n // 4)
+
+
 def _philox_rows(seed: int, first: int, out: np.ndarray) -> None:
     """Philox4x64-10 of keys (first + r, seed) for all rows r of ``out``.
 
@@ -132,7 +137,7 @@ def _philox_rows(seed: int, first: int, out: np.ndarray) -> None:
     """
     runs, n = out.shape
     blocks = -(-n // 4)
-    rows = min(runs, _TILE_BLOCKS // blocks)
+    rows = min(runs, _tile_rows(n))
     work = np.empty((7, 2, rows, blocks), np.uint64)
     keys = np.empty((2, rows, 1), np.uint64)  # (k0, k1) = (stream index, seed)
     words = np.empty((rows, blocks, 4), np.uint64)

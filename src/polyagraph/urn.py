@@ -45,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from ._numeric import as_int, log_tables
-from .rng import _check_out, stream, uniform_rows
+from .rng import _BULK_MAX_N, _check_out, _tile_rows, stream, uniform_rows
 
 __all__ = [
     "UrnParams",
@@ -126,20 +126,42 @@ class CreationSequence:
 
     Doubles as the canonical encoding of a threshold graph: entry t says
     whether the node added at step t is universal (1) or isolated (0).
+
+    ``draws`` may be any iterable of values equal to 0 or 1 that ``int``
+    takes: ints, bools, numpy integers and bools, or floats 0.0 and 1.0.
+    They are stored as a tuple of ints.  ``bytes`` of 0 and 1, which the
+    samplers hand over, are checked packed by two ``bytes.count`` calls and
+    unpacked by ``tuple``.  Any other iterable is gated by equality to 0
+    and 1 (two ``tuple.count`` calls) before ``int`` converts it, so a value
+    that merely converts to 1, through ``__index__`` say, is still refused.
+    A refused draw raises ValueError naming the first one.
     """
 
     draws: tuple[int, ...]
 
     def __post_init__(self):
-        raw = tuple(self.draws)
-        if not raw:
+        draws = self.draws
+        if isinstance(draws, bytes):
+            if draws.count(0) + draws.count(1) != len(draws):
+                _refuse_draws(draws)
+            draws = tuple(draws)
+        else:
+            raw = tuple(draws)
+            # one C-level pass for the common case; the loop names the first bad draw
+            if raw.count(0) + raw.count(1) != len(raw):
+                _refuse_draws(raw)
+            try:
+                draws = tuple(map(int, raw))
+            except TypeError:  # a draw equal to 0 or 1 that int refuses: (1+0j)
+                for z in raw:
+                    try:
+                        int(z)
+                    except TypeError:
+                        raise ValueError(f"draws must be 0 or 1, got {z!r}") from None
+                raise
+        if not draws:
             raise ValueError("a creation sequence needs at least one draw")
-        # one C-level pass for the common case; the loop names the first bad draw
-        if raw.count(0) + raw.count(1) != len(raw):
-            for z in raw:
-                if not (z == 0 or z == 1):
-                    raise ValueError(f"draws must be 0 or 1, got {z!r}")
-        object.__setattr__(self, "draws", tuple(map(int, raw)))
+        object.__setattr__(self, "draws", draws)
 
     def __len__(self) -> int:
         return len(self.draws)
@@ -149,6 +171,12 @@ class CreationSequence:
 
     def __getitem__(self, idx):
         return self.draws[idx]
+
+
+def _refuse_draws(raw) -> None:
+    for z in raw:
+        if not (z == 0 or z == 1):
+            raise ValueError(f"draws must be 0 or 1, got {z!r}")
 
 
 def as_draws(z) -> tuple[int, ...]:
@@ -182,6 +210,12 @@ def sample_polya(law, n: int, seed: int, *, stream_index: int = 0) -> CreationSe
     n = as_int("n", n)
     if n < 1:
         raise ValueError(f"need n >= 1 draws, got {n}")
+    return CreationSequence(bytes(_draw_list(law, n, seed, stream_index)))
+
+
+def _draw_list(law, n: int, seed: int, stream_index: int) -> list[int]:
+    """The sampler loop: the n draws of :func:`sample_polya` as a list of
+    0/1 ints, for a caller that appends to them before the one check."""
     rho, delta, window = _law(law, n)
     u = stream(seed, stream_index).random(n).tolist()
     draws: list[int] = []
@@ -192,7 +226,7 @@ def sample_polya(law, n: int, seed: int, *, stream_index: int = 0) -> CreationSe
         z = 1 if u[t] < (rho + delta * reds) / (1.0 + delta * (t if t < window else window)) else 0
         reds += z
         draws.append(z)
-    return CreationSequence(tuple(draws))
+    return draws
 
 
 def polya_joint_pmf(law, z) -> float:
@@ -248,9 +282,12 @@ def sample_runs(
     Returns a (runs, n) int64 array of 0/1 whose row r is, byte for byte,
     the draw vector of :func:`sample_polya` under the same ``law`` at
     stream index ``first_stream + r``.  The runs are drawn in time-major
-    passes of up to 1024 through one scratch buffer (:func:`_draw_pass`),
-    and each pass is copied into its rows of the result, so the workspace
-    does not grow with ``runs``.  ``n`` and ``runs`` must be integers
+    passes through one scratch buffer (:func:`_draw_pass`), and each pass
+    is copied into its rows of the result, so the workspace does not grow
+    with ``runs``.  A pass holds 1024 runs, or one tile of the uniforms'
+    Philox kernel when that is more (up to 8192 runs of rows of 1..4
+    draws, 2730 of 9..12): the kernel's fixed cost per call then falls on
+    as many runs as it can.  ``n`` and ``runs`` must be integers
     (numpy's included), n >= 1 and runs >= 0.
 
     ``out``, any float64 (runs, n) array or view (for instance all but the
@@ -266,9 +303,10 @@ def sample_runs(
         out = np.empty((runs, n), np.int64)
     else:
         _check_out(out, runs, n)
-    scratch = np.empty((n, min(runs, _PASS_RUNS)))
-    for start in range(0, runs, _PASS_RUNS):
-        stop = min(start + _PASS_RUNS, runs)
+    size = max(_PASS_RUNS, _tile_rows(n)) if n <= _BULK_MAX_N else _PASS_RUNS
+    scratch = np.empty((n, min(runs, size)))
+    for start in range(0, runs, size):
+        stop = min(start + size, runs)
         draws = scratch[:, : stop - start]
         _draw_pass(law, seed, first_stream + start, draws)
         out[start:stop] = draws.T

@@ -226,21 +226,52 @@ def test_stepping_kernel_is_the_allocating_step():
 def test_stepping_allocates_nothing_per_step(ref_params):
     # every operand of a batch step is contiguous, so numpy buffers nothing
     # within a ufunc call (4 KB measured); a strided operand would cost it
-    # a buffer per call, and a (runs, n) temporary 160 KB
-    runs, n = 200, 100
-    stepper = _Stepper(AveragingOperator.sample(ref_params, n, runs, 7), opinion_preset("paper-n100", n))
-    tracemalloc.start()
-    try:
-        stepper.step()
-        start = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        for _ in range(100):
+    # a buffer per call, and a (runs, n) temporary 160 KB.  One vector at
+    # n = 4000 likewise, where a temporary would be 32 KB; the convergence
+    # test is two reductions and writes no temporary either.  The first two
+    # steps build the plans of the two directions, then nothing is built
+    batch = _Stepper(AveragingOperator.sample(ref_params, 100, 200, 7), opinion_preset("paper-n100", 100))
+    single = _Stepper(
+        averaging_matrix(sample_connected_graph(ref_params, 4000, 7)).W, opinion_preset("polarized", 4000)
+    )
+    for stepper in (batch, single):
+        tracemalloc.start()
+        try:
             stepper.step()
-        current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - start < 16 << 10
-    assert current - start < 4096
+            stepper.step()
+            stepper.max_deviation(0.5)
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for _ in range(100):
+                stepper.step()
+                stepper.max_deviation(0.5)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 16 << 10
+        assert current - start < 4096
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_max_deviation_is_the_largest_absolute_difference(n):
+    # two reductions give max |x - limit| bit for bit: signed zeros (where
+    # a plain max of the two differences could return -0.0), overflow at
+    # +-1e308, limits below min(x), above max(x) and between, and n = 1
+    W = AveragingOperator(np.ones(n), neighbor_counts(np.ones(n)))
+    stepper = _Stepper(W, np.zeros(n))
+    rng = stream(561)
+    vectors = [np.full(n, v) for v in (0.0, -0.0, 1e308, -1e308, 5e-324)]
+    vectors += [_mixed_magnitudes(rng, n), rng.uniform(-1, 1, size=n), rng.choice((-0.0, 0.0, 1e308, -1e308), size=n)]
+    for x in vectors:
+        limits = (0.0, -0.0, 1e308, -1e308, math.inf, -math.inf, 5e-324, float(x.min()), float(x.max()),
+                  float(x.min()) - 1.0, float(x.max()) + 1.0, float(x[n // 2]))
+        for limit in limits:
+            stepper.x[...] = x
+            with np.errstate(over="ignore"):
+                want = np.abs(x - limit).max()
+            got = stepper.max_deviation(limit)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want.tobytes(), (x, limit)
 
 
 def test_neighbor_sums_copies_a_non_contiguous_float_x():

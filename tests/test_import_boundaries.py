@@ -9,7 +9,9 @@ kernel ``spectral._eigenpair_flags`` serves ``spectral`` and the ``oracle``
 check alone.  ``urn._law`` decides which urn a law is, for ``urn`` and the
 exact pi_E DP in ``consensus``.  The creation-sequence kernels
 ``neighbor_sums`` and ``neighbor_counts`` are defined in ``graph`` alone,
-and ``consensus`` and ``spectral`` take both from there.
+and so is ``_FloatSums``, the plan that runs the float neighbour sums:
+``spectral`` takes both kernels from there, and ``consensus`` takes the
+counts and the plan.
 """
 
 import ast
@@ -83,8 +85,10 @@ def test_only_urn_and_consensus_name_the_urn_law():
 def test_graph_owns_the_creation_sequence_kernels():
     kernels = ("neighbor_sums", "neighbor_counts")
     imports = {module: set(_imported_modules(tree)) for module, tree in _modules()}
+    # the consensus stepper runs the float neighbour sums through their plan
+    taken = {"consensus": ("_FloatSums", "neighbor_counts"), "spectral": kernels}
     assert [
-        (module, name) for module in ("consensus", "spectral") for name in kernels
+        (module, name) for module, names in taken.items() for name in names
         if f"polyagraph.graph.{name}" not in imports[module]
     ] == []
     # module-level functions only: consensus keeps a neighbor_counts property
@@ -94,6 +98,17 @@ def test_graph_owns_the_creation_sequence_kernels():
     ]
     assert defining == ["graph"]
     assert [name for name in kernels if hasattr(polyagraph, name)] == []
+
+
+def test_graph_owns_the_neighbour_sum_plan():
+    # one float path: neighbor_sums runs the plan, and the consensus stepper
+    # keeps two of them
+    defining = [
+        module for module, tree in _modules()
+        if any(isinstance(node, ast.ClassDef) and node.name == "_FloatSums" for node in tree.body)
+    ]
+    assert defining == ["graph"]
+    assert _namers("_FloatSums") == ["consensus", "graph"]
 
 
 def test_one_sampler_and_one_joint_law_for_both_urns():

@@ -73,17 +73,49 @@ def test_creation_sequence_validation():
         CreationSequence((0.5,))
 
 
-@pytest.mark.parametrize("ok", [0, 1, True, 1.0, np.int64(1), np.bool_(True)])
+@pytest.mark.parametrize("ok", [0, 1, True, 1.0, np.int64(1), np.bool_(True), np.float64(1.0), np.bool_(False)])
 def test_creation_sequence_accepts_zero_one_values_as_ints(ok):
     draws = CreationSequence((1, ok, 0)).draws
     assert draws == (1, int(ok), 0)
     assert all(type(z) is int for z in draws)
 
 
-@pytest.mark.parametrize("bad", [2, -1, 0.5, math.nan, "1", None])
+class _IndexOnly:
+    # converts to 1 through __index__ (so bytes() would take it) but equals
+    # neither 0 nor 1
+    def __index__(self):
+        return 1
+
+    def __repr__(self):
+        return "_IndexOnly()"
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, math.nan, "1", None, 256, 1.5, _IndexOnly()])
 def test_creation_sequence_names_the_first_bad_draw(bad):
     with pytest.raises(ValueError, match=re.escape(f"draws must be 0 or 1, got {bad!r}")):
         CreationSequence((1, 0, bad, 3))
+
+
+def test_creation_sequence_packed_draws():
+    # bytes of 0 and 1, as the samplers hand them over, unpack to ints; any
+    # other byte is named as an int, as a tuple of it would be
+    for packed in (b"\x01", b"\x00\x01\x01\x00", bytes(4000)):
+        draws = CreationSequence(packed).draws
+        assert draws == tuple(packed) and all(type(z) is int for z in draws)
+        assert CreationSequence(packed) == CreationSequence(tuple(packed))
+    for bad in (2, 255, 48):
+        with pytest.raises(ValueError, match=re.escape(f"draws must be 0 or 1, got {bad}")):
+            CreationSequence(bytes((1, 0, bad, 3)))
+    for empty in (b"", (), []):
+        with pytest.raises(ValueError, match="needs at least one draw"):
+            CreationSequence(empty)
+
+
+@pytest.mark.parametrize("bad", [1 + 0j, 0j])
+def test_creation_sequence_refuses_complex_draws(bad):
+    # a complex 0 or 1 passes the equality gate but is no integer
+    with pytest.raises(ValueError, match=re.escape(f"draws must be 0 or 1, got {bad!r}")):
+        CreationSequence((bad, 0))
 
 
 def test_finite_memory_params_validation():
@@ -275,6 +307,17 @@ def test_sample_runs_rows_are_the_per_run_draws(ref_params, n, memory):
         assert block.shape == (runs, n)
         for r in range(runs):
             assert tuple(block[r]) == sample_polya(law, n, seed, stream_index=first + r).draws
+
+
+@pytest.mark.parametrize("n", [1, 9, 48, 49])
+def test_sample_runs_across_pass_boundaries(ref_params, n):
+    # passes hold 1024 runs, or a Philox kernel tile when that is more
+    # (8192 runs at n = 1, 2730 at n = 9); every pass and tile boundary
+    # leaves the rows the scalar sampler's
+    want = np.array([sample_polya(ref_params, n, 6, stream_index=r).draws for r in range(5000)])
+    for runs in (1023, 1024, 1025, 2731, 5000):
+        assert np.array_equal(sample_runs(ref_params, n, runs, 6), want[:runs])
+    assert np.array_equal(sample_runs(ref_params, n, 2731, 6, first_stream=2269), want[2269:])
 
 
 def test_sample_runs_validation(ref_params):
