@@ -51,16 +51,7 @@ import numpy as np
 
 from ._numeric import as_int, prefix_table
 from .graph import ThresholdGraph, _FloatSums, build_graph, neighbor_counts
-from .urn import (
-    _PASS_RUNS,
-    CreationSequence,
-    FiniteMemoryParams,
-    UrnParams,
-    _draw_list,
-    _draw_pass,
-    _law,
-    sample_runs,
-)
+from .urn import _PASS_RUNS, CreationSequence, FiniteMemoryParams, UrnParams, _draw_list, _draw_pass, _law, sample_runs
 
 __all__ = [
     "AveragingOperator",
@@ -186,8 +177,10 @@ class _Stepper:
         is monotone and symmetric, so the largest x_i - limit is
         max(x) - limit and the largest limit - x_i is limit - min(x), each
         rounded as the entry's own difference; abs only turns a -0.0 into
-        the 0.0 that |x - limit| gives."""
-        return abs(max(float(self.x.max()) - limit, limit - float(self.x.min())))
+        the 0.0 that |x - limit| gives.  A NaN on either side (a NaN entry,
+        or inf - inf) wins, as it does in max|x - limit|."""
+        hi, lo = float(self.x.max()) - limit, limit - float(self.x.min())
+        return abs(lo if lo > hi or lo != lo else hi)
 
 
 @dataclass(frozen=True, eq=False)

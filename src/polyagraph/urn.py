@@ -129,27 +129,29 @@ class CreationSequence:
 
     ``draws`` may be any iterable of values equal to 0 or 1 that ``int``
     takes: ints, bools, numpy integers and bools, or floats 0.0 and 1.0.
-    They are stored as a tuple of ints.  ``bytes`` of 0 and 1, which the
-    samplers hand over, are checked packed by two ``bytes.count`` calls and
-    unpacked by ``tuple``.  Any other iterable is gated by equality to 0
-    and 1 (two ``tuple.count`` calls) before ``int`` converts it, so a value
-    that merely converts to 1, through ``__index__`` say, is still refused.
-    A refused draw raises ValueError naming the first one.
+    They are stored as a tuple of ints.  The check is two C-level ``count``
+    calls: on ``bytes`` of 0 and 1, the packed form the samplers hand over,
+    which ``tuple`` unpacks to ints; or on a tuple of any other iterable,
+    whose values must equal 0 or 1 before ``int`` converts them, so a value
+    that merely converts to 1 (through ``__index__``, say) is refused.  A
+    refused draw raises ValueError naming the first.
     """
 
     draws: tuple[int, ...]
 
     def __post_init__(self):
-        draws = self.draws
-        if isinstance(draws, bytes):
-            if draws.count(0) + draws.count(1) != len(draws):
-                _refuse_draws(draws)
-            draws = tuple(draws)
+        packed = isinstance(self.draws, bytes)
+        raw = self.draws if packed else tuple(self.draws)
+        if not raw:
+            raise ValueError("a creation sequence needs at least one draw")
+        # one C-level pass for the common case; the loop names the first bad draw
+        if raw.count(0) + raw.count(1) != len(raw):
+            for z in raw:
+                if not (z == 0 or z == 1):
+                    raise ValueError(f"draws must be 0 or 1, got {z!r}")
+        if packed:
+            draws = tuple(raw)
         else:
-            raw = tuple(draws)
-            # one C-level pass for the common case; the loop names the first bad draw
-            if raw.count(0) + raw.count(1) != len(raw):
-                _refuse_draws(raw)
             try:
                 draws = tuple(map(int, raw))
             except TypeError:  # a draw equal to 0 or 1 that int refuses: (1+0j)
@@ -159,8 +161,6 @@ class CreationSequence:
                     except TypeError:
                         raise ValueError(f"draws must be 0 or 1, got {z!r}") from None
                 raise
-        if not draws:
-            raise ValueError("a creation sequence needs at least one draw")
         object.__setattr__(self, "draws", draws)
 
     def __len__(self) -> int:
@@ -171,12 +171,6 @@ class CreationSequence:
 
     def __getitem__(self, idx):
         return self.draws[idx]
-
-
-def _refuse_draws(raw) -> None:
-    for z in raw:
-        if not (z == 0 or z == 1):
-            raise ValueError(f"draws must be 0 or 1, got {z!r}")
 
 
 def as_draws(z) -> tuple[int, ...]:

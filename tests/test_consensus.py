@@ -256,18 +256,20 @@ def test_stepping_allocates_nothing_per_step(ref_params):
 def test_max_deviation_is_the_largest_absolute_difference(n):
     # two reductions give max |x - limit| bit for bit: signed zeros (where
     # a plain max of the two differences could return -0.0), overflow at
-    # +-1e308, limits below min(x), above max(x) and between, and n = 1
+    # +-1e308, limits below min(x), above max(x) and between, and n = 1;
+    # and NaN wherever an entry is NaN or inf - inf, on either side
     W = AveragingOperator(np.ones(n), neighbor_counts(np.ones(n)))
     stepper = _Stepper(W, np.zeros(n))
     rng = stream(561)
-    vectors = [np.full(n, v) for v in (0.0, -0.0, 1e308, -1e308, 5e-324)]
+    vectors = [np.full(n, v) for v in (0.0, -0.0, 1e308, -1e308, 5e-324, math.inf, -math.inf, math.nan)]
     vectors += [_mixed_magnitudes(rng, n), rng.uniform(-1, 1, size=n), rng.choice((-0.0, 0.0, 1e308, -1e308), size=n)]
+    vectors += [rng.choice((-math.inf, 1.0, math.inf), size=n), np.where(np.arange(n) == 0, -math.inf, 1.0)]
     for x in vectors:
         limits = (0.0, -0.0, 1e308, -1e308, math.inf, -math.inf, 5e-324, float(x.min()), float(x.max()),
                   float(x.min()) - 1.0, float(x.max()) + 1.0, float(x[n // 2]))
         for limit in limits:
             stepper.x[...] = x
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 want = np.abs(x - limit).max()
             got = stepper.max_deviation(limit)
             assert type(got) is float

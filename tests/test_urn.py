@@ -73,7 +73,10 @@ def test_creation_sequence_validation():
         CreationSequence((0.5,))
 
 
-@pytest.mark.parametrize("ok", [0, 1, True, 1.0, np.int64(1), np.bool_(True), np.float64(1.0), np.bool_(False)])
+@pytest.mark.parametrize(
+    "ok",
+    [0, 1, True, 1.0, np.int64(1), np.bool_(True), pytest.param(np.float64(1.0), id="float64"), np.bool_(False)],
+)
 def test_creation_sequence_accepts_zero_one_values_as_ints(ok):
     draws = CreationSequence((1, ok, 0)).draws
     assert draws == (1, int(ok), 0)
