@@ -70,14 +70,15 @@ def sum_errors(prev, cur, a, *, out: np.ndarray, scratch: np.ndarray) -> np.ndar
 
     Knuth's TwoSum: with b = cur - prev, the error is
     (prev - (cur - b)) + (a - b), exact whatever the magnitudes.  All five
-    arrays have one shape; ``scratch`` holds b.  Contiguous operands keep
+    arrays have one shape; ``scratch`` holds b, and ``out`` may be ``a``
+    itself, which is read before it is written.  Contiguous operands keep
     numpy from buffering them.
     """
     np.subtract(cur, prev, out=scratch)
-    np.subtract(cur, scratch, out=out)
-    np.subtract(prev, out, out=out)  # prev - (cur - b)
-    np.subtract(a, scratch, out=scratch)
-    return np.add(out, scratch, out=out)  # (prev - (cur - b)) + (a - b)
+    np.subtract(a, scratch, out=out)  # a - b
+    np.subtract(cur, scratch, out=scratch)
+    np.subtract(prev, scratch, out=scratch)  # prev - (cur - b)
+    return np.add(scratch, out, out=out)  # (prev - (cur - b)) + (a - b)
 
 
 def log_rising(x: float, step: float, m: int) -> np.ndarray:

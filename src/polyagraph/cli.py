@@ -280,8 +280,20 @@ def _cmd_histogram(args) -> int:
     return EXIT_OK
 
 
+def _composition(args) -> UrnParams:
+    """The urn parameters of a command that takes each delta from elsewhere:
+    the initial composition, --rho or --R --B, is enough, and a left-out
+    --delta or --delta-balls stands in as 1."""
+    stand_in = argparse.Namespace(**vars(args))
+    if args.rho is not None and args.delta is None:
+        stand_in.delta = 1.0
+    if args.R is not None and args.delta_balls is None:
+        stand_in.delta_balls = 1.0
+    return _urn_params(stand_in)
+
+
 def _cmd_memory_sweep(args) -> int:
-    params = _urn_params(args)
+    params = _composition(args)  # memory_sweep reads only params.rho
     deltas = [float(tok) for tok in args.deltas.split(",")]
     memories = [int(tok) for tok in args.memories.split(",")]
     x0 = _parse_x0(args.x0, args.n)
@@ -391,10 +403,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="histogram.csv")
     p.set_defaults(handler=_cmd_histogram)
 
-    p = sub.add_parser("memory-sweep", help="expected consensus vs memory length for several deltas")
+    p = sub.add_parser(
+        "memory-sweep",
+        help="expected consensus vs memory length for several deltas",
+        description="Each cell's delta comes from --deltas, so the initial composition (--rho, or --R --B) "
+        "is enough; --delta and --delta-balls are accepted and unused.",
+    )
     _add_urn_args(p, memory=False)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--deltas", required=True, help="comma list, e.g. 0.2,1,10")
+    p.add_argument("--deltas", required=True, help="comma list, e.g. 0.2,1,10; each cell's reinforcement ratio")
     p.add_argument("--memories", required=True, help="comma list of memory lengths")
     p.add_argument("--runs", type=int, default=1000)
     p.add_argument("--x0", default="polarized")

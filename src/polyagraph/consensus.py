@@ -12,8 +12,9 @@ irreducible and aperiodic, satisfies the exact detailed balance
 N_i W_ij = N_j W_ji, and has the unique stationary vector
 pi*_i = N_i / sum_k N_k, so every trajectory converges to the scalar
 pi* . x(0).  W is never stored: it is an O(n) operator on z and N
-(:func:`polyagraph.graph.neighbor_counts`), and one step costs two prefix
-sums (:func:`polyagraph.graph.neighbor_sums`).
+(:func:`polyagraph.graph.neighbor_counts`), and one step costs two
+compensated prefix chains (:func:`polyagraph.graph.neighbor_sums`), run
+side by side as the two parts of one complex accumulate.
 :meth:`AveragingOperator.power` gives W^t x, and :func:`iterate` runs to
 the limit; both step one vector or a (runs, n) batch in place over one fixed
 set of buffers, so a step allocates no arrays, and through two fixed plans
@@ -142,11 +143,16 @@ class _Stepper:
     them every step costs more), the current and the spare state, and the
     neighbour-sum workspace.  :meth:`step` writes (x + neighbor_sums(z, x))
     / N into the spare buffer and swaps the two, so a step allocates no
-    array, and it hands numpy only contiguous operands, which it does not
-    buffer.  The neighbour sums run through two plans of their tables'
-    views (:class:`polyagraph.graph._FloatSums`), one per direction
+    array, and it hands numpy only flat or contiguous operands, which it
+    does not buffer (a z that broadcasts against x is the exception).
+    The neighbour sums run through two plans of their tables' views
+    (:class:`polyagraph.graph._FloatSums`), one per direction
     between the two buffers, each built on its first step; so the views
-    are made at most twice, not once per step.
+    are made at most twice, not once per step.  A plan pairs the prefix
+    and suffix chains in the complex tables of ``work`` (4 * x.size
+    floats) and takes the spare buffer, which it then overwrites with the
+    sums, as the scratch of its error terms: x, the spare buffer and
+    ``work`` are all the memory a step uses.
     :meth:`AveragingOperator.power` and :func:`iterate` step through it.
     """
 

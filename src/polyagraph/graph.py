@@ -10,6 +10,10 @@ or unreachable.  A node without a self-loop counts as disconnected from
 itself.  :func:`neighbor_counts` (one plus the off-diagonal degrees) and
 :func:`neighbor_sums` (the off-diagonal adjacency product) read z, or a
 stack of them, and serve the degrees, consensus and the eigenpair check.
+The float sums are a compensated prefix chain of x and suffix chain of z*x,
+run as the two parts of one complex accumulate, the suffix chain written
+reversed over the whole flat table (:class:`_FloatSums`); their workspace
+is 4 * out.size floats.
 
 The same graphs admit a weight characterization: node weights Phi and a
 threshold tau > 0 with an edge (u, v) exactly when Phi(u) + Phi(v) > tau
@@ -144,23 +148,34 @@ def neighbor_sums(
     Float sums are compensated prefix tables of the other entries alone,
     never cumsum(x) - x, so a large x_i cannot swamp its neighbours' sum;
     an x that is not a C-contiguous array of out's shape and dtype is first
-    copied into one.  Integer sums are exact cumsums, and an x shared by
-    the rows of z (one set of vectors for a stack of sequences) has its
+    copied into one.  The prefix chain of x and the suffix chain of z*x run
+    as the real and imaginary parts of one complex accumulate
+    (:class:`_FloatSums`).  Integer sums are exact cumsums, and an x shared
+    by the rows of z (one set of vectors for a stack of sequences) has its
     prefix sums taken once.
 
     ``out``, C-contiguous and of the broadcast shape of z and x, receives
     the sums; ``work``, a contiguous 1-d array of out's dtype with at least
-    4 * out.size entries (2 * out.size for integers), holds z*x, the suffix
-    table and the compensation workspace.  With both given, and x not
-    copied, the call allocates no array.  A float call builds a plan of its
-    tables' views (:class:`_FloatSums`) and runs it once; a stepping loop
+    4 * out.size entries (2 * out.size for integers), holds the tables and
+    their errors.  Any other ``work`` is refused with ValueError.  With both
+    given, and x not copied, the call allocates no array.  A float call
+    builds a plan of its tables' views and runs it once; a stepping loop
     keeps the plans and calls them instead, paying for the views once.
     """
     if out is None:
         out = np.empty(np.broadcast_shapes(z.shape, x.shape), dtype=np.result_type(z, x))
-    if out.dtype.kind in "iu":
-        if work is None:
-            work = np.empty(2 * out.size, dtype=out.dtype)
+    integer = out.dtype.kind in "iu"
+    per_entry = 2 if integer else 4
+    if work is None:
+        work = np.empty(per_entry * out.size, dtype=out.dtype)
+    elif not (
+        work.dtype == out.dtype and work.ndim == 1 and work.flags.c_contiguous and work.size >= per_entry * out.size
+    ):
+        raise ValueError(
+            f"work must be a contiguous 1-d {out.dtype} array of at least {per_entry} * out.size = "
+            f"{per_entry * out.size} entries, got {work.dtype} of shape {work.shape}"
+        )
+    if integer:
         # the suffix table is kept in reversed order: a cumsum into a
         # reversed view is slower
         zx, suffix = work[: 2 * out.size].reshape((2,) + out.shape)
@@ -176,60 +191,85 @@ def neighbor_sums(
         raise ValueError("out must be C-contiguous")
     if x.shape != out.shape or x.dtype != out.dtype or not x.flags.c_contiguous:
         x = np.ascontiguousarray(np.broadcast_to(x, out.shape), dtype=out.dtype)
-    if work is None:
-        work = np.empty(4 * out.size, dtype=out.dtype)
     return _FloatSums(z, x, out, work)()
 
 
 class _FloatSums:
     """The float path of :func:`neighbor_sums` for one fixed (z, x, out, work).
 
-    x is C-contiguous, of out's shape and dtype.  Every view and flat view
-    of the compensated prefix and suffix tables is made here, once, so a
-    call runs the ufuncs alone: a stepping loop keeps one plan per
-    direction of its two state buffers and calls it every step.  Each call
-    reads x as it is then and writes the sums into out, which it returns.
+    x is C-contiguous, of out's shape and dtype, and ``work`` holds
+    4 * out.size floats of that dtype: two complex tables of out's shape,
+    T (the terms) and S (their sums).  T.real is x, and T.imag is z*x
+    written with the whole flat buffer reversed, so row r's suffix chain
+    runs forward in row R-1-r.  One complex accumulate along the rows, S,
+    then gives both inclusive chains, each part added with its own IEEE
+    rounding; the prefix at k is S.real[k-1] and the suffix at k the
+    reversed S.imag at k+1.  Knuth's TwoSum recovers the rounding error of
+    each S[k] = S[k-1] + T[k] over flat views at a distance of two floats,
+    so each real and imaginary pair stays together; the errors overwrite
+    T, with out as the scratch of the TwoSum, in two halves of the flat
+    range.  Column 0, where the flat pairs straddle two rows, gets the
+    error of 0 + T[0] instead; a second accumulate of T, added to S,
+    compensates both tables.  The edge columns keep explicit zeros: z*0.0
+    for the empty prefix and + 0.0 for the empty suffix.  So for a finite
+    x every bit, signed zeros and the NaN of an overflow included, is that
+    of two separate compensated tables; with an inf or a NaN in x the NaNs
+    fall in the same places, but where two NaNs meet, which one's sign
+    survives is left open by IEEE 754.
+
+    Every view is made here, once, and each is flat unless z broadcasts
+    against x: numpy buffers a strided 2-d operand, not a flat one.  A call
+    runs the ufuncs alone, so a stepping loop keeps one plan per direction
+    of its two state buffers and calls it every step.  Each call reads x
+    as it is then and writes the sums into out, which it returns.
     """
 
     def __init__(self, z: np.ndarray, x: np.ndarray, out: np.ndarray, work: np.ndarray):
-        # The compensation runs over flat views, so numpy buffers nothing.
-        # There entry k follows entry k - 1 of its row except at row
-        # boundaries, where the error is garbage and is zeroed before each
-        # row's cumsum of errors.  The suffix table is kept in natural order.
-        zx, suffix, b, err = work[: 4 * out.size].reshape((4,) + out.shape)
-        flat_out, flat_x, flat_zx, flat_suffix, flat_b, flat_err = (
-            a.reshape(-1) for a in (out, x, zx, suffix, b, err)
-        )
-        self._z, self._x, self._out, self._zx, self._suffix, self._b, self._err = z, x, out, zx, suffix, b, err
-        # out[..., i] = x[..., 0] + .. + x[..., i-1]
-        self._prefix = (out[..., 0], x[..., :-1], out[..., 1:])
-        self._prefix_errors = (flat_out[:-1], flat_out[1:], flat_x[:-1], flat_err[1:], flat_b[1:])
-        self._err_first = err[..., 0]
-        # suffix[..., i] = zx[..., i+1] + .. + zx[..., n-1]
-        self._suffix_tables = (suffix[..., -1], zx[..., :0:-1], suffix[..., -2::-1])
-        self._suffix_errors = (flat_suffix[1:], flat_suffix[:-1], flat_zx[1:], flat_err[:-1], flat_b[:-1])
-        self._err_last, self._err_reversed, self._b_reversed = err[..., -1], err[..., ::-1], b[..., ::-1]
+        shape, size = out.shape, out.size
+        pair = np.result_type(out.dtype, np.complex64)
+        if pair.itemsize != 2 * out.dtype.itemsize:
+            raise ValueError(f"float sums need float32, float64 or longdouble, got {out.dtype}")
+        tables, sums = work[: 4 * size].view(pair).reshape((2,) + shape)
+        t, s, flat_out = tables.reshape(-1).view(out.dtype), sums.reshape(-1).view(out.dtype), out.reshape(-1)
+        z = np.broadcast_to(z, shape)
+        # the products with z are flat too, unless z broadcasts against x:
+        # then they take rows, and the edge entries of each row are columns
+        rows, cols = ((-1,), ()) if z.flags.c_contiguous else (shape, (Ellipsis,))
+        lead, tail, first, last = ((*cols, k) for k in np.s_[:-1, 1:, :1, -1:])
+        z = z.reshape(rows)
+        self._out, self._tables, self._sums = out, tables, sums
+        self._x_in = (x.reshape(-1), t[0::2])
+        self._zx = (z, x.reshape(rows), t[1::2][::-1].reshape(rows))
+        m = max(size - 1, 0)  # each half of the 2 * size - 2 flat pairs
+        self._halves = [(s[i : i + m], s[i + 2 : i + 2 + m], t[i + 2 : i + 2 + m], flat_out[:m]) for i in (0, m)]
+        self._row_starts = (sums[..., 0], tables[..., 0])
+        self._row_ends = sums[..., -1]
+        prefix, suffix, out_rows = s[0::2].reshape(rows), s[1::2][::-1].reshape(rows), out.reshape(rows)
+        self._prefix = (z[tail], prefix[lead], out_rows[tail], z[first], out_rows[first])
+        self._suffix = (out_rows[lead], suffix[tail], out_rows[last])
+        self._zero = np.zeros(1, out.dtype)  # a Python 0.0 costs a conversion per call
 
     def __call__(self) -> np.ndarray:
-        z, x, out, zx, suffix, b, err = self._z, self._x, self._out, self._zx, self._suffix, self._b, self._err
-        first, head, tail = self._prefix
-        first.fill(0)
-        head.cumsum(axis=-1, out=tail)
-        prev, cur, a, errors, scratch = self._prefix_errors
-        sum_errors(prev, cur, a, out=errors, scratch=scratch)
-        self._err_first.fill(0)
-        out += err.cumsum(axis=-1, out=b)
-        np.multiply(z, x, out=zx)
-        last, head, tail = self._suffix_tables
-        last.fill(0)
-        head.cumsum(axis=-1, out=tail)
-        prev, cur, a, errors, scratch = self._suffix_errors
-        sum_errors(prev, cur, a, out=errors, scratch=scratch)
-        self._err_last.fill(0)
-        self._err_reversed.cumsum(axis=-1, out=self._b_reversed)
-        suffix += b
-        np.multiply(z, out, out=out)
-        return np.add(out, suffix, out=out)
+        x, real = self._x_in
+        np.copyto(real, x)
+        z, x, imag = self._zx
+        np.multiply(z, x, out=imag)
+        tables, sums = self._tables, self._sums
+        np.add.accumulate(tables, axis=-1, out=sums)
+        for prev, cur, a, scratch in self._halves:
+            sum_errors(prev, cur, a, out=a, scratch=scratch)
+        starts, errors = self._row_starts
+        np.subtract(starts, starts, out=errors)  # the error of 0 + T[0]: 0, or NaN
+        np.add.accumulate(tables, axis=-1, out=tables)
+        np.add(sums, tables, out=sums)
+        self._row_ends.fill(0)  # flat reads cross a row boundary here
+        z, prefix, out, z_first, out_first = self._prefix
+        np.multiply(z, prefix, out=out)
+        np.multiply(z_first, self._zero, out=out_first)
+        out, suffix, out_last = self._suffix
+        np.add(out, suffix, out=out)
+        np.add(out_last, self._zero, out=out_last)
+        return self._out
 
 
 def neighbor_counts(draws, *, out=None, work=None) -> np.ndarray:

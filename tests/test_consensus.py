@@ -152,8 +152,9 @@ def test_sampled_operator_rows_are_the_per_run_realizations(ref_params):
 
 
 def _prefix_table_reference(a):
-    # the compensated prefix table, every temporary a fresh array
-    table = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
+    # the compensated prefix table, every temporary a fresh array, in a's
+    # float dtype (float64 for integers)
+    table = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,), dtype=np.result_type(a, 0.0))
     np.cumsum(a, axis=-1, out=table[..., 1:])
     prev, cur = table[..., :-1], table[..., 1:]
     b = cur - prev
@@ -315,6 +316,123 @@ def test_neighbor_sums_integer_rows_shared_by_a_stack():
             z[:, None].astype(np.int16), basis.astype(np.int16), out=np.empty(want.shape, np.int16), work=work
         )
         assert got.dtype == np.int16 and np.array_equal(got, want)
+
+
+_EDGE_VALUES = (0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324, 1e200, -1e200, 1e-200, -1e-200, 1.0, -3.5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 99])
+def test_neighbor_sums_paired_chains_are_the_reference(n):
+    # the prefix and suffix chains run as one complex accumulate, yet every
+    # bit is that of two separate compensated tables: signed zeros, sums
+    # that overflow to inf (and the NaN of their errors), subnormals and
+    # magnitudes of 1e+-200; one vector and a batch, z per row or shared
+    # by the rows, and a strided x
+    rng = stream(562)
+    for trial in range(12):
+        shape = (n,) if trial % 2 else (5, n)
+        if trial < 8:
+            x = rng.choice(_EDGE_VALUES, size=shape)
+        else:
+            x = rng.choice((-1.0, 1.0), size=shape) * 10.0 ** rng.uniform(-200, 200, size=shape)
+        for z in (rng.integers(0, 2, size=shape).astype(float), rng.integers(0, 2, size=n).astype(float)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = _neighbor_sums_reference(z, x)
+                assert neighbor_sums(z, x).tobytes() == want.tobytes()
+                strided = np.repeat(x, 2, axis=-1)[..., ::2]
+                assert neighbor_sums(z, strided).tobytes() == want.tobytes()
+
+
+def test_neighbor_sums_non_finite_opinions_give_the_reference_nans():
+    # with an inf or a NaN among the opinions the NaNs land where the
+    # reference's do; only which of two meeting NaNs keeps its sign, which
+    # IEEE 754 leaves open, may differ
+    rng = stream(563)
+    values = _EDGE_VALUES + (math.inf, -math.inf, math.nan)
+    for n in (1, 2, 3, 17):
+        for shape in ((n,), (4, n)):
+            z = rng.integers(0, 2, size=shape).astype(float)
+            for _ in range(20):
+                x = rng.choice(values, size=shape)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got, want = neighbor_sums(z, x), _neighbor_sums_reference(z, x)
+                assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "out_dtype, work",
+    [
+        (np.float64, np.empty(40, np.float32)),
+        (np.float64, np.empty(40, np.int64)),
+        (np.float64, np.empty(39)),
+        (np.float64, np.empty((4, 10))),
+        (np.float64, np.empty(80)[::2]),
+        (np.int64, np.empty(20, np.int32)),
+        (np.int64, np.empty(19, np.int64)),
+        (np.int64, np.empty(20)),
+    ],
+    ids=["float32", "int64", "short", "2-d", "strided", "int32", "int-short", "int-float"],
+)
+def test_neighbor_sums_refuses_a_work_it_cannot_use(out_dtype, work):
+    # a float32 work used to round the float64 sums, an integer one to fail
+    # inside numpy and a short one in a reshape; each is a ValueError that
+    # says what work the call needs: 4 * out.size floats, 2 * out.size ints
+    z = np.array([0, 1, 0, 1, 1, 0, 1, 0, 0, 1])
+    x = np.arange(10.0).astype(out_dtype)
+    k = 4 if out_dtype is np.float64 else 2
+    needs = f"work must be a contiguous 1-d {np.dtype(out_dtype)} array of at least {k} \\* out.size = {10 * k} entries"
+    with pytest.raises(ValueError, match=needs):
+        neighbor_sums(z.astype(out_dtype), x, out=np.empty(10, out_dtype), work=work)
+
+
+def test_neighbor_sums_float_tables_need_a_complex_pair():
+    # the paired chains view work as complex numbers of out's float dtype:
+    # float32 and longdouble sums are those of their own reference tables,
+    # and half floats, which have no complex pair, are refused
+    rng = stream(565)
+    for dtype in (np.float32, np.longdouble):
+        z = rng.integers(0, 2, size=(3, 40)).astype(dtype)
+        x = _mixed_magnitudes(rng, (3, 40)).astype(dtype)
+        for zz in (z, z[0]):
+            got, want = neighbor_sums(zz, x), _neighbor_sums_reference(zz, x)
+            assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
+    z = np.ones(4, np.float16)
+    with pytest.raises(ValueError, match="float sums need float32, float64 or longdouble, got float16"):
+        neighbor_sums(z, z)
+
+
+def test_paired_chains_step_as_the_reference(ref_params):
+    # long runs of steps on a sampled (200, 100) batch, the histogram's
+    # shape, and at n = 4000, one vector, give the bits of the reference step
+    W = AveragingOperator.sample(ref_params, 100, 200, 7)
+    stepper, want = _Stepper(W, opinion_preset("paper-n100", 100)), opinion_preset("paper-n100", 100)
+    for _ in range(100):
+        want = _step_reference(W.z, W.neighbor_counts, want)
+        assert np.array_equal(stepper.step(), want)
+    W = averaging_matrix(sample_connected_graph(ref_params, 4000, 7)).W
+    rng = stream(564)
+    for x0 in (opinion_preset("polarized", 4000), rng.choice((-1.0, 1.0), 4000) * 10.0 ** rng.uniform(-200, 200, 4000)):
+        stepper, want = _Stepper(W, x0), x0
+        for _ in range(42):
+            want = _step_reference(W.z, W.neighbor_counts, want)
+            assert np.array_equal(stepper.step(), want)
+
+
+def test_stepping_workspace_is_pinned(ref_params):
+    # tracemalloc peak of 100 steps of the histogram's (200, 100) batch,
+    # after a first call has made numpy's one-off allocations: 945 KiB, as
+    # with two separate chains, for the state, the spare state and a work
+    # of 4 * out.size floats; a separate error table would add 320 KB
+    W = AveragingOperator.sample(ref_params, 100, 200, 7)
+    x0 = opinion_preset("paper-n100", 100)
+    W.power(x0, 100)
+    tracemalloc.start()
+    try:
+        W.power(x0, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (945 + 16) << 10
 
 
 def test_neighbor_counts_formula():

@@ -366,6 +366,31 @@ def test_memory_sweep_command(tmp_path):
     assert len(lines) == 5
 
 
+def test_memory_sweep_needs_only_the_composition(tmp_path, capsys):
+    # each cell's delta comes from --deltas: --rho, or --R --B, is enough,
+    # and a given --delta or --delta-balls changes nothing
+    sweep = ["--n", "20", "--deltas", "0.2,1,10", "--memories", "1,3,5", "--runs", "40", "--seed", "3"]
+    csvs = {}
+    for name, urn in (
+        ("rho", ["--rho", "0.5"]),
+        ("rho-delta", ["--rho", "0.5", "--delta", "0.2"]),
+        ("counts", ["--R", "3", "--B", "2"]),
+        ("counts-delta", ["--R", "3", "--B", "2", "--delta-balls", "4"]),
+    ):
+        out = tmp_path / f"{name}.csv"
+        assert run_cli(["memory-sweep", *urn, *sweep, "--out", str(out)]) == EXIT_OK
+        csvs[name] = out.read_bytes()
+    assert csvs["rho"] == csvs["rho-delta"] and csvs["counts"] == csvs["counts-delta"]
+    assert csvs["rho"] != csvs["counts"]
+    # one style still: a lone --delta, or both compositions, is refused
+    for urn in (["--delta", "0.2"], ["--rho", "0.5", "--R", "3", "--B", "2"], ["--R", "3", "--B", "2", "--delta", "4"]):
+        assert run_cli(["memory-sweep", *urn, *sweep, "--out", str(tmp_path / "refused.csv")]) == EXIT_CONFIG
+    assert not (tmp_path / "refused.csv").exists()
+    with pytest.raises(SystemExit):
+        main(["memory-sweep", "--help"])
+    assert "delta comes from --deltas" in " ".join(capsys.readouterr().out.split())
+
+
 def test_parser_is_built_once_and_each_call_parses_afresh(capsys):
     assert cli._build_parser() is cli._build_parser()
     urn = ["--R", "5", "--B", "5", "--delta-balls", "2"]
