@@ -34,7 +34,7 @@ vectorized call of the urn's batched sampler that reproduces the scalar
 sampler bit for bit: row t of the pass buffer holds draw t of every run,
 each row contiguous, so an urn step is a few array operations over one
 row.  Its uniforms come from :func:`polyagraph.rng.uniform_rows`: for
-realizations of up to 49 nodes (48 free draws) a Philox kernel computes a
+realizations of up to 33 nodes (32 free draws) a Philox kernel computes a
 tile of runs at once, and longer ones come from a generator re-keyed per
 run.  The runs stream on as blocks of 256, each copied run-major into one
 block buffer whose draws become pi* in place: memory is O(pass * n) for

@@ -15,15 +15,21 @@ routes chosen from the row length.  Philox4x64-10 (Salmon, Moraes, Dror &
 Shaw, SC 2011) makes each output word a function of its key and counter
 alone, so short rows are computed for a whole tile of rows at once: each
 round is a fixed set of numpy operations over every row and counter block
-of the tile.  That costs a fixed amount of array work per word, while
-re-keying one numpy generator per row costs a fixed overhead per row; long
-rows keep the re-keyed generator, which is faster there.  :func:`stream` is the reference
+of the tile.  That costs a fixed amount of array work per word.  Long rows
+re-key one numpy generator per row instead, by writing two words of its
+state in place, the key's stream index and the counter, and pay a fixed
+overhead per row, mostly numpy's ``Generator.random`` call, plus a little
+per word, which is less there.  :func:`stream` is the reference
 both routes match bit for bit.  Both write into a float64 view of any
 strides, so a sampler can keep its runs time-major, with row t of an
 (n, runs) buffer holding draw t of every run, and hand over its transpose.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
+from typing import NoReturn
 
 import numpy as np
 
@@ -48,9 +54,10 @@ _BUMP = _pair(0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
 # The crossover between the two routes of uniform_rows.  Speed of the kernel
 # over the re-keyed generator, median of 40 adjacent timings, 1024 / 10 000
-# rows, 2 cores: n = 8 x2.95 / x3.46, 16 x1.80 / x2.56, 32 x1.37 / x1.38,
-# 48 x1.17 / x1.04, 56 x0.87 / x0.88, 64 x1.01 / x0.95, 99 x0.70 / x0.75.
-_BULK_MAX_N = 48
+# rows, 2 cores, median of three trials: n = 8 x1.64 / x2.64, 16 x1.36 /
+# x1.62, 24 x1.50 / x1.15, 32 x1.15 / x1.08, 33 x0.92 / x1.01, 40 x0.86 /
+# x0.93, 48 x0.79 / x0.72, 64 x0.84 / x0.63, 99 x0.54 / x0.58.
+_BULK_MAX_N = 32
 # Counter blocks (4 words each) per tile of rows: the kernel's workspace is
 # then at most 1.1 MiB for any number of runs.  Of tiles of 2048, 4096,
 # 8192 and 16 384 blocks, 8192 was fastest for 10 000 rows of 7 or 9.
@@ -81,13 +88,15 @@ def uniform_rows(
 ) -> np.ndarray:
     """(runs, n) uniforms; row r equals stream(master_seed, first_stream + r).random(n).
 
-    Rows of up to 48 uniforms (``_BULK_MAX_N``) are computed by a
+    Rows of up to 32 uniforms (``_BULK_MAX_N``) are computed by a
     Philox4x64-10 kernel, a tile of rows at once, in a workspace of fixed
-    size.  Longer rows re-key one numpy generator per row.  The kernel costs
-    about the same array work per word, the generator a fixed overhead per
-    row plus a little per word, so the kernel is about 3x faster at n = 8,
-    the two are even near n = 48..52, and the generator is about 1.4x
-    faster at n = 99.  Both give the same bits.
+    size.  Longer rows re-key one numpy generator per row, by writing its
+    key's stream index and its counter in place, in a 32 KiB chunk of rows.
+    The kernel costs about the same array work per word, the generator a
+    fixed overhead per row plus a little per word, so the kernel is about
+    1.6-2.6x faster at n = 8, the two are even near n = 32, and the
+    generator is about 1.8x faster at n = 99 (1.4-1.5 ms per 1024 rows).
+    Both give the same bits.
 
     ``out``, any float64 (runs, n) array or view, receives the uniforms
     and is returned; without it a new array is.  Its strides are free: the
@@ -189,30 +198,88 @@ def _philox_rows(seed: int, first: int, out: np.ndarray) -> None:
 def _rekeyed_rows(seed: int, first: int, out: np.ndarray) -> None:
     """Fill row r of ``out`` from one generator re-keyed to stream (seed, first + r).
 
-    Philox output depends only on key and counter, so setting the key of
-    one generator to the row's stream, with counter 0 and an empty buffer
-    (position 4 of its four words), reproduces that stream exactly.  The
+    Philox output depends only on key and counter, so one generator built
+    with the seed as its high key word reproduces stream (seed, i) once its
+    low key word is set to i and its counter to 0, with its buffer empty.
+    Those two words are written in place, through :func:`_philox_words`.
+    Each row of the chunk is padded to whole 4-word Philox blocks, so a row
+    uses up its last block and leaves the buffer empty for the next, and
+    the counter, reset per row, never carries out of its low word.  The
     generator writes only contiguous rows, so it fills a bounded chunk of
-    rows, which is copied into ``out`` whatever its strides.
+    rows, whose leading n columns are copied into ``out`` whatever its
+    strides.
     """
     runs, n = out.shape
-    chunk = np.empty((min(runs, max(1, _CHUNK_WORDS // n)), n))
-    bit_gen = np.random.Philox(key=0)
-    gen = np.random.Generator(bit_gen)
-    # plain lists: the state setter reads them faster than numpy arrays
-    key = [0, seed]  # Philox stores the 128-bit key low word first
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": key},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    width = -(-n // 4) * 4
+    chunk = np.empty((min(runs, max(1, _CHUNK_WORDS // width)), width))
+    bit_gen = np.random.Philox(key=seed << _WORD)
+    counter, key = _philox_words(bit_gen)  # views of bit_gen, which outlives them
+    random = np.random.Generator(bit_gen).random
     for start in range(0, runs, len(chunk)):
         rows = chunk[: min(len(chunk), runs - start)]
         for r, row in enumerate(rows, first + start):
             key[0] = r
-            bit_gen.state = state
-            gen.random(out=row)
-        out[start : start + len(rows)] = rows
+            counter[0] = 0
+            random(out=row)
+        out[start : start + len(rows)] = rows[:, :n]
+
+
+def _philox_words(bit_gen: np.random.Philox) -> tuple[ctypes.Array, ctypes.Array]:
+    """The 4-word counter and 2-word key of a numpy Philox, as writable ctypes
+    arrays over its own memory (low word first); RuntimeError otherwise.
+
+    numpy's ``philox_state`` struct, at ``bit_gen.ctypes.state_address``,
+    begins with pointers to the counter and the key, which the bit
+    generator object holds.  Both pointers must lie inside that object
+    (from ``id(bit_gen)``, its address in CPython), with room for their
+    words, before either is read through; no other numpy bit generator
+    passes this.  Once per process the layout is also
+    checked on a probe generator (:func:`_check_philox_layout`).  Nothing
+    is written before both checks pass.
+    """
+    words = _inner_words(bit_gen)
+    _check_philox_layout()
+    return words
+
+
+def _inner_words(bit_gen) -> tuple[ctypes.Array, ctypes.Array]:
+    # the bounds check of _philox_words, on the first two words of the state;
+    # not sys.getsizeof, which adds the GC header that lies before id()
+    start, size = id(bit_gen), bit_gen.__sizeof__()
+
+    def inside(address: int, words: int) -> bool:
+        return start <= address and address + 8 * words <= start + size
+
+    state = bit_gen.ctypes.state_address
+    if not inside(state, 2):
+        _layout_error("the state struct lies outside the bit generator")
+    counter, key = (ctypes.c_uint64 * 2).from_address(state)
+    if not (inside(counter, 4) and inside(key, 2)):
+        _layout_error("the state struct does not begin with counter and key pointers")
+    return (ctypes.c_uint64 * 4).from_address(counter), (ctypes.c_uint64 * 2).from_address(key)
+
+
+@functools.cache
+def _check_philox_layout() -> None:
+    """A Philox built with distinctive words shows them through :func:`_inner_words`,
+    and re-keying it there, as :func:`_rekeyed_rows` does, reproduces two
+    streams in turn.  Cached once it passes.
+    """
+    seed, idx = 0x0123456789ABCDEF, 0xFEDCBA9876543210
+    words = [0x1111111111111111 * d for d in (1, 2, 3, 4)]
+    probe = np.random.Philox(
+        key=(seed << _WORD) | idx, counter=sum(w << (_WORD * i) for i, w in enumerate(words))
+    )
+    counter, key = _inner_words(probe)
+    if list(counter) != words or list(key) != [idx, seed]:
+        _layout_error("the counter and key words are not where its pointers lead")
+    random = np.random.Generator(probe).random
+    for i in (idx, idx + 1):
+        key[0] = i
+        counter[:] = [0, 0, 0, 0]
+        if not np.array_equal(random(8), stream(seed, i).random(8)):
+            _layout_error("a re-keyed generator does not reproduce its stream")
+
+
+def _layout_error(why: str) -> NoReturn:
+    raise RuntimeError(f"numpy {np.__version__}: Philox state layout not recognised, {why}")

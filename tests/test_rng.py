@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polyagraph.rng import _BULK_MAX_N, _TILE_BLOCKS, stream, uniform_rows
+from polyagraph.rng import _BULK_MAX_N, _CHUNK_WORDS, _TILE_BLOCKS, _philox_words, stream, uniform_rows
 from polyagraph.urn import UrnParams, sample_polya, sample_runs
 
 
@@ -44,11 +44,13 @@ def _tile_rows(n):
 
 
 # row lengths on both sides of the crossover, each with one run and a few;
-# some bulk lengths also with one run past a tile of rows.  Seed 0 starts at
-# stream 3, the top seed takes the last streams below 2^64.
+# some bulk lengths also with one run past a tile of rows.  47, 48 and 49
+# pad the re-keyed route's rows by 1, 0 and 3 words, and 683 rows of 48 cross
+# its chunks.  Seed 0 starts at stream 3, the top seed takes the last
+# streams below 2^64.
 _ROW_SHAPES = [
-    *((runs, n) for n in (1, 2, 3, 5, 99, _BULK_MAX_N - 1, _BULK_MAX_N + 1) for runs in (1, 5)),
-    *((_tile_rows(n) + 1, n) for n in (4, 9, _BULK_MAX_N)),
+    *((runs, n) for n in (1, 2, 3, 5, 47, 49, 99, _BULK_MAX_N - 1, _BULK_MAX_N + 1) for runs in (1, 5)),
+    *((_tile_rows(n) + 1, n) for n in (4, 9, 48, _BULK_MAX_N)),
 ]
 _ROW_CASES = [
     pytest.param(123, 0, 5, 9, id="123-0"),
@@ -94,19 +96,60 @@ def test_out_must_be_float64(n):
 
 
 def test_uniform_rows_workspace_is_independent_of_runs():
-    # the bulk kernel works tile by tile; the output buffers are not counted
-    n = 9
-    peaks = []
-    for tiles in (2, 20):
-        out = np.empty((tiles * _tile_rows(n) + 1, n))
-        tracemalloc.start()
-        try:
-            uniform_rows(5, 0, len(out), n, out=out)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[0] < 2 << 20
-    assert peaks[1] <= peaks[0] + (64 << 10)
+    # the bulk kernel works tile by tile, the re-keyed route (n = 99) chunk
+    # by chunk; the output buffers are not counted, nor numpy's one-off
+    # allocations, made by a first call
+    for n in (9, 99):
+        uniform_rows(5, 0, 2, n)
+        peaks = []
+        for tiles in (2, 20):
+            out = np.empty((tiles * _tile_rows(n) + 1, n))
+            tracemalloc.start()
+            try:
+                uniform_rows(5, 0, len(out), n, out=out)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 2 << 20, n
+        assert peaks[1] <= peaks[0] + (64 << 10), n
+
+
+def _chunk_rows(n):
+    return max(1, _CHUNK_WORDS // (-(-n // 4) * 4))  # rows per chunk of the re-keyed route
+
+
+# n = 100 fills whole Philox blocks, the others pad their rows; rows of 4097
+# exceed a chunk's words and go one per chunk
+@pytest.mark.parametrize("n", [_BULK_MAX_N + 1, 99, 100, 101, 4097])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_rekeyed_rows_across_a_chunk_edge(seed, n):
+    runs = _chunk_rows(n) + 1
+    first = 2**64 - runs  # the last stream is 2^64 - 1
+    rows = uniform_rows(seed, first, runs, n)
+    for r in range(runs):
+        assert np.array_equal(rows[r], stream(seed, first + r).random(n)), r
+    # nothing of one call's generator state reaches the next
+    assert np.array_equal(uniform_rows(seed, first, runs, n), rows)
+    assert np.array_equal(uniform_rows(seed, first + 1, runs - 1, n), rows[1:])
+
+
+@pytest.mark.parametrize("bit_gen", [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.SFC64])
+def test_philox_layout_guard_refuses_other_bit_generators(bit_gen):
+    # their state structs do not begin with two pointers into the object;
+    # the guard reads no further and writes nothing
+    gen = bit_gen(11)
+    with pytest.raises(RuntimeError, match=f"numpy {np.__version__}: Philox state layout"):
+        _philox_words(gen)
+    assert np.array_equal(gen.random_raw(8), bit_gen(11).random_raw(8))
+
+
+def test_philox_layout_guard_accepts_a_philox():
+    gen = np.random.Philox(key=(5 << 64) | 7, counter=3)
+    counter, key = _philox_words(gen)
+    assert list(counter) == [3, 0, 0, 0]
+    assert list(key) == [7, 5]
+    counter[0], key[0] = 0, 9
+    assert np.array_equal(np.random.Generator(gen).random(4), stream(5, 9).random(4))
 
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, True, np.float64(3.0), np.bool_(False), "4"])

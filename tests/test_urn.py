@@ -15,7 +15,7 @@ from polyagraph import (
     polya_joint_pmf,
     sample_polya,
 )
-from polyagraph.rng import stream
+from polyagraph.rng import _BULK_MAX_N, stream
 from polyagraph.urn import as_draws, sample_runs
 
 
@@ -296,12 +296,14 @@ def test_sampler_follows_the_sliding_window_rule(ref_params):
             assert z[t] == int(u[t] < (rho + delta * sum(z[t - w : t])) / (1.0 + delta * w))
 
 
-@pytest.mark.parametrize("n", [1, 2, 10, 48, 49, 100])
+@pytest.mark.parametrize("n", [1, 2, 10, _BULK_MAX_N, _BULK_MAX_N + 1, 48, 49, 100])
 @pytest.mark.parametrize("memory", [None, 1, 4, 1000, "n-1"])
 def test_sample_runs_rows_are_the_per_run_draws(ref_params, n, memory):
     # row r is byte for byte the scalar sampler at stream first_stream + r;
-    # 48 and 49 draws straddle the Philox route of rng.uniform_rows, and a
-    # memory of n - 1 (1 at n = 1) drops only the first draw, at the last step
+    # _BULK_MAX_N and one more draw straddle the Philox route of
+    # rng.uniform_rows, 48 and 49 fill and pad the re-keyed route's Philox
+    # blocks, and a memory of n - 1 (1 at n = 1) drops only the first draw,
+    # at the last step
     if memory == "n-1":
         memory = max(n - 1, 1)
     law = ref_params if memory is None else FiniteMemoryParams(ref_params, memory)
@@ -312,7 +314,7 @@ def test_sample_runs_rows_are_the_per_run_draws(ref_params, n, memory):
             assert tuple(block[r]) == sample_polya(law, n, seed, stream_index=first + r).draws
 
 
-@pytest.mark.parametrize("n", [1, 9, 48, 49])
+@pytest.mark.parametrize("n", [1, 9, _BULK_MAX_N, _BULK_MAX_N + 1, 48, 49])
 def test_sample_runs_across_pass_boundaries(ref_params, n):
     # passes hold 1024 runs, or a Philox kernel tile when that is more
     # (8192 runs at n = 1, 2730 at n = 9); every pass and tile boundary
