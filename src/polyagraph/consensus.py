@@ -25,9 +25,10 @@ built only on request, for oracles and tests.
 Averaging pi* over the urn law of the free draws gives the expected
 consensus weights pi_E: the expected opinion vector converges to
 (pi_E . x(0)) at every node.  pi_E is computed exactly by a
-forward-backward pass over the urn's Markov state and the weighted red count
-W that fixes sum_k N_k (polynomial in n, guarded by a 64 MiB table budget),
-or estimated by seeded Monte Carlo with one independent stream per run,
+forward-backward pass over the weighted red count W that fixes sum_k N_k
+and the state of the urn's Markov chain, which :mod:`polyagraph.urn` states
+once for the samplers and this pass (polynomial in n, guarded by a 64 MiB
+table budget), or estimated by seeded Monte Carlo with one independent stream per run,
 merged by run index so scheduling cannot change the estimate.  Monte Carlo
 runs are sampled in time-major passes of up to 1024 runs, each one
 vectorized call of the urn's batched sampler that reproduces the scalar
@@ -52,7 +53,7 @@ import numpy as np
 
 from ._numeric import as_int, prefix_table
 from .graph import ThresholdGraph, _FloatSums, build_graph, neighbor_counts
-from .urn import _PASS_RUNS, CreationSequence, FiniteMemoryParams, UrnParams, _draw_list, _draw_pass, _law, sample_runs
+from .urn import _PASS_RUNS, CreationSequence, FiniteMemoryParams, UrnParams, _chain, _draw_list, _draw_pass, sample_runs
 
 __all__ = [
     "AveragingOperator",
@@ -375,7 +376,10 @@ def expected_stationary_exact(params, n: int) -> ExpectedStationary:
     c = E[1/D] and a_j = E[z_j / D]: a sum of non-negative terms, so
     nothing cancels.  A forward-backward pass over (urn state, W) gives c
     and every a_j in polynomial time: O(n^4) for the infinite urn, and
-    O(2^M n^3) under a finite memory M < n-1.
+    O(2^M n^3) under a finite memory M < n-1.  The urn states, their draw
+    probabilities and their successors are those of the samplers' chain:
+    successors are row slices, so the pass gathers views and scatters by
+    slice adds, in a fixed order.
 
     Requests whose tables would exceed 64 MiB are refused with
     :class:`EnumerationLimitError` before anything is
@@ -388,17 +392,12 @@ def expected_stationary_exact(params, n: int) -> ExpectedStationary:
 
 
 def _pi_e_dp(params, n: int) -> np.ndarray:
-    # The free draws are a Markov chain whose state is the red count so far
-    # (the infinite urn, or a memory covering all n-1 free draws) or the
-    # window of the last M draws.  The backward pass stores
+    # The free draws walk the urn's chain.  The backward pass stores
     # V_t(s, w) = E[1/D | state s and W = w before free draw t], only over
     # the (s, w) reachable at t; the forward pass streams the mass over
-    # (s, w) and collects a_t = E[z_t / D].
-    rho, delta, memory = _law(params, n - 1)
-    window = memory < n - 1  # else min(t, memory) = t at every free draw
-
-    def states(t):  # reachable states before free draw t are 0 .. states(t) - 1
-        return 1 << min(t, memory) if window else t + 1
+    # (s, w) and collects a_t = E[z_t / D].  Successor rows are slices: the
+    # states' folded halves are gathered as one view and added in order.
+    states, step = _chain(params, n - 1)
 
     def width(t):  # W before free draw t is at most 0 + 1 + .. + (t-1)
         return t * (t - 1) // 2 + 1
@@ -412,35 +411,26 @@ def _pi_e_dp(params, n: int) -> np.ndarray:
                 f"{_DP_BUDGET_BYTES >> 20} MiB of DP tables; use expected_stationary_mc instead"
             )
 
-    s = np.arange(states(n - 1))
-    if window:  # bit 0 is the latest draw; draws older than M leave the window
-        reds = np.bitwise_count(s).astype(float)
-        to_black = (s << 1) & ((1 << memory) - 1)
-        to_red = to_black | 1
-    else:
-        reds, to_black, to_red = s.astype(float), s, s + 1
-    steps = []
-    for t in range(n - 1):
-        k, w = states(t), min(t, memory)
-        p_red = (rho + delta * reds[:k]) / (1.0 + delta * w)  # the sampler's expression
-        p_black = (1.0 - rho + delta * (w - reds[:k])) / (1.0 + delta * w)
-        steps.append((p_red[:, None], p_black[:, None], to_red[:k], to_black[:k], width(t)))
-
+    steps = [step(t) + (width(t),) for t in range(n - 1)]
     # a red draw at 0-based t adds t to W
     V = [None] * n
     last = 1.0 / (3 * n - 2 + 2 * np.arange(width(n - 1)))  # 1/D, whatever the state
     V[n - 1] = np.broadcast_to(last, (states(n - 1), width(n - 1)))
     for t in range(n - 2, -1, -1):
-        p_red, p_black, red, black, m = steps[t]
-        V[t] = p_red * V[t + 1][red, t : t + m] + p_black * V[t + 1][black, :m]
+        p_red, p_black, red, black, merge, m = steps[t]
+        fold, after = (merge, -1, 1), V[t + 1]  # folded halves read the same rows
+        V[t] = (p_red.reshape(fold) * after[red, t : t + m] + p_black.reshape(fold) * after[black, :m]).reshape(-1, m)
     a = np.empty(n - 1)
     mass = np.ones((1, 1))
-    for t, (p_red, p_black, red, black, m) in enumerate(steps):
-        red_mass = mass * p_red
+    for t, (p_red, p_black, red, black, merge, m) in enumerate(steps):
+        red_mass = (mass * p_red).reshape(merge, -1, m)
         a[t] = np.sum(red_mass * V[t + 1][red, t : t + m])
         nxt = np.zeros((states(t + 1), width(t + 1)))
-        np.add.at(nxt, (red, slice(t, t + m)), red_mass)  # windows merge: indices repeat
-        np.add.at(nxt, (black, slice(0, m)), mass * p_black)
+        for half in red_mass:  # in state order, red before black
+            nxt[red, t : t + m] += half
+        mass *= p_black
+        for half in mass.reshape(merge, -1, m):
+            nxt[black, :m] += half
         mass = nxt
     c = float(V[0][0, 0])
     pi = np.empty(n)
@@ -557,6 +547,8 @@ def memory_sweep(
     deltas = list(deltas)
     if not memories:
         raise ValueError("need at least one memory length")
+    if not deltas:
+        raise ValueError("need at least one delta")
     if runs < 2:
         raise ValueError(f"need runs >= 2, got {runs}")
     x = _opinions(x0, n)

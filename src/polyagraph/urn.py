@@ -27,6 +27,11 @@ Markov chain of that order.  The infinite urn is the finite-memory urn
 whose window of past draws is the whole past, so one sampler and one joint
 law serve both: each takes an :class:`UrnParams` or a
 :class:`FiniteMemoryParams`, and ``_law`` alone tells them apart.
+``_law`` and ``_chain`` are the one statement of the urn's transitions:
+``_chain`` walks the draws as a Markov chain, whose state is the red count
+so far or the window of the last ``memory`` draws, for the exact pi_E pass
+of :mod:`polyagraph.consensus`; the samplers' loops round its red
+probability identically, and tests pin them to it.
 
 :func:`sample_polya` draws one realization; :func:`sample_runs` draws a
 block of realizations, one per stream, with rows identical to the scalar
@@ -114,6 +119,8 @@ class FiniteMemoryParams:
     memory: int
 
     def __post_init__(self):
+        if not isinstance(self.base, UrnParams):
+            raise TypeError(f"base must be UrnParams, got {type(self.base).__name__}")
         m = self.memory
         if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
             raise ValueError(f"memory must be an integer >= 1, got {m!r}")
@@ -184,10 +191,37 @@ def _law(law, n: int) -> tuple[float, float, int]:
     """(rho, delta, window) of either urn over n draws: the red probability
     of a draw is set by the last ``window`` draws, the memory capped at n
     for a :class:`FiniteMemoryParams` and the whole past, n, for an
-    :class:`UrnParams`."""
+    :class:`UrnParams`.  Anything else raises TypeError."""
     if isinstance(law, FiniteMemoryParams):
         return law.base.rho, law.base.delta, min(law.memory, n)
-    return law.rho, law.delta, n
+    if isinstance(law, UrnParams):
+        return law.rho, law.delta, n
+    raise TypeError(f"expected UrnParams or FiniteMemoryParams, got {type(law).__name__}")
+
+
+def _chain(law, n: int):
+    """The n draws of ``law`` as a Markov chain, ``(states, step)``.  The
+    state before draw t is the red count so far if the window is the whole
+    past, else the last min(t, window) draws as bits, bit 0 the latest.
+    ``states(t)`` counts them without allocating.  ``step(t)`` is (p_red,
+    p_black, red, black, merge): the samplers' draw probabilities as (k, 1)
+    columns, and the successors' rows as slices, onto which ``merge`` = 2
+    halves of the states fold once the window is full (1 before)."""
+    rho, delta, window = _law(law, n)
+    stride = 1 if window == n else 2  # a red count moves up one; bits shift left
+
+    def states(t):
+        return t + 1 if stride == 1 else 1 << min(t, window)
+
+    def step(t):
+        w, s, merge = min(t, window), np.arange(states(t)), 2 if t >= window else 1
+        reds = (s if stride == 1 else np.bitwise_count(s)).astype(float)[:, None]
+        p_red = (rho + delta * reds) / (1.0 + delta * w)
+        p_black = (1.0 - rho + delta * (w - reds)) / (1.0 + delta * w)
+        rows = stride * (len(s) // merge)
+        return p_red, p_black, slice(1, rows + 1, stride), slice(0, rows, stride), merge
+
+    return states, step
 
 
 def sample_polya(law, n: int, seed: int, *, stream_index: int = 0) -> CreationSequence:

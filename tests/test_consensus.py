@@ -624,6 +624,16 @@ def test_expected_stationary_memory_within_budget(ref_params):
         expected_stationary_exact(ref_params, 92)
 
 
+@pytest.mark.parametrize("bad", [None, {"rho": 0.5}])
+def test_expected_stationary_refuses_anything_that_is_not_a_law(bad):
+    # these used to fail with AttributeError: '...' object has no attribute 'rho'
+    match = f"expected UrnParams or FiniteMemoryParams, got {type(bad).__name__}"
+    with pytest.raises(TypeError, match=match):
+        expected_stationary_exact(bad, 5)
+    with pytest.raises(TypeError, match=match):
+        expected_stationary_mc(bad, 5, runs=10, seed=0)
+
+
 def test_expected_stationary_finite_memory_small(ref_params):
     # with memory covering the horizon the law is the infinite-memory one
     fm = FiniteMemoryParams(ref_params, 8)
@@ -885,6 +895,12 @@ def test_memory_sweep_validation(ref_params):
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="x0 must be finite"):
             memory_sweep(ref_params, 4, deltas=(0.2,), memories=(1,), runs=10, x0=(0.0, bad, 1.0, 2.0), seed=0)
+
+
+def test_memory_sweep_refuses_empty_deltas(ref_params):
+    # an empty deltas list used to come back as an empty table
+    with pytest.raises(ValueError, match="need at least one delta"):
+        memory_sweep(ref_params, 5, deltas=[], memories=[1], runs=10, x0=np.ones(5), seed=0)
 
 
 def test_memory_sweep_counts_follow_the_integer_rule(ref_params):

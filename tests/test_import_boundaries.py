@@ -6,8 +6,10 @@ the package namespace does not re-export oracle names.  The stepping kernel
 ``consensus._Stepper`` stays inside ``consensus``; everyone else steps
 through ``AveragingOperator.power`` or ``iterate``.  The batched eigenpair
 kernel ``spectral._eigenpair_flags`` serves ``spectral`` and the ``oracle``
-check alone.  ``urn._law`` decides which urn a law is, for ``urn`` and the
-exact pi_E DP in ``consensus``.  The creation-sequence kernels
+check alone.  ``urn._law`` decides which urn a law is, in ``urn`` alone,
+and ``urn._chain`` is the urn's one Markov chain: the exact pi_E DP in
+``consensus`` walks it and keeps no state encoding or scatter of its own.
+The creation-sequence kernels
 ``neighbor_sums`` and ``neighbor_counts`` are defined in ``graph`` alone,
 and so is ``_FloatSums``, the plan that runs the float neighbour sums:
 ``spectral`` takes both kernels from there, and ``consensus`` takes the
@@ -54,11 +56,13 @@ def test_only_cli_imports_the_oracles():
 
 
 def _namers(name):
-    # modules that mention ``name`` as a variable, an attribute or an import
+    # modules that mention ``name`` as a definition, a variable, an
+    # attribute or an import
     return [
         module for module, tree in _modules()
         if any(
-            (isinstance(node, ast.Name) and node.id == name)
+            (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name)
+            or (isinstance(node, ast.Name) and node.id == name)
             or (isinstance(node, ast.Attribute) and node.attr == name)
             or (isinstance(node, ast.alias) and node.name == name)
             for node in ast.walk(tree)
@@ -76,10 +80,26 @@ def test_only_spectral_and_oracle_name_the_eigenpair_kernel():
     assert _namers("_eigenpair_flags") == ["oracle", "spectral"]
 
 
-def test_only_urn_and_consensus_name_the_urn_law():
+def test_only_urn_names_the_urn_law():
     # urn._law alone tells the infinite urn from the finite-memory one; the
-    # exact pi_E DP unpacks through it too
-    assert _namers("_law") == ["consensus", "urn"]
+    # exact pi_E DP reads the law through urn._chain
+    assert _namers("_law") == ["urn"]
+
+
+def test_the_exact_dp_walks_the_urn_chain():
+    # one state encoding: the DP takes its states, probabilities and
+    # successor rows from urn._chain, and scatters by slices
+    assert _namers("_chain") == ["consensus", "urn"]
+    assert "consensus" not in _namers("bitwise_count")
+    scatters = [
+        module for module, tree in _modules()
+        if any(
+            isinstance(node, ast.Attribute) and node.attr == "at"
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "add"
+            for node in ast.walk(tree)
+        )
+    ]
+    assert "consensus" not in scatters
 
 
 def test_graph_owns_the_creation_sequence_kernels():

@@ -15,8 +15,9 @@ from polyagraph import (
     polya_joint_pmf,
     sample_polya,
 )
+from polyagraph import urn
 from polyagraph.rng import _BULK_MAX_N, stream
-from polyagraph.urn import as_draws, sample_runs
+from polyagraph.urn import _chain, as_draws, sample_runs
 
 
 def all_vectors(n):
@@ -129,6 +130,29 @@ def test_finite_memory_params_validation():
     for bad in (0, True, 2.7, 3.0, "3"):
         with pytest.raises(ValueError, match="memory must be an integer >= 1"):
             FiniteMemoryParams(base, bad)
+
+
+def test_finite_memory_params_refuses_a_base_that_is_not_an_urn():
+    # a string base was accepted, and a nested finite-memory law failed only
+    # when it was sampled
+    inner = FiniteMemoryParams(UrnParams(1, 1, 1), 2)
+    for bad, name in (("x", "str"), (inner, "FiniteMemoryParams"), (None, "NoneType")):
+        with pytest.raises(TypeError, match=f"base must be UrnParams, got {name}"):
+            FiniteMemoryParams(bad, 2)
+
+
+@pytest.mark.parametrize("bad", [None, {"rho": 0.5}, (0.5, 0.2)])
+def test_urn_functions_refuse_anything_that_is_not_a_law(bad):
+    # these used to fail with AttributeError: '...' object has no attribute 'rho'
+    name = type(bad).__name__
+    for call in (
+        lambda: sample_polya(bad, 5, 0),
+        lambda: sample_runs(bad, 5, 3, 0),
+        lambda: polya_joint_pmf(bad, (0, 1, 1)),
+        lambda: _chain(bad, 5),
+    ):
+        with pytest.raises(TypeError, match=f"expected UrnParams or FiniteMemoryParams, got {name}"):
+            call()
 
 
 def test_as_draws_accepts_iterables():
@@ -294,6 +318,56 @@ def test_sampler_follows_the_sliding_window_rule(ref_params):
         for t in range(60):
             w = t if memory is None else min(t, memory)
             assert z[t] == int(u[t] < (rho + delta * sum(z[t - w : t])) / (1.0 + delta * w))
+
+
+def _chain_path(law, z):
+    """The chain's red probability before each draw of z, along z's path."""
+    states, step = _chain(law, len(z))
+    s, p = 0, []
+    for t, red_draw in enumerate(z):
+        p_red, _, red, black, merge = step(t)
+        p.append(p_red[s, 0])
+        s = range(states(t + 1))[red if red_draw else black][s % (len(p_red) // merge)]
+    return p
+
+
+_PIN_URNS = (
+    UrnParams(5, 5, 2),
+    UrnParams(1, 9, 5),
+    UrnParams.from_proportions(0.3, 1e-8),
+    UrnParams.from_proportions(0.3, 1e8),
+)
+
+
+@pytest.mark.parametrize("memory", [None, 1, 2, 3])
+@pytest.mark.parametrize("params", _PIN_URNS, ids=("5-5-2", "1-9-5", "0.3-1e-8", "0.3-1e8"))
+def test_samplers_are_pinned_to_the_chain(monkeypatch, params, memory):
+    # every draw vector z with n <= 8 is fed the uniforms u_t = p_t where
+    # z_t = 0 and nextafter(p_t, 0) where z_t = 1, p_t the chain's red
+    # probability along z's path: a sampler whose red probability drifts
+    # one ulp either way from the chain's flips a draw
+    law = params if memory is None else FiniteMemoryParams(params, memory)
+
+    class Fixed:  # urn.stream: stream index r yields row r of u
+        def __init__(self, seed, stream_index=0):
+            self.row = u[stream_index]
+
+        def random(self, size):
+            return self.row[:size].copy()
+
+    def rows(seed, first, runs, width, *, out):  # urn.uniform_rows over the same rows
+        out[...] = u[first : first + runs]
+        return out
+
+    monkeypatch.setattr(urn, "stream", Fixed)
+    monkeypatch.setattr(urn, "uniform_rows", rows)
+    for n in range(1, 9):
+        zs = np.array(list(all_vectors(n)))
+        p = np.array([_chain_path(law, z) for z in zs])
+        u = np.where(zs == 1, np.nextafter(p, 0.0), p)
+        for r, z in enumerate(zs):
+            assert sample_polya(law, n, 0, stream_index=r).draws == tuple(z)
+        assert np.array_equal(sample_runs(law, n, len(zs), 0), zs)
 
 
 @pytest.mark.parametrize("n", [1, 2, 10, _BULK_MAX_N, _BULK_MAX_N + 1, 48, 49, 100])
