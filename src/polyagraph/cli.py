@@ -153,7 +153,9 @@ def _cmd_generate(args) -> int:
     edges_path = _out_path(args.edges_out)
     io.write_json(json_path, io.graph_json_payload(g, params=params, seed=args.seed, memory=args.memory))
     io.write_edge_csv(edges_path, g)
-    print(f"graph with n = {g.n}, {len(g.edge_set())} edges -> {json_path}, {edges_path}")
+    # a universal node t has t edges, down to itself, as edges() yields them
+    edges = sum(t for t, z in enumerate(g.draws, start=1) if z)
+    print(f"graph with n = {g.n}, {edges} edges -> {json_path}, {edges_path}")
     return EXIT_OK
 
 

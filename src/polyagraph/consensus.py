@@ -16,11 +16,11 @@ pi* . x(0).  W is never stored: it is an O(n) operator on z and N
 compensated prefix chains (:func:`polyagraph.graph.neighbor_sums`), run
 side by side as the two parts of one complex accumulate.
 :meth:`AveragingOperator.power` gives W^t x, and :func:`iterate` runs to
-the limit; both step one vector or a (runs, n) batch in place over one fixed
-set of buffers, so a step allocates no arrays, and through two fixed plans
-of the neighbour-sum tables' views, so it builds no views either; the
-convergence test of :func:`iterate` is two reductions.  The dense matrix is
-built only on request, for oracles and tests.
+the limit; both step one vector or a (runs, n) batch in place, in one state
+buffer with fixed scratch, so a step allocates no arrays, and through one
+fixed plan of the neighbour-sum tables' views, so it builds no views
+either; the convergence test of :func:`iterate` is two reductions.  The
+dense matrix is built only on request, for oracles and tests.
 
 Averaging pi* over the urn law of the free draws gives the expected
 consensus weights pi_E: the expected opinion vector converges to
@@ -103,6 +103,8 @@ class AveragingOperator:
         z[:, -1] = 1.0  # the urn's n - 1 free draws, then the pinned 1
         if n > 1:
             sample_runs(params, n - 1, runs, seed, first_stream=first_stream, out=z[:, :-1])
+        else:  # sample_runs refuses zero draws; a zero-row pass still checks the law and seed
+            _draw_pass(params, seed, first_stream, z[:, :-1].T)
         return cls(z, neighbor_counts(z))
 
     def power(self, x, t: int) -> np.ndarray:
@@ -140,19 +142,18 @@ class AveragingOperator:
 class _Stepper:
     """x <- W x in place over fixed buffers.
 
-    Holds z and N as floats (exact: both are small integers, and casting
-    them every step costs more), the current and the spare state, and the
-    neighbour-sum workspace.  :meth:`step` writes (x + neighbor_sums(z, x))
-    / N into the spare buffer and swaps the two, so a step allocates no
+    Holds z and N as floats of the state's shape (exact: both are small
+    integers, and casting them every step costs more; they are copied only
+    to cast a graph's int draws or to broadcast one realization over a
+    (runs, n) batch), the state x, and the neighbour-sum scratch and
+    workspace.  :meth:`step` computes neighbor_sums(z, x) into the scratch,
+    then adds it to x and divides x by N in place, so a step allocates no
     array, and it hands numpy only flat or contiguous operands, which it
-    does not buffer (a z that broadcasts against x is the exception).
-    The neighbour sums run through two plans of their tables' views
-    (:class:`polyagraph.graph._FloatSums`), one per direction
-    between the two buffers, each built on its first step; so the views
-    are made at most twice, not once per step.  A plan pairs the prefix
-    and suffix chains in the complex tables of ``work`` (4 * x.size
-    floats) and takes the spare buffer, which it then overwrites with the
-    sums, as the scratch of its error terms: x, the spare buffer and
+    does not buffer.  The sums run through one plan of their tables' views
+    (:class:`polyagraph.graph._FloatSums`), built here, so the views are
+    made once.  The plan pairs the prefix and suffix chains in the complex
+    tables of ``work`` (4 * x.size floats) and reads x only at its start;
+    the scratch holds its error terms, then the sums.  x, the scratch and
     ``work`` are all the memory a step uses.
     :meth:`AveragingOperator.power` and :func:`iterate` step through it.
     """
@@ -160,24 +161,17 @@ class _Stepper:
     def __init__(self, W: AveragingOperator, x0):
         x0 = np.asarray(x0, dtype=float)
         shape = np.broadcast_shapes(W.z.shape, x0.shape)
-        self._z = np.asarray(W.z, dtype=float)
-        self._counts = np.asarray(W.neighbor_counts, dtype=float)
+        z = np.ascontiguousarray(np.broadcast_to(W.z, shape), dtype=float)
+        self._counts = np.ascontiguousarray(np.broadcast_to(W.neighbor_counts, shape), dtype=float)
         self.x = np.empty(shape)
         self.x[...] = x0
-        self._spare = np.empty(shape)
-        self._work = np.empty(4 * self.x.size)
-        self._plan = self._next_plan = None  # sums of x into the spare buffer, then back
+        self._plan = _FloatSums(z, self.x, np.empty(shape), np.empty(4 * self.x.size))
 
     def step(self) -> np.ndarray:
-        """Advance one step and return the state, a buffer the step after
-        next overwrites."""
-        plan = self._plan or _FloatSums(self._z, self.x, self._spare, self._work)
-        nxt = plan()
-        np.add(self.x, nxt, out=nxt)
-        np.divide(nxt, self._counts, out=nxt)
-        self.x, self._spare = nxt, self.x
-        self._plan, self._next_plan = self._next_plan, plan
-        return nxt
+        """Advance one step and return the state, the stepper's one buffer,
+        which the next step overwrites."""
+        np.add(self.x, self._plan(), out=self.x)
+        return np.divide(self.x, self._counts, out=self.x)
 
     def max_deviation(self, limit: float) -> float:
         """max |x - limit| from two reductions and no temporary.  Rounding
@@ -275,7 +269,7 @@ def sample_connected_graph(params, n: int, seed: int, *, stream_index: int = 0) 
     n = as_int("n", n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    draws = _draw_list(params, n - 1, seed, stream_index) if n > 1 else []
+    draws = _draw_list(params, n - 1, seed, stream_index)
     draws.append(1)
     return build_graph(CreationSequence(bytes(draws)))
 
@@ -463,8 +457,7 @@ def _pi_star_blocks(params, n: int, runs: int, seed: int, first_stream: int = 0)
         stop = _chunk_stop(start, _PASS_RUNS, runs)
         draws = passes[:, : stop - start]
         draws[-1] = 1.0  # the last node is universal; the previous pass's counts overwrote it
-        if n > 1:
-            _draw_pass(params, seed, first_stream + start, draws[:-1])
+        _draw_pass(params, seed, first_stream + start, draws[:-1])
         lo = 0
         while lo < stop - start:
             hi = _chunk_stop(lo, _BLOCK_RUNS, stop - start)
@@ -539,7 +532,8 @@ def memory_sweep(
     ``runs`` finite-memory realizations.  Every cell uses a disjoint block of
     run streams derived from ``seed``, so the full table is reproducible.
     ``n``, ``runs`` and the memory lengths (as :class:`FiniteMemoryParams`
-    takes them) must be integers, numpy's included; a bool or a float is
+    takes them) must be integers, numpy's included.  A bool or a float
+    there, or a delta that :meth:`UrnParams.from_proportions` refuses, is
     refused before any cell runs.
     """
     n, runs = as_int("n", n), as_int("runs", runs)
@@ -552,14 +546,14 @@ def memory_sweep(
     if runs < 2:
         raise ValueError(f"need runs >= 2, got {runs}")
     x = _opinions(x0, n)
+    laws = [UrnParams.from_proportions(base.rho, d) for d in deltas]
     points: list[SweepPoint] = []
     block = 0
 
     def values(law, cell: int) -> np.ndarray:  # pi* . x0 of each run in the cell's streams
         return np.concatenate([pi @ x for pi in _pi_star_blocks(law, n, runs, seed, cell * runs)])
 
-    for d in deltas:
-        params = UrnParams.from_proportions(base.rho, d)
+    for d, params in zip(deltas, laws):
         base_vals = values(params, block)
         block += 1
         baseline = float(base_vals.mean())

@@ -147,20 +147,21 @@ def neighbor_sums(
 
     Float sums are compensated prefix tables of the other entries alone,
     never cumsum(x) - x, so a large x_i cannot swamp its neighbours' sum;
-    an x that is not a C-contiguous array of out's shape and dtype is first
-    copied into one.  The prefix chain of x and the suffix chain of z*x run
-    as the real and imaginary parts of one complex accumulate
-    (:class:`_FloatSums`).  Integer sums are exact cumsums, and an x shared
-    by the rows of z (one set of vectors for a stack of sequences) has its
-    prefix sums taken once.
+    a z that is not a C-contiguous array of out's shape, or an x that is
+    not one of out's dtype too, is first copied into one.  The prefix chain
+    of x and the suffix chain of z*x run as the real and imaginary parts of
+    one complex accumulate (:class:`_FloatSums`).  Integer sums are exact
+    cumsums, and an x shared by the rows of z (one set of vectors for a
+    stack of sequences) has its prefix sums taken once.
 
     ``out``, C-contiguous and of the broadcast shape of z and x, receives
     the sums; ``work``, a contiguous 1-d array of out's dtype with at least
     4 * out.size entries (2 * out.size for integers), holds the tables and
     their errors.  Any other ``work`` is refused with ValueError.  With both
-    given, and x not copied, the call allocates no array.  A float call
-    builds a plan of its tables' views and runs it once; a stepping loop
-    keeps the plans and calls them instead, paying for the views once.
+    given, and neither z nor x copied, the call allocates no array.  A
+    float call builds a plan of its tables' views and runs it once; a
+    stepping loop keeps the plan and calls it instead, paying for the views
+    once.
     """
     if out is None:
         out = np.empty(np.broadcast_shapes(z.shape, x.shape), dtype=np.result_type(z, x))
@@ -191,13 +192,15 @@ def neighbor_sums(
         raise ValueError("out must be C-contiguous")
     if x.shape != out.shape or x.dtype != out.dtype or not x.flags.c_contiguous:
         x = np.ascontiguousarray(np.broadcast_to(x, out.shape), dtype=out.dtype)
+    z = np.ascontiguousarray(np.broadcast_to(z, out.shape))
     return _FloatSums(z, x, out, work)()
 
 
 class _FloatSums:
     """The float path of :func:`neighbor_sums` for one fixed (z, x, out, work).
 
-    x is C-contiguous, of out's shape and dtype, and ``work`` holds
+    z and x are C-contiguous of out's shape, x of its dtype too (any other
+    z is refused with ValueError), and ``work`` holds
     4 * out.size floats of that dtype: two complex tables of out's shape,
     T (the terms) and S (their sums).  T.real is x, and T.imag is z*x
     written with the whole flat buffer reversed, so row r's suffix chain
@@ -217,11 +220,11 @@ class _FloatSums:
     fall in the same places, but where two NaNs meet, which one's sign
     survives is left open by IEEE 754.
 
-    Every view is made here, once, and each is flat unless z broadcasts
-    against x: numpy buffers a strided 2-d operand, not a flat one.  A call
-    runs the ufuncs alone, so a stepping loop keeps one plan per direction
-    of its two state buffers and calls it every step.  Each call reads x
-    as it is then and writes the sums into out, which it returns.
+    Every view is made here, once, and each is flat: numpy buffers a
+    strided 2-d operand, not a flat one.  A call runs the ufuncs alone, so
+    a stepping loop keeps one plan and calls it every step.  Each call
+    reads x only at its start, into the tables, and writes the sums into
+    out, which it returns; its caller may then overwrite x.
     """
 
     def __init__(self, z: np.ndarray, x: np.ndarray, out: np.ndarray, work: np.ndarray):
@@ -229,24 +232,21 @@ class _FloatSums:
         pair = np.result_type(out.dtype, np.complex64)
         if pair.itemsize != 2 * out.dtype.itemsize:
             raise ValueError(f"float sums need float32, float64 or longdouble, got {out.dtype}")
+        if z.shape != shape or not z.flags.c_contiguous:
+            raise ValueError(f"z must be C-contiguous of out's shape {shape}, got shape {z.shape}")
         tables, sums = work[: 4 * size].view(pair).reshape((2,) + shape)
         t, s, flat_out = tables.reshape(-1).view(out.dtype), sums.reshape(-1).view(out.dtype), out.reshape(-1)
-        z = np.broadcast_to(z, shape)
-        # the products with z are flat too, unless z broadcasts against x:
-        # then they take rows, and the edge entries of each row are columns
-        rows, cols = ((-1,), ()) if z.flags.c_contiguous else (shape, (Ellipsis,))
-        lead, tail, first, last = ((*cols, k) for k in np.s_[:-1, 1:, :1, -1:])
-        z = z.reshape(rows)
+        z, x = z.reshape(-1), x.reshape(-1)
         self._out, self._tables, self._sums = out, tables, sums
-        self._x_in = (x.reshape(-1), t[0::2])
-        self._zx = (z, x.reshape(rows), t[1::2][::-1].reshape(rows))
+        self._x_in = (x, t[0::2])
+        self._zx = (z, x, t[1::2][::-1])
         m = max(size - 1, 0)  # each half of the 2 * size - 2 flat pairs
         self._halves = [(s[i : i + m], s[i + 2 : i + 2 + m], t[i + 2 : i + 2 + m], flat_out[:m]) for i in (0, m)]
         self._row_starts = (sums[..., 0], tables[..., 0])
         self._row_ends = sums[..., -1]
-        prefix, suffix, out_rows = s[0::2].reshape(rows), s[1::2][::-1].reshape(rows), out.reshape(rows)
-        self._prefix = (z[tail], prefix[lead], out_rows[tail], z[first], out_rows[first])
-        self._suffix = (out_rows[lead], suffix[tail], out_rows[last])
+        prefix, suffix = s[0::2], s[1::2][::-1]
+        self._prefix = (z[1:], prefix[:-1], flat_out[1:], z[:1], flat_out[:1])
+        self._suffix = (flat_out[:-1], suffix[1:], flat_out[-1:])
         self._zero = np.zeros(1, out.dtype)  # a Python 0.0 costs a conversion per call
 
     def __call__(self) -> np.ndarray:

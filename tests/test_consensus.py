@@ -18,6 +18,7 @@ from polyagraph import (
     opinion_preset,
     sample_connected_graph,
 )
+from polyagraph import consensus
 from polyagraph.consensus import (
     _BLOCK_RUNS,
     _PASS_RUNS,
@@ -26,7 +27,7 @@ from polyagraph.consensus import (
     _pi_star_blocks,
     _Stepper,
 )
-from polyagraph.graph import neighbor_counts, neighbor_sums
+from polyagraph.graph import _FloatSums, neighbor_counts, neighbor_sums
 from polyagraph.oracle import _PARAM_GRID, EnumerationLimitError, enumerate_expectation
 from polyagraph.rng import stream
 from polyagraph.urn import sample_runs
@@ -229,22 +230,30 @@ def test_stepping_allocates_nothing_per_step(ref_params):
     # within a ufunc call (4 KB measured); a strided operand would cost it
     # a buffer per call, and a (runs, n) temporary 160 KB.  One vector at
     # n = 4000 likewise, where a temporary would be 32 KB; the convergence
-    # test is two reductions and writes no temporary either.  The first two
-    # steps build the plans of the two directions, then nothing is built
+    # test is two reductions and writes no temporary either.  A batch on one
+    # realization's operator too: its z and N are copied to the batch's
+    # shape once, where a broadcast z cost 191 KiB of buffers per step.  The
+    # plan is built with the stepper; the first two steps make numpy's
+    # one-off allocations, then nothing is built, and every step returns the
+    # stepper's one state buffer
     batch = _Stepper(AveragingOperator.sample(ref_params, 100, 200, 7), opinion_preset("paper-n100", 100))
     single = _Stepper(
         averaging_matrix(sample_connected_graph(ref_params, 4000, 7)).W, opinion_preset("polarized", 4000)
     )
-    for stepper in (batch, single):
+    broadcast = _Stepper(
+        averaging_matrix(sample_connected_graph(ref_params, 100, 7)).W,
+        np.tile(opinion_preset("paper-n100", 100), (200, 1)),
+    )
+    for stepper in (batch, single, broadcast):
         tracemalloc.start()
         try:
-            stepper.step()
-            stepper.step()
+            state = stepper.step()
+            assert stepper.step() is state
             stepper.max_deviation(0.5)
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             for _ in range(100):
-                stepper.step()
+                assert stepper.step() is state
                 stepper.max_deviation(0.5)
             current, peak = tracemalloc.get_traced_memory()
         finally:
@@ -401,6 +410,16 @@ def test_neighbor_sums_float_tables_need_a_complex_pair():
         neighbor_sums(z, z)
 
 
+def test_float_sum_plan_takes_z_of_out_shape():
+    # the plan runs every product over flat views, so it refuses a z that
+    # is not C-contiguous of out's shape; neighbor_sums makes z one
+    x, out, work = np.arange(12.0).reshape(3, 4), np.empty((3, 4)), np.empty(48)
+    for z in (np.ones(4), np.ones((4, 3)).T, np.ones((3, 5))[:, :4]):
+        with pytest.raises(ValueError, match=r"z must be C-contiguous of out's shape \(3, 4\)"):
+            _FloatSums(z, x, out, work)
+    assert np.array_equal(_FloatSums(np.ones((3, 4)), x, out, work)(), neighbor_sums(np.ones(4), x))
+
+
 def test_paired_chains_step_as_the_reference(ref_params):
     # long runs of steps on a sampled (200, 100) batch, the histogram's
     # shape, and at n = 4000, one vector, give the bits of the reference step
@@ -420,19 +439,23 @@ def test_paired_chains_step_as_the_reference(ref_params):
 
 def test_stepping_workspace_is_pinned(ref_params):
     # tracemalloc peak of 100 steps of the histogram's (200, 100) batch,
-    # after a first call has made numpy's one-off allocations: 945 KiB, as
-    # with two separate chains, for the state, the spare state and a work
-    # of 4 * out.size floats; a separate error table would add 320 KB
-    W = AveragingOperator.sample(ref_params, 100, 200, 7)
-    x0 = opinion_preset("paper-n100", 100)
-    W.power(x0, 100)
-    tracemalloc.start()
-    try:
+    # after a first call has made numpy's one-off allocations: 942 KiB for
+    # the state, the scratch of the sums and a work of 4 * out.size floats;
+    # a separate error table would add 320 KB.  One realization's operator
+    # stepping a (200, 100) batch adds its copies of z and N at the batch's
+    # shape, 313 KiB: 1254 KiB
+    batch = (AveragingOperator.sample(ref_params, 100, 200, 7), opinion_preset("paper-n100", 100), 942)
+    single = averaging_matrix(sample_connected_graph(ref_params, 100, 7)).W
+    broadcast = (single, np.tile(opinion_preset("paper-n100", 100), (200, 1)), 1254)
+    for W, x0, kib in (batch, broadcast):
         W.power(x0, 100)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= (945 + 16) << 10
+        tracemalloc.start()
+        try:
+            W.power(x0, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (kib + 16) << 10
 
 
 def test_neighbor_counts_formula():
@@ -634,6 +657,31 @@ def test_expected_stationary_refuses_anything_that_is_not_a_law(bad):
         expected_stationary_mc(bad, 5, runs=10, seed=0)
 
 
+def test_samplers_check_their_law_and_seed_at_one_node(ref_params):
+    # at n = 1 no draw is free, yet the law, the seed and the stream index
+    # are checked as at n = 2; these calls used to return a one-node result
+    for n in (1, 2):
+        for call in (
+            lambda: sample_connected_graph(None, n, 0),
+            lambda: expected_stationary_mc(None, n, runs=4, seed=0),
+            lambda: AveragingOperator.sample(None, n, 3, 0),
+        ):
+            with pytest.raises(TypeError, match="expected UrnParams or FiniteMemoryParams, got NoneType"):
+                call()
+        for seed in (-1, 2**64):
+            for call in (
+                lambda: sample_connected_graph(ref_params, n, seed),
+                lambda: expected_stationary_mc(ref_params, n, runs=4, seed=seed),
+                lambda: AveragingOperator.sample(ref_params, n, 3, seed),
+            ):
+                with pytest.raises(ValueError, match="master_seed out of range"):
+                    call()
+        with pytest.raises(ValueError, match="stream_index out of range"):
+            sample_connected_graph(ref_params, n, 0, stream_index=-1)
+        with pytest.raises(ValueError, match="stream_index out of range"):
+            AveragingOperator.sample(ref_params, n, 3, 0, first_stream=2**64 - 2)
+
+
 def test_expected_stationary_finite_memory_small(ref_params):
     # with memory covering the horizon the law is the infinite-memory one
     fm = FiniteMemoryParams(ref_params, 8)
@@ -811,6 +859,17 @@ def test_memory_sweep_is_the_per_run_loop(ref_params):
                 float(base.mean()), float(base.std(ddof=1) / math.sqrt(runs)),
             ))
     assert points == want
+
+
+def test_memory_sweep_checks_every_delta_before_any_cell_samples(ref_params, monkeypatch):
+    # a bad delta after a good one used to be refused only after the good
+    # delta's cells had run
+    def sample(*args):
+        raise AssertionError("a cell sampled before every delta was checked")
+
+    monkeypatch.setattr(consensus, "_pi_star_blocks", sample)
+    with pytest.raises(ValueError, match="delta must be positive"):
+        memory_sweep(ref_params, 10, [0.2, -1.0], [1, 2, 3], 20, np.ones(10), 0)
 
 
 def test_memory_sweep_memories_follow_the_finite_memory_rule(ref_params):

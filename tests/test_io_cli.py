@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,30 @@ def test_generate_is_byte_reproducible(tmp_path):
         ]) == EXIT_OK
         outs.append((json_out.read_bytes(), edges_out.read_bytes()))
     assert outs[0] == outs[1]
+
+
+def test_generate_counts_edges_without_building_them(tmp_path, capsys):
+    # the printed count is the edge CSV's rows, self-loops included; the
+    # edge set it was once counted from peaked at 26 MiB at n = 1000
+    edges_out = tmp_path / "edges.csv"
+
+    def generate(n):
+        return run_cli([
+            "generate", "--rho", "0.5", "--delta", "1e-8", "--n", str(n), "--seed", "1",
+            "--json-out", str(tmp_path / "graph.json"), "--edges-out", str(edges_out),
+        ])
+
+    assert generate(10) == EXIT_OK  # numpy's one-off allocations
+    tracemalloc.start()
+    try:
+        assert generate(1000) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    rows = len(edges_out.read_text().splitlines()) - 1
+    assert rows > 200_000
+    assert capsys.readouterr().out.splitlines()[-1].startswith(f"graph with n = 1000, {rows} edges -> ")
 
 
 def test_pi_e_exact_prints_reference_values(capsys):
