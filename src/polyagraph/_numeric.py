@@ -8,11 +8,13 @@ than with differences of log-Gamma at arguments near x/step, avoids the
 cancellation that sets in when step is far from 1.
 
 The cached tables (:func:`log_tables`) are read two ways: vectorized laws
-index the read-only arrays, and scalar laws read single entries through a
+slice the read-only arrays, and scalar laws read single entries through a
 read-only memoryview of each array, which yields Python floats.  A numpy
 scalar costs several times more to build and to add than a Python float,
 and the arithmetic is the same IEEE double arithmetic, so a scalar law
-evaluated either way gives the same bits.
+evaluated either way gives the same bits.  The log-factorial table depends
+on the horizon alone, so it is built once per horizon and shared by the
+tables of every (rho, delta).
 """
 
 from __future__ import annotations
@@ -99,11 +101,13 @@ class LogTables:
     red[k] + black[m-k] - total[m], and log C(m, k) is
     fact[m] - fact[k] - fact[m-k], for every m <= n.
 
-    The four tables are read-only float arrays, for vectorized reads.
-    :meth:`log_joint` and :meth:`log_choose` read single entries through a
-    read-only memoryview of each array instead: the items are Python floats
-    (no copy of the table is made), and the results equal, bit for bit,
-    the same expressions over numpy scalars.  Indices must be ints in range.
+    The four tables are read-only float arrays, for vectorized reads;
+    ``fact`` is one array per horizon, shared by the tables of every
+    (rho, delta).  :meth:`log_joint` and :meth:`log_pmf` read single
+    entries through a read-only memoryview of each array instead: the items
+    are Python floats (no copy of the table is made), and the results
+    equal, bit for bit, the same expressions over numpy scalars.  Indices
+    must be ints in range.
     """
 
     __slots__ = ("red", "black", "total", "fact", "_red", "_black", "_total", "_fact")
@@ -118,10 +122,17 @@ class LogTables:
         """log P(a given length-m draw vector with k reds)."""
         return self._red[k] + self._black[m - k] - self._total[m]
 
-    def log_choose(self, m: int, k: int) -> float:
-        """log C(m, k)."""
+    def log_pmf(self, m: int, k: int) -> float:
+        """log P(k reds among m draws): log C(m, k) plus :meth:`log_joint`,
+        rounded as that sum is."""
         fact = self._fact
-        return fact[m] - fact[k] - fact[m - k]
+        return fact[m] - fact[k] - fact[m - k] + (self._red[k] + self._black[m - k] - self._total[m])
+
+
+@lru_cache(maxsize=64)
+def _log_factorials(n: int) -> np.ndarray:
+    # log k! for k = 0..n, whatever the urn
+    return log_rising(1.0, 1.0, n)
 
 
 @lru_cache(maxsize=64)
@@ -132,6 +143,6 @@ def log_tables(rho: float, delta: float, n: int) -> LogTables:
         log_rising(rho, delta, n),
         log_rising(1.0 - rho, delta, n),
         log_rising(1.0, delta, n),
-        log_rising(1.0, 1.0, n),
+        _log_factorials(n),
     )
 

@@ -114,12 +114,13 @@ def degree_pmf(params: UrnParams, n: int, i: int) -> DegreeDistribution:
     t = log_tables(params.rho, params.delta, n)
     tail = n - i
     m = tail + 1
-    r = np.arange(m)
+    # slices over r = 0..tail: [:m] reads entry r, [tail::-1] entry tail - r,
+    # [m:0:-1] entry m - r and [1 : m + 1] entry r + 1.
     # log C(tail, r) minus the common denominator of the joint law
-    log_base = t.fact[tail] - t.fact[r] - t.fact[tail - r] - t.total[m]
+    log_base = t.fact[tail] - t.fact[:m] - t.fact[tail::-1] - t.total[m]
     p = np.zeros(n + 1)
-    p[:m] += np.exp(log_base + t.red[r] + t.black[m - r])
-    p[i:] += np.exp(log_base + t.red[r + 1] + t.black[tail - r])
+    p[:m] += np.exp(log_base + t.red[:m] + t.black[m:0:-1])
+    p[i:] += np.exp(log_base + t.red[1 : m + 1] + t.black[tail::-1])
     values = p.tolist()
     support = degree_support(n, i)
     pmf = {k: values[k] for k in support}

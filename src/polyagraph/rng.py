@@ -107,12 +107,13 @@ def uniform_rows(
         out = np.empty((runs, n))
     else:
         _check_out(out, runs, n)
-    if runs == 0:
-        return out
     # the indices are consecutive, so checking both ends checks them all; the
     # upper end is capped at the first out-of-range index, as a per-run loop
-    # would fail there.  No uint64 key is formed before this check.
+    # would fail there.  No uint64 key is formed before this check, and the
+    # seed and first index are checked even when there are no runs.
     seed, first = _key_words(master_seed, first_stream)
+    if runs == 0:
+        return out
     _key_words(seed, min(first + runs - 1, 1 << _WORD))
     if n > _BULK_MAX_N:
         _rekeyed_rows(seed, first, out)

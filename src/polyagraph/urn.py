@@ -18,7 +18,8 @@ total, the joint law of a vector with k red draws among n is
 and the number of red draws follows a Beta-Binomial law with shape
 (rho/delta, (1-rho)/delta).  Both are read off four prefix tables of log
 rising products (:func:`polyagraph._numeric.log_tables`), built once per
-(rho, delta, n) and read entry by entry as Python floats.
+(rho, delta, n), the log factorials once per n, and read entry by entry as
+Python floats.
 
 A finite-memory variant removes each reinforcement batch ``memory`` steps
 after it was added.  The first ``memory`` draws keep the law above; later
@@ -147,28 +148,7 @@ class CreationSequence:
     draws: tuple[int, ...]
 
     def __post_init__(self):
-        packed = isinstance(self.draws, bytes)
-        raw = self.draws if packed else tuple(self.draws)
-        if not raw:
-            raise ValueError("a creation sequence needs at least one draw")
-        # one C-level pass for the common case; the loop names the first bad draw
-        if raw.count(0) + raw.count(1) != len(raw):
-            for z in raw:
-                if not (z == 0 or z == 1):
-                    raise ValueError(f"draws must be 0 or 1, got {z!r}")
-        if packed:
-            draws = tuple(raw)
-        else:
-            try:
-                draws = tuple(map(int, raw))
-            except TypeError:  # a draw equal to 0 or 1 that int refuses: (1+0j)
-                for z in raw:
-                    try:
-                        int(z)
-                    except TypeError:
-                        raise ValueError(f"draws must be 0 or 1, got {z!r}") from None
-                raise
-        object.__setattr__(self, "draws", draws)
+        object.__setattr__(self, "draws", _checked_draws(self.draws))
 
     def __len__(self) -> int:
         return len(self.draws)
@@ -180,11 +160,37 @@ class CreationSequence:
         return self.draws[idx]
 
 
+def _checked_draws(draws) -> tuple[int, ...]:
+    """The draws of a :class:`CreationSequence` as a tuple of ints, checked
+    as its docstring says."""
+    packed = isinstance(draws, bytes)
+    raw = draws if packed else tuple(draws)
+    if not raw:
+        raise ValueError("a creation sequence needs at least one draw")
+    # one C-level pass for the common case; the loop names the first bad draw
+    if raw.count(0) + raw.count(1) != len(raw):
+        for z in raw:
+            if not (z == 0 or z == 1):
+                raise ValueError(f"draws must be 0 or 1, got {z!r}")
+    if packed:
+        return tuple(raw)
+    try:
+        return tuple(map(int, raw))
+    except TypeError:  # a draw equal to 0 or 1 that int refuses: (1+0j)
+        for z in raw:
+            try:
+                int(z)
+            except TypeError:
+                raise ValueError(f"draws must be 0 or 1, got {z!r}") from None
+        raise
+
+
 def as_draws(z) -> tuple[int, ...]:
-    """Coerce a CreationSequence or any iterable of 0/1 values to a tuple."""
+    """Coerce a CreationSequence or any iterable of 0/1 values to a tuple,
+    with the checks and errors of :class:`CreationSequence`."""
     if isinstance(z, CreationSequence):
         return z.draws
-    return CreationSequence(tuple(z)).draws
+    return _checked_draws(z)
 
 
 def _law(law, n: int) -> tuple[float, float, int]:
@@ -291,12 +297,11 @@ def beta_binomial_pmf(params: UrnParams, n: int, k: int) -> float:
     ``n`` and ``k`` must be integers (numpy's included); a bool or a float
     raises ValueError.
     """
-    n = as_int("n", n)
-    k = as_int("k", k)
-    if k < 0 or k > n:
-        raise ValueError(f"k must lie in [0, {n}], got {k}")
-    t = log_tables(params.rho, params.delta, n)
-    return math.exp(t.log_choose(n, k) + t.log_joint(n, k))
+    if not (type(n) is int and type(k) is int and 0 <= k <= n):
+        n, k = as_int("n", n), as_int("k", k)
+        if k < 0 or k > n:
+            raise ValueError(f"k must lie in [0, {n}], got {k}")
+    return math.exp(log_tables(params.rho, params.delta, n).log_pmf(n, k))
 
 
 _PASS_RUNS = 1024  # runs per time-major pass of the batched sampler
@@ -333,7 +338,8 @@ def sample_runs(
         _check_out(out, runs, n)
     size = max(_PASS_RUNS, _tile_rows(n)) if n <= _BULK_MAX_N else _PASS_RUNS
     scratch = np.empty((n, min(runs, size)))
-    for start in range(0, runs, size):
+    # at runs = 0 one empty pass still checks the law, seed and stream
+    for start in range(0, runs or 1, size):
         stop = min(start + size, runs)
         draws = scratch[:, : stop - start]
         _draw_pass(law, seed, first_stream + start, draws)

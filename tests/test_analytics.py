@@ -207,6 +207,32 @@ def test_laws_equal_their_numpy_scalar_forms(delta, n):
                     assert probs == {0.0: 0.0, 1.0: r, 2.0: 1.0 - r - p_inf, math.inf: p_inf}
 
 
+@pytest.mark.parametrize("delta", [1e-12, 1e-8, 0.2, 1.0, 1e4, 1e8])
+@pytest.mark.parametrize("rho", [1e-6, 0.3, 1.0 - 1e-6])
+def test_slice_and_fused_reads_equal_the_gathers_bit_for_bit(rho, delta):
+    # degree_pmf slices the tables and beta_binomial_pmf reads log C(n, k)
+    # and the joint law in one go; the index gathers and the sum of two
+    # reads they replace must give the same bits for every entry
+    params = UrnParams.from_proportions(rho, delta)
+    for n in (1, 2, 3, 40, 300):
+        t = log_tables(rho, delta, n)
+        for i in sorted({1, -(-n // 2), n}):
+            tail = n - i
+            m = tail + 1
+            r = np.arange(m)
+            log_base = t.fact[tail] - t.fact[r] - t.fact[tail - r] - t.total[m]
+            p = np.zeros(n + 1)
+            p[:m] += np.exp(log_base + t.red[r] + t.black[m - r])
+            p[i:] += np.exp(log_base + t.red[r + 1] + t.black[tail - r])
+            pmf = degree_pmf(params, n, i).pmf
+            want = p[list(pmf)]
+            assert np.array(list(pmf.values())).tobytes() == want.tobytes()
+        got = [beta_binomial_pmf(params, n, k) for k in range(n + 1)]
+        fact = memoryview(t.fact)
+        want = [math.exp((fact[n] - fact[k] - fact[n - k]) + t.log_joint(n, k)) for k in range(n + 1)]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # degree variance
 

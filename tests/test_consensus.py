@@ -682,6 +682,34 @@ def test_samplers_check_their_law_and_seed_at_one_node(ref_params):
             AveragingOperator.sample(ref_params, n, 3, 0, first_stream=2**64 - 2)
 
 
+def test_batched_samplers_check_their_law_and_keys_at_zero_runs(ref_params):
+    # runs = 0 draws nothing, yet the law, the seed and the stream index are
+    # checked as at runs = 1; these calls used to return empty results
+    for runs in (0, 1):
+        for call in (
+            lambda: sample_runs(None, 5, runs, 1),
+            lambda: AveragingOperator.sample(None, 3, runs, 0),
+            lambda: AveragingOperator.sample(None, 1, runs, 0),
+        ):
+            with pytest.raises(TypeError, match="expected UrnParams or FiniteMemoryParams, got NoneType"):
+                call()
+        for seed in (-1, 2**64):
+            for call in (
+                lambda: sample_runs(ref_params, 5, runs, seed),
+                lambda: AveragingOperator.sample(ref_params, 3, runs, seed),
+                lambda: AveragingOperator.sample(ref_params, 1, runs, seed),
+            ):
+                with pytest.raises(ValueError, match="master_seed out of range"):
+                    call()
+        for first in (-1, 2**64):
+            with pytest.raises(ValueError, match="stream_index out of range"):
+                sample_runs(ref_params, 5, runs, 0, first_stream=first)
+            with pytest.raises(ValueError, match="stream_index out of range"):
+                AveragingOperator.sample(ref_params, 3, runs, 0, first_stream=first)
+    assert sample_runs(ref_params, 5, 0, 0).shape == (0, 5)
+    assert AveragingOperator.sample(ref_params, 3, 0, 0).z.shape == (0, 3)
+
+
 def test_expected_stationary_finite_memory_small(ref_params):
     # with memory covering the horizon the law is the infinite-memory one
     fm = FiniteMemoryParams(ref_params, 8)

@@ -58,7 +58,17 @@ def test_log_tables_are_cached_and_read_only():
         assert view.readonly and view.obj is table
         with pytest.raises(TypeError):
             view[0] = 1.0
-    assert type(t.log_joint(10, 4)) is float and type(t.log_choose(10, 4)) is float
+    assert type(t.log_joint(10, 4)) is float and type(t.log_pmf(10, 4)) is float
+
+
+def test_log_factorials_are_one_table_per_horizon():
+    # log k! does not depend on the urn: every (rho, delta) at one horizon
+    # shares one read-only array, equal to the rising product of step 1
+    fact = log_tables(0.3, 0.2, 12).fact
+    assert log_tables(0.7, 1e4, 12).fact is fact
+    assert log_tables(0.3, 0.2, 13).fact is not fact
+    assert not fact.flags.writeable
+    assert np.array_equal(fact, log_rising(1.0, 1.0, 12))
 
 
 

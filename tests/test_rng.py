@@ -182,5 +182,10 @@ def test_uniform_rows_keep_the_stream_range_check():
         return str(err.value)
 
     assert message(lambda: uniform_rows(0, 2**64 - 2, 3, 4)) == message(lambda: stream(0, 2**64))
-    assert message(lambda: uniform_rows(0, -1, 3, 4)) == message(lambda: stream(0, -1))
-    assert message(lambda: uniform_rows(2**64, 0, 3, 4)) == message(lambda: stream(2**64, 0))
+    # no rows are drawn at runs = 0, yet the seed and the first index are
+    # checked; uniform_rows(0, -1, 0, 5) used to return an empty array
+    for runs in (3, 0):
+        assert message(lambda: uniform_rows(0, -1, runs, 4)) == message(lambda: stream(0, -1))
+        assert message(lambda: uniform_rows(2**64, 0, runs, 4)) == message(lambda: stream(2**64, 0))
+    assert uniform_rows(0, 2**64 - 1, 0, 4).shape == (0, 4)
+

@@ -159,6 +159,22 @@ def test_as_draws_accepts_iterables():
     assert as_draws([1, 0]) == (1, 0)
     assert as_draws(np.array([0, 1])) == (0, 1)
     assert as_draws(CreationSequence((1,))) == (1,)
+    for z, want in ((b"\x01\x00", (1, 0)), ([True, 0.0], (1, 0)), (np.array([0.0, 1.0]), (0, 1)),
+                    (iter([np.bool_(True)]), (1,))):
+        draws = as_draws(z)
+        assert draws == want and all(type(d) is int for d in draws)
+
+
+@pytest.mark.parametrize("z", [
+    (1, 0, 2), [0.5], (math.nan,), "10", (None,), (1 + 0j,), b"\x01\x02", (), b"", [], (_IndexOnly(),), 5,
+])
+def test_as_draws_checks_as_creation_sequence_does(z):
+    # as_draws runs CreationSequence's check without building one; both
+    # raise the same error for the same input
+    with pytest.raises(Exception) as want:
+        CreationSequence(z)
+    with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+        as_draws(z)
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +269,10 @@ def test_beta_binomial_values_and_errors(ref_params):
     assert beta_binomial_pmf(ref_params, 2, 1) == pytest.approx(two_draws, abs=1e-13)
     assert beta_binomial_pmf(ref_params, 1, 1) == pytest.approx(0.5, abs=1e-14)
     assert math.fsum(beta_binomial_pmf(ref_params, 9, k) for k in range(10)) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        beta_binomial_pmf(ref_params, 3, 4)
-    with pytest.raises(ValueError):
-        beta_binomial_pmf(ref_params, 3, -1)
+    assert beta_binomial_pmf(ref_params, 0, 0) == 1.0
+    for n, k in ((3, 4), (3, -1), (-1, 0), (np.int64(3), 4)):
+        with pytest.raises(ValueError, match=re.escape(f"k must lie in [0, {n}], got {k}")):
+            beta_binomial_pmf(ref_params, n, k)
 
 
 @pytest.mark.parametrize("name,args", [
