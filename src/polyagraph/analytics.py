@@ -16,7 +16,9 @@ Every rising-factorial ratio and binomial coefficient is read off the
 urn's cached log tables (see :func:`polyagraph._numeric.log_tables`), so
 each law lives in log space until one final exponentiation and costs O(n).
 Node counts and indices must be integers, numpy's included; a bool or a
-float raises ValueError naming the argument.
+float raises ValueError naming the argument.  The closed forms hold for the
+exchangeable urn, :class:`polyagraph.urn.UrnParams`; any other law, a
+finite-memory one included, raises TypeError naming its type.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from ._numeric import LogTables, check_node, log_tables
 from .graph import ThresholdGraph
-from .urn import UrnParams
+from .urn import UrnParams, _proportions
 
 __all__ = [
     "DegreeDistribution",
@@ -90,7 +92,7 @@ class DistanceDistribution:
 def expected_degree(params: UrnParams, n: int, i: int) -> float:
     """Expected degree of node i: n * rho, independent of i."""
     n, i = check_node(n, i)
-    return n * params.rho
+    return n * _proportions(params)[0]
 
 
 def degree_support(n: int, i: int) -> tuple[int, ...]:
@@ -111,7 +113,8 @@ def degree_pmf(params: UrnParams, n: int, i: int) -> DegreeDistribution:
     terms are summed where the branches overlap.
     """
     n, i = check_node(n, i)
-    t = log_tables(params.rho, params.delta, n)
+    rho, delta = _proportions(params)
+    t = log_tables(rho, delta, n)
     tail = n - i
     m = tail + 1
     # slices over r = 0..tail: [:m] reads entry r, [tail::-1] entry tail - r,
@@ -129,7 +132,7 @@ def degree_pmf(params: UrnParams, n: int, i: int) -> DegreeDistribution:
         horizon=n,
         support=support,
         pmf=pmf,
-        mean=n * params.rho,
+        mean=n * rho,
         variance=degree_variance(params, n, i),
     )
 
@@ -143,7 +146,7 @@ def degree_variance(params: UrnParams, n: int, i: int) -> float:
     nothing cancels as rho approaches 0 or 1.
     """
     n, i = check_node(n, i)
-    rho, delta = params.rho, params.delta
+    rho, delta = _proportions(params)
     tail = n - i
     return rho * (1.0 - rho) * (i * i + tail * (1.0 + tail * delta + 2.0 * i * delta) / (1.0 + delta))
 
@@ -163,11 +166,11 @@ def distance_pmf(params: UrnParams, n: int, i: int, j: int) -> DistanceDistribut
     """
     n, i = check_node(n, i)
     n, j = check_node(n, j, "j")
-    rho = params.rho
+    rho, delta = _proportions(params)
     if i == j:
         probs = {0.0: rho, 1.0: 0.0, 2.0: 0.0, math.inf: 1.0 - rho}
     else:
-        t = log_tables(rho, params.delta, n)
+        t = log_tables(rho, delta, n)
         p_inf = _prob_unreachable(t, n - max(i, j) + 1)
         probs = {0.0: 0.0, 1.0: rho, 2.0: 1.0 - rho - p_inf, math.inf: p_inf}
     return DistanceDistribution(i=i, j=j, probabilities=probs)
@@ -186,8 +189,8 @@ def expected_decay_centrality(
     """
     n, i = check_node(n, i)
     alpha = cfg.alpha
-    rho = params.rho
-    t = log_tables(rho, params.delta, n)
+    rho, delta = _proportions(params)
+    t = log_tables(rho, delta, n)
     h = slice(1, n - i + 1)
     later = np.exp(t.black[h] - t.total[h]).tolist()
     p_inf = (i - 1) * _prob_unreachable(t, n - i + 1) + math.fsum(later)

@@ -13,14 +13,15 @@ N_i W_ij = N_j W_ji, and has the unique stationary vector
 pi*_i = N_i / sum_k N_k, so every trajectory converges to the scalar
 pi* . x(0).  W is never stored: it is an O(n) operator on z and N
 (:func:`polyagraph.graph.neighbor_counts`), and one step costs two
-compensated prefix chains (:func:`polyagraph.graph.neighbor_sums`), run
-side by side as the two parts of one complex accumulate.
+compensated float chains, the prefix sums of x and the suffix sums of z*x,
+run side by side as the two parts of one complex accumulate; this module
+owns them, and :mod:`polyagraph.graph` keeps the exact integer sums.
 :meth:`AveragingOperator.power` gives W^t x, and :func:`iterate` runs to
 the limit; both step one vector or a (runs, n) batch in place, in one state
-buffer with fixed scratch, so a step allocates no arrays, and through one
-fixed plan of the neighbour-sum tables' views, so it builds no views
-either; the convergence test of :func:`iterate` is two reductions.  The
-dense matrix is built only on request, for oracles and tests.
+buffer with fixed scratch and tables whose views are made once, so a step
+allocates no arrays and builds no views; the convergence test of
+:func:`iterate` is two reductions.  The dense matrix is built only on
+request, for oracles and tests.
 
 Averaging pi* over the urn law of the free draws gives the expected
 consensus weights pi_E: the expected opinion vector converges to
@@ -51,8 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import as_int, prefix_table
-from .graph import ThresholdGraph, _FloatSums, build_graph, neighbor_counts
+from ._numeric import as_int, prefix_table, sum_errors
+from .graph import ThresholdGraph, build_graph, neighbor_counts
 from .urn import _PASS_RUNS, CreationSequence, FiniteMemoryParams, UrnParams, _chain, _draw_list, _draw_pass, sample_runs
 
 __all__ = [
@@ -77,9 +78,10 @@ class AveragingOperator:
     """The averaging matrix W as an O(n) operator.
 
     ``W.power(x, t)`` is W^t x and ``W @ x`` is W x, one step
-    (x + neighbor_sums(z, x)) / N, for x of shape (n,) or (runs, n); z and N
-    may be (n,) for one realization or (runs, n) for one realization per
-    row.  :meth:`toarray` builds the dense matrix of a single realization.
+    (x + A'x) / N with A'x the adjacency product without its diagonal, for
+    x of shape (n,) or (runs, n); z and N may be (n,) for one realization
+    or (runs, n) for one realization per row.  :meth:`toarray` builds the
+    dense matrix of a single realization.
     From :func:`averaging_matrix`, ``z`` is the graph's own int64 copy of
     its draws and read-only.
     """
@@ -145,32 +147,79 @@ class _Stepper:
     Holds z and N as floats of the state's shape (exact: both are small
     integers, and casting them every step costs more; they are copied only
     to cast a graph's int draws or to broadcast one realization over a
-    (runs, n) batch), the state x, and the neighbour-sum scratch and
-    workspace.  :meth:`step` computes neighbor_sums(z, x) into the scratch,
-    then adds it to x and divides x by N in place, so a step allocates no
-    array, and it hands numpy only flat or contiguous operands, which it
-    does not buffer.  The sums run through one plan of their tables' views
-    (:class:`polyagraph.graph._FloatSums`), built here, so the views are
-    made once.  The plan pairs the prefix and suffix chains in the complex
-    tables of ``work`` (4 * x.size floats) and reads x only at its start;
-    the scratch holds its error terms, then the sums.  x, the scratch and
-    ``work`` are all the memory a step uses.
-    :meth:`AveragingOperator.power` and :func:`iterate` step through it.
+    (runs, n) batch), the state x, a scratch of its shape and two complex
+    tables of its shape, T (the terms) and S (their sums): 4 * x.size
+    floats.  x, the scratch and the tables are all the memory a step uses.
+
+    A step computes the off-diagonal sums z_i * (x_1 + .. + x_{i-1}) +
+    (z_{i+1} x_{i+1} + .. + z_n x_n) into the scratch, then x += sums and
+    x /= N.  Both chains run as one complex accumulate: T.real is x, and
+    T.imag is z*x written with the whole flat table reversed, so row r's
+    suffix chain runs forward in row R-1-r; S = accumulate(T) along the
+    rows adds each part with its own IEEE rounding.  The prefix at k is
+    S.real[k-1] and the suffix at k the reversed S.imag at k+1.  Knuth's
+    TwoSum recovers the rounding error of each S[k] = S[k-1] + T[k] over
+    flat views at a distance of two floats, so each real and imaginary
+    pair stays together; the errors overwrite T, with the scratch as the
+    TwoSum's, in two halves of the flat range.  Column 0, where the flat
+    pairs straddle two rows, gets the error of 0 + T[0] instead; a second
+    accumulate of T, added to S, compensates both tables.  The edge columns
+    keep explicit zeros: z*0.0 for the empty prefix and + 0.0 for the empty
+    suffix.  So for a finite x every bit, signed zeros and the NaN of an
+    overflow included, is that of two separate compensated tables, never
+    cumsum(x) - x; with an inf or a NaN in x the NaNs fall in the same
+    places, but where two NaNs meet, which one's sign survives is left
+    open by IEEE 754.
+
+    Every view is made here, once, and each is flat: numpy buffers a
+    strided 2-d operand, not a flat one.  So a step runs the ufuncs alone
+    and allocates no array.  :meth:`AveragingOperator.power` and
+    :func:`iterate` step through it.
     """
 
     def __init__(self, W: AveragingOperator, x0):
         x0 = np.asarray(x0, dtype=float)
         shape = np.broadcast_shapes(W.z.shape, x0.shape)
-        z = np.ascontiguousarray(np.broadcast_to(W.z, shape), dtype=float)
+        z = np.ascontiguousarray(np.broadcast_to(W.z, shape), dtype=float).reshape(-1)
         self._counts = np.ascontiguousarray(np.broadcast_to(W.neighbor_counts, shape), dtype=float)
         self.x = np.empty(shape)
         self.x[...] = x0
-        self._plan = _FloatSums(z, self.x, np.empty(shape), np.empty(4 * self.x.size))
+        self._sums = np.empty(shape)
+        self._tables = tables, totals = np.empty((2,) + shape, dtype=complex)
+        t, s = tables.reshape(-1).view(float), totals.reshape(-1).view(float)
+        x, out = self.x.reshape(-1), self._sums.reshape(-1)
+        self._terms = (x, t[0::2], z, t[1::2][::-1])
+        m = max(self.x.size - 1, 0)  # each half of the 2 * size - 2 flat pairs
+        self._halves = [(s[i : i + m], s[i + 2 : i + 2 + m], t[i + 2 : i + 2 + m], out[:m]) for i in (0, m)]
+        self._row_starts = (totals[..., 0], tables[..., 0])
+        self._row_ends = totals[..., -1]
+        prefix, suffix = s[0::2], s[1::2][::-1]
+        self._prefix = (z[1:], prefix[:-1], out[1:], z[:1], out[:1])
+        self._suffix = (out[:-1], suffix[1:], out[-1:])
+        self._zero = np.zeros(1)  # a Python 0.0 costs a conversion per step
 
     def step(self) -> np.ndarray:
         """Advance one step and return the state, the stepper's one buffer,
         which the next step overwrites."""
-        np.add(self.x, self._plan(), out=self.x)
+        x, real, z, imag = self._terms
+        np.copyto(real, x)
+        np.multiply(z, x, out=imag)
+        tables, totals = self._tables
+        np.add.accumulate(tables, axis=-1, out=totals)
+        for prev, cur, a, scratch in self._halves:
+            sum_errors(prev, cur, a, out=a, scratch=scratch)
+        starts, errors = self._row_starts
+        np.subtract(starts, starts, out=errors)  # the error of 0 + T[0]: 0, or NaN
+        np.add.accumulate(tables, axis=-1, out=tables)
+        np.add(totals, tables, out=totals)
+        self._row_ends.fill(0)  # flat reads cross a row boundary here
+        z, prefix, out, z_first, out_first = self._prefix
+        np.multiply(z, prefix, out=out)
+        np.multiply(z_first, self._zero, out=out_first)
+        out, suffix, out_last = self._suffix
+        np.add(out, suffix, out=out)
+        np.add(out_last, self._zero, out=out_last)
+        np.add(self.x, self._sums, out=self.x)
         return np.divide(self.x, self._counts, out=self.x)
 
     def max_deviation(self, limit: float) -> float:

@@ -7,13 +7,11 @@ from z alone: the adjacency entry for nodes i and j is z_{max(i,j)}
 (including i = j, the self-loop indicator), node degrees are
 i*z_i + #(later universal nodes), and any two nodes are at distance 0, 1, 2
 or unreachable.  A node without a self-loop counts as disconnected from
-itself.  :func:`neighbor_counts` (one plus the off-diagonal degrees) and
-:func:`neighbor_sums` (the off-diagonal adjacency product) read z, or a
-stack of them, and serve the degrees, consensus and the eigenpair check.
-The float sums are a compensated prefix chain of x and suffix chain of z*x,
-run as the two parts of one complex accumulate, the suffix chain written
-reversed over the whole flat table (:class:`_FloatSums`); their workspace
-is 4 * out.size floats.
+itself.  :func:`neighbor_counts` (one plus the off-diagonal degrees) reads
+z, or a stack of them, and serves the degrees, consensus and the eigenpair
+check; :func:`neighbor_sums` (the off-diagonal adjacency product, in exact
+integers) serves the eigenpair check.  The compensated float sums of the
+consensus step live with its stepper in :mod:`polyagraph.consensus`.
 
 The same graphs admit a weight characterization: node weights Phi and a
 threshold tau > 0 with an edge (u, v) exactly when Phi(u) + Phi(v) > tau
@@ -35,7 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._numeric import check_node, sum_errors
+from ._numeric import check_node
 from .urn import CreationSequence, as_draws
 
 __all__ = [
@@ -137,139 +135,46 @@ class ThresholdGraph:
 def neighbor_sums(
     z: np.ndarray, x: np.ndarray, *, out: np.ndarray | None = None, work: np.ndarray | None = None
 ) -> np.ndarray:
-    """sum_{j != i} z_{max(i,j)} x_j for every i, along the last axis.
+    """sum_{j != i} z_{max(i,j)} x_j for every i, along the last axis, in
+    exact integers.
 
     This is the adjacency product A x without its diagonal.  Threshold
     neighbourhoods are nested, so it equals z_i * (x_1 + .. + x_{i-1}) +
     (z_{i+1} x_{i+1} + .. + z_n x_n): one exclusive prefix sum of x and one
-    exclusive suffix sum of z*x, O(n) per vector.  Leading axes broadcast:
-    x of shape (runs, n) with z of shape (n,) or (runs, n) works row by row.
+    exclusive suffix sum of z*x, O(n) per vector, as exact cumsums.  Leading
+    axes broadcast: x of shape (runs, n) with z of shape (n,) or (runs, n)
+    works row by row, and an x shared by the rows of z (one set of vectors
+    for a stack of sequences) has its prefix sums taken once.
 
-    Float sums are compensated prefix tables of the other entries alone,
-    never cumsum(x) - x, so a large x_i cannot swamp its neighbours' sum;
-    a z that is not a C-contiguous array of out's shape, or an x that is
-    not one of out's dtype too, is first copied into one.  The prefix chain
-    of x and the suffix chain of z*x run as the real and imaginary parts of
-    one complex accumulate (:class:`_FloatSums`).  Integer sums are exact
-    cumsums, and an x shared by the rows of z (one set of vectors for a
-    stack of sequences) has its prefix sums taken once.
-
-    ``out``, C-contiguous and of the broadcast shape of z and x, receives
-    the sums; ``work``, a contiguous 1-d array of out's dtype with at least
-    4 * out.size entries (2 * out.size for integers), holds the tables and
-    their errors.  Any other ``work`` is refused with ValueError.  With both
-    given, and neither z nor x copied, the call allocates no array.  A
-    float call builds a plan of its tables' views and runs it once; a
-    stepping loop keeps the plan and calls it instead, paying for the views
-    once.
+    z, x and ``out`` must be integer arrays: a float sum would round without
+    compensation, so float operands are refused with ValueError.  ``out``,
+    of the broadcast shape of z and x, receives the sums; ``work``, a
+    contiguous 1-d array of out's dtype with at least 2 * out.size entries,
+    holds the tables.  Any other ``work`` is refused with ValueError.  With
+    both given, the call allocates no array.
     """
     if out is None:
         out = np.empty(np.broadcast_shapes(z.shape, x.shape), dtype=np.result_type(z, x))
-    integer = out.dtype.kind in "iu"
-    per_entry = 2 if integer else 4
+    if not all(a.dtype.kind in "iu" for a in (z, x, out)):
+        raise ValueError(f"neighbor_sums takes integer arrays, got z {z.dtype}, x {x.dtype} and out {out.dtype}")
     if work is None:
-        work = np.empty(per_entry * out.size, dtype=out.dtype)
-    elif not (
-        work.dtype == out.dtype and work.ndim == 1 and work.flags.c_contiguous and work.size >= per_entry * out.size
-    ):
+        work = np.empty(2 * out.size, dtype=out.dtype)
+    elif not (work.dtype == out.dtype and work.ndim == 1 and work.flags.c_contiguous and work.size >= 2 * out.size):
         raise ValueError(
-            f"work must be a contiguous 1-d {out.dtype} array of at least {per_entry} * out.size = "
-            f"{per_entry * out.size} entries, got {work.dtype} of shape {work.shape}"
+            f"work must be a contiguous 1-d {out.dtype} array of at least 2 * out.size = "
+            f"{2 * out.size} entries, got {work.dtype} of shape {work.shape}"
         )
-    if integer:
-        # the suffix table is kept in reversed order: a cumsum into a
-        # reversed view is slower
-        zx, suffix = work[: 2 * out.size].reshape((2,) + out.shape)
-        prefix = zx.reshape(-1)[: x.size].reshape(x.shape)  # x's own shape
-        prefix[..., 0] = 0
-        x[..., :-1].cumsum(axis=-1, out=prefix[..., 1:])
-        np.multiply(z, prefix, out=out)
-        np.multiply(z, x, out=zx)
-        suffix[..., 0] = 0
-        zx[..., :0:-1].cumsum(axis=-1, out=suffix[..., 1:])
-        return np.add(out, suffix[..., ::-1], out=out)
-    if not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
-    if x.shape != out.shape or x.dtype != out.dtype or not x.flags.c_contiguous:
-        x = np.ascontiguousarray(np.broadcast_to(x, out.shape), dtype=out.dtype)
-    z = np.ascontiguousarray(np.broadcast_to(z, out.shape))
-    return _FloatSums(z, x, out, work)()
-
-
-class _FloatSums:
-    """The float path of :func:`neighbor_sums` for one fixed (z, x, out, work).
-
-    z and x are C-contiguous of out's shape, x of its dtype too (any other
-    z is refused with ValueError), and ``work`` holds
-    4 * out.size floats of that dtype: two complex tables of out's shape,
-    T (the terms) and S (their sums).  T.real is x, and T.imag is z*x
-    written with the whole flat buffer reversed, so row r's suffix chain
-    runs forward in row R-1-r.  One complex accumulate along the rows, S,
-    then gives both inclusive chains, each part added with its own IEEE
-    rounding; the prefix at k is S.real[k-1] and the suffix at k the
-    reversed S.imag at k+1.  Knuth's TwoSum recovers the rounding error of
-    each S[k] = S[k-1] + T[k] over flat views at a distance of two floats,
-    so each real and imaginary pair stays together; the errors overwrite
-    T, with out as the scratch of the TwoSum, in two halves of the flat
-    range.  Column 0, where the flat pairs straddle two rows, gets the
-    error of 0 + T[0] instead; a second accumulate of T, added to S,
-    compensates both tables.  The edge columns keep explicit zeros: z*0.0
-    for the empty prefix and + 0.0 for the empty suffix.  So for a finite
-    x every bit, signed zeros and the NaN of an overflow included, is that
-    of two separate compensated tables; with an inf or a NaN in x the NaNs
-    fall in the same places, but where two NaNs meet, which one's sign
-    survives is left open by IEEE 754.
-
-    Every view is made here, once, and each is flat: numpy buffers a
-    strided 2-d operand, not a flat one.  A call runs the ufuncs alone, so
-    a stepping loop keeps one plan and calls it every step.  Each call
-    reads x only at its start, into the tables, and writes the sums into
-    out, which it returns; its caller may then overwrite x.
-    """
-
-    def __init__(self, z: np.ndarray, x: np.ndarray, out: np.ndarray, work: np.ndarray):
-        shape, size = out.shape, out.size
-        pair = np.result_type(out.dtype, np.complex64)
-        if pair.itemsize != 2 * out.dtype.itemsize:
-            raise ValueError(f"float sums need float32, float64 or longdouble, got {out.dtype}")
-        if z.shape != shape or not z.flags.c_contiguous:
-            raise ValueError(f"z must be C-contiguous of out's shape {shape}, got shape {z.shape}")
-        tables, sums = work[: 4 * size].view(pair).reshape((2,) + shape)
-        t, s, flat_out = tables.reshape(-1).view(out.dtype), sums.reshape(-1).view(out.dtype), out.reshape(-1)
-        z, x = z.reshape(-1), x.reshape(-1)
-        self._out, self._tables, self._sums = out, tables, sums
-        self._x_in = (x, t[0::2])
-        self._zx = (z, x, t[1::2][::-1])
-        m = max(size - 1, 0)  # each half of the 2 * size - 2 flat pairs
-        self._halves = [(s[i : i + m], s[i + 2 : i + 2 + m], t[i + 2 : i + 2 + m], flat_out[:m]) for i in (0, m)]
-        self._row_starts = (sums[..., 0], tables[..., 0])
-        self._row_ends = sums[..., -1]
-        prefix, suffix = s[0::2], s[1::2][::-1]
-        self._prefix = (z[1:], prefix[:-1], flat_out[1:], z[:1], flat_out[:1])
-        self._suffix = (flat_out[:-1], suffix[1:], flat_out[-1:])
-        self._zero = np.zeros(1, out.dtype)  # a Python 0.0 costs a conversion per call
-
-    def __call__(self) -> np.ndarray:
-        x, real = self._x_in
-        np.copyto(real, x)
-        z, x, imag = self._zx
-        np.multiply(z, x, out=imag)
-        tables, sums = self._tables, self._sums
-        np.add.accumulate(tables, axis=-1, out=sums)
-        for prev, cur, a, scratch in self._halves:
-            sum_errors(prev, cur, a, out=a, scratch=scratch)
-        starts, errors = self._row_starts
-        np.subtract(starts, starts, out=errors)  # the error of 0 + T[0]: 0, or NaN
-        np.add.accumulate(tables, axis=-1, out=tables)
-        np.add(sums, tables, out=sums)
-        self._row_ends.fill(0)  # flat reads cross a row boundary here
-        z, prefix, out, z_first, out_first = self._prefix
-        np.multiply(z, prefix, out=out)
-        np.multiply(z_first, self._zero, out=out_first)
-        out, suffix, out_last = self._suffix
-        np.add(out, suffix, out=out)
-        np.add(out_last, self._zero, out=out_last)
-        return self._out
+    # the suffix table is kept in reversed order: a cumsum into a reversed
+    # view is slower
+    zx, suffix = work[: 2 * out.size].reshape((2,) + out.shape)
+    prefix = zx.reshape(-1)[: x.size].reshape(x.shape)  # x's own shape
+    prefix[..., 0] = 0
+    x[..., :-1].cumsum(axis=-1, out=prefix[..., 1:])
+    np.multiply(z, prefix, out=out)
+    np.multiply(z, x, out=zx)
+    suffix[..., 0] = 0
+    zx[..., :0:-1].cumsum(axis=-1, out=suffix[..., 1:])
+    return np.add(out, suffix[..., ::-1], out=out)
 
 
 def neighbor_counts(draws, *, out=None, work=None) -> np.ndarray:

@@ -72,7 +72,9 @@ class UrnParams:
     Ball counts may be any positive reals, since draws depend only on color
     proportions.  ``rho`` is the initial red proportion R/(R+B) and ``delta``
     the reinforcement divided by the initial total; both, and ``total``, are
-    computed on first access and then kept.
+    computed once, at construction.  Counts whose proportions do not exist
+    as floats, with rho rounded to 0 or 1 or delta to 0 or inf, are refused
+    with ValueError, as :meth:`from_proportions` refuses them.
     """
 
     red_initial: float
@@ -85,6 +87,11 @@ class UrnParams:
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")
             object.__setattr__(self, name, v)
+        if not (0.0 < self.rho < 1.0 and 0.0 < self.delta < math.inf):
+            raise ValueError(
+                f"counts ({self.red_initial!r}, {self.black_initial!r}, {self.reinforcement!r}) give "
+                f"rho = {self.rho!r} and delta = {self.delta!r} as floats; need 0 < rho < 1 and 0 < delta < inf"
+            )
 
     @cached_property
     def total(self) -> float:
@@ -205,6 +212,15 @@ def _law(law, n: int) -> tuple[float, float, int]:
     raise TypeError(f"expected UrnParams or FiniteMemoryParams, got {type(law).__name__}")
 
 
+def _proportions(law) -> tuple[float, float]:
+    """(rho, delta) of an :class:`UrnParams`, the exchangeable urn for which
+    the closed-form laws hold.  Anything else, a
+    :class:`FiniteMemoryParams` included, raises TypeError."""
+    if isinstance(law, UrnParams):
+        return law.rho, law.delta
+    raise TypeError(f"the closed forms hold for the exchangeable urn: expected UrnParams, got {type(law).__name__}")
+
+
 def _chain(law, n: int):
     """The n draws of ``law`` as a Markov chain, ``(states, step)``.  The
     state before draw t is the red count so far if the window is the whole
@@ -295,12 +311,17 @@ def beta_binomial_pmf(params: UrnParams, n: int, k: int) -> float:
     Beta-Binomial with shape (rho/delta, (1-rho)/delta): C(n, k) times the
     joint law of one vector with k reds, both read off the log tables.
     ``n`` and ``k`` must be integers (numpy's included); a bool or a float
-    raises ValueError.
+    raises ValueError.  A finite-memory law has no such closed form and
+    raises TypeError.
     """
     if not (type(n) is int and type(k) is int and 0 <= k <= n):
         n, k = as_int("n", n), as_int("k", k)
         if k < 0 or k > n:
             raise ValueError(f"k must lie in [0, {n}], got {k}")
+    # the type test costs less than a call to _proportions, which this
+    # scalar law would pay tens of thousands of times in a sweep
+    if type(params) is not UrnParams:
+        _proportions(params)
     return math.exp(log_tables(params.rho, params.delta, n).log_pmf(n, k))
 
 

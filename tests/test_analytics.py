@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from polyagraph import (
     CentralityConfig,
+    FiniteMemoryParams,
     UrnParams,
     beta_binomial_pmf,
     build_graph,
@@ -31,6 +32,31 @@ def all_vectors(n):
 
 def rising_factorial(x, m):
     return math.exp(log_rising(x, 1.0, m)[m])
+
+
+# ---------------------------------------------------------------------------
+# the closed forms take the exchangeable urn only
+
+
+@pytest.mark.parametrize(
+    "law_fn",
+    [
+        lambda law: expected_degree(law, 6, 2),
+        lambda law: degree_pmf(law, 6, 2),
+        lambda law: degree_variance(law, 6, 2),
+        lambda law: distance_pmf(law, 6, 2, 4),
+        lambda law: expected_decay_centrality(law, 6, 2),
+        lambda law: beta_binomial_pmf(law, 6, 2),
+    ],
+    ids=["expected_degree", "degree_pmf", "degree_variance", "distance_pmf", "expected_decay_centrality",
+         "beta_binomial_pmf"],
+)
+def test_closed_forms_refuse_a_finite_memory_law(law_fn):
+    # a finite-memory law used to fail with an AttributeError on .rho; the
+    # refusal names its type and the urn the closed forms hold for
+    law = FiniteMemoryParams(UrnParams(1, 1, 1), 2)
+    with pytest.raises(TypeError, match="closed forms hold for the exchangeable urn: .* got FiniteMemoryParams"):
+        law_fn(law)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from polyagraph.consensus import (
     _pi_star_blocks,
     _Stepper,
 )
-from polyagraph.graph import _FloatSums, neighbor_counts, neighbor_sums
+from polyagraph.graph import neighbor_counts, neighbor_sums
 from polyagraph.oracle import _PARAM_GRID, EnumerationLimitError, enumerate_expectation
 from polyagraph.rng import stream
 from polyagraph.urn import sample_runs
@@ -208,8 +208,6 @@ def test_stepping_kernel_is_the_allocating_step():
         )
         for draw in (lambda shape: rng.uniform(-50, 50, size=shape), lambda shape: _mixed_magnitudes(rng, shape)):
             for W, x0 in ((single, draw(n)), (single, draw((3, n))), (batch, draw((3, n))), (batch, draw(n))):
-                z = W.z.astype(float)
-                assert np.array_equal(neighbor_sums(z, x0), _neighbor_sums_reference(z, x0))
                 want = _step_reference(W.z, W.neighbor_counts, x0)
                 assert np.array_equal(W @ x0, want)
                 plain_differs |= not np.array_equal(_plain_step(W.z, W.neighbor_counts, x0), want)
@@ -287,8 +285,9 @@ def test_max_deviation_is_the_largest_absolute_difference(n):
 
 
 def test_neighbor_sums_copies_a_non_contiguous_float_x():
-    # a strided or Fortran-order x, or one of another shape or dtype, is
-    # copied to out's layout once and gives the reference's bits
+    # the stepper copies a strided or Fortran-order x0, or one of another
+    # shape or dtype, into its float64 state once and steps it to the
+    # reference's bits
     rng = stream(559)
     for n in (2, 7, 300):
         z = np.array(random_connected_draws(rng, n), dtype=float)
@@ -302,9 +301,10 @@ def test_neighbor_sums_copies_a_non_contiguous_float_x():
             (z, wide[:, :n].astype(np.float32)),
         ):
             assert not (x.flags.c_contiguous and x.shape == zz.shape and x.dtype == float)
-            assert np.array_equal(neighbor_sums(zz, x), _neighbor_sums_reference(zz, x.astype(float)))
-    with pytest.raises(ValueError, match="C-contiguous"):
-        neighbor_sums(z, wide[0, :n], out=np.empty((n, 2))[:, 0])
+            W = AveragingOperator(zz, neighbor_counts(zz))
+            want = _step_reference(zz, W.neighbor_counts, x.astype(float))
+            assert np.array_equal(_Stepper(W, x).step(), want)
+            assert np.array_equal(W.power(x, 2), _step_reference(zz, W.neighbor_counts, want))
 
 
 def test_neighbor_sums_integer_rows_shared_by_a_stack():
@@ -332,11 +332,11 @@ _EDGE_VALUES = (0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324, 1e200, -1e200, 1e-200
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 99])
 def test_neighbor_sums_paired_chains_are_the_reference(n):
-    # the prefix and suffix chains run as one complex accumulate, yet every
-    # bit is that of two separate compensated tables: signed zeros, sums
-    # that overflow to inf (and the NaN of their errors), subnormals and
-    # magnitudes of 1e+-200; one vector and a batch, z per row or shared
-    # by the rows, and a strided x
+    # the stepper runs the prefix and suffix chains as one complex
+    # accumulate, yet every bit of a step is that of two separate
+    # compensated tables: signed zeros, sums that overflow to inf (and the
+    # NaN of their errors), subnormals and magnitudes of 1e+-200; one vector
+    # and a batch, z per row or shared by the rows, and a strided x
     rng = stream(562)
     for trial in range(12):
         shape = (n,) if trial % 2 else (5, n)
@@ -345,15 +345,16 @@ def test_neighbor_sums_paired_chains_are_the_reference(n):
         else:
             x = rng.choice((-1.0, 1.0), size=shape) * 10.0 ** rng.uniform(-200, 200, size=shape)
         for z in (rng.integers(0, 2, size=shape).astype(float), rng.integers(0, 2, size=n).astype(float)):
+            W = AveragingOperator(z, neighbor_counts(z))
             with np.errstate(over="ignore", invalid="ignore"):
-                want = _neighbor_sums_reference(z, x)
-                assert neighbor_sums(z, x).tobytes() == want.tobytes()
+                want = _step_reference(z, W.neighbor_counts, x)
+                assert _Stepper(W, x).step().tobytes() == want.tobytes()
                 strided = np.repeat(x, 2, axis=-1)[..., ::2]
-                assert neighbor_sums(z, strided).tobytes() == want.tobytes()
+                assert W.power(strided, 1).tobytes() == want.tobytes()
 
 
 def test_neighbor_sums_non_finite_opinions_give_the_reference_nans():
-    # with an inf or a NaN among the opinions the NaNs land where the
+    # with an inf or a NaN among the opinions a step's NaNs land where the
     # reference's do; only which of two meeting NaNs keeps its sign, which
     # IEEE 754 leaves open, may differ
     rng = stream(563)
@@ -361,63 +362,43 @@ def test_neighbor_sums_non_finite_opinions_give_the_reference_nans():
     for n in (1, 2, 3, 17):
         for shape in ((n,), (4, n)):
             z = rng.integers(0, 2, size=shape).astype(float)
+            W = AveragingOperator(z, neighbor_counts(z))
             for _ in range(20):
                 x = rng.choice(values, size=shape)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    got, want = neighbor_sums(z, x), _neighbor_sums_reference(z, x)
-                assert np.array_equal(got, want, equal_nan=True)
+                    want = _step_reference(z, W.neighbor_counts, x)
+                    assert np.array_equal(_Stepper(W, x).step(), want, equal_nan=True)
+                    assert np.array_equal(W.power(x, 1), want, equal_nan=True)
 
 
 @pytest.mark.parametrize(
-    "out_dtype, work",
+    "work",
     [
-        (np.float64, np.empty(40, np.float32)),
-        (np.float64, np.empty(40, np.int64)),
-        (np.float64, np.empty(39)),
-        (np.float64, np.empty((4, 10))),
-        (np.float64, np.empty(80)[::2]),
-        (np.int64, np.empty(20, np.int32)),
-        (np.int64, np.empty(19, np.int64)),
-        (np.int64, np.empty(20)),
+        np.empty(20, np.int32),
+        np.empty(19, np.int64),
+        np.empty(20),
+        np.empty((2, 10), np.int64),
+        np.empty(40, np.int64)[::2],
     ],
-    ids=["float32", "int64", "short", "2-d", "strided", "int32", "int-short", "int-float"],
+    ids=["int32", "int-short", "int-float", "int-2-d", "int-strided"],
 )
-def test_neighbor_sums_refuses_a_work_it_cannot_use(out_dtype, work):
-    # a float32 work used to round the float64 sums, an integer one to fail
-    # inside numpy and a short one in a reshape; each is a ValueError that
-    # says what work the call needs: 4 * out.size floats, 2 * out.size ints
+def test_neighbor_sums_refuses_a_work_it_cannot_use(work):
+    # a work of another dtype used to fail inside numpy and a short one in
+    # a reshape; each is a ValueError that says what work the call needs:
+    # 2 * out.size entries of out's integer dtype, contiguous and 1-d
     z = np.array([0, 1, 0, 1, 1, 0, 1, 0, 0, 1])
-    x = np.arange(10.0).astype(out_dtype)
-    k = 4 if out_dtype is np.float64 else 2
-    needs = f"work must be a contiguous 1-d {np.dtype(out_dtype)} array of at least {k} \\* out.size = {10 * k} entries"
+    needs = "work must be a contiguous 1-d int64 array of at least 2 \\* out.size = 20 entries"
     with pytest.raises(ValueError, match=needs):
-        neighbor_sums(z.astype(out_dtype), x, out=np.empty(10, out_dtype), work=work)
+        neighbor_sums(z, np.arange(10), out=np.empty(10, np.int64), work=work)
 
 
-def test_neighbor_sums_float_tables_need_a_complex_pair():
-    # the paired chains view work as complex numbers of out's float dtype:
-    # float32 and longdouble sums are those of their own reference tables,
-    # and half floats, which have no complex pair, are refused
-    rng = stream(565)
-    for dtype in (np.float32, np.longdouble):
-        z = rng.integers(0, 2, size=(3, 40)).astype(dtype)
-        x = _mixed_magnitudes(rng, (3, 40)).astype(dtype)
-        for zz in (z, z[0]):
-            got, want = neighbor_sums(zz, x), _neighbor_sums_reference(zz, x)
-            assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
-    z = np.ones(4, np.float16)
-    with pytest.raises(ValueError, match="float sums need float32, float64 or longdouble, got float16"):
-        neighbor_sums(z, z)
-
-
-def test_float_sum_plan_takes_z_of_out_shape():
-    # the plan runs every product over flat views, so it refuses a z that
-    # is not C-contiguous of out's shape; neighbor_sums makes z one
-    x, out, work = np.arange(12.0).reshape(3, 4), np.empty((3, 4)), np.empty(48)
-    for z in (np.ones(4), np.ones((4, 3)).T, np.ones((3, 5))[:, :4]):
-        with pytest.raises(ValueError, match=r"z must be C-contiguous of out's shape \(3, 4\)"):
-            _FloatSums(z, x, out, work)
-    assert np.array_equal(_FloatSums(np.ones((3, 4)), x, out, work)(), neighbor_sums(np.ones(4), x))
+def test_neighbor_sums_refuses_float_operands():
+    # the kernel sums exact integers; a float z, x or out used to be summed
+    # without the stepper's compensation, and is refused instead
+    z, x = np.array([0, 1, 0, 1, 1]), np.arange(5)
+    for zz, xx, out in ((z.astype(float), x, None), (z, x.astype(float), None), (z, x, np.empty(5))):
+        with pytest.raises(ValueError, match="neighbor_sums takes integer arrays"):
+            neighbor_sums(zz, xx, out=out)
 
 
 def test_paired_chains_step_as_the_reference(ref_params):

@@ -10,10 +10,10 @@ check alone.  ``urn._law`` decides which urn a law is, in ``urn`` alone,
 and ``urn._chain`` is the urn's one Markov chain: the exact pi_E DP in
 ``consensus`` walks it and keeps no state encoding or scatter of its own.
 The creation-sequence kernels
-``neighbor_sums`` and ``neighbor_counts`` are defined in ``graph`` alone,
-and so is ``_FloatSums``, the plan that runs the float neighbour sums:
-``spectral`` takes both kernels from there, and ``consensus`` takes the
-counts and the plan.
+``neighbor_sums`` (exact integer sums) and ``neighbor_counts`` are defined
+in ``graph`` alone: ``spectral`` takes both from there, and ``consensus``
+takes only the counts.  The compensated float sums of the consensus step
+belong to ``consensus._Stepper``; no module keeps a second float plan.
 """
 
 import ast
@@ -105,12 +105,14 @@ def test_the_exact_dp_walks_the_urn_chain():
 def test_graph_owns_the_creation_sequence_kernels():
     kernels = ("neighbor_sums", "neighbor_counts")
     imports = {module: set(_imported_modules(tree)) for module, tree in _modules()}
-    # the consensus stepper runs the float neighbour sums through their plan
-    taken = {"consensus": ("_FloatSums", "neighbor_counts"), "spectral": kernels}
+    # the eigenpair check takes both kernels; the consensus stepper runs its
+    # own float sums and takes only the counts
+    taken = {"consensus": ("neighbor_counts",), "spectral": kernels}
     assert [
         (module, name) for module, names in taken.items() for name in names
         if f"polyagraph.graph.{name}" not in imports[module]
     ] == []
+    assert "polyagraph.graph.neighbor_sums" not in imports["consensus"]
     # module-level functions only: consensus keeps a neighbor_counts property
     defining = [
         module for module, tree in _modules()
@@ -121,14 +123,15 @@ def test_graph_owns_the_creation_sequence_kernels():
 
 
 def test_graph_owns_the_neighbour_sum_plan():
-    # one float path: neighbor_sums runs the plan, and the consensus stepper
-    # keeps two of them
-    defining = [
-        module for module, tree in _modules()
-        if any(isinstance(node, ast.ClassDef) and node.name == "_FloatSums" for node in tree.body)
-    ]
-    assert defining == ["graph"]
-    assert _namers("_FloatSums") == ["consensus", "graph"]
+    # graph's one neighbour-sum plan is the exact integer kernel: no module
+    # keeps a separate float plan class, consensus imports nothing private
+    # from graph, and the compensated chains' TwoSum is taken from _numeric
+    # by consensus, not graph
+    assert _namers("_FloatSums") == []
+    imports = {module: set(_imported_modules(tree)) for module, tree in _modules()}
+    assert [name for name in imports["consensus"] if name.startswith("polyagraph.graph._")] == []
+    assert "polyagraph._numeric.sum_errors" in imports["consensus"]
+    assert "polyagraph._numeric.sum_errors" not in imports["graph"]
 
 
 def test_one_sampler_and_one_joint_law_for_both_urns():

@@ -51,7 +51,12 @@ def test_urn_params_derived_ratios():
     assert q.delta == pytest.approx(1.5)
 
 
-@pytest.mark.parametrize("bad", [(0, 5, 2), (5, -1, 2), (5, 5, 0), (math.inf, 5, 2)])
+@pytest.mark.parametrize(
+    "bad",
+    # the last three are positive and finite, but their proportions round
+    # away: rho = delta = 0 (the total overflows), delta = inf, and rho = 1
+    [(0, 5, 2), (5, -1, 2), (5, 5, 0), (math.inf, 5, 2), (1e308, 1e308, 1), (1e-320, 1e-320, 1), (1, 1e-17, 1)],
+)
 def test_urn_params_rejects_nonpositive(bad):
     with pytest.raises(ValueError):
         UrnParams(*bad)
