@@ -14,7 +14,9 @@ scalar costs several times more to build and to add than a Python float,
 and the arithmetic is the same IEEE double arithmetic, so a scalar law
 evaluated either way gives the same bits.  The log-factorial table depends
 on the horizon alone, so it is built once per horizon and shared by the
-tables of every (rho, delta).
+tables of every (rho, delta).  The Beta-Binomial log row at the horizon,
+one entry per red count, is built from the four tables on first use and
+kept with them, so it lives and dies with their cache entry.
 """
 
 from __future__ import annotations
@@ -103,30 +105,48 @@ class LogTables:
 
     The four tables are read-only float arrays, for vectorized reads;
     ``fact`` is one array per horizon, shared by the tables of every
-    (rho, delta).  :meth:`log_joint` and :meth:`log_pmf` read single
-    entries through a read-only memoryview of each array instead: the items
-    are Python floats (no copy of the table is made), and the results
-    equal, bit for bit, the same expressions over numpy scalars.  Indices
-    must be ints in range.
+    (rho, delta).  :meth:`log_joint` reads single entries through a
+    read-only memoryview of each array instead: the items are Python floats
+    (no copy of the table is made), and the results equal, bit for bit, the
+    same expression over numpy scalars.  :meth:`log_pmf_row` is the one
+    derived table, built on first use.  Indices must be ints in range.
     """
 
-    __slots__ = ("red", "black", "total", "fact", "_red", "_black", "_total", "_fact")
+    __slots__ = ("red", "black", "total", "fact", "_red", "_black", "_total", "_pmf_row")
 
     def __init__(self, red: np.ndarray, black: np.ndarray, total: np.ndarray, fact: np.ndarray):
         for table in (red, black, total, fact):
             table.flags.writeable = False
         self.red, self.black, self.total, self.fact = red, black, total, fact
-        self._red, self._black, self._total, self._fact = map(memoryview, (red, black, total, fact))
+        self._red, self._black, self._total = map(memoryview, (red, black, total))
+        self._pmf_row = None
 
     def log_joint(self, m: int, k: int) -> float:
         """log P(a given length-m draw vector with k reds)."""
         return self._red[k] + self._black[m - k] - self._total[m]
 
-    def log_pmf(self, m: int, k: int) -> float:
-        """log P(k reds among m draws): log C(m, k) plus :meth:`log_joint`,
-        rounded as that sum is."""
-        fact = self._fact
-        return fact[m] - fact[k] - fact[m - k] + (self._red[k] + self._black[m - k] - self._total[m])
+    def log_pmf_row(self) -> memoryview:
+        """Read-only memoryview whose item k is log P(k reds among the n
+        draws of the horizon), k = 0..n, as a Python float.
+
+        Built once, on the first call: entry k is
+        fact[n] - fact[k] - fact[n-k] + (red[k] + black[n-k] - total[n]),
+        evaluated in that order by whole-array operations.  Each numpy
+        float64 add and subtract is correctly rounded, as a Python float's
+        is, so every entry has the bits of that expression over single
+        table entries.
+        """
+        row = self._pmf_row
+        if row is None:
+            n = len(self.fact) - 1
+            log_p = np.subtract(self.fact[n], self.fact)
+            log_p -= self.fact[::-1]
+            joint = np.add(self.red, self.black[::-1])
+            joint -= self.total[n]
+            log_p += joint
+            log_p.flags.writeable = False
+            row = self._pmf_row = memoryview(log_p)
+        return row
 
 
 @lru_cache(maxsize=64)

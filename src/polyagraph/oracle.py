@@ -29,7 +29,10 @@ answers off tables indexed by Gray-order row:
   (Kepner & Gilbert, *Graph Algorithms in the Language of Linear Algebra*,
   2011).  The distance law check reads that table, and so do the decay
   columns sum_t alpha^d(s, t), which are cached for every source s of an
-  (n, alpha) at once; the table itself is not kept.
+  (n, alpha) at once; the table itself is not kept.  A decay sum depends on
+  a realization only through its multiset of distances from s, so each
+  source's distances are encoded as one int64 count code per realization
+  and the exactly rounded sum is taken once per distinct code.
 
 Each check of the validation suite is a function of its inputs: parameter
 grid, sizes, seeds and counts.  ``_CHECKS`` lists the ``validate``
@@ -48,7 +51,7 @@ from typing import Callable
 import numpy as np
 
 from ._numeric import as_int, check_node
-from .analytics import degree_pmf, distance_pmf, expected_decay_centrality
+from .analytics import CentralityConfig, degree_pmf, distance_pmf, expected_decay_centrality
 from .consensus import (
     EnumerationLimitError,
     averaging_matrix,
@@ -216,15 +219,48 @@ def _distance_table(n: int) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _decay_columns(n: int, alpha: float) -> tuple[tuple[float, ...], ...]:
     """Entry s-1 is sum_t alpha^d(s, t) for 1-based source s over every
-    length-n realization (Gray order), read off one distance table."""
+    length-n realization (Gray order), read off one distance table.
+
+    The sum depends on a realization only through the multiset of its
+    distances from s, and math.fsum is exactly rounded, so its value
+    depends on that multiset alone.  Each realization's multiset is encoded
+    as one int64 count code in base n + 1, whose digit j counts the nodes
+    at BFS level j (digit n counts the unreachable ones); the sum is taken
+    once per distinct code over all sources, and the columns refer to those
+    shared floats.  The largest code, n (n+1)^n, fits int64 for n <= 14,
+    above MAX_CENTRALITY_HORIZON.  The codes are built one source at a
+    time, so no temporary outgrows (2^n, n).
+    """
+    assert n <= 14, f"count codes overflow int64 at n = {n}"
     # BFS distances are 0.0, 1.0, .., n - 1.0 or inf: each power is taken once
-    power = {d: alpha**d for d in (*map(float, range(n)), math.inf)}.__getitem__
+    powers = [alpha**d for d in (*map(float, range(n)), math.inf)]
+    place = (n + 1) ** np.arange(n + 1, dtype=np.int64)
+
+    def decay(code: int) -> float:
+        terms = []
+        for power in powers:
+            code, count = divmod(code, n + 1)
+            terms += [power] * count
+        return math.fsum(terms)
+
     table = _distance_table(n)
-    return tuple(tuple(math.fsum(map(power, row)) for row in table[:, s].tolist()) for s in range(n))
+    sums: dict[int, float] = {}
+    columns = []
+    for s in range(n):
+        # levels 0..n-1 are digits 0..n-1, and min(inf, n) is digit n
+        codes = place[np.minimum(table[:, s], n).astype(np.intp)].sum(axis=1).tolist()
+        sums.update((code, decay(code)) for code in set(codes).difference(sums))
+        columns.append(tuple(map(sums.__getitem__, codes)))
+    return tuple(columns)
 
 
 def oracle_centrality(params: UrnParams, n: int, i: int, alpha: float = 0.5) -> float:
-    """Expected decay centrality of node i by enumeration with BFS distances."""
+    """Expected decay centrality of node i by enumeration with BFS distances.
+
+    ``alpha`` must lie in (0, 1), as :class:`CentralityConfig` requires; any
+    other value raises its ValueError before anything is enumerated.
+    """
+    alpha = CentralityConfig(alpha).alpha
     n, i = _node(n, i, MAX_CENTRALITY_HORIZON, "centrality")
     decay = _decay_columns(n, alpha)[i - 1]
     return math.fsum(w * c for w, c in zip(_weight_table(params, n).tolist(), decay))

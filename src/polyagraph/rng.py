@@ -101,8 +101,15 @@ def uniform_rows(
     ``out``, any float64 (runs, n) array or view, receives the uniforms
     and is returned; without it a new array is.  Its strides are free: the
     transpose of a time-major (n, runs) buffer, whose rows are each
-    contiguous, will do.
+    contiguous, will do.  ``runs`` and ``n`` must be integers >= 0
+    (numpy's included); a bool, a float or a negative value raises
+    ValueError naming the argument.
     """
+    runs, n = as_int("runs", runs), as_int("n", n)
+    if runs < 0:
+        raise ValueError(f"runs must be >= 0, got {runs}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if out is None:
         out = np.empty((runs, n))
     else:

@@ -19,7 +19,8 @@ and the number of red draws follows a Beta-Binomial law with shape
 (rho/delta, (1-rho)/delta).  Both are read off four prefix tables of log
 rising products (:func:`polyagraph._numeric.log_tables`), built once per
 (rho, delta, n), the log factorials once per n, and read entry by entry as
-Python floats.
+Python floats; the Beta-Binomial law reads one log row built once per
+(rho, delta, n) from those tables.
 
 A finite-memory variant removes each reinforcement batch ``memory`` steps
 after it was added.  The first ``memory`` draws keep the law above; later
@@ -309,10 +310,12 @@ def beta_binomial_pmf(params: UrnParams, n: int, k: int) -> float:
     """P(number of red draws among n equals k).
 
     Beta-Binomial with shape (rho/delta, (1-rho)/delta): C(n, k) times the
-    joint law of one vector with k reds, both read off the log tables.
-    ``n`` and ``k`` must be integers (numpy's included); a bool or a float
-    raises ValueError.  A finite-memory law has no such closed form and
-    raises TypeError.
+    joint law of one vector with k reds.  The log of every k's value at one
+    (rho, delta, n) is one row built once with the log tables
+    (:meth:`polyagraph._numeric.LogTables.log_pmf_row`); a call reads one
+    entry and exponentiates it.  ``n`` and ``k`` must be integers (numpy's
+    included); a bool or a float raises ValueError.  A finite-memory law
+    has no such closed form and raises TypeError.
     """
     if not (type(n) is int and type(k) is int and 0 <= k <= n):
         n, k = as_int("n", n), as_int("k", k)
@@ -322,7 +325,7 @@ def beta_binomial_pmf(params: UrnParams, n: int, k: int) -> float:
     # scalar law would pay tens of thousands of times in a sweep
     if type(params) is not UrnParams:
         _proportions(params)
-    return math.exp(log_tables(params.rho, params.delta, n).log_pmf(n, k))
+    return math.exp(log_tables(params.rho, params.delta, n).log_pmf_row()[k])
 
 
 _PASS_RUNS = 1024  # runs per time-major pass of the batched sampler

@@ -14,9 +14,14 @@ The creation-sequence kernels
 in ``graph`` alone: ``spectral`` takes both from there, and ``consensus``
 takes only the counts.  The compensated float sums of the consensus step
 belong to ``consensus._Stepper``; no module keeps a second float plan.
+The Beta-Binomial log row is built in ``_numeric`` alone, with the log
+tables it reads, and the exact laws run without loading ``numpy.random``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import polyagraph
@@ -140,3 +145,39 @@ def test_one_sampler_and_one_joint_law_for_both_urns():
 
 def test_package_namespace_has_no_oracle_names():
     assert [name for name in ORACLE_NAMES if hasattr(polyagraph, name)] == []
+
+
+def test_only_numeric_builds_the_beta_binomial_row():
+    # the row is a derived table of LogTables; urn reads entries of it and
+    # combines no log factorials of its own, and the per-entry log_pmf is gone
+    defining = [
+        module for module, tree in _modules()
+        if any(isinstance(node, ast.FunctionDef) and node.name == "log_pmf_row" for node in ast.walk(tree))
+    ]
+    assert defining == ["_numeric"]
+    assert "urn" in _namers("log_pmf_row")
+    assert "urn" not in _namers("fact")
+    assert _namers("log_pmf") == []
+
+
+def test_exact_laws_do_not_load_numpy_random():
+    # importing numpy.random costs about 6 MB of RSS; the package, the CLI
+    # module and the exact laws must not load it, only sampling may
+    code = """
+import sys
+import polyagraph, polyagraph.cli
+from polyagraph import (UrnParams, beta_binomial_pmf, degree_pmf, distance_pmf,
+                        expected_decay_centrality, expected_stationary_exact)
+params = UrnParams(5.0, 5.0, 2.0)
+degree_pmf(params, 8, 3)
+beta_binomial_pmf(params, 8, 3)
+distance_pmf(params, 8, 2, 5)
+expected_decay_centrality(params, 8, 3)
+expected_stationary_exact(params, 6)
+print('numpy.random' in sys.modules)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert proc.stdout.strip() == "False", proc.stderr

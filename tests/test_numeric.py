@@ -50,15 +50,23 @@ def test_log_tables_are_cached_and_read_only():
     t = log_tables(0.3, 0.2, 10)
     assert log_tables(0.3, 0.2, 10) is t
     for name in ("red", "black", "total", "fact"):
-        table, view = getattr(t, name), getattr(t, "_" + name)
+        table = getattr(t, name)
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 1.0
+    for name in ("red", "black", "total"):
         # the scalar view is the table itself, not a copy, and refuses writes too
-        assert view.readonly and view.obj is table
+        view = getattr(t, "_" + name)
+        assert view.readonly and view.obj is getattr(t, name)
         with pytest.raises(TypeError):
             view[0] = 1.0
-    assert type(t.log_joint(10, 4)) is float and type(t.log_pmf(10, 4)) is float
+    # the Beta-Binomial row is built once, kept with the tables and read-only
+    row = t.log_pmf_row()
+    assert t.log_pmf_row() is row and len(row) == 11
+    assert row.readonly and not row.obj.flags.writeable
+    with pytest.raises(TypeError):
+        row[0] = 1.0
+    assert type(t.log_joint(10, 4)) is float and type(row[4]) is float
 
 
 def test_log_factorials_are_one_table_per_horizon():

@@ -13,6 +13,7 @@ from polyagraph import (
     expected_stationary_exact,
     polya_joint_pmf,
 )
+from polyagraph import oracle
 from polyagraph.analytics import degree_support
 from polyagraph.graph import ThresholdGraph
 from polyagraph.oracle import (
@@ -214,13 +215,44 @@ def test_bfs_frontier_products_do_not_wrap():
 
 
 def test_decay_column_is_the_per_vector_sum():
-    # bit for bit the exactly rounded sum over t of alpha^d(s, t), one vector at a time
-    for n in range(1, 9):
+    # bit for bit the exactly rounded sum over t of alpha^d(s, t), one vector
+    # at a time, though the columns sum once per distinct distance multiset
+    for n in range(1, 11):
         graphs = [build_graph(z) for z in _gray_draws(n).tolist()]
-        for alpha in (0.3, 0.5):
-            for s in range(1, n + 1):
-                want = tuple(math.fsum(alpha ** g.distance(s, t) for t in range(1, n + 1)) for g in graphs)
-                assert _decay_columns(n, alpha)[s - 1] == want
+        distances = [[[g.distance(s, t) for t in range(1, n + 1)] for g in graphs] for s in range(1, n + 1)]
+        for alpha in (0.3, 0.5, 0.7, 0.123456789):
+            columns = _decay_columns(n, alpha)
+            for s in range(n):
+                assert columns[s] == tuple(math.fsum(alpha**d for d in row) for row in distances[s])
+    # the count codes fit int64 up to n = 14, beyond every horizon the oracle takes
+    assert oracle.MAX_CENTRALITY_HORIZON <= 14
+
+
+def test_decay_columns_workspace_is_pinned():
+    # tracemalloc of the n = 9 columns validate reads, from an empty cache:
+    # one sum per distance multiset shares its floats between realizations,
+    # and the count codes are built one source at a time
+    _decay_columns(9, 0.5)
+    _decay_columns.cache_clear()
+    tracemalloc.start()
+    try:
+        _decay_columns(9, 0.5)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 496_680 and retained < 155_024, (peak, retained)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.5, math.inf, math.nan])
+def test_oracle_centrality_refuses_alpha_outside_the_unit_interval(ref_params, monkeypatch, alpha):
+    # alpha = 2 gave inf and alpha = 1 counted unreachable nodes as 1
+    def enumerate_nothing(*args):
+        raise AssertionError("alpha must be refused before enumerating")
+
+    monkeypatch.setattr(oracle, "_distance_table", enumerate_nothing)
+    monkeypatch.setattr(oracle, "_weight_table", enumerate_nothing)
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+        oracle_centrality(ref_params, 4, 2, alpha)
 
 
 def test_distance_law_check_reads_bfs(monkeypatch):

@@ -189,3 +189,23 @@ def test_uniform_rows_keep_the_stream_range_check():
         assert message(lambda: uniform_rows(2**64, 0, runs, 4)) == message(lambda: stream(2**64, 0))
     assert uniform_rows(0, 2**64 - 1, 0, 4).shape == (0, 4)
 
+
+@pytest.mark.parametrize("bad", [True, np.bool_(False), 2.0, np.float64(3.0)])
+def test_uniform_rows_counts_must_be_integers(bad):
+    with pytest.raises(ValueError, match="runs must be an integer"):
+        uniform_rows(1, 0, bad, 3)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        uniform_rows(1, 0, 2, bad)
+
+
+def test_uniform_rows_refuse_negative_counts():
+    for runs, n, name in ((-1, 3, "runs"), (2, -1, "n"), (0, -5, "n")):
+        with pytest.raises(ValueError, match=f"{name} must be >= 0, got -"):
+            uniform_rows(1, 0, runs, n)
+
+
+def test_uniform_rows_take_numpy_integer_counts():
+    want = uniform_rows(3, 5, 4, 7)
+    assert np.array_equal(uniform_rows(3, 5, np.int64(4), np.uint8(7)), want)
+    assert np.array_equal(uniform_rows(3, 5, np.int32(4), np.int16(40)), uniform_rows(3, 5, 4, 40))
+    assert uniform_rows(3, 5, np.int64(0), np.int64(7)).shape == (0, 7)

@@ -16,6 +16,7 @@ from polyagraph import (
     sample_polya,
 )
 from polyagraph import urn
+from polyagraph._numeric import log_tables
 from polyagraph.rng import _BULK_MAX_N, stream
 from polyagraph.urn import _chain, as_draws, sample_runs
 
@@ -291,6 +292,23 @@ def test_beta_binomial_arguments_must_be_integers(ref_params, name, args):
 
 def test_beta_binomial_takes_numpy_integers(ref_params):
     assert beta_binomial_pmf(ref_params, np.int64(5), np.int32(2)) == beta_binomial_pmf(ref_params, 5, 2)
+
+
+@pytest.mark.parametrize("delta", [1e-12, 1e-8, 0.2, 1.0, 1e4, 1e8])
+@pytest.mark.parametrize("rho", [1e-6, 0.3, 1.0 - 1e-6])
+def test_beta_binomial_is_the_fused_scalar_expression(rho, delta):
+    # the row built by whole-array operations against the scalar expression
+    # it replaces, over Python floats of the tables, bit for bit; numpy
+    # integer arguments read the same entries
+    params = UrnParams.from_proportions(rho, delta)
+    for n in (0, 1, 5, 40, 1000, 5000):
+        t = log_tables(rho, delta, n)
+        red, black, total, fact = (getattr(t, name).tolist() for name in ("red", "black", "total", "fact"))
+        want = [
+            math.exp(fact[n] - fact[k] - fact[n - k] + (red[k] + black[n - k] - total[n])) for k in range(n + 1)
+        ]
+        assert [beta_binomial_pmf(params, n, k) for k in range(n + 1)] == want
+        assert [beta_binomial_pmf(params, np.int64(n), np.int32(k)) for k in range(n + 1)] == want
 
 
 # ---------------------------------------------------------------------------
