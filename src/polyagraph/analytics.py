@@ -5,8 +5,10 @@ after i), which splits every probability into a Z_i = 1 branch and a
 Z_i = 0 branch of the exchangeable draw process.  This module evaluates the
 resulting exact expressions:
 
-* the degree pmf, whose support is {0..n} when 2i <= n and otherwise
-  {0..n-i} union {i..n}, with both branch terms added where they overlap;
+* the degree pmf, one float64 array over the degrees 0..n whose support is
+  {0..n} when 2i <= n and otherwise {0..n-i} union {i..n}, with both branch
+  terms added where they overlap (its support tuple and a read-only
+  mapping of it are built only when first read);
 * the degree mean n*rho (the same for every node) and the closed-form degree
   variance;
 * the distance law over the attainable values {0, 1, 2, inf};
@@ -23,8 +25,12 @@ finite-memory one included, raises TypeError naming its type.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,24 +63,95 @@ class CentralityConfig:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
 
 
-@dataclass(frozen=True)
+class _LawView(Mapping):
+    """Read-only {degree: probability} view of a degree law's array over its
+    support, in increasing degree.  Entries are read from the array as
+    Python floats when asked for; no dict is built."""
+
+    __slots__ = ("_p", "_ranges")
+
+    def __init__(self, p: np.ndarray, ranges: tuple[range, ...]):
+        self._p, self._ranges = p, ranges
+
+    def __getitem__(self, k) -> float:
+        try:
+            k = operator.index(k)  # any integer, numpy's included, in O(1)
+        except TypeError:
+            pass  # a float equal to a degree finds it too, as a dict key would
+        if any(k in r for r in self._ranges):
+            return self._p.item(int(k))
+        raise KeyError(k)
+
+    def __iter__(self):
+        return itertools.chain(*self._ranges)
+
+    def __len__(self) -> int:
+        return sum(map(len, self._ranges))
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+    def values(self):
+        return _LawValues(self)
+
+    def items(self):
+        return _LawItems(self)
+
+
+class _LawValues(ValuesView):
+    def __iter__(self):
+        p = self._mapping._p
+        return itertools.chain.from_iterable(p[r.start : r.stop].tolist() for r in self._mapping._ranges)
+
+
+class _LawItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, _LawValues(self._mapping))
+
+
+@dataclass(frozen=True, eq=False)
 class DegreeDistribution:
-    """Exact degree law of one node at a given horizon."""
+    """Exact degree law of one node at a given horizon.
+
+    ``probabilities`` is the law as one read-only float64 array over the
+    degrees 0..n, zero off the support; :func:`degree_pmf` computes it and
+    builds nothing per entry.  ``support`` (the attainable degrees, a tuple)
+    and ``pmf`` (a read-only mapping from each of them to its probability,
+    in increasing degree, which reads the array) are made when first read,
+    then cached.  Two laws are equal when their fields are, the arrays
+    entry by entry.
+    """
 
     node: int
     horizon: int
-    support: tuple[int, ...]
-    pmf: dict[int, float]
+    probabilities: np.ndarray
     mean: float
     variance: float
 
+    @cached_property
+    def support(self) -> tuple[int, ...]:
+        return tuple(self.pmf)
+
+    @cached_property
+    def pmf(self) -> Mapping[int, float]:
+        return _LawView(self.probabilities, _support_ranges(self.horizon, self.node))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.node, self.horizon, self.mean, self.variance) == (
+            other.node, other.horizon, other.mean, other.variance
+        ) and np.array_equal(self.probabilities, other.probabilities)
+
     def moment_mean(self) -> float:
-        """Mean recomputed from the pmf (cross-check against ``mean``)."""
-        return math.fsum(k * p for k, p in self.pmf.items())
+        """Mean recomputed from the law (cross-check against ``mean``); the
+        zeros off the support add nothing to the exactly rounded sum."""
+        return math.fsum((np.arange(self.horizon + 1) * self.probabilities).tolist())
 
     def moment_variance(self) -> float:
         mu = self.moment_mean()
-        return math.fsum((k - mu) ** 2 * p for k, p in self.pmf.items())
+        # Python's float ** 2, which can differ from numpy's square in the last bit
+        return math.fsum((k - mu) ** 2 * p for k, p in enumerate(self.probabilities.tolist()))
 
 
 @dataclass(frozen=True)
@@ -99,9 +176,12 @@ def degree_support(n: int, i: int) -> tuple[int, ...]:
     """Attainable degrees of node i: all of 0..n when 2i <= n, otherwise the
     isolated branch 0..n-i together with the universal branch i..n."""
     n, i = check_node(n, i)
-    if 2 * i <= n:
-        return tuple(range(n + 1))
-    return tuple(range(0, n - i + 1)) + tuple(range(i, n + 1))
+    return tuple(itertools.chain(*_support_ranges(n, i)))
+
+
+def _support_ranges(n: int, i: int) -> tuple[range, ...]:
+    # the branches 0..n-i and i..n overlap when 2i <= n, and are disjoint after
+    return (range(n + 1),) if 2 * i <= n else (range(n - i + 1), range(i, n + 1))
 
 
 def degree_pmf(params: UrnParams, n: int, i: int) -> DegreeDistribution:
@@ -110,7 +190,8 @@ def degree_pmf(params: UrnParams, n: int, i: int) -> DegreeDistribution:
     P(deg = k) combines the isolated branch C(n-i, k) * g(k) for k <= n-i
     with the universal branch C(n-i, k-i) * g(k-i+1) for k >= i, where g(r)
     is the joint law of one draw vector with r reds at horizon n-i+1; both
-    terms are summed where the branches overlap.
+    terms are summed where the branches overlap.  The law is returned as
+    the read-only array it is computed in.
     """
     n, i = check_node(n, i)
     rho, delta = _proportions(params)
@@ -124,14 +205,11 @@ def degree_pmf(params: UrnParams, n: int, i: int) -> DegreeDistribution:
     p = np.zeros(n + 1)
     p[:m] += np.exp(log_base + t.red[:m] + t.black[m:0:-1])
     p[i:] += np.exp(log_base + t.red[1 : m + 1] + t.black[tail::-1])
-    values = p.tolist()
-    support = degree_support(n, i)
-    pmf = {k: values[k] for k in support}
+    p.flags.writeable = False
     return DegreeDistribution(
         node=i,
         horizon=n,
-        support=support,
-        pmf=pmf,
+        probabilities=p,
         mean=n * rho,
         variance=degree_variance(params, n, i),
     )

@@ -215,7 +215,12 @@ def _cmd_consensus(args) -> int:
 def _cmd_pi_e(args) -> int:
     law = _law_params(args)
     if args.mode == "exact":
-        est = expected_stationary_exact(law, args.n)
+        try:
+            est = expected_stationary_exact(law, args.n)
+        except EnumerationLimitError as exc:
+            # the library's refusal names its Monte Carlo function; here that route is a flag
+            reason = str(exc).partition("; use ")[0]
+            raise EnumerationLimitError(f"{reason}; use --mode mc instead") from None
     else:
         est = expected_stationary_mc(law, args.n, runs=args.runs, seed=args.seed)
     entries = ", ".join(f"{v:.6f}" for v in est.pi)

@@ -120,7 +120,8 @@ def write_distribution_csv(path, dist, params: UrnParams) -> None:
         f"mean = {format_value(dist.mean)}",
         f"variance = {format_value(dist.variance)}",
     ]
-    write_csv(path, ["k", "p"], ((k, dist.pmf[k]) for k in dist.support), metadata=meta)
+    values = dist.probabilities.tolist()
+    write_csv(path, ["k", "p"], ((k, values[k]) for k in dist.support), metadata=meta)
 
 
 def write_spectrum_csv(path, eigenvalues) -> None:

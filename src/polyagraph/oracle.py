@@ -217,17 +217,18 @@ def _distance_table(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _decay_columns(n: int, alpha: float) -> tuple[tuple[float, ...], ...]:
-    """Entry s-1 is sum_t alpha^d(s, t) for 1-based source s over every
-    length-n realization (Gray order), read off one distance table.
+def _decay_columns(n: int, alpha: float) -> np.ndarray:
+    """Read-only (n, 2^n) float64 array whose row s-1 is sum_t alpha^d(s, t)
+    for 1-based source s over every length-n realization (Gray order),
+    read off one distance table.
 
     The sum depends on a realization only through the multiset of its
     distances from s, and math.fsum is exactly rounded, so its value
     depends on that multiset alone.  Each realization's multiset is encoded
     as one int64 count code in base n + 1, whose digit j counts the nodes
     at BFS level j (digit n counts the unreachable ones); the sum is taken
-    once per distinct code over all sources, and the columns refer to those
-    shared floats.  The largest code, n (n+1)^n, fits int64 for n <= 14,
+    once per distinct code over all sources, and each row is filled from
+    those sums.  The largest code, n (n+1)^n, fits int64 for n <= 14,
     above MAX_CENTRALITY_HORIZON.  The codes are built one source at a
     time, so no temporary outgrows (2^n, n).
     """
@@ -245,13 +246,14 @@ def _decay_columns(n: int, alpha: float) -> tuple[tuple[float, ...], ...]:
 
     table = _distance_table(n)
     sums: dict[int, float] = {}
-    columns = []
+    columns = np.empty((n, len(table)))
     for s in range(n):
         # levels 0..n-1 are digits 0..n-1, and min(inf, n) is digit n
         codes = place[np.minimum(table[:, s], n).astype(np.intp)].sum(axis=1).tolist()
         sums.update((code, decay(code)) for code in set(codes).difference(sums))
-        columns.append(tuple(map(sums.__getitem__, codes)))
-    return tuple(columns)
+        columns[s] = list(map(sums.__getitem__, codes))
+    columns.flags.writeable = False
+    return columns
 
 
 def oracle_centrality(params: UrnParams, n: int, i: int, alpha: float = 0.5) -> float:
@@ -262,8 +264,7 @@ def oracle_centrality(params: UrnParams, n: int, i: int, alpha: float = 0.5) -> 
     """
     alpha = CentralityConfig(alpha).alpha
     n, i = _node(n, i, MAX_CENTRALITY_HORIZON, "centrality")
-    decay = _decay_columns(n, alpha)[i - 1]
-    return math.fsum(w * c for w, c in zip(_weight_table(params, n).tolist(), decay))
+    return math.fsum((_weight_table(params, n) * _decay_columns(n, alpha)[i - 1]).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +293,9 @@ def _check_degree_laws(grid, sizes) -> list[ValidationCheck]:
             for i in range(1, n + 1):
                 dist = degree_pmf(params, n, i)
                 brute = oracle_degree_pmf(params, n, i)
-                closed = dist.pmf
-                worst_pmf = max(
-                    worst_pmf, max(abs(closed.get(k, 0.0) - brute.get(k, 0.0)) for k in set(closed) | set(brute))
-                )
+                enumerated = np.zeros(n + 1)
+                enumerated[list(brute)] = list(brute.values())
+                worst_pmf = max(worst_pmf, float(np.abs(dist.probabilities - enumerated).max()))
                 mean = math.fsum(k * p for k, p in brute.items())
                 var = math.fsum((k - mean) ** 2 * p for k, p in brute.items())
                 worst_mean = max(worst_mean, abs(dist.mean - mean))

@@ -19,10 +19,12 @@ of the tile.  That costs a fixed amount of array work per word.  Long rows
 re-key one numpy generator per row instead, by writing two words of its
 state in place, the key's stream index and the counter, and pay a fixed
 overhead per row, mostly numpy's ``Generator.random`` call, plus a little
-per word, which is less there.  :func:`stream` is the reference
-both routes match bit for bit.  Both write into a float64 view of any
-strides, so a sampler can keep its runs time-major, with row t of an
-(n, runs) buffer holding draw t of every run, and hand over its transpose.
+per word, which is less there; where numpy's Philox state layout is not
+the one expected, the kernel takes those rows as well.  :func:`stream`
+is the reference both routes match bit for bit.  Both write into a
+float64 view of any strides, so a sampler can keep its runs time-major,
+with row t of an (n, runs) buffer holding draw t of every run, and hand
+over its transpose.
 """
 
 from __future__ import annotations
@@ -96,7 +98,9 @@ def uniform_rows(
     fixed overhead per row plus a little per word, so the kernel is about
     1.6-2.6x faster at n = 8, the two are even near n = 32, and the
     generator is about 1.8x faster at n = 99 (1.4-1.5 ms per 1024 rows).
-    Both give the same bits.
+    Both give the same bits.  On a numpy whose Philox state layout is not
+    the one the in-place writes expect, the kernel computes the long rows
+    too.
 
     ``out``, any float64 (runs, n) array or view, receives the uniforms
     and is returned; without it a new array is.  Its strides are free: the
@@ -122,7 +126,7 @@ def uniform_rows(
     if runs == 0:
         return out
     _key_words(seed, min(first + runs - 1, 1 << _WORD))
-    if n > _BULK_MAX_N:
+    if n > _BULK_MAX_N and _rekeying_works():
         _rekeyed_rows(seed, first, out)
     elif n:
         _philox_rows(seed, first, out)
@@ -287,6 +291,19 @@ def _check_philox_layout() -> None:
         counter[:] = [0, 0, 0, 0]
         if not np.array_equal(random(8), stream(seed, i).random(8)):
             _layout_error("a re-keyed generator does not reproduce its stream")
+
+
+@functools.cache
+def _rekeying_works() -> bool:
+    """Whether long rows may take the re-keyed route: false where this
+    numpy's Philox layout fails :func:`_check_philox_layout`, and the
+    kernel then computes rows of every length, slower but with the same
+    bits.  Checked once per process."""
+    try:
+        _check_philox_layout()
+    except RuntimeError:
+        return False
+    return True
 
 
 def _layout_error(why: str) -> NoReturn:

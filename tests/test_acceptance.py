@@ -70,7 +70,7 @@ def test_degree_check_runs_the_criterion_grid(monkeypatch):
 
     def off_at_12(params, n, i):
         dist = exact(params, n, i)
-        return dataclasses.replace(dist, pmf={k: p + 1e-9 for k, p in dist.pmf.items()}) if n == 12 else dist
+        return dataclasses.replace(dist, probabilities=dist.probabilities + 1e-9) if n == 12 else dist
 
     monkeypatch.setattr(oracle, "degree_pmf", off_at_12)
     pmf, _ = _check_degree_laws(GRID, DEGREE_SIZES)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,31 @@ def test_degree_pmf_support_equals_attainable_range(grid_params):
             assert degree_pmf(grid_params, n, i).support == degree_support(n, i)
 
 
+def test_degree_pmf_mapping_reads_the_array_as_a_dict_would(ref_params):
+    for n, i in ((7, 3), (7, 6), (1, 1)):
+        dist = degree_pmf(ref_params, n, i)
+        values = dist.probabilities.tolist()
+        want = {k: values[k] for k in degree_support(n, i)}
+        pmf = dist.pmf
+        assert pmf == want and want == pmf and len(pmf) == len(want)
+        assert list(pmf) == list(pmf.keys()) == list(want)
+        assert list(pmf.values()) == list(want.values())
+        assert list(pmf.items()) == list(want.items())
+        assert repr(pmf) == repr(want)
+        for k in range(-1, n + 2):
+            assert (k in pmf) == (k in want)
+            if k in want:
+                assert type(pmf[k]) is float and pmf[k] == want[k]
+                assert pmf[np.int64(k)] == pmf[float(k)] == want[k]
+            else:
+                with pytest.raises(KeyError):
+                    pmf[k]
+        assert 1.5 not in pmf and "1" not in pmf
+        with pytest.raises(TypeError):
+            pmf[0] = 0.5
+        assert dist.pmf is pmf
+
+
 def test_degree_pmf_against_enumeration(grid_params):
     for n in (4, 8):
         for i in range(1, n + 1):
@@ -166,6 +192,7 @@ def test_laws_take_numpy_integers(ref_params):
     n, i, j = np.int64(9), np.int32(3), np.uint8(7)
     assert degree_support(n, i) == degree_support(9, 3)
     assert degree_pmf(ref_params, n, i) == degree_pmf(ref_params, 9, 3)
+    assert degree_pmf(ref_params, n, i) != degree_pmf(ref_params, 9, 4)
     assert distance_pmf(ref_params, n, i, j) == distance_pmf(ref_params, 9, 3, 7)
     assert expected_decay_centrality(ref_params, n, i) == expected_decay_centrality(ref_params, 9, 3)
 
@@ -220,8 +247,18 @@ def test_laws_equal_their_numpy_scalar_forms(delta, n):
         nodes = sorted({1, 2 if n > 1 else 1, (n + 1) // 2, n // 2 + 1, n})
         for i in nodes:
             dist = degree_pmf(params, n, i)
-            assert dist.pmf == numpy_scalar_degree_pmf(params, n, i)
-            assert dist.support == tuple(dist.pmf)
+            want = numpy_scalar_degree_pmf(params, n, i)
+            p = dist.probabilities
+            assert p.dtype == np.float64 and p.shape == (n + 1,) and not p.flags.writeable
+            support = list(want)
+            assert p[support].tobytes() == np.array(list(want.values())).tobytes()
+            assert not np.delete(p, support).any()
+            assert dist.pmf == want
+            assert dist.support == tuple(dist.pmf) == degree_support(n, i)
+            # the moments as they were summed over the dict's items
+            mean = math.fsum(k * q for k, q in want.items())
+            assert dist.moment_mean().hex() == mean.hex()
+            assert dist.moment_variance().hex() == math.fsum((k - mean) ** 2 * q for k, q in want.items()).hex()
             assert expected_decay_centrality(params, n, i) == numpy_scalar_centrality(params, n, i, 0.5)
             for j in nodes:
                 probs = distance_pmf(params, n, i, j).probabilities
@@ -231,6 +268,24 @@ def test_laws_equal_their_numpy_scalar_forms(delta, n):
                 else:
                     p_inf = numpy_scalar_p_unreachable(params, n, n - max(i, j) + 1)
                     assert probs == {0.0: 0.0, 1.0: r, 2.0: 1.0 - r - p_inf, math.inf: p_inf}
+
+
+def test_degree_pmf_builds_nothing_per_entry():
+    # tracemalloc of one call with its tables built: the law is kept as the
+    # one array of n + 1 floats it is computed in, with at most three
+    # temporaries of that size alongside; a list of its entries as Python
+    # floats alone would add 4 * 8 * (n + 1) bytes
+    params, n = UrnParams.from_proportions(0.3, 0.2), 5000
+    degree_pmf(params, n, 30)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        dist = degree_pmf(params, n, 30)
+        retained, peak = (size - start for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert retained < 8 * (n + 1) + 1024 and peak < 4 * 8 * (n + 1) + 1024, (retained, peak)
+    assert "pmf" not in vars(dist) and "support" not in vars(dist)
 
 
 @pytest.mark.parametrize("delta", [1e-12, 1e-8, 0.2, 1.0, 1e4, 1e8])

@@ -178,9 +178,12 @@ def test_pi_e_exact_prints_reference_values(capsys):
 
 
 def test_pi_e_guard_refusal(capsys):
-    code = run_cli(["pi-e", "--rho", "0.5", "--delta", "0.2", "--n", "200", "--mode", "exact"])
+    # the refusal points to the CLI's Monte Carlo route, not to the library function
+    code = run_cli(["pi-e", "--rho", "0.5", "--delta", "0.2", "--n", "100", "--mode", "exact"])
     assert code == EXIT_GUARD
-    assert "expected_stationary_mc" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "refused: exact pi_E at n = 100 (infinite) needs more than 64 MiB of DP tables; use --mode mc instead\n"
+    )
 
 
 def test_pi_e_table_output(tmp_path):

@@ -223,7 +223,7 @@ def test_decay_column_is_the_per_vector_sum():
         for alpha in (0.3, 0.5, 0.7, 0.123456789):
             columns = _decay_columns(n, alpha)
             for s in range(n):
-                assert columns[s] == tuple(math.fsum(alpha**d for d in row) for row in distances[s])
+                assert columns[s].tolist() == [math.fsum(alpha**d for d in row) for row in distances[s]]
     # the count codes fit int64 up to n = 14, beyond every horizon the oracle takes
     assert oracle.MAX_CENTRALITY_HORIZON <= 14
 

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from polyagraph import rng
 from polyagraph.rng import _BULK_MAX_N, _CHUNK_WORDS, _TILE_BLOCKS, _philox_words, stream, uniform_rows
 from polyagraph.urn import UrnParams, sample_polya, sample_runs
 
@@ -150,6 +151,34 @@ def test_philox_layout_guard_accepts_a_philox():
     assert list(key) == [7, 5]
     counter[0], key[0] = 0, 9
     assert np.array_equal(np.random.Generator(gen).random(4), stream(5, 9).random(4))
+
+
+@pytest.fixture
+def unrecognised_layout(monkeypatch):
+    # a numpy whose Philox state layout fails the check, as far as uniform_rows can tell
+    def check():
+        rng._layout_error("forced by the test")
+
+    def no_writes(*args):
+        raise AssertionError("the in-place route ran although the layout check failed")
+
+    monkeypatch.setattr(rng, "_check_philox_layout", check)
+    monkeypatch.setattr(rng, "_rekeyed_rows", no_writes)
+    rng._rekeying_works.cache_clear()
+    yield
+    rng._rekeying_works.cache_clear()
+
+
+@pytest.mark.parametrize("n", [33, 99])
+def test_long_rows_fall_back_to_the_kernel_when_the_layout_check_fails(unrecognised_layout, n):
+    seed, first, runs = 0xC0FFEE, 2**64 - 70, 70  # the last stream is 2^64 - 1
+    rows = uniform_rows(seed, first, runs, n)
+    assert not rng._rekeying_works()
+    for r in range(runs):
+        assert np.array_equal(rows[r], stream(seed, first + r).random(n)), r
+    out = np.empty((n, runs)).T  # time-major, as the samplers pass it
+    assert uniform_rows(seed, first, runs, n, out=out) is out
+    assert out.tobytes() == rows.tobytes()
 
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, True, np.float64(3.0), np.bool_(False), "4"])
