@@ -11,10 +11,12 @@ resulting exact expressions:
   mapping of it are built only when first read);
 * the degree mean n*rho (the same for every node) and the closed-form degree
   variance;
-* the distance law over the attainable values {0, 1, 2, inf};
+* the distance law over the attainable values {0, 1, 2, inf}, from a
+  product of one-draw probabilities of black, so no entry is the
+  difference of two nearly equal values;
 * the expected decay centrality sum_j alpha^d(i,j), with alpha^inf = 0.
 
-Every rising-factorial ratio and binomial coefficient is read off the
+Every other rising-factorial ratio and binomial coefficient is read off the
 urn's cached log tables (see :func:`polyagraph._numeric.log_tables`), so
 each law lives in log space until one final exponentiation and costs O(n).
 Node counts and indices must be integers, numpy's included; a bool or a
@@ -34,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._numeric import LogTables, check_node, log_tables
+from ._numeric import check_node, log_tables
 from .graph import ThresholdGraph
 from .urn import UrnParams, _proportions
 
@@ -229,10 +231,29 @@ def degree_variance(params: UrnParams, n: int, i: int) -> float:
     return rho * (1.0 - rho) * (i * i + tail * (1.0 + tail * delta + 2.0 * i * delta) / (1.0 + delta))
 
 
-def _prob_unreachable(t: LogTables, h: int) -> float:
-    # P(h given draws are all black) = prod_{s<h} (1-rho+s*delta)/(1+s*delta),
-    # the joint law of h blacks; red[0] = 0.0 adds nothing to black[h]
-    return math.exp(t.log_joint(h, 0))
+def _blacks_after_black(rho: float, delta: float, m: int) -> tuple[float, float]:
+    """P(m more draws are black | the first draw was black) and its log.
+
+    P is the product of the factors 1 - q_s, q_s = rho/(1 + s delta) for
+    s = 1..m, and log P the sum of their logs, all <= 0.  Each factor and
+    log is formed to its relative accuracy.  exp(log P) then loses about
+    |log P| ulps and the product about m, so P is taken from whichever
+    loses fewer."""
+    grow = np.arange(1.0, m + 1)
+    grow *= delta
+    grow += 1.0
+    stay = np.divide(-rho, grow)  # -q_s
+    logs = np.log1p(stay)
+    stay += 1.0  # 1 - q_s
+    # q falls with s; where q > 1/2, 1 - q cancels and log1p would magnify
+    # q's rounding by 1/(1 - q), so take 1 - q = (1 - rho + s delta)/(1 + s delta)
+    # there, with 1 - rho exact as rho > 1/2
+    k = int(np.count_nonzero(stay < 0.5))
+    if k:
+        stay[:k] = ((1.0 - rho) + np.arange(1.0, k + 1) * delta) / grow[:k]
+        logs[:k] = np.log(stay[:k])
+    log_p = float(logs.sum())
+    return (math.exp(log_p) if -log_p < m else float(stay.prod())), log_p
 
 
 def distance_pmf(params: UrnParams, n: int, i: int, j: int) -> DistanceDistribution:
@@ -240,7 +261,12 @@ def distance_pmf(params: UrnParams, n: int, i: int, j: int) -> DistanceDistribut
 
     Same node: distance 0 with probability rho (self-loop), inf otherwise.
     Distinct nodes: distance 1 with probability rho; unreachable iff no draw
-    from max(i,j) on is red; distance 2 carries the remaining mass.
+    from max(i,j) on is red; distance 2 carries the remaining mass.  With
+    P the chance that the n - max(i,j) draws after max(i,j) are all black
+    given that draw max(i,j) is, P(inf) = (1-rho) P and
+    P(2) = (1-rho) (1 - P), the latter from expm1(log P) and not as
+    1 - rho - P(inf), where nearly equal values cancel.  So both keep their
+    relative accuracy, and P(2) is exactly +0.0 when max(i,j) = n.
     """
     n, i = check_node(n, i)
     n, j = check_node(n, j, "j")
@@ -248,9 +274,10 @@ def distance_pmf(params: UrnParams, n: int, i: int, j: int) -> DistanceDistribut
     if i == j:
         probs = {0.0: rho, 1.0: 0.0, 2.0: 0.0, math.inf: 1.0 - rho}
     else:
-        t = log_tables(rho, delta, n)
-        p_inf = _prob_unreachable(t, n - max(i, j) + 1)
-        probs = {0.0: 0.0, 1.0: rho, 2.0: 1.0 - rho - p_inf, math.inf: p_inf}
+        stay, log_stay = _blacks_after_black(rho, delta, n - max(i, j))
+        # 0.0 - expm1(0.0) is +0.0, where -expm1(0.0) would be -0.0
+        p_two = (1.0 - rho) * (0.0 - math.expm1(log_stay))
+        probs = {0.0: 0.0, 1.0: rho, 2.0: p_two, math.inf: (1.0 - rho) * stay}
     return DistanceDistribution(i=i, j=j, probabilities=probs)
 
 
@@ -271,7 +298,8 @@ def expected_decay_centrality(
     t = log_tables(rho, delta, n)
     h = slice(1, n - i + 1)
     later = np.exp(t.black[h] - t.total[h]).tolist()
-    p_inf = (i - 1) * _prob_unreachable(t, n - i + 1) + math.fsum(later)
+    # the n-i+1 draws from node i on all black: the joint law of that many blacks
+    p_inf = (i - 1) * math.exp(t.log_joint(n - i + 1, 0)) + math.fsum(later)
     return rho + (n - 1) * (alpha * rho + alpha * alpha * (1.0 - rho)) - alpha * alpha * p_inf
 
 
@@ -280,6 +308,6 @@ def empirical_decay_centrality(
 ) -> float:
     """Realized decay centrality sum_j alpha^d(i,j) on one graph, with
     alpha^inf = 0."""
-    i = g._check_index(i)
+    i = check_node(g.n, i)[1]
     alpha = cfg.alpha
     return math.fsum(alpha ** g.distance(i, j) for j in range(1, g.n + 1))

@@ -77,22 +77,18 @@ class ThresholdGraph:
         deg.flags.writeable = False
         return deg
 
-    def _check_index(self, i: int, name: str = "i") -> int:
-        """i as a Python int, once it is an integer node index in 1..n."""
-        return check_node(self.n, i, name)[1]
-
     def adjacency(self) -> np.ndarray:
         """Dense adjacency matrix, entry (i, j) = z_{max(i,j)}."""
         idx = np.arange(self.n)
         return self._z[np.maximum.outer(idx, idx)].copy()
 
     def has_self_loop(self, i: int) -> bool:
-        i = self._check_index(i)
+        i = check_node(self.n, i)[1]
         return self.sequence.draws[i - 1] == 1
 
     def degree(self, i: int) -> int:
         """Edges at node i, a self-loop counting exactly once."""
-        i = self._check_index(i)
+        i = check_node(self.n, i)[1]
         return int(self._degree_array[i - 1])
 
     def degrees(self) -> np.ndarray:
@@ -109,7 +105,7 @@ class ThresholdGraph:
         Returns 0.0, 1.0, 2.0 or math.inf; no other value is attainable.
         d(i, i) is 0 with a self-loop and inf without one.
         """
-        i, j = self._check_index(i), self._check_index(j, "j")
+        i, j = check_node(self.n, i)[1], check_node(self.n, j, "j")[1]
         draws = self.sequence.draws
         if i == j:
             return 0.0 if draws[i - 1] == 1 else math.inf

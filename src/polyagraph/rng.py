@@ -19,19 +19,20 @@ of the tile.  That costs a fixed amount of array work per word.  Long rows
 re-key one numpy generator per row instead, by writing two words of its
 state in place, the key's stream index and the counter, and pay a fixed
 overhead per row, mostly numpy's ``Generator.random`` call, plus a little
-per word, which is less there; where numpy's Philox state layout is not
-the one expected, the kernel takes those rows as well.  :func:`stream`
-is the reference both routes match bit for bit.  Both write into a
-float64 view of any strides, so a sampler can keep its runs time-major,
-with row t of an (n, runs) buffer holding draw t of every run, and hand
-over its transpose.
+per word, which is less there.  One cached probe per process decides
+whether numpy's Philox may be re-keyed so: a probe generator must show
+its words where they are expected and, re-keyed there, reproduce two
+streams.  Where it does not, the kernel takes the long rows as well.
+:func:`stream` is the reference both routes match bit for bit.  Both
+write into a float64 view of any strides, so a sampler can keep its runs
+time-major, with row t of an (n, runs) buffer holding draw t of every
+run, and hand over its transpose.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-from typing import NoReturn
 
 import numpy as np
 
@@ -98,9 +99,9 @@ def uniform_rows(
     fixed overhead per row plus a little per word, so the kernel is about
     1.6-2.6x faster at n = 8, the two are even near n = 32, and the
     generator is about 1.8x faster at n = 99 (1.4-1.5 ms per 1024 rows).
-    Both give the same bits.  On a numpy whose Philox state layout is not
-    the one the in-place writes expect, the kernel computes the long rows
-    too.
+    Both give the same bits.  Long rows are re-keyed only once a probe,
+    run once per process, has found numpy's Philox state where the
+    in-place writes expect it; otherwise the kernel computes them too.
 
     ``out``, any float64 (runs, n) array or view, receives the uniforms
     and is returned; without it a new array is.  Its strides are free: the
@@ -213,7 +214,7 @@ def _rekeyed_rows(seed: int, first: int, out: np.ndarray) -> None:
     Philox output depends only on key and counter, so one generator built
     with the seed as its high key word reproduces stream (seed, i) once its
     low key word is set to i and its counter to 0, with its buffer empty.
-    Those two words are written in place, through :func:`_philox_words`.
+    Those two words are written in place, through :func:`_state_words`.
     Each row of the chunk is padded to whole 4-word Philox blocks, so a row
     uses up its last block and leaves the buffer empty for the next, and
     the counter, reset per row, never carries out of its low word.  The
@@ -225,7 +226,10 @@ def _rekeyed_rows(seed: int, first: int, out: np.ndarray) -> None:
     width = -(-n // 4) * 4
     chunk = np.empty((min(runs, max(1, _CHUNK_WORDS // width)), width))
     bit_gen = np.random.Philox(key=seed << _WORD)
-    counter, key = _philox_words(bit_gen)  # views of bit_gen, which outlives them
+    words = _state_words(bit_gen)
+    if words is None:  # not once _rekeying_works() has passed; nothing is written
+        raise RuntimeError(f"numpy {np.__version__}: Philox state layout not recognised")
+    counter, key = words  # views of bit_gen, which outlives them
     random = np.random.Generator(bit_gen).random
     for start in range(0, runs, len(chunk)):
         rows = chunk[: min(len(chunk), runs - start)]
@@ -236,26 +240,17 @@ def _rekeyed_rows(seed: int, first: int, out: np.ndarray) -> None:
         out[start : start + len(rows)] = rows[:, :n]
 
 
-def _philox_words(bit_gen: np.random.Philox) -> tuple[ctypes.Array, ctypes.Array]:
+def _state_words(bit_gen) -> tuple[ctypes.Array, ctypes.Array] | None:
     """The 4-word counter and 2-word key of a numpy Philox, as writable ctypes
-    arrays over its own memory (low word first); RuntimeError otherwise.
+    arrays over its own memory (low word first); None otherwise.
 
     numpy's ``philox_state`` struct, at ``bit_gen.ctypes.state_address``,
     begins with pointers to the counter and the key, which the bit
     generator object holds.  Both pointers must lie inside that object
     (from ``id(bit_gen)``, its address in CPython), with room for their
     words, before either is read through; no other numpy bit generator
-    passes this.  Once per process the layout is also
-    checked on a probe generator (:func:`_check_philox_layout`).  Nothing
-    is written before both checks pass.
+    passes this.  Nothing is written.
     """
-    words = _inner_words(bit_gen)
-    _check_philox_layout()
-    return words
-
-
-def _inner_words(bit_gen) -> tuple[ctypes.Array, ctypes.Array]:
-    # the bounds check of _philox_words, on the first two words of the state;
     # not sys.getsizeof, which adds the GC header that lies before id()
     start, size = id(bit_gen), bit_gen.__sizeof__()
 
@@ -264,47 +259,34 @@ def _inner_words(bit_gen) -> tuple[ctypes.Array, ctypes.Array]:
 
     state = bit_gen.ctypes.state_address
     if not inside(state, 2):
-        _layout_error("the state struct lies outside the bit generator")
+        return None
     counter, key = (ctypes.c_uint64 * 2).from_address(state)
     if not (inside(counter, 4) and inside(key, 2)):
-        _layout_error("the state struct does not begin with counter and key pointers")
+        return None
     return (ctypes.c_uint64 * 4).from_address(counter), (ctypes.c_uint64 * 2).from_address(key)
 
 
 @functools.cache
-def _check_philox_layout() -> None:
-    """A Philox built with distinctive words shows them through :func:`_inner_words`,
-    and re-keying it there, as :func:`_rekeyed_rows` does, reproduces two
-    streams in turn.  Cached once it passes.
-    """
+def _rekeying_works() -> bool:
+    """Whether long rows may take the re-keyed route: a Philox built with
+    distinctive words shows them through :func:`_state_words`, and
+    re-keying it there, as :func:`_rekeyed_rows` does, reproduces two
+    streams in turn.  Where this numpy's Philox layout fails that, the
+    kernel computes rows of every length, slower but with the same bits.
+    Checked once per process."""
     seed, idx = 0x0123456789ABCDEF, 0xFEDCBA9876543210
     words = [0x1111111111111111 * d for d in (1, 2, 3, 4)]
     probe = np.random.Philox(
         key=(seed << _WORD) | idx, counter=sum(w << (_WORD * i) for i, w in enumerate(words))
     )
-    counter, key = _inner_words(probe)
-    if list(counter) != words or list(key) != [idx, seed]:
-        _layout_error("the counter and key words are not where its pointers lead")
+    found = _state_words(probe)
+    if found is None or list(found[0]) != words or list(found[1]) != [idx, seed]:
+        return False
+    counter, key = found
     random = np.random.Generator(probe).random
     for i in (idx, idx + 1):
         key[0] = i
         counter[:] = [0, 0, 0, 0]
         if not np.array_equal(random(8), stream(seed, i).random(8)):
-            _layout_error("a re-keyed generator does not reproduce its stream")
-
-
-@functools.cache
-def _rekeying_works() -> bool:
-    """Whether long rows may take the re-keyed route: false where this
-    numpy's Philox layout fails :func:`_check_philox_layout`, and the
-    kernel then computes rows of every length, slower but with the same
-    bits.  Checked once per process."""
-    try:
-        _check_philox_layout()
-    except RuntimeError:
-        return False
+            return False
     return True
-
-
-def _layout_error(why: str) -> NoReturn:
-    raise RuntimeError(f"numpy {np.__version__}: Philox state layout not recognised, {why}")

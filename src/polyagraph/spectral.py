@@ -21,9 +21,8 @@ the block's graphs.  Its arithmetic runs in the narrowest integer type
 that holds every intermediate, and every array of a block, workspace
 included, counts against a fixed number of bytes, with the buffers
 allocated once per call.  So memory stays O(n) for one graph, and the
-Laplacian matrix is built only by :func:`laplacian`.  The report stores
-the eigenvalues and the pass flags as two length-n arrays; per-eigenpair
-records are built only when asked for.
+Laplacian matrix is built only by :func:`laplacian`.  The report is
+the eigenvalues and the pass flags, two length-n arrays.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ __all__ = [
     "laplacian",
     "spectrum",
     "eigenbasis",
-    "EigenpairCheck",
     "EigenpairReport",
     "verify_eigenpairs",
 ]
@@ -82,13 +80,6 @@ def eigenbasis(n: int) -> list[np.ndarray]:
     return list(_basis_rows(n, 0, n))
 
 
-@dataclass(frozen=True)
-class EigenpairCheck:
-    index: int
-    eigenvalue: int
-    passed: bool
-
-
 @dataclass(frozen=True, eq=False)
 class EigenpairReport:
     """Per-eigenpair outcome of the exact identity L u_m = deg(m) u_m.
@@ -103,18 +94,9 @@ class EigenpairReport:
     def all_passed(self) -> bool:
         return bool(self.passed.all())
 
-    @property
-    def checks(self) -> tuple[EigenpairCheck, ...]:
-        return self._records(range(len(self.passed)))
-
-    def failures(self) -> tuple[EigenpairCheck, ...]:
-        return self._records(np.flatnonzero(~self.passed).tolist())
-
-    def _records(self, indices) -> tuple[EigenpairCheck, ...]:
-        return tuple(
-            EigenpairCheck(index=m + 1, eigenvalue=int(self.eigenvalues[m]), passed=bool(self.passed[m]))
-            for m in indices
-        )
+    def failures(self) -> tuple[int, ...]:
+        """The 1-based indices m of the eigenpairs u_m that failed."""
+        return tuple((np.flatnonzero(~self.passed) + 1).tolist())
 
 
 def verify_eigenpairs(g: ThresholdGraph) -> EigenpairReport:

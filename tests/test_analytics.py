@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -234,6 +235,41 @@ def numpy_scalar_centrality(params, n, i, alpha):
     return params.rho + (n - 1) * (alpha * params.rho + alpha * alpha * (1.0 - params.rho)) - alpha * alpha * p_inf
 
 
+def _product(values):
+    # pairwise, so that large integers meet large ones
+    while len(values) > 1:
+        values = [math.prod(values[k : k + 2]) for k in range(0, len(values), 2)]
+    return values[0] if values else 1
+
+
+def exact_unreachable(rho, delta, horizons):
+    """{h: (num, den)} with num/den = prod_{s<h} (1 - rho + s delta)/(1 + s delta),
+    the chance that h given draws are all black, exactly for the float inputs."""
+    r, d = Fraction(rho), Fraction(delta)
+    a, b, c, e = r.numerator, r.denominator, d.numerator, d.denominator
+    num, den, out, done = 1, 1, {}, 0
+    for h in sorted(horizons):
+        num *= _product([(b - a) * e + s * c * b for s in range(done, h)])
+        den *= _product([b * (e + s * c) for s in range(done, h)])
+        out[h], done = (num, den), h
+    return out
+
+
+def assert_distance_tail_exact(probs, rho, unreachable):
+    """P(2) and P(inf) of a distinct pair within 1e-13 relative of the exact
+    values num/den wherever these are normal floats; an exact zero is +0.0."""
+    num, den = unreachable
+    r = Fraction(rho)
+    two = ((r.denominator - r.numerator) * den - r.denominator * num, r.denominator * den)
+    for got, (p, q) in ((probs[2.0], two), (probs[math.inf], (num, den))):
+        assert p >= 0
+        if p == 0:
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0, got
+        elif p << 1022 >= q:  # not underflowed
+            g = Fraction(got)
+            assert abs(g.numerator * q - p * g.denominator) * 10**13 <= p * g.denominator, (got, p / q)
+
+
 @pytest.mark.parametrize("delta", [1e-12, 1e-8, 0.2, 1e4, 1e8])
 @pytest.mark.parametrize("n", [1, 7, 40, 5000])
 def test_laws_equal_their_numpy_scalar_forms(delta, n):
@@ -245,6 +281,7 @@ def test_laws_equal_their_numpy_scalar_forms(delta, n):
             z = (1,) * k + (0,) * (n - k)
             assert polya_joint_pmf(params, z) == math.exp(numpy_scalar_joint(params, n, k))
         nodes = sorted({1, 2 if n > 1 else 1, (n + 1) // 2, n // 2 + 1, n})
+        unreachable = exact_unreachable(params.rho, params.delta, {n - max(i, j) + 1 for i in nodes for j in nodes})
         for i in nodes:
             dist = degree_pmf(params, n, i)
             want = numpy_scalar_degree_pmf(params, n, i)
@@ -266,8 +303,10 @@ def test_laws_equal_their_numpy_scalar_forms(delta, n):
                 if i == j:
                     assert probs == {0.0: r, 1.0: 0.0, 2.0: 0.0, math.inf: 1.0 - r}
                 else:
-                    p_inf = numpy_scalar_p_unreachable(params, n, n - max(i, j) + 1)
-                    assert probs == {0.0: 0.0, 1.0: r, 2.0: 1.0 - r - p_inf, math.inf: p_inf}
+                    # against exact rationals: a P(2) of 1 - rho - P(inf) cancels
+                    assert (probs[0.0], probs[1.0]) == (0.0, r)
+                    assert_distance_tail_exact(probs, r, unreachable[n - max(i, j) + 1])
+                    assert (probs[2.0] == 0.0) == (max(i, j) == n)
 
 
 def test_degree_pmf_builds_nothing_per_entry():
@@ -461,6 +500,13 @@ def test_laws_hold_across_parameter_range(data, log_delta, rho, n):
     assert abs(dist.moment_variance() - variance) <= 1e-9 * variance
     bb = math.fsum(beta_binomial_pmf(params, n, k) for k in range(n + 1))
     assert abs(bb - 1.0) <= 1e-10
+    j = data.draw(st.integers(min_value=1, max_value=n))
+    probs = distance_pmf(params, n, i, j).probabilities
+    # every entry is >= +0.0, and distance 2 is impossible when max(i, j) = n
+    assert all(math.copysign(1.0, p) == 1.0 for p in probs.values()), probs
+    if max(i, j) == n:
+        assert probs[2.0] == 0.0
+    assert abs(math.fsum(probs.values()) - 1.0) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

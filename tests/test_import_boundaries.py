@@ -16,6 +16,7 @@ takes only the counts.  The compensated float sums of the consensus step
 belong to ``consensus._Stepper``; no module keeps a second float plan.
 The Beta-Binomial log row is built in ``_numeric`` alone, with the log
 tables it reads, and the exact laws run without loading ``numpy.random``.
+Only ``rng`` imports ``ctypes`` and reaches numpy's Philox state.
 """
 
 import ast
@@ -83,6 +84,14 @@ def test_only_spectral_and_oracle_name_the_eigenpair_kernel():
     # the batched check is validation machinery: verify_eigenpairs is the
     # library's way to check one realization
     assert _namers("_eigenpair_flags") == ["oracle", "spectral"]
+
+
+def test_only_rng_touches_numpy_bit_generator_memory():
+    # the re-keyed route writes into numpy's Philox state through ctypes;
+    # that memory is reached through rng._state_words, in rng alone
+    importers = [module for module, tree in _modules() if "ctypes" in set(_imported_modules(tree))]
+    assert importers == ["rng"]
+    assert _namers("_state_words") == ["rng"]
 
 
 def test_only_urn_names_the_urn_law():
