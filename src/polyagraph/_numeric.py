@@ -27,16 +27,21 @@ from functools import lru_cache
 import numpy as np
 
 
-def as_int(name: str, value) -> int:
-    """``value`` as a Python int: Python and numpy integers pass.  A bool, a
-    float or anything else raises ValueError naming ``name``, because
+def as_int(name: str, value, least: int | None = None) -> int:
+    """``value`` as a Python int, the one rule for every count and index.
+
+    Python and numpy integers pass.  A bool, a float or anything else raises
+    ValueError "{name} must be an integer, got {value!r}", because
     truncating it, or indexing with it (True reads entry 1), would silently
-    answer for some other integer."""
-    if type(value) is int:
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    answer for some other integer.  With ``least``, a value below it raises
+    ValueError "{name} must be >= {least}, got {value}"."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def check_node(n, i, name: str = "i") -> tuple[int, int]:
@@ -89,8 +94,7 @@ def log_rising(x: float, step: float, m: int) -> np.ndarray:
     """Prefix table of log rising products: entry k is
     sum_{s<k} log(x + s*step), for k = 0..m, compensated by
     :func:`prefix_table`."""
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    m = as_int("m", m, 0)
     return prefix_table(np.log(x + step * np.arange(m, dtype=float)))
 
 

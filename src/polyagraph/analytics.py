@@ -19,8 +19,10 @@ resulting exact expressions:
 Every other rising-factorial ratio and binomial coefficient is read off the
 urn's cached log tables (see :func:`polyagraph._numeric.log_tables`), so
 each law lives in log space until one final exponentiation and costs O(n).
-Node counts and indices must be integers, numpy's included; a bool or a
-float raises ValueError naming the argument.  The closed forms hold for the
+Node counts and indices pass the package's one integer guard,
+:func:`polyagraph._numeric.as_int`: numpy integers are taken, a bool or a
+float raises ValueError ("i must be an integer, got True"), and an index
+outside 1..n raises IndexError.  The closed forms hold for the
 exchangeable urn, :class:`polyagraph.urn.UrnParams`; any other law, a
 finite-memory one included, raises TypeError naming its type.
 """

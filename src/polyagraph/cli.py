@@ -32,6 +32,7 @@ from .analytics import (
 from .consensus import (
     AveragingOperator,
     EnumerationLimitError,
+    _opinions,
     averaging_matrix,
     expected_stationary_exact,
     expected_stationary_mc,
@@ -52,7 +53,7 @@ EXIT_VALIDATION = 4
 EXIT_IO = 5
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -99,6 +100,8 @@ def _law_params(args):
 
 
 def _parse_x0(source: str, n: int) -> np.ndarray:
+    """x0 as read from a preset name, a comma list or an @file; its length
+    and finiteness are checked by the library, as for any caller."""
     if source in ("paper-n10", "paper-n100", "polarized"):
         return opinion_preset(source, n)
     if source.startswith("@"):
@@ -107,15 +110,9 @@ def _parse_x0(source: str, n: int) -> np.ndarray:
     else:
         tokens = source.split(",")
     try:
-        x = np.array([float(tok) for tok in tokens])
+        return np.array([float(tok) for tok in tokens])
     except ValueError as exc:
         raise ConfigError(f"cannot parse x0: {exc}") from exc
-    if x.shape != (n,):
-        raise ConfigError(f"x0 must have {n} entries, got {len(x)}")
-    bad = x[~np.isfinite(x)]
-    if bad.size:
-        raise ConfigError(f"x0 must be finite, got {float(bad[0])}")
-    return x
 
 
 def _parse_draws(text: str):
@@ -238,15 +235,19 @@ def _cmd_pi_e(args) -> int:
 
 def _cmd_histogram(args) -> int:
     # checked here: an empty batch would write NaN means, a negative t the
-    # unstepped values under a t that never happened
+    # unstepped values under a t that never happened; the Monte Carlo theory
+    # value needs two runs for its standard error, and --theory-runs is
+    # checked even where the exact DP leaves it unused
     if args.runs < 1:
         raise ConfigError(f"--runs must be >= 1, got {args.runs}")
     if args.t < 0:
         raise ConfigError(f"--t must be >= 0, got {args.t}")
+    if args.theory_runs < 2:
+        raise ConfigError(f"--theory-runs must be >= 2, got {args.theory_runs}")
     if not 0 <= args.seed < 1 << 64:
         raise ConfigError(f"--seed must be in [0, 2^64), got {args.seed}")
     law = _law_params(args)
-    x0 = _parse_x0(args.x0, args.n)
+    x0 = _opinions(_parse_x0(args.x0, args.n), args.n)
     # the theory value first: where the DP refuses n, its Monte Carlo runs
     # draw from seed + 1, which must be a seed too, checked before sampling
     try:
@@ -437,10 +438,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except EnumerationLimitError as exc:

@@ -96,11 +96,7 @@ class AveragingOperator:
         index ``first_stream + r``, drawn by the batched sampler
         :func:`polyagraph.urn.sample_runs`.  z and N are float64, exact
         small integers, as the stepper reads them."""
-        n, runs = as_int("n", n), as_int("runs", runs)
-        if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
-        if runs < 0:
-            raise ValueError(f"runs must be >= 0, got {runs}")
+        n, runs = as_int("n", n, 1), as_int("runs", runs, 0)
         z = np.empty((runs, n))
         z[:, -1] = 1.0  # the urn's n - 1 free draws, then the pinned 1
         if n > 1:
@@ -112,9 +108,7 @@ class AveragingOperator:
     def power(self, x, t: int) -> np.ndarray:
         """W^t x: t steps in place over one set of buffers.  The result is a
         fresh array, also for t = 0."""
-        t = as_int("t", t)
-        if t < 0:
-            raise ValueError(f"t must be >= 0, got {t}")
+        t = as_int("t", t, 0)
         stepper = _Stepper(self, x)
         for _ in range(t):
             stepper.step()
@@ -314,10 +308,8 @@ def sample_connected_graph(params, n: int, seed: int, *, stream_index: int = 0) 
     """Sample a realization with the last node forced universal, matching the
     connected experimental protocol: the urn's n - 1 free draws, then a
     pinned 1, checked once as one packed sequence.  ``n`` must be an
-    integer (numpy's included)."""
-    n = as_int("n", n)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    integer >= 1 (numpy's included)."""
+    n = as_int("n", n, 1)
     draws = _draw_list(params, n - 1, seed, stream_index)
     draws.append(1)
     return build_graph(CreationSequence(bytes(draws)))
@@ -373,9 +365,7 @@ def iterate(
     about 7e3 for the default tol of 1e-10.
     """
     x = _opinions(x0, sys.graph.n)
-    t_max = as_int("t_max", t_max)
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    t_max = as_int("t_max", t_max, 1)
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     tol = max(tol, 64 * np.finfo(float).eps * float(np.max(np.abs(x))))
@@ -428,9 +418,7 @@ def expected_stationary_exact(params, n: int) -> ExpectedStationary:
     :class:`EnumerationLimitError` before anything is
     allocated; use :func:`expected_stationary_mc` for those.
     """
-    n = as_int("n", n)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = as_int("n", n, 1)
     return ExpectedStationary(pi=_pi_e_dp(params, n), mode="exact-dp", std_error=None, urn_mode=_urn_mode(params))
 
 
@@ -494,10 +482,8 @@ def _pi_star_blocks(params, n: int, runs: int, seed: int, first_stream: int = 0)
     copied pass columns are the workspace of the neighbour counts.  So
     memory stays O(pass * n) whatever the number of runs.  A block is a
     view of the block buffer: it is valid until the next block is made, and
-    its user may overwrite it.
+    its user may overwrite it.  Its callers check n >= 1.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     passes = np.empty((n, min(runs, _PASS_RUNS + 1)))
     blocks = np.empty((min(runs, _BLOCK_RUNS + 1), n))
     totals = np.empty((len(blocks), 1))
@@ -537,10 +523,12 @@ def expected_stationary_mc(params, n: int, runs: int, seed: int) -> ExpectedStat
     (runs, n) array of samples.  The standard error merges per-block means
     and squared deviations (Chan, Golub & LeVeque, 1983); it differs from
     the two-pass value by rounding only (at most 5e-14 relative measured).
+    ``n`` and ``runs`` must be integers, numpy's included, with n >= 1 and
+    runs >= 2: the standard error's sample variance divides by runs - 1.
+    A bool, a float or a smaller value raises ValueError naming the
+    argument.
     """
-    n, runs = as_int("n", n), as_int("runs", runs)
-    if runs < 2:
-        raise ValueError(f"need runs >= 2 for a standard error, got {runs}")
+    n, runs = as_int("n", n, 1), as_int("runs", runs, 2)
     total = np.zeros(n)
     mean = np.zeros(n)
     m2 = np.zeros(n)  # sum of squared deviations from the running mean
@@ -580,20 +568,19 @@ def memory_sweep(
     from ``runs`` fresh realizations, then each memory length gets its own
     ``runs`` finite-memory realizations.  Every cell uses a disjoint block of
     run streams derived from ``seed``, so the full table is reproducible.
-    ``n``, ``runs`` and the memory lengths (as :class:`FiniteMemoryParams`
-    takes them) must be integers, numpy's included.  A bool or a float
-    there, or a delta that :meth:`UrnParams.from_proportions` refuses, is
-    refused before any cell runs.
+    ``n`` >= 1, ``runs`` >= 2 (each cell has a standard error) and the
+    memory lengths (as :class:`FiniteMemoryParams` takes them) must be
+    integers, numpy's included.  A bool, a float or a smaller value there,
+    or a delta that :meth:`UrnParams.from_proportions` refuses, is refused
+    before any cell runs.
     """
-    n, runs = as_int("n", n), as_int("runs", runs)
+    n, runs = as_int("n", n, 1), as_int("runs", runs, 2)
     memories = [FiniteMemoryParams(base, m).memory for m in memories]
     deltas = list(deltas)
     if not memories:
         raise ValueError("need at least one memory length")
     if not deltas:
         raise ValueError("need at least one delta")
-    if runs < 2:
-        raise ValueError(f"need runs >= 2, got {runs}")
     x = _opinions(x0, n)
     laws = [UrnParams.from_proportions(base.rho, d) for d in deltas]
     points: list[SweepPoint] = []
@@ -630,9 +617,7 @@ def opinion_preset(name: str, n: int) -> np.ndarray:
     "paper-n100": the same vector tiled to 100 nodes (x_{i+10k} = x_i).
     "polarized":  first half 0, second half 100.
     """
-    n = as_int("n", n)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = as_int("n", n, 1)
     reference = (0.1, 0.6, 0.3, 1.0, 0.5, 3.0, 10.0, 2.0, 9.0, 0.2)
     if name == "paper-n10":
         if n != 10:

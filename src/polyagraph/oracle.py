@@ -131,9 +131,7 @@ def enumerate_expectation(params, n: int, evaluator: Callable, *, pin_last: bool
     its weighted terms, so the result does not depend on the enumeration
     order.
     """
-    n = as_int("n", n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = as_int("n", n, 1)
     if n > MAX_ENUMERATION_HORIZON:
         raise EnumerationLimitError(
             f"horizon {n} exceeds the enumeration guard of {MAX_ENUMERATION_HORIZON}"

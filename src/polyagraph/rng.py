@@ -108,13 +108,9 @@ def uniform_rows(
     transpose of a time-major (n, runs) buffer, whose rows are each
     contiguous, will do.  ``runs`` and ``n`` must be integers >= 0
     (numpy's included); a bool, a float or a negative value raises
-    ValueError naming the argument.
+    ValueError naming the argument ("runs must be >= 0, got -1").
     """
-    runs, n = as_int("runs", runs), as_int("n", n)
-    if runs < 0:
-        raise ValueError(f"runs must be >= 0, got {runs}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    runs, n = as_int("runs", runs, 0), as_int("n", n, 0)
     if out is None:
         out = np.empty((runs, n))
     else:

@@ -73,10 +73,8 @@ def _basis_rows(n: int, start: int, stop: int, dtype=np.int64) -> np.ndarray:
 
 def eigenbasis(n: int) -> list[np.ndarray]:
     """The deterministic eigenbasis shared by every realization of size n.
-    ``n`` must be an integer (numpy's included)."""
-    n = as_int("n", n)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    ``n`` must be an integer, at least 1 (numpy's included)."""
+    n = as_int("n", n, 1)
     return list(_basis_rows(n, 0, n))
 
 

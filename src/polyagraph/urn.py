@@ -45,7 +45,6 @@ row.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -120,8 +119,9 @@ class UrnParams:
 class FiniteMemoryParams:
     """Urn whose reinforcement balls expire ``memory`` steps after insertion.
 
-    ``memory`` may be a Python or numpy integer and is stored as an int; a
-    bool or a float is refused rather than truncated.
+    ``memory`` may be a Python or numpy integer >= 1 and is stored as an
+    int; a bool, a float or a smaller value raises ValueError rather than
+    being truncated.
     """
 
     base: UrnParams
@@ -130,10 +130,7 @@ class FiniteMemoryParams:
     def __post_init__(self):
         if not isinstance(self.base, UrnParams):
             raise TypeError(f"base must be UrnParams, got {type(self.base).__name__}")
-        m = self.memory
-        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
-            raise ValueError(f"memory must be an integer >= 1, got {m!r}")
-        object.__setattr__(self, "memory", int(m))
+        object.__setattr__(self, "memory", as_int("memory", self.memory, 1))
 
 
 @dataclass(frozen=True)
@@ -256,11 +253,10 @@ def sample_polya(law, n: int, seed: int, *, stream_index: int = 0) -> CreationSe
     the number of red draws among the last w; the infinite urn's window is
     the whole past, w = t.  The output is fully determined by
     (seed, stream_index); see :func:`polyagraph.rng.stream`.  ``n`` must
-    be an integer (numpy's included); a bool or a float raises ValueError.
+    be an integer >= 1 (numpy's included); a bool, a float or a smaller
+    value raises ValueError.
     """
-    n = as_int("n", n)
-    if n < 1:
-        raise ValueError(f"need n >= 1 draws, got {n}")
+    n = as_int("n", n, 1)
     return CreationSequence(bytes(_draw_list(law, n, seed, stream_index)))
 
 
@@ -345,17 +341,14 @@ def sample_runs(
     Philox kernel when that is more (up to 8192 runs of rows of 1..4
     draws, 2730 of 9..12): the kernel's fixed cost per call then falls on
     as many runs as it can.  ``n`` and ``runs`` must be integers
-    (numpy's included), n >= 1 and runs >= 0.
+    (numpy's included), n >= 1 and runs >= 0; a bool, a float or a smaller
+    value raises ValueError naming the argument.
 
     ``out``, any float64 (runs, n) array or view (for instance all but the
     last column of a wider buffer), receives the draws as 0.0/1.0 instead
     and is returned.
     """
-    n, runs = as_int("n", n), as_int("runs", runs)
-    if n < 1:
-        raise ValueError(f"need n >= 1 draws, got {n}")
-    if runs < 0:
-        raise ValueError(f"runs must be >= 0, got {runs}")
+    n, runs = as_int("n", n, 1), as_int("runs", runs, 0)
     if out is None:
         out = np.empty((runs, n), np.int64)
     else:

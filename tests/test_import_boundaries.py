@@ -16,11 +16,13 @@ takes only the counts.  The compensated float sums of the consensus step
 belong to ``consensus._Stepper``; no module keeps a second float plan.
 The Beta-Binomial log row is built in ``_numeric`` alone, with the log
 tables it reads, and the exact laws run without loading ``numpy.random``.
-Only ``rng`` imports ``ctypes`` and reaches numpy's Philox state.
+Only ``rng`` imports ``ctypes`` and reaches numpy's Philox state.  A count's
+lower bound is worded by ``_numeric.as_int`` alone.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -167,6 +169,24 @@ def test_only_numeric_builds_the_beta_binomial_row():
     assert "urn" in _namers("log_pmf_row")
     assert "urn" not in _namers("fact")
     assert _namers("log_pmf") == []
+
+
+def test_only_numeric_words_a_count_bound():
+    # every library count is bounded through as_int(name, value, least); the
+    # command line words its --flag bounds itself
+    bound = re.compile(r"must be >= |need .*>=")
+    worders = [
+        module for module, tree in _modules()
+        if module != "cli" and any(
+            isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and any(
+                isinstance(part, ast.Constant) and isinstance(part.value, str) and bound.search(part.value)
+                for part in ast.walk(node.exc)
+            )
+            for node in ast.walk(tree)
+        )
+    ]
+    assert worders == ["_numeric"]
 
 
 def test_exact_laws_do_not_load_numpy_random():

@@ -313,9 +313,11 @@ def test_histogram_theory_mode(tmp_path, n, x0, mode):
     ("--runs", "0", "--runs must be >= 1, got 0"),
     ("--runs", "-3", "--runs must be >= 1, got -3"),
     ("--t", "-5", "--t must be >= 0, got -5"),
+    ("--theory-runs", "1", "--theory-runs must be >= 2, got 1"),
 ])
 def test_histogram_rejects_empty_batches_and_negative_t(tmp_path, capsys, flag, value, message):
-    # an empty batch would write NaN means, a negative t unstepped values
+    # an empty batch would write NaN means, a negative t unstepped values,
+    # and one theory run no standard error
     out = tmp_path / "h.csv"
     argv = {"--runs": "2", "--t": "1"} | {flag: value}
     code = run_cli([

