@@ -73,8 +73,30 @@ def _add_urn_args(p: argparse.ArgumentParser, memory: bool = True) -> None:
     g.add_argument("--rho", type=float, help="initial red proportion")
     g.add_argument("--delta", type=float, help="reinforcement ratio delta")
     if memory:
-        g.add_argument("--memory", type=int, default=None,
-                       help="finite memory length M (default: infinite memory)")
+        _add_count(g, "--memory", 1, help="finite memory length M (default: infinite memory)")
+
+
+def _add_count(p, flag: str, least: int, **kwargs) -> None:
+    """Add an integer flag, or a comma list of them, whose values must be at
+    least ``least``.  :func:`main` checks them all before the command runs,
+    so an error names the flag as typed, not the library argument it feeds."""
+    action = p.add_argument(flag, **{"type": int, **kwargs})
+    p.set_defaults(counts=(p.get_default("counts") or ()) + ((action.dest, flag, least),))
+
+
+def _check_counts(args) -> None:
+    for dest, flag, least in getattr(args, "counts", ()):
+        value = getattr(args, dest)
+        for v in value if isinstance(value, list) else [value]:
+            if v is not None and v < least:
+                raise ConfigError(f"{flag} must be >= {least}, got {v}")
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {text!r}") from None
 
 
 def _urn_params(args) -> UrnParams:
@@ -234,16 +256,6 @@ def _cmd_pi_e(args) -> int:
 
 
 def _cmd_histogram(args) -> int:
-    # checked here: an empty batch would write NaN means, a negative t the
-    # unstepped values under a t that never happened; the Monte Carlo theory
-    # value needs two runs for its standard error, and --theory-runs is
-    # checked even where the exact DP leaves it unused
-    if args.runs < 1:
-        raise ConfigError(f"--runs must be >= 1, got {args.runs}")
-    if args.t < 0:
-        raise ConfigError(f"--t must be >= 0, got {args.t}")
-    if args.theory_runs < 2:
-        raise ConfigError(f"--theory-runs must be >= 2, got {args.theory_runs}")
     if not 0 <= args.seed < 1 << 64:
         raise ConfigError(f"--seed must be in [0, 2^64), got {args.seed}")
     law = _law_params(args)
@@ -303,9 +315,8 @@ def _composition(args) -> UrnParams:
 def _cmd_memory_sweep(args) -> int:
     params = _composition(args)  # memory_sweep reads only params.rho
     deltas = [float(tok) for tok in args.deltas.split(",")]
-    memories = [int(tok) for tok in args.memories.split(",")]
     x0 = _parse_x0(args.x0, args.n)
-    points = memory_sweep(params, args.n, deltas, memories, runs=args.runs, x0=x0, seed=args.seed)
+    points = memory_sweep(params, args.n, deltas, args.memories, runs=args.runs, x0=x0, seed=args.seed)
     path = _out_path(args.out)
     io.write_sweep_csv(
         path,
@@ -343,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="sample a realization; emit graph JSON and edge CSV")
     _add_urn_args(p)
-    p.add_argument("--n", type=int, required=True)
+    _add_count(p, "--n", 1, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--force-last-universal", action=argparse.BooleanOptionalAction, default=False)
     p.add_argument("--json-out", default="graph.json")
@@ -352,14 +363,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("degree-dist", help="exact degree pmf of one node; emit CSV")
     _add_urn_args(p, memory=False)
-    p.add_argument("--n", type=int, required=True)
+    _add_count(p, "--n", 1, required=True)
     p.add_argument("--node", type=int, required=True, help="node index i (1-based)")
     p.add_argument("--out", default="degree_dist.csv")
     p.set_defaults(handler=_cmd_degree_dist)
 
     p = sub.add_parser("centrality", help="expected and/or empirical decay centrality")
     _add_urn_args(p, memory=False)
-    p.add_argument("--n", type=int)
+    _add_count(p, "--n", 1)
     p.add_argument("--node", type=int, required=True)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--mode", choices=("expected", "empirical", "both"), default="expected")
@@ -370,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="closed-form Laplacian spectrum + eigenpair verification")
     _add_urn_args(p)
-    p.add_argument("--n", type=int)
+    _add_count(p, "--n", 1)
     p.add_argument("--seed", type=int)
     p.add_argument("--draws")
     p.add_argument("--force-last-universal", action=argparse.BooleanOptionalAction, default=False)
@@ -379,11 +390,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("consensus", help="averaging trajectory on one realization")
     _add_urn_args(p)
-    p.add_argument("--n", type=int)
+    _add_count(p, "--n", 1)
     p.add_argument("--seed", type=int)
     p.add_argument("--draws")
     p.add_argument("--x0", required=True, help="comma list, @file, or preset name")
-    p.add_argument("--t-max", dest="t_max", type=int, default=10_000)
+    _add_count(p, "--t-max", 1, default=10_000)
     p.add_argument("--tolerance", type=float, default=1e-10)
     p.add_argument("--force-last-universal", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--out", default="trajectory.csv")
@@ -391,9 +402,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pi-e", help="expected consensus weights (exact DP or Monte Carlo)")
     _add_urn_args(p)
-    p.add_argument("--n", type=int, required=True)
+    _add_count(p, "--n", 1, required=True)
     p.add_argument("--mode", choices=("exact", "mc"), default="exact")
-    p.add_argument("--runs", type=int, default=1000)
+    # checked in exact mode too, where it goes unused, as --theory-runs is
+    _add_count(p, "--runs", 2, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -401,13 +413,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("histogram", help="consensus values over independent seeded runs")
     _add_urn_args(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--runs", type=int, default=200)
-    p.add_argument("--t", type=int, default=100)
+    _add_count(p, "--n", 1, required=True)
+    # an empty batch would write NaN means, a negative t the unstepped values
+    # under a t that never happened; the Monte Carlo theory value needs two
+    # runs for its standard error, and --theory-runs is checked even where
+    # the exact DP leaves it unused
+    _add_count(p, "--runs", 1, default=200)
+    _add_count(p, "--t", 0, default=100)
     p.add_argument("--x0", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--theory-runs", dest="theory_runs", type=int, default=10_000,
-                   help="Monte Carlo size for the reference value when the exact DP refuses n")
+    _add_count(p, "--theory-runs", 2, default=10_000,
+               help="Monte Carlo size for the reference value when the exact DP refuses n")
     p.add_argument("--out", default="histogram.csv")
     p.set_defaults(handler=_cmd_histogram)
 
@@ -418,10 +434,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "is enough; --delta and --delta-balls are accepted and unused.",
     )
     _add_urn_args(p, memory=False)
-    p.add_argument("--n", type=int, required=True)
+    _add_count(p, "--n", 1, required=True)
     p.add_argument("--deltas", required=True, help="comma list, e.g. 0.2,1,10; each cell's reinforcement ratio")
-    p.add_argument("--memories", required=True, help="comma list of memory lengths")
-    p.add_argument("--runs", type=int, default=1000)
+    _add_count(p, "--memories", 1, type=_int_list, required=True, help="comma list of memory lengths")
+    _add_count(p, "--runs", 2, default=1000)
     p.add_argument("--x0", default="polarized")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="sweep.csv")
@@ -437,6 +453,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return args.handler(args)
     except (ValueError, IndexError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -31,22 +31,25 @@ and the state of the urn's Markov chain, which :mod:`polyagraph.urn` states
 once for the samplers and this pass (polynomial in n, guarded by a 64 MiB
 table budget), or estimated by seeded Monte Carlo with one independent stream per run,
 merged by run index so scheduling cannot change the estimate.  Monte Carlo
-runs are sampled in time-major passes of up to 1024 runs, each one
-vectorized call of the urn's batched sampler that reproduces the scalar
-sampler bit for bit: row t of the pass buffer holds draw t of every run,
-each row contiguous, so an urn step is a few array operations over one
-row.  Its uniforms come from :func:`polyagraph.rng.uniform_rows`: for
-realizations of up to 33 nodes (32 free draws) a Philox kernel computes a
-tile of runs at once, and longer ones come from a generator re-keyed per
-run.  The runs stream on as blocks of 256, each copied run-major into one
-block buffer whose draws become pi* in place: memory is O(pass * n) for
-any number of runs.  The estimate is one row-by-row sum in run order,
-bit for bit the mean of all samples at once; its standard error merges
-per-block moments.
+runs are sampled in time-major passes of up to 1024 runs (a memory sweep's
+span consecutive cells), each drawn by the urn's one draw loop, which
+reproduces the scalar sampler bit for bit: row t of the pass buffer holds
+draw t of every run, each row contiguous, so an urn step is a few array
+operations over one row.  Its uniforms come from
+:func:`polyagraph.rng.uniform_rows`: for realizations of up to 33 nodes
+(32 free draws) a Philox kernel computes a tile of runs at once, and
+longer ones come from a generator re-keyed per run.  The draw loop leaves
+each run's neighbour counts, less 1 + T, in the pass buffer, so a pass
+becomes pi* by one add, one sum and one divide; the runs then stream on
+as blocks of 256, each copied run-major into one block buffer: memory is
+O(pass * n) for any number of runs.  The estimate is one row-by-row sum
+in run order, bit for bit the mean of all samples at once; its standard
+error merges per-block moments.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -54,6 +57,7 @@ import numpy as np
 
 from ._numeric import as_int, prefix_table, sum_errors
 from .graph import ThresholdGraph, build_graph, neighbor_counts
+from .rng import _BULK_MAX_N, _tile_rows, uniform_rows
 from .urn import _PASS_RUNS, CreationSequence, FiniteMemoryParams, UrnParams, _chain, _draw_list, _draw_pass, sample_runs
 
 __all__ = [
@@ -102,7 +106,7 @@ class AveragingOperator:
         if n > 1:
             sample_runs(params, n - 1, runs, seed, first_stream=first_stream, out=z[:, :-1])
         else:  # sample_runs refuses zero draws; a zero-row pass still checks the law and seed
-            _draw_pass(params, seed, first_stream, z[:, :-1].T)
+            _draw_pass(params, uniform_rows(seed, first_stream, runs, 0, out=z[:, :-1]).T)
         return cls(z, neighbor_counts(z))
 
     def power(self, x, t: int) -> np.ndarray:
@@ -471,54 +475,82 @@ def _pi_e_dp(params, n: int) -> np.ndarray:
     return pi
 
 
-def _pi_star_blocks(params, n: int, runs: int, seed: int, first_stream: int = 0):
-    """pi* of the runs at streams first_stream .. first_stream + runs - 1, in
-    run order, one (block, n) array per block of 256 runs.
+def _pi_star_blocks(laws, n: int, runs: int, seed: int, first_stream: int = 0, span: int = _PASS_RUNS + 1):
+    """pi* of ``runs`` runs under each law of ``laws`` in turn, as (cell,
+    block) pairs: cell c is the runs at streams first_stream + c * runs
+    onwards, in run order, one (block, n) array per block of 256 runs.
 
-    The runs are sampled in time-major passes of up to 1024: row t of the
-    pass buffer holds draw t of every run, each row contiguous, and its
-    last row the pinned 1.  Each block of the pass is copied, transposed,
-    into one run-major block buffer, whose draws become pi* in place; the
-    copied pass columns are the workspace of the neighbour counts.  So
-    memory stays O(pass * n) whatever the number of runs.  A block is a
-    view of the block buffer: it is valid until the next block is made, and
-    its user may overwrite it.  Its callers check n >= 1.
+    A cell is cut into pieces of 1024 runs and a piece into blocks of 256,
+    a last run on its own joining the chunk before it (:func:`_chunks`).
+    Consecutive pieces, of one cell or of several, are drawn in one
+    time-major pass while it holds at most ``span`` runs (a piece is drawn
+    whole whatever its size): row t of the pass buffer holds draw t of
+    every run, each row contiguous, and its last row the pinned 1.  The
+    pass's uniforms come from one call of
+    :func:`polyagraph.rng.uniform_rows`, and each piece's draw loop, under
+    its own law (:func:`polyagraph.urn._draw_pass`), leaves t z_t - C_t in
+    row t and the red total of each run's free draws in ``totals``.  Then,
+    over the whole pass, one add of 1 + T (T counting the pinned draw)
+    gives the neighbour counts N, one exact axis-0 sum their total D and
+    one divide pi* = N / D: small integers up to the divide, so every bit
+    is that of the per-run pi*.  Each block is copied, transposed, into one
+    run-major block buffer, so memory stays O(span * n) whatever the number
+    of runs.  A block is a view of the block buffer: it is valid until the
+    next block is made, and its user may overwrite it.  Its callers check
+    n >= 1.
     """
-    passes = np.empty((n, min(runs, _PASS_RUNS + 1)))
+    pieces = [
+        (cell, law, cell * runs + start, cell * runs + stop)
+        for cell, law in enumerate(laws)
+        for start, stop in _chunks(runs, _PASS_RUNS)
+    ]
+    width = min(len(laws) * runs, max(span, _PASS_RUNS + 1))
+    passes = np.empty((n, width))
+    red_totals = np.empty(width)
     blocks = np.empty((min(runs, _BLOCK_RUNS + 1), n))
-    totals = np.empty((len(blocks), 1))
+    i = 0
+    while i < len(pieces):
+        lo, j = pieces[i][2], i + 1
+        while j < len(pieces) and pieces[j][3] - lo <= span:
+            j += 1
+        hi = pieces[j - 1][3]
+        draws, totals = passes[:, : hi - lo], red_totals[: hi - lo]
+        uniform_rows(seed, first_stream + lo, hi - lo, n - 1, out=draws[:-1].T)
+        for _, law, start, stop in pieces[i:j]:
+            _draw_pass(law, draws[:-1, start - lo : stop - lo], totals[start - lo : stop - lo])
+        totals += 2.0  # 1 + T, with the pinned draw in T
+        np.subtract(n, totals, out=draws[-1])  # the pinned draw's (n - 1) * 1 - T
+        draws += totals
+        draws /= np.sum(draws, axis=0, out=totals)
+        for cell, _, start, stop in pieces[i:j]:
+            for a, b in _chunks(stop - start, _BLOCK_RUNS):
+                block = blocks[: b - a]
+                np.copyto(block, draws[:, start - lo + a : start - lo + b].T)
+                yield cell, block
+        i = j
+
+
+def _chunks(end: int, size: int):
+    # (start, stop) of chunks that end on multiples of their size, except
+    # that a last run on its own joins the chunk before it: numpy takes a
+    # one-row matrix product as a dot product, which sums in another order
+    # than a row of a larger one
     start = 0
-    while start < runs:
-        stop = _chunk_stop(start, _PASS_RUNS, runs)
-        draws = passes[:, : stop - start]
-        draws[-1] = 1.0  # the last node is universal; the previous pass's counts overwrote it
-        _draw_pass(params, seed, first_stream + start, draws[:-1])
-        lo = 0
-        while lo < stop - start:
-            hi = _chunk_stop(lo, _BLOCK_RUNS, stop - start)
-            cols, block = draws[:, lo:hi].T, blocks[: hi - lo]
-            np.copyto(block, cols)
-            neighbor_counts(block, out=block, work=cols)
-            block /= np.sum(block, axis=-1, keepdims=True, out=totals[: hi - lo])
-            yield block
-            lo = hi
+    while start < end:
+        stop = min(start + size, end)
+        stop = end if stop == end - 1 else stop
+        yield start, stop
         start = stop
-
-
-def _chunk_stop(start: int, size: int, end: int) -> int:
-    # chunks end on multiples of their size, except that a last run on its
-    # own joins the chunk before it: numpy takes a one-row matrix product as
-    # a dot product, which sums in another order than a row of a larger one
-    stop = min(start + size, end)
-    return end if stop == end - 1 else stop
 
 
 def expected_stationary_mc(params, n: int, runs: int, seed: int) -> ExpectedStationary:
     """Monte Carlo pi_E: mean of pi* over seeded sampled realizations.
 
     Run r draws from the (seed, r) stream, so the estimate is reproducible
-    and independent of execution order.  The runs stream through in blocks,
-    so memory is O(pass * n) for any number of runs.  pi is the sum over
+    and independent of execution order.  The runs are drawn in passes of
+    up to 1024, whose pi* are computed whole (:func:`_pi_star_blocks`), and
+    stream through in blocks of 256, so memory is O(pass * n) for any
+    number of runs.  pi is the sum over
     runs taken row by row in run order, the same bits as the mean of one
     (runs, n) array of samples.  The standard error merges per-block means
     and squared deviations (Chan, Golub & LeVeque, 1983); it differs from
@@ -533,7 +565,7 @@ def expected_stationary_mc(params, n: int, runs: int, seed: int) -> ExpectedStat
     mean = np.zeros(n)
     m2 = np.zeros(n)  # sum of squared deviations from the running mean
     done = 0
-    for block in _pi_star_blocks(params, n, runs, seed):
+    for _, block in _pi_star_blocks([params], n, runs, seed):
         k = len(block)
         block_mean = block.mean(axis=0)
         dev = block - block_mean
@@ -568,6 +600,10 @@ def memory_sweep(
     from ``runs`` fresh realizations, then each memory length gets its own
     ``runs`` finite-memory realizations.  Every cell uses a disjoint block of
     run streams derived from ``seed``, so the full table is reproducible.
+    The cells' streams are consecutive, so passes span cells: about 2048
+    runs share one call of the Philox kernel, never more than a tile of it,
+    while each cell keeps its own draw loop, law and block edges, so each
+    cell's values are those it would have on its own.
     ``n`` >= 1, ``runs`` >= 2 (each cell has a standard error) and the
     memory lengths (as :class:`FiniteMemoryParams` takes them) must be
     integers, numpy's included.  A bool, a float or a smaller value there,
@@ -582,31 +618,27 @@ def memory_sweep(
     if not deltas:
         raise ValueError("need at least one delta")
     x = _opinions(x0, n)
-    laws = [UrnParams.from_proportions(base.rho, d) for d in deltas]
+    # every delta is checked here, before any cell samples
+    laws = []
+    for d in deltas:
+        params = UrnParams.from_proportions(base.rho, d)
+        laws += [params] + [FiniteMemoryParams(params, memory) for memory in memories]
+    # about 2048 runs per kernel call, never past a tile of the n - 1 free draws
+    span = min(2 * _PASS_RUNS, _tile_rows(n - 1)) if 0 < n - 1 <= _BULK_MAX_N else 2 * _PASS_RUNS
+
+    def cell_stats():  # mean and standard error of pi* . x0 over each cell's runs
+        cells = itertools.groupby(_pi_star_blocks(laws, n, runs, seed, span=span), key=lambda pair: pair[0])
+        for _, blocks in cells:
+            vals = np.concatenate([pi @ x for _, pi in blocks])
+            yield float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(runs))
+
+    stats = cell_stats()
     points: list[SweepPoint] = []
-    block = 0
-
-    def values(law, cell: int) -> np.ndarray:  # pi* . x0 of each run in the cell's streams
-        return np.concatenate([pi @ x for pi in _pi_star_blocks(law, n, runs, seed, cell * runs)])
-
-    for d, params in zip(deltas, laws):
-        base_vals = values(params, block)
-        block += 1
-        baseline = float(base_vals.mean())
-        baseline_se = float(base_vals.std(ddof=1) / math.sqrt(runs))
+    for d in deltas:
+        baseline, baseline_se = next(stats)
         for memory in memories:
-            vals = values(FiniteMemoryParams(params, memory), block)
-            block += 1
-            points.append(
-                SweepPoint(
-                    delta=float(d),
-                    memory=memory,
-                    value=float(vals.mean()),
-                    std_error=float(vals.std(ddof=1) / math.sqrt(runs)),
-                    baseline=baseline,
-                    baseline_se=baseline_se,
-                )
-            )
+            value, std_error = next(stats)
+            points.append(SweepPoint(float(d), memory, value, std_error, baseline, baseline_se))
     return points
 
 

@@ -359,36 +359,55 @@ def sample_runs(
     for start in range(0, runs or 1, size):
         stop = min(start + size, runs)
         draws = scratch[:, : stop - start]
-        _draw_pass(law, seed, first_stream + start, draws)
+        uniform_rows(seed, first_stream + start, stop - start, n, out=draws.T)
+        _draw_pass(law, draws)
         out[start:stop] = draws.T
     return out
 
 
-def _draw_pass(law, seed: int, first: int, draws: np.ndarray) -> None:
-    """Fill a time-major (n, runs) float64 view, whose rows are each
-    contiguous, with draws as 0.0/1.0: row t is draw t of every run, and
-    column r the run of stream index ``first + r``.
+def _draw_pass(law, draws: np.ndarray, totals: np.ndarray | None = None) -> None:
+    """Turn the uniforms in a time-major (n, runs) float64 view, whose rows
+    are each contiguous, into draws: row t holds draw t of every run, and
+    column r one run, whose uniforms :func:`polyagraph.rng.uniform_rows`
+    wrote into the view's transpose.
 
-    The uniforms of :func:`polyagraph.rng.uniform_rows` are written into
-    the view's transpose and turned into draws row by row, in place.  The
-    red count in the window of the last w = min(t, memory) draws is kept
+    The red count in the window of the last w = min(t, memory) draws is kept
     as a running sum (the infinite urn's window is the whole past), and the
     red probability is the scalar sampler's expression, rounded
-    identically, so column r is :func:`sample_polya`'s draw vector.
+    identically, so with the uniforms of stream i column r is
+    :func:`sample_polya`'s draw vector at stream index i, as 0.0/1.0.
+
+    With ``totals``, a (runs,) float64 array, row t receives t z_t - C_t
+    instead, C_t the run's red count up to and including draw t, and
+    ``totals`` the run's red count: a threshold graph's neighbour count
+    N_t is that plus 1 + T, T the red total of the whole sequence.  Where
+    the window is the whole past the running sum is C_t, and each row is
+    turned as it is drawn; under a shorter window, whose sum reads the 0/1
+    of earlier rows, the rows are turned in a second loop once all are
+    drawn.  All of these are small integers, exact in float64.
     """
     n, runs = draws.shape
     rho, delta, window = _law(law, n)
-    uniform_rows(seed, first, runs, n, out=draws.T)
-    # red counts are small integers, exact in float64
-    reds = np.zeros(runs)
+    # a window of at least n - 1 draws never subtracts a row, so its sum is C_t
+    in_loop = totals is not None and window >= n - 1
+    reds = totals if in_loop else np.empty(runs)
+    reds.fill(0)
     p_red = np.empty(runs)
     for t, row in enumerate(draws):
-        if t:
-            reds += draws[t - 1]
-            if t > window:
-                reds -= draws[t - 1 - window]
+        if t > window:
+            reds -= draws[t - 1 - window]
         # the scalar sampler's (rho + delta * reds) / (1 + delta * w), same roundings
         np.multiply(delta, reds, out=p_red)
         np.add(rho, p_red, out=p_red)
         p_red /= 1.0 + delta * min(t, window)
         np.less(row, p_red, out=row, casting="unsafe")
+        reds += row
+        if in_loop:
+            row *= t
+            row -= reds
+    if totals is not None and not in_loop:
+        totals.fill(0)
+        for t, row in enumerate(draws):
+            totals += row
+            row *= t
+            row -= totals

@@ -810,33 +810,71 @@ def test_memory_sweep_weak_reinforcement_stays_near_baseline(ref_params):
         assert abs(p.value - p.baseline) < 3 * math.hypot(p.std_error, p.baseline_se)
 
 
+def per_run_sweep(base, n, deltas, memories, runs, x0, seed):
+    """The memory sweep cell by cell, one realization at a time: each cell
+    reads the next block of runs streams, baseline first."""
+    want, block = [], 0
+    for delta in deltas:
+        params = UrnParams.from_proportions(base.rho, delta)
+        vals = per_run_pi_star(params, n, runs, seed, block * runs) @ x0
+        baseline = (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(runs)))
+        block += 1
+        for memory in memories:
+            vals = per_run_pi_star(FiniteMemoryParams(params, memory), n, runs, seed, block * runs) @ x0
+            block += 1
+            want.append(SweepPoint(delta, memory, float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(runs)), *baseline))
+    return want
+
+
 def test_memory_sweep_is_the_per_run_loop(ref_params):
-    # each cell reads the next block of runs streams, baseline first
     n, runs, seed = 6, 300, 5
     x0 = opinion_preset("polarized", n)
     points = memory_sweep(ref_params, n, deltas=(0.2, 1.0), memories=(1, 3), runs=runs, x0=x0, seed=seed)
-    want, block = [], 0
-    for delta in (0.2, 1.0):
-        params = UrnParams.from_proportions(ref_params.rho, delta)
-        base = per_run_pi_star(params, n, runs, seed, block * runs) @ x0
-        block += 1
-        for memory in (1, 3):
-            vals = per_run_pi_star(FiniteMemoryParams(params, memory), n, runs, seed, block * runs) @ x0
-            block += 1
-            want.append(SweepPoint(
-                delta, memory, float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(runs)),
-                float(base.mean()), float(base.std(ddof=1) / math.sqrt(runs)),
-            ))
-    assert points == want
+    assert points == per_run_sweep(ref_params, n, (0.2, 1.0), (1, 3), runs, x0, seed)
+
+
+@pytest.mark.parametrize("n, runs", [(10, 257), (10, 1000), (10, 1025), (10, 1500), (40, 257), (40, 1000), (40, 1025)])
+def test_memory_sweep_passes_across_cells_are_the_per_run_loop(ref_params, n, runs):
+    # a pass draws consecutive cells together, up to 7 cells of 257 runs, 2
+    # of 1000, 1 of 1025, or the 476-run tail of one cell of 1500 with the
+    # next cell's first 1024; n = 10 takes the Philox kernel and n = 40 the
+    # re-keyed route.  Memory n - 3 turns its rows after the draw loop,
+    # memory n - 2 (a window of all but one of the n - 1 free draws) and the
+    # baseline as they are drawn
+    deltas, memories, seed = (0.2, 10.0), (2, n - 3, n - 2), 8
+    x0 = opinion_preset("polarized", n)
+    points = memory_sweep(ref_params, n, deltas, memories, runs=runs, x0=x0, seed=seed)
+    assert points == per_run_sweep(ref_params, n, deltas, memories, runs, x0, seed)
+
+
+def test_memory_sweep_workspace_is_pinned(ref_params):
+    # the paper's sweep shape: 21 cells of 1000 runs at n = 10, drawn two
+    # cells per pass; the tracemalloc peak after a first call has made
+    # numpy's one-off allocations stays within the Monte Carlo pin of 1474 KiB
+    n = 10
+    x0 = opinion_preset("polarized", n)
+
+    def sweep(runs):
+        return memory_sweep(ref_params, n, (0.2, 1.0, 10.0), (1, 2, 4, 6, 8, 10), runs, x0, 42)
+
+    sweep(2)
+    tracemalloc.start()
+    try:
+        assert len(sweep(1000)) == 18
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1474 << 10
 
 
 def test_memory_sweep_checks_every_delta_before_any_cell_samples(ref_params, monkeypatch):
     # a bad delta after a good one used to be refused only after the good
     # delta's cells had run
-    def sample(*args):
+    def sample(*args, **kwargs):
         raise AssertionError("a cell sampled before every delta was checked")
 
-    monkeypatch.setattr(consensus, "_pi_star_blocks", sample)
+    # every cell's uniforms come from this call
+    monkeypatch.setattr(consensus, "uniform_rows", sample)
     with pytest.raises(ValueError, match="delta must be positive"):
         memory_sweep(ref_params, 10, [0.2, -1.0], [1, 2, 3], 20, np.ones(10), 0)
 
@@ -856,10 +894,10 @@ def test_pi_star_blocks_leave_no_single_run_tail(ref_params):
     sizes = {2: [2], _BLOCK_RUNS: [_BLOCK_RUNS], _BLOCK_RUNS + 1: [_BLOCK_RUNS + 1],
              2 * _BLOCK_RUNS + 2: [_BLOCK_RUNS, _BLOCK_RUNS, 2]}
     for runs, want in sizes.items():
-        assert [len(pi) for pi in _pi_star_blocks(ref_params, 3, runs, 4)] == want
+        assert [len(pi) for _, pi in _pi_star_blocks([ref_params], 3, runs, 4)] == want
     n, runs, seed = 100, _BLOCK_RUNS + 1, 4
     x0 = opinion_preset("paper-n100", n)
-    vals = np.concatenate([pi @ x0 for pi in _pi_star_blocks(ref_params, n, runs, seed)])
+    vals = np.concatenate([pi @ x0 for _, pi in _pi_star_blocks([ref_params], n, runs, seed)])
     assert np.array_equal(vals, per_run_pi_star(ref_params, n, runs, seed) @ x0)
 
 
@@ -888,11 +926,25 @@ def test_pi_star_passes_yield_the_per_run_blocks(ref_params, n, memory):
     want = per_run_pi_star(law, n, max(PASS_EDGE_RUNS), seed, first)
     for runs in PASS_EDGE_RUNS:
         sizes = []
-        for block in _pi_star_blocks(law, n, runs, seed, first):
+        for _, block in _pi_star_blocks([law], n, runs, seed, first):
             done = sum(sizes)
             assert np.array_equal(block, want[done : done + len(block)])
             sizes.append(len(block))
         assert sizes == _block_sizes(runs)
+
+
+@pytest.mark.parametrize("memory", [None, 4])
+def test_monte_carlo_at_n100_is_the_per_run_loop_at_pass_edges(ref_params, memory):
+    # the re-keyed route, with the pass's neighbour counts taken in the draw
+    # loop (infinite urn) or after it (memory 4)
+    law = ref_params if memory is None else FiniteMemoryParams(ref_params, memory)
+    n, seed = 100, 31
+    samples = per_run_pi_star(law, n, max(PASS_EDGE_RUNS), seed)
+    for runs in PASS_EDGE_RUNS:
+        mc = expected_stationary_mc(law, n, runs=runs, seed=seed)
+        assert np.array_equal(mc.pi, samples[:runs].mean(axis=0))
+        want = samples[:runs].std(axis=0, ddof=1) / math.sqrt(runs)
+        assert np.all(np.abs(mc.std_error - want) <= MC_SE_RTOL * want)
 
 
 @pytest.mark.parametrize("memory", [None, 1, 4])

@@ -330,6 +330,39 @@ def test_histogram_rejects_empty_batches_and_negative_t(tmp_path, capsys, flag, 
     assert not out.exists()
 
 
+URN = ["--R", "5", "--B", "5", "--delta-balls", "2"]
+COUNT_COMMANDS = {
+    "pi-e": ["pi-e", *URN, "--n", "5", "--mode", "mc", "--runs", "50"],
+    "histogram": ["histogram", *URN, "--n", "10", "--runs", "2", "--t", "1", "--x0", "polarized", "--seed", "7"],
+    "generate": ["generate", *URN, "--n", "5", "--seed", "1", "--json-out", "g.json", "--edges-out", "e.csv"],
+    "memory-sweep": ["memory-sweep", "--rho", "0.5", "--n", "5", "--deltas", "1", "--memories", "1", "--runs", "4"],
+    "consensus": ["consensus", "--draws", "0,1", "--x0", "0,1"],
+}
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("pi-e", "--runs", "1", "--runs must be >= 2, got 1"),
+    ("pi-e", "--n", "0", "--n must be >= 1, got 0"),
+    ("pi-e", "--memory", "0", "--memory must be >= 1, got 0"),
+    ("histogram", "--n", "0", "--n must be >= 1, got 0"),
+    ("generate", "--n", "0", "--n must be >= 1, got 0"),
+    ("generate", "--memory", "0", "--memory must be >= 1, got 0"),
+    ("memory-sweep", "--memories", "1,0", "--memories must be >= 1, got 0"),
+    ("memory-sweep", "--runs", "1", "--runs must be >= 2, got 1"),
+    ("consensus", "--t-max", "0", "--t-max must be >= 1, got 0"),
+])
+def test_count_errors_name_the_flag(tmp_path, monkeypatch, capsys, command, flag, value, message):
+    # these used to name the library's argument: "runs must be >= 2, got 1"
+    monkeypatch.setenv("POLYAGRAPH_OUT_DIR", str(tmp_path))
+    argv = COUNT_COMMANDS[command]
+    assert run_cli(argv) == EXIT_OK
+    written = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert run_cli([*argv, flag, value]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(tmp_path.iterdir()) == written
+
+
 def test_histogram_names_the_seed_limit_of_its_monte_carlo_theory(tmp_path, capsys, monkeypatch):
     # at n = 92 the DP refuses and the theory value draws from seed + 1
     def histogram(n, seed):
