@@ -73,23 +73,24 @@ def _add_urn_args(p: argparse.ArgumentParser, memory: bool = True) -> None:
     g.add_argument("--rho", type=float, help="initial red proportion")
     g.add_argument("--delta", type=float, help="reinforcement ratio delta")
     if memory:
-        _add_count(g, "--memory", 1, help="finite memory length M (default: infinite memory)")
+        g.add_argument("--memory", action=_AtLeast, least=1,
+                       help="finite memory length M (default: infinite memory)")
 
 
-def _add_count(p, flag: str, least: int, **kwargs) -> None:
-    """Add an integer flag, or a comma list of them, whose values must be at
-    least ``least``.  :func:`main` checks them all before the command runs,
-    so an error names the flag as typed, not the library argument it feeds."""
-    action = p.add_argument(flag, **{"type": int, **kwargs})
-    p.set_defaults(counts=(p.get_default("counts") or ()) + ((action.dest, flag, least),))
+class _AtLeast(argparse.Action):
+    """Store an integer flag, or with ``type=_int_list`` a comma list of
+    them, refusing any value below ``least`` as it is parsed, so the error
+    names the flag as typed, not the library argument it feeds."""
 
+    def __init__(self, option_strings, dest, least: int, type=int, **kwargs):
+        super().__init__(option_strings, dest, type=type, **kwargs)
+        self.least = least
 
-def _check_counts(args) -> None:
-    for dest, flag, least in getattr(args, "counts", ()):
-        value = getattr(args, dest)
-        for v in value if isinstance(value, list) else [value]:
-            if v is not None and v < least:
-                raise ConfigError(f"{flag} must be >= {least}, got {v}")
+    def __call__(self, parser, namespace, values, option_string=None):
+        for v in values if isinstance(values, list) else [values]:
+            if v < self.least:
+                raise ConfigError(f"{option_string} must be >= {self.least}, got {v}")
+        setattr(namespace, self.dest, values)
 
 
 def _int_list(text: str) -> list[int]:
@@ -354,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="sample a realization; emit graph JSON and edge CSV")
     _add_urn_args(p)
-    _add_count(p, "--n", 1, required=True)
+    p.add_argument("--n", action=_AtLeast, least=1, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--force-last-universal", action=argparse.BooleanOptionalAction, default=False)
     p.add_argument("--json-out", default="graph.json")
@@ -363,14 +364,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("degree-dist", help="exact degree pmf of one node; emit CSV")
     _add_urn_args(p, memory=False)
-    _add_count(p, "--n", 1, required=True)
+    p.add_argument("--n", action=_AtLeast, least=1, required=True)
     p.add_argument("--node", type=int, required=True, help="node index i (1-based)")
     p.add_argument("--out", default="degree_dist.csv")
     p.set_defaults(handler=_cmd_degree_dist)
 
     p = sub.add_parser("centrality", help="expected and/or empirical decay centrality")
     _add_urn_args(p, memory=False)
-    _add_count(p, "--n", 1)
+    p.add_argument("--n", action=_AtLeast, least=1)
     p.add_argument("--node", type=int, required=True)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--mode", choices=("expected", "empirical", "both"), default="expected")
@@ -381,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="closed-form Laplacian spectrum + eigenpair verification")
     _add_urn_args(p)
-    _add_count(p, "--n", 1)
+    p.add_argument("--n", action=_AtLeast, least=1)
     p.add_argument("--seed", type=int)
     p.add_argument("--draws")
     p.add_argument("--force-last-universal", action=argparse.BooleanOptionalAction, default=False)
@@ -390,11 +391,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("consensus", help="averaging trajectory on one realization")
     _add_urn_args(p)
-    _add_count(p, "--n", 1)
+    p.add_argument("--n", action=_AtLeast, least=1)
     p.add_argument("--seed", type=int)
     p.add_argument("--draws")
     p.add_argument("--x0", required=True, help="comma list, @file, or preset name")
-    _add_count(p, "--t-max", 1, default=10_000)
+    p.add_argument("--t-max", action=_AtLeast, least=1, default=10_000)
     p.add_argument("--tolerance", type=float, default=1e-10)
     p.add_argument("--force-last-universal", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--out", default="trajectory.csv")
@@ -402,10 +403,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pi-e", help="expected consensus weights (exact DP or Monte Carlo)")
     _add_urn_args(p)
-    _add_count(p, "--n", 1, required=True)
+    p.add_argument("--n", action=_AtLeast, least=1, required=True)
     p.add_argument("--mode", choices=("exact", "mc"), default="exact")
     # checked in exact mode too, where it goes unused, as --theory-runs is
-    _add_count(p, "--runs", 2, default=1000)
+    p.add_argument("--runs", action=_AtLeast, least=2, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -413,17 +414,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("histogram", help="consensus values over independent seeded runs")
     _add_urn_args(p)
-    _add_count(p, "--n", 1, required=True)
+    p.add_argument("--n", action=_AtLeast, least=1, required=True)
     # an empty batch would write NaN means, a negative t the unstepped values
     # under a t that never happened; the Monte Carlo theory value needs two
     # runs for its standard error, and --theory-runs is checked even where
     # the exact DP leaves it unused
-    _add_count(p, "--runs", 1, default=200)
-    _add_count(p, "--t", 0, default=100)
+    p.add_argument("--runs", action=_AtLeast, least=1, default=200)
+    p.add_argument("--t", action=_AtLeast, least=0, default=100)
     p.add_argument("--x0", required=True)
     p.add_argument("--seed", type=int, required=True)
-    _add_count(p, "--theory-runs", 2, default=10_000,
-               help="Monte Carlo size for the reference value when the exact DP refuses n")
+    p.add_argument("--theory-runs", action=_AtLeast, least=2, default=10_000,
+                   help="Monte Carlo size for the reference value when the exact DP refuses n")
     p.add_argument("--out", default="histogram.csv")
     p.set_defaults(handler=_cmd_histogram)
 
@@ -434,10 +435,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "is enough; --delta and --delta-balls are accepted and unused.",
     )
     _add_urn_args(p, memory=False)
-    _add_count(p, "--n", 1, required=True)
+    p.add_argument("--n", action=_AtLeast, least=1, required=True)
     p.add_argument("--deltas", required=True, help="comma list, e.g. 0.2,1,10; each cell's reinforcement ratio")
-    _add_count(p, "--memories", 1, type=_int_list, required=True, help="comma list of memory lengths")
-    _add_count(p, "--runs", 2, default=1000)
+    p.add_argument("--memories", action=_AtLeast, least=1, type=_int_list, required=True,
+                   help="comma list of memory lengths")
+    p.add_argument("--runs", action=_AtLeast, least=2, default=1000)
     p.add_argument("--x0", default="polarized")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="sweep.csv")
@@ -451,9 +453,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        _check_counts(args)
+        args = parser.parse_args(argv)  # a count below its least raises ConfigError
         return args.handler(args)
     except (ValueError, IndexError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -32,10 +32,10 @@ once for the samplers and this pass (polynomial in n, guarded by a 64 MiB
 table budget), or estimated by seeded Monte Carlo with one independent stream per run,
 merged by run index so scheduling cannot change the estimate.  Monte Carlo
 runs are sampled in time-major passes of up to 1024 runs (a memory sweep's
-span consecutive cells), each drawn by the urn's one draw loop, which
-reproduces the scalar sampler bit for bit: row t of the pass buffer holds
-draw t of every run, each row contiguous, so an urn step is a few array
-operations over one row.  Its uniforms come from
+span consecutive cells, up to a tile of the Philox kernel), each drawn by
+the urn's one draw loop, which reproduces the scalar sampler bit for bit:
+row t of the pass buffer holds draw t of every run, each row contiguous,
+so an urn step is a few array operations over one row.  Its uniforms come from
 :func:`polyagraph.rng.uniform_rows`: for realizations of up to 33 nodes
 (32 free draws) a Philox kernel computes a tile of runs at once, and
 longer ones come from a generator re-keyed per run.  The draw loop leaves
@@ -57,8 +57,8 @@ import numpy as np
 
 from ._numeric import as_int, prefix_table, sum_errors
 from .graph import ThresholdGraph, build_graph, neighbor_counts
-from .rng import _BULK_MAX_N, _tile_rows, uniform_rows
-from .urn import _PASS_RUNS, CreationSequence, FiniteMemoryParams, UrnParams, _chain, _draw_list, _draw_pass, sample_runs
+from .rng import uniform_rows
+from .urn import _PASS_RUNS, CreationSequence, FiniteMemoryParams, UrnParams, _chain, _draw_list, _draw_pass, _pass_runs, sample_runs
 
 __all__ = [
     "AveragingOperator",
@@ -499,35 +499,33 @@ def _pi_star_blocks(laws, n: int, runs: int, seed: int, first_stream: int = 0, s
     next block is made, and its user may overwrite it.  Its callers check
     n >= 1.
     """
-    pieces = [
-        (cell, law, cell * runs + start, cell * runs + stop)
-        for cell, law in enumerate(laws)
-        for start, stop in _chunks(runs, _PASS_RUNS)
-    ]
-    width = min(len(laws) * runs, max(span, _PASS_RUNS + 1))
+    groups = []  # the pieces of each pass: (cell, law, start, stop) in the runs of all cells
+    for cell, law in enumerate(laws):
+        for start, stop in _chunks(runs, _PASS_RUNS):
+            piece = (cell, law, cell * runs + start, cell * runs + stop)
+            if groups and piece[3] - groups[-1][0][2] <= span:
+                groups[-1].append(piece)
+            else:
+                groups.append([piece])
+    width = max(group[-1][3] - group[0][2] for group in groups)
     passes = np.empty((n, width))
     red_totals = np.empty(width)
     blocks = np.empty((min(runs, _BLOCK_RUNS + 1), n))
-    i = 0
-    while i < len(pieces):
-        lo, j = pieces[i][2], i + 1
-        while j < len(pieces) and pieces[j][3] - lo <= span:
-            j += 1
-        hi = pieces[j - 1][3]
+    for group in groups:
+        lo, hi = group[0][2], group[-1][3]
         draws, totals = passes[:, : hi - lo], red_totals[: hi - lo]
         uniform_rows(seed, first_stream + lo, hi - lo, n - 1, out=draws[:-1].T)
-        for _, law, start, stop in pieces[i:j]:
+        for _, law, start, stop in group:
             _draw_pass(law, draws[:-1, start - lo : stop - lo], totals[start - lo : stop - lo])
         totals += 2.0  # 1 + T, with the pinned draw in T
         np.subtract(n, totals, out=draws[-1])  # the pinned draw's (n - 1) * 1 - T
         draws += totals
         draws /= np.sum(draws, axis=0, out=totals)
-        for cell, _, start, stop in pieces[i:j]:
+        for cell, _, start, stop in group:
             for a, b in _chunks(stop - start, _BLOCK_RUNS):
                 block = blocks[: b - a]
                 np.copyto(block, draws[:, start - lo + a : start - lo + b].T)
                 yield cell, block
-        i = j
 
 
 def _chunks(end: int, size: int):
@@ -568,15 +566,17 @@ def expected_stationary_mc(params, n: int, runs: int, seed: int) -> ExpectedStat
     for _, block in _pi_star_blocks([params], n, runs, seed):
         k = len(block)
         block_mean = block.mean(axis=0)
-        dev = block - block_mean
-        delta = block_mean - mean
-        mean += delta * (k / (done + k))
-        m2 += np.einsum("ij,ij->j", dev, dev) + delta * delta * (done * k / (done + k))
-        done += k
         # an axis-0 sum adds row after row, so folding the running total
         # into the first row continues one sum across blocks
+        first = block[0].copy()
         block[0] += total
         total = block.sum(axis=0)
+        block[0] = first
+        block -= block_mean  # the deviations, in place
+        delta = block_mean - mean
+        mean += delta * (k / (done + k))
+        m2 += np.einsum("ij,ij->j", block, block) + delta * delta * (done * k / (done + k))
+        done += k
     return ExpectedStationary(
         pi=total / runs,
         mode="monte-carlo",
@@ -600,10 +600,11 @@ def memory_sweep(
     from ``runs`` fresh realizations, then each memory length gets its own
     ``runs`` finite-memory realizations.  Every cell uses a disjoint block of
     run streams derived from ``seed``, so the full table is reproducible.
-    The cells' streams are consecutive, so passes span cells: about 2048
-    runs share one call of the Philox kernel, never more than a tile of it,
-    while each cell keeps its own draw loop, law and block edges, so each
-    cell's values are those it would have on its own.
+    The cells' streams are consecutive, so passes span cells, as many runs
+    per pass as :func:`polyagraph.urn.sample_runs` draws (at n = 10 two
+    cells of 1000 share one tile of the Philox kernel), while each cell
+    keeps its own draw loop, law and block edges, so each cell's values are
+    those it would have on its own.
     ``n`` >= 1, ``runs`` >= 2 (each cell has a standard error) and the
     memory lengths (as :class:`FiniteMemoryParams` takes them) must be
     integers, numpy's included.  A bool, a float or a smaller value there,
@@ -623,8 +624,7 @@ def memory_sweep(
     for d in deltas:
         params = UrnParams.from_proportions(base.rho, d)
         laws += [params] + [FiniteMemoryParams(params, memory) for memory in memories]
-    # about 2048 runs per kernel call, never past a tile of the n - 1 free draws
-    span = min(2 * _PASS_RUNS, _tile_rows(n - 1)) if 0 < n - 1 <= _BULK_MAX_N else 2 * _PASS_RUNS
+    span = _pass_runs(n - 1)  # as many runs per pass as sample_runs draws
 
     def cell_stats():  # mean and standard error of pi* . x0 over each cell's runs
         cells = itertools.groupby(_pi_star_blocks(laws, n, runs, seed, span=span), key=lambda pair: pair[0])

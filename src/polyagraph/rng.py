@@ -62,7 +62,7 @@ _BUMP = _pair(0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 # x0.93, 48 x0.79 / x0.72, 64 x0.84 / x0.63, 99 x0.54 / x0.58.
 _BULK_MAX_N = 32
 # Counter blocks (4 words each) per tile of rows: the kernel's workspace is
-# then at most 1.1 MiB for any number of runs.  Of tiles of 2048, 4096,
+# then at most 1 MiB for any number of runs.  Of tiles of 2048, 4096,
 # 8192 and 16 384 blocks, 8192 was fastest for 10 000 rows of 7 or 9.
 _TILE_BLOCKS = 8192
 # Uniforms per chunk of rows of the re-keyed route: 32 KiB of workspace.
@@ -158,7 +158,6 @@ def _philox_rows(seed: int, first: int, out: np.ndarray) -> None:
     rows = min(runs, _tile_rows(n))
     work = np.empty((7, 2, rows, blocks), np.uint64)
     keys = np.empty((2, rows, 1), np.uint64)  # (k0, k1) = (stream index, seed)
-    words = np.empty((rows, blocks, 4), np.uint64)
     counters = np.arange(1, blocks + 1, dtype=np.uint64)
     for start in range(0, runs, rows):
         m = min(rows, runs - start)
@@ -194,7 +193,8 @@ def _philox_rows(seed: int, first: int, out: np.ndarray) -> None:
             np.bitwise_xor(b[::-1], x13, out=x02)
             x02 ^= k
             x13, lo = lo[::-1], x13
-        w = words[:m]
+        # the output words take the product scratch (a, b), free once the rounds end
+        w = work[3:5].reshape(-1)[: 4 * m * blocks].reshape(m, blocks, 4)
         w[:, :, 0] = x02[0]
         w[:, :, 1] = x13[0]
         w[:, :, 2] = x02[1]

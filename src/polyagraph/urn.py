@@ -327,6 +327,13 @@ def beta_binomial_pmf(params: UrnParams, n: int, k: int) -> float:
 _PASS_RUNS = 1024  # runs per time-major pass of the batched sampler
 
 
+def _pass_runs(n: int) -> int:
+    # runs per pass of n >= 0 draws: 1024, or one tile of the uniforms'
+    # Philox kernel when that is more, so the kernel's fixed cost per call
+    # falls on as many runs as it can
+    return max(_PASS_RUNS, _tile_rows(n)) if 0 < n <= _BULK_MAX_N else _PASS_RUNS
+
+
 def sample_runs(
     law, n: int, runs: int, seed: int, *, first_stream: int = 0, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -353,7 +360,7 @@ def sample_runs(
         out = np.empty((runs, n), np.int64)
     else:
         _check_out(out, runs, n)
-    size = max(_PASS_RUNS, _tile_rows(n)) if n <= _BULK_MAX_N else _PASS_RUNS
+    size = _pass_runs(n)
     scratch = np.empty((n, min(runs, size)))
     # at runs = 0 one empty pass still checks the law, seed and stream
     for start in range(0, runs or 1, size):
@@ -377,21 +384,18 @@ def _draw_pass(law, draws: np.ndarray, totals: np.ndarray | None = None) -> None
     identically, so with the uniforms of stream i column r is
     :func:`sample_polya`'s draw vector at stream index i, as 0.0/1.0.
 
-    With ``totals``, a (runs,) float64 array, row t receives t z_t - C_t
-    instead, C_t the run's red count up to and including draw t, and
+    With ``totals``, a (runs,) float64 array, row t then receives
+    t z_t - C_t, C_t the run's red count up to and including draw t, and
     ``totals`` the run's red count: a threshold graph's neighbour count
-    N_t is that plus 1 + T, T the red total of the whole sequence.  Where
-    the window is the whole past the running sum is C_t, and each row is
-    turned as it is drawn; under a shorter window, whose sum reads the 0/1
-    of earlier rows, the rows are turned in a second loop once all are
-    drawn.  All of these are small integers, exact in float64.
+    N_t is that plus 1 + T, T the red total of the whole sequence.  The
+    rows are turned in a second loop once all are drawn, since a finite
+    window's running sum reads the 0/1 of earlier rows.  All of these are
+    small integers, exact in float64.
     """
     n, runs = draws.shape
     rho, delta, window = _law(law, n)
-    # a window of at least n - 1 draws never subtracts a row, so its sum is C_t
-    in_loop = totals is not None and window >= n - 1
-    reds = totals if in_loop else np.empty(runs)
-    reds.fill(0)
+    # red counts are small integers, exact in float64
+    reds = np.zeros(runs)
     p_red = np.empty(runs)
     for t, row in enumerate(draws):
         if t > window:
@@ -402,10 +406,7 @@ def _draw_pass(law, draws: np.ndarray, totals: np.ndarray | None = None) -> None
         p_red /= 1.0 + delta * min(t, window)
         np.less(row, p_red, out=row, casting="unsafe")
         reds += row
-        if in_loop:
-            row *= t
-            row -= reds
-    if totals is not None and not in_loop:
+    if totals is not None:
         totals.fill(0)
         for t, row in enumerate(draws):
             totals += row

@@ -29,7 +29,7 @@ from polyagraph.consensus import (
 )
 from polyagraph.graph import neighbor_counts, neighbor_sums
 from polyagraph.oracle import _PARAM_GRID, EnumerationLimitError, enumerate_expectation
-from polyagraph.rng import stream
+from polyagraph.rng import stream, uniform_rows
 from polyagraph.urn import sample_runs
 
 
@@ -835,16 +835,32 @@ def test_memory_sweep_is_the_per_run_loop(ref_params):
 
 @pytest.mark.parametrize("n, runs", [(10, 257), (10, 1000), (10, 1025), (10, 1500), (40, 257), (40, 1000), (40, 1025)])
 def test_memory_sweep_passes_across_cells_are_the_per_run_loop(ref_params, n, runs):
-    # a pass draws consecutive cells together, up to 7 cells of 257 runs, 2
-    # of 1000, 1 of 1025, or the 476-run tail of one cell of 1500 with the
-    # next cell's first 1024; n = 10 takes the Philox kernel and n = 40 the
-    # re-keyed route.  Memory n - 3 turns its rows after the draw loop,
-    # memory n - 2 (a window of all but one of the n - 1 free draws) and the
-    # baseline as they are drawn
+    # a pass draws consecutive cells together: at n = 10 (the Philox kernel,
+    # a tile of 2730 runs) up to 10 cells of 257 runs, 2 of 1000 or of 1025,
+    # or the 476-run tail of one cell of 1500 with the next cell's 1500; at
+    # n = 40 (the re-keyed route, passes of 1024) 3 cells of 257 or 1 of
+    # 1000 or 1025.  Memory n - 2 is a window of all but one of the n - 1
+    # free draws
     deltas, memories, seed = (0.2, 10.0), (2, n - 3, n - 2), 8
     x0 = opinion_preset("polarized", n)
     points = memory_sweep(ref_params, n, deltas, memories, runs=runs, x0=x0, seed=seed)
     assert points == per_run_sweep(ref_params, n, deltas, memories, runs, x0, seed)
+
+
+@pytest.mark.parametrize("n, runs, passes", [(10, 1000, [2000] * 10 + [1000]), (40, 1025, [1025] * 21), (40, 257, [771] * 7)])
+def test_memory_sweep_passes_stop_at_a_tile(ref_params, monkeypatch, n, runs, passes):
+    # the paper's 21 cells: at n = 10 a tile of the Philox kernel holds 2730
+    # runs of 9 draws, so two cells share a pass; the re-keyed route keeps
+    # passes of 1024 runs, a cell's lone last run joining the one before
+    calls = []
+
+    def rows(seed, first, runs, n, out):
+        calls.append(runs)
+        return uniform_rows(seed, first, runs, n, out=out)
+
+    monkeypatch.setattr(consensus, "uniform_rows", rows)
+    memory_sweep(ref_params, n, (0.2, 1.0, 10.0), (1, 2, 4, 6, 8, 10), runs, opinion_preset("polarized", n), 42)
+    assert calls == passes
 
 
 def test_memory_sweep_workspace_is_pinned(ref_params):
@@ -935,8 +951,7 @@ def test_pi_star_passes_yield_the_per_run_blocks(ref_params, n, memory):
 
 @pytest.mark.parametrize("memory", [None, 4])
 def test_monte_carlo_at_n100_is_the_per_run_loop_at_pass_edges(ref_params, memory):
-    # the re-keyed route, with the pass's neighbour counts taken in the draw
-    # loop (infinite urn) or after it (memory 4)
+    # the re-keyed route, under the infinite urn and a window of 4 draws
     law = ref_params if memory is None else FiniteMemoryParams(ref_params, memory)
     n, seed = 100, 31
     samples = per_run_pi_star(law, n, max(PASS_EDGE_RUNS), seed)
