@@ -93,11 +93,33 @@ class _AtLeast(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
-def _int_list(text: str) -> list[int]:
+def _comma_list(convert, what: str):
+    """An argparse type for a comma list of ``convert`` values; a bad token
+    is refused as the list is parsed, so the error names the flag."""
+
+    def parse(text: str) -> list:
+        try:
+            return [convert(tok) for tok in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a comma list of {what}, got {text!r}") from None
+
+    return parse
+
+
+_int_list = _comma_list(int, "integers")
+_float_list = _comma_list(float, "numbers")
+
+
+def _seed(text: str) -> int:
+    """An argparse type for --seed: an integer in [0, 2^64), the library's
+    master seeds, so a bad one is refused with the flag's name."""
     try:
-        return [int(tok) for tok in text.split(",")]
+        seed = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {text!r}") from None
+        seed = None
+    if seed is None or not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"expected an integer in [0, 2^64), got {text!r}")
+    return seed
 
 
 def _urn_params(args) -> UrnParams:
@@ -257,8 +279,6 @@ def _cmd_pi_e(args) -> int:
 
 
 def _cmd_histogram(args) -> int:
-    if not 0 <= args.seed < 1 << 64:
-        raise ConfigError(f"--seed must be in [0, 2^64), got {args.seed}")
     law = _law_params(args)
     x0 = _opinions(_parse_x0(args.x0, args.n), args.n)
     # the theory value first: where the DP refuses n, its Monte Carlo runs
@@ -315,9 +335,8 @@ def _composition(args) -> UrnParams:
 
 def _cmd_memory_sweep(args) -> int:
     params = _composition(args)  # memory_sweep reads only params.rho
-    deltas = [float(tok) for tok in args.deltas.split(",")]
     x0 = _parse_x0(args.x0, args.n)
-    points = memory_sweep(params, args.n, deltas, args.memories, runs=args.runs, x0=x0, seed=args.seed)
+    points = memory_sweep(params, args.n, args.deltas, args.memories, runs=args.runs, x0=x0, seed=args.seed)
     path = _out_path(args.out)
     io.write_sweep_csv(
         path,
@@ -356,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="sample a realization; emit graph JSON and edge CSV")
     _add_urn_args(p)
     p.add_argument("--n", action=_AtLeast, least=1, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--force-last-universal", action=argparse.BooleanOptionalAction, default=False)
     p.add_argument("--json-out", default="graph.json")
     p.add_argument("--edges-out", default="edges.csv")
@@ -376,14 +395,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--mode", choices=("expected", "empirical", "both"), default="expected")
     p.add_argument("--draws", help="comma-separated 0/1 creation sequence")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--force-last-universal", action=argparse.BooleanOptionalAction, default=False)
     p.set_defaults(handler=_cmd_centrality)
 
     p = sub.add_parser("spectrum", help="closed-form Laplacian spectrum + eigenpair verification")
     _add_urn_args(p)
     p.add_argument("--n", action=_AtLeast, least=1)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--draws")
     p.add_argument("--force-last-universal", action=argparse.BooleanOptionalAction, default=False)
     p.add_argument("--out", default="spectrum.csv")
@@ -392,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("consensus", help="averaging trajectory on one realization")
     _add_urn_args(p)
     p.add_argument("--n", action=_AtLeast, least=1)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--draws")
     p.add_argument("--x0", required=True, help="comma list, @file, or preset name")
     p.add_argument("--t-max", action=_AtLeast, least=1, default=10_000)
@@ -407,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "mc"), default="exact")
     # checked in exact mode too, where it goes unused, as --theory-runs is
     p.add_argument("--runs", action=_AtLeast, least=2, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(handler=_cmd_pi_e)
@@ -422,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", action=_AtLeast, least=1, default=200)
     p.add_argument("--t", action=_AtLeast, least=0, default=100)
     p.add_argument("--x0", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--theory-runs", action=_AtLeast, least=2, default=10_000,
                    help="Monte Carlo size for the reference value when the exact DP refuses n")
     p.add_argument("--out", default="histogram.csv")
@@ -436,12 +455,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_urn_args(p, memory=False)
     p.add_argument("--n", action=_AtLeast, least=1, required=True)
-    p.add_argument("--deltas", required=True, help="comma list, e.g. 0.2,1,10; each cell's reinforcement ratio")
+    p.add_argument("--deltas", type=_float_list, required=True,
+                   help="comma list, e.g. 0.2,1,10; each cell's reinforcement ratio")
     p.add_argument("--memories", action=_AtLeast, least=1, type=_int_list, required=True,
                    help="comma list of memory lengths")
     p.add_argument("--runs", action=_AtLeast, least=2, default=1000)
     p.add_argument("--x0", default="polarized")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="sweep.csv")
     p.set_defaults(handler=_cmd_memory_sweep)
 

@@ -28,8 +28,9 @@ consensus weights pi_E: the expected opinion vector converges to
 (pi_E . x(0)) at every node.  pi_E is computed exactly by a
 forward-backward pass over the weighted red count W that fixes sum_k N_k
 and the state of the urn's Markov chain, which :mod:`polyagraph.urn` states
-once for the samplers and this pass (polynomial in n, guarded by a 64 MiB
-table budget), or estimated by seeded Monte Carlo with one independent stream per run,
+once for the samplers and this pass, with one pull and one push as its
+only moves (polynomial in n, guarded by a 64 MiB table budget), or
+estimated by seeded Monte Carlo with one independent stream per run,
 merged by run index so scheduling cannot change the estimate.  Monte Carlo
 runs are sampled in time-major passes of up to 1024 runs (a memory sweep's
 span consecutive cells, up to a tile of the Philox kernel), each drawn by
@@ -413,10 +414,10 @@ def expected_stationary_exact(params, n: int) -> ExpectedStationary:
     c = E[1/D] and a_j = E[z_j / D]: a sum of non-negative terms, so
     nothing cancels.  A forward-backward pass over (urn state, W) gives c
     and every a_j in polynomial time: O(n^4) for the infinite urn, and
-    O(2^M n^3) under a finite memory M < n-1.  The urn states, their draw
-    probabilities and their successors are those of the samplers' chain:
-    successors are row slices, so the pass gathers views and scatters by
-    slice adds, in a fixed order.
+    O(2^M n^3) under a finite memory M < n-1.  The pass walks the
+    samplers' chain by its two moves: the backward pass pulls each state's
+    expectation from its successors, the forward pass pushes each state's
+    mass onto them, in a fixed order, and only the offset of W is its own.
 
     Requests whose tables would exceed 64 MiB are refused with
     :class:`EnumerationLimitError` before anything is
@@ -427,12 +428,12 @@ def expected_stationary_exact(params, n: int) -> ExpectedStationary:
 
 
 def _pi_e_dp(params, n: int) -> np.ndarray:
-    # The free draws walk the urn's chain.  The backward pass stores
-    # V_t(s, w) = E[1/D | state s and W = w before free draw t], only over
-    # the (s, w) reachable at t; the forward pass streams the mass over
-    # (s, w) and collects a_t = E[z_t / D].  Successor rows are slices: the
-    # states' folded halves are gathered as one view and added in order.
-    states, step = _chain(params, n - 1)
+    # The free draws walk the urn's chain.  The backward pass pulls
+    # V_t(s, w) = E[1/D | state s and W = w before free draw t], stored only
+    # over the (s, w) reachable at t; the forward pass pushes the mass over
+    # (s, w) and collects a_t = E[z_t / D].  A red draw at 0-based t adds t
+    # to W, so its successor table starts t columns on.
+    states, pull, push = _chain(params, n - 1)
 
     def width(t):  # W before free draw t is at most 0 + 1 + .. + (t-1)
         return t * (t - 1) // 2 + 1
@@ -446,26 +447,17 @@ def _pi_e_dp(params, n: int) -> np.ndarray:
                 f"{_DP_BUDGET_BYTES >> 20} MiB of DP tables; use expected_stationary_mc instead"
             )
 
-    steps = [step(t) + (width(t),) for t in range(n - 1)]
-    # a red draw at 0-based t adds t to W
     V = [None] * n
     last = 1.0 / (3 * n - 2 + 2 * np.arange(width(n - 1)))  # 1/D, whatever the state
     V[n - 1] = np.broadcast_to(last, (states(n - 1), width(n - 1)))
     for t in range(n - 2, -1, -1):
-        p_red, p_black, red, black, merge, m = steps[t]
-        fold, after = (merge, -1, 1), V[t + 1]  # folded halves read the same rows
-        V[t] = (p_red.reshape(fold) * after[red, t : t + m] + p_black.reshape(fold) * after[black, :m]).reshape(-1, m)
+        m, after = width(t), V[t + 1]
+        V[t] = pull(t, after[:, t : t + m], after[:, :m])
     a = np.empty(n - 1)
     mass = np.ones((1, 1))
-    for t, (p_red, p_black, red, black, merge, m) in enumerate(steps):
-        red_mass = (mass * p_red).reshape(merge, -1, m)
-        a[t] = np.sum(red_mass * V[t + 1][red, t : t + m])
-        nxt = np.zeros((states(t + 1), width(t + 1)))
-        for half in red_mass:  # in state order, red before black
-            nxt[red, t : t + m] += half
-        mass *= p_black
-        for half in mass.reshape(merge, -1, m):
-            nxt[black, :m] += half
+    for t in range(n - 1):
+        m, nxt = width(t), np.zeros((states(t + 1), width(t + 1)))
+        a[t] = np.sum(push(t, mass, nxt[:, t : t + m], nxt[:, :m], V[t + 1][:, t : t + m]))
         mass = nxt
     c = float(V[0][0, 0])
     pi = np.empty(n)

@@ -31,9 +31,12 @@ law serve both: each takes an :class:`UrnParams` or a
 :class:`FiniteMemoryParams`, and ``_law`` alone tells them apart.
 ``_law`` and ``_chain`` are the one statement of the urn's transitions:
 ``_chain`` walks the draws as a Markov chain, whose state is the red count
-so far or the window of the last ``memory`` draws, for the exact pi_E pass
-of :mod:`polyagraph.consensus`; the samplers' loops round its red
-probability identically, and tests pin them to it.
+so far or the window of the last ``memory`` draws.  Its two moves, a pull
+of successor values back to each state and a push of each state's mass on
+to its successors, are the only code that knows how states fold once the
+window is full; the exact pi_E pass of :mod:`polyagraph.consensus` walks
+them.  The samplers' loops round its red probability identically, and
+tests pin them to it.
 
 :func:`sample_polya` draws one realization; :func:`sample_runs` draws a
 block of realizations, one per stream, with rows identical to the scalar
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -220,28 +223,57 @@ def _proportions(law) -> tuple[float, float]:
 
 
 def _chain(law, n: int):
-    """The n draws of ``law`` as a Markov chain, ``(states, step)``.  The
-    state before draw t is the red count so far if the window is the whole
-    past, else the last min(t, window) draws as bits, bit 0 the latest.
-    ``states(t)`` counts them without allocating.  ``step(t)`` is (p_red,
-    p_black, red, black, merge): the samplers' draw probabilities as (k, 1)
-    columns, and the successors' rows as slices, onto which ``merge`` = 2
-    halves of the states fold once the window is full (1 before)."""
+    """The n draws of ``law`` as a Markov chain, ``(states, pull, push)``.
+
+    The state before draw t is the red count so far if the window is the
+    whole past, else the last min(t, window) draws as bits, bit 0 the
+    latest; once the window is full the oldest bit drops, so the two halves
+    of the states share their successors.  ``states(t)`` counts the states
+    without allocating.  The moves take successor tables over the states
+    after draw t, of any trailing shape, and the samplers' p_red and
+    p_black.  ``pull(t, red, black)`` gives each state p_red * red[its red
+    successor] + p_black * black[its black successor].  ``push(t, mass,
+    red, black, value)`` adds mass * p_red into ``red`` and mass * p_black
+    into ``black`` at the successors, halves in state order and red before
+    black, and returns the red branch times ``value`` at the red
+    successors, (mass * p_red) * value[its red successor], in state order.
+    """
     rho, delta, window = _law(law, n)
     stride = 1 if window == n else 2  # a red count moves up one; bits shift left
 
     def states(t):
         return t + 1 if stride == 1 else 1 << min(t, window)
 
-    def step(t):
-        w, s, merge = min(t, window), np.arange(states(t)), 2 if t >= window else 1
-        reds = (s if stride == 1 else np.bitwise_count(s)).astype(float)[:, None]
+    @cache
+    def step(t, ndim):
+        # p_red and p_black, the halves that share successors stacked on
+        # axis 0 and shaped against ndim - 1 trailing axes, and the rows of
+        # their red and black successors as slices
+        w, s = min(t, window), np.arange(states(t))
+        reds = (s if stride == 1 else np.bitwise_count(s)).astype(float)
         p_red = (rho + delta * reds) / (1.0 + delta * w)
         p_black = (1.0 - rho + delta * (w - reds)) / (1.0 + delta * w)
-        rows = stride * (len(s) // merge)
-        return p_red, p_black, slice(1, rows + 1, stride), slice(0, rows, stride), merge
+        halves = 2 if t >= window else 1
+        rows, shape = stride * (len(s) // halves), (halves, -1) + (1,) * (ndim - 1)
+        return p_red.reshape(shape), p_black.reshape(shape), slice(1, rows + 1, stride), slice(0, rows, stride)
 
-    return states, step
+    def pull(t, red, black):
+        p_red, p_black, up, down = step(t, red.ndim)
+        value = p_red * red[up] + p_black * black[down]
+        return value.reshape(-1, *value.shape[2:])
+
+    def push(t, mass, red, black, value):
+        p_red, p_black, up, down = step(t, mass.ndim)
+        mass = mass.reshape(len(p_red), -1, *mass.shape[1:])
+        branch = mass * p_red
+        for half in branch:
+            red[up] += half
+        for half in mass * p_black:
+            black[down] += half
+        branch *= value[up]
+        return branch.reshape(-1, *branch.shape[2:])
+
+    return states, pull, push
 
 
 def sample_polya(law, n: int, seed: int, *, stream_index: int = 0) -> CreationSequence:

@@ -8,7 +8,8 @@ through ``AveragingOperator.power`` or ``iterate``.  The batched eigenpair
 kernel ``spectral._eigenpair_flags`` serves ``spectral`` and the ``oracle``
 check alone.  ``urn._law`` decides which urn a law is, in ``urn`` alone,
 and ``urn._chain`` is the urn's one Markov chain: the exact pi_E DP in
-``consensus`` walks it and keeps no state encoding or scatter of its own.
+``consensus`` pulls and pushes through it and keeps no state encoding,
+fold or successor rows of its own.
 The creation-sequence kernels
 ``neighbor_sums`` (exact integer sums) and ``neighbor_counts`` are defined
 in ``graph`` alone: ``spectral`` takes both from there, and ``consensus``
@@ -103,10 +104,14 @@ def test_only_urn_names_the_urn_law():
 
 
 def test_the_exact_dp_walks_the_urn_chain():
-    # one state encoding: the DP takes its states, probabilities and
-    # successor rows from urn._chain, and scatters by slices
+    # one state encoding: the DP pulls and pushes through urn._chain and
+    # writes only its own W offsets, so it names no fold of the states,
+    # reshapes nothing and indexes a table's rows only whole (or the one
+    # state before the first draw)
     assert _namers("_chain") == ["consensus", "urn"]
     assert "consensus" not in _namers("bitwise_count")
+    for name in ("merge", "fold", "slice"):
+        assert "consensus" not in _namers(name), name
     scatters = [
         module for module, tree in _modules()
         if any(
@@ -116,6 +121,17 @@ def test_the_exact_dp_walks_the_urn_chain():
         )
     ]
     assert "consensus" not in scatters
+    (dp,) = [
+        node for node in ast.walk(dict(_modules())["consensus"])
+        if isinstance(node, ast.FunctionDef) and node.name == "_pi_e_dp"
+    ]
+    row_picks = [
+        ast.unparse(node) for node in ast.walk(dp)
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
+        and not isinstance(node.slice.elts[0], ast.Constant) and ast.unparse(node.slice.elts[0]) != ":"
+    ]
+    assert row_picks == []
+    assert [node for node in ast.walk(dp) if isinstance(node, ast.Attribute) and node.attr == "reshape"] == []
 
 
 def test_graph_owns_the_creation_sequence_kernels():

@@ -353,14 +353,81 @@ def test_sampler_follows_the_sliding_window_rule(ref_params):
 
 
 def _chain_path(law, z):
-    """The chain's red probability before each draw of z, along z's path."""
-    states, step = _chain(law, len(z))
+    """The chain's red probability before each draw of z, along z's path:
+    a unit mass on the current state is pushed against unit values, and
+    the next state is the row its drawn colour's table receives."""
+    states, _, push = _chain(law, len(z))
     s, p = 0, []
     for t, red_draw in enumerate(z):
-        p_red, _, red, black, merge = step(t)
-        p.append(p_red[s, 0])
-        s = range(states(t + 1))[red if red_draw else black][s % (len(p_red) // merge)]
+        mass, red, black = np.zeros(states(t)), np.zeros(states(t + 1)), np.zeros(states(t + 1))
+        mass[s] = 1.0
+        p.append(push(t, mass, red, black, np.ones(states(t + 1)))[s])
+        (s,) = np.flatnonzero(red if red_draw else black)
     return p
+
+
+def _successors(law, n, t):
+    """Brute force over the state encoding: for each state before draw t,
+    its red successor, its black successor, p_red and p_black.  A state is
+    the red count so far, or, under a window shorter than n, the last
+    min(t, window) draws as bits, bit 0 the latest."""
+    rho, delta, window = urn._law(law, n)
+    w = min(t, window)
+    rows = []
+    for s in range(t + 1 if window == n else 2**w):
+        if window == n:
+            reds, up, down = s, s + 1, s
+        else:
+            keep = 2 ** min(t + 1, window) - 1
+            reds, up, down = bin(s).count("1"), (2 * s + 1) & keep, (2 * s) & keep
+        p_red = (rho + delta * reds) / (1.0 + delta * w)
+        p_black = (1.0 - rho + delta * (w - reds)) / (1.0 + delta * w)
+        rows.append((up, down, p_red, p_black))
+    return rows
+
+
+def _chain_laws():
+    base = UrnParams(1, 9, 5)
+    for n in range(1, 9):
+        yield base, n
+        for memory in sorted({1, 2, 3, n + 2}):
+            yield FiniteMemoryParams(base, memory), n
+
+
+@pytest.mark.parametrize("tail", [(), (3,), (4, 2)], ids=["scalar", "W", "Q2"])
+def test_push_and_pull_follow_the_brute_force_chain(tail):
+    # every step t < n, the fold step t = window included, of both urns at
+    # n <= 8: a unit mass on one state pushed puts p_red on its red
+    # successor's row and p_black on its black one, and nothing else; and
+    # pulling unit values on one successor row returns those probabilities
+    # to the states that reach it
+    ones = np.ones(tail)
+    for law, n in _chain_laws():
+        states, pull, push = _chain(law, n)
+        for t in range(n):
+            moves = _successors(law, n, t)
+            k, after = states(t), states(t + 1)
+            assert len(moves) == k
+            for s, (up, down, p_red, p_black) in enumerate(moves):
+                mass = np.zeros((k,) + tail)
+                mass[s] = ones
+                red, black = np.zeros((after,) + tail), np.zeros((after,) + tail)
+                # it hands back the red branch times its successor's value
+                branch = push(t, mass, red, black, np.multiply.outer(np.arange(2.0, after + 2), ones))
+                want_red, want_black, want_branch = np.zeros_like(red), np.zeros_like(black), np.zeros_like(mass)
+                want_red[up], want_black[down], want_branch[s] = p_red, p_black, p_red * (up + 2)
+                assert np.array_equal(red, want_red) and np.array_equal(black, want_black), (law, n, t, s)
+                assert np.array_equal(branch, want_branch)
+            for row in range(states(t + 1)):
+                unit = np.zeros((after,) + tail)
+                unit[row] = ones
+                zero = np.zeros_like(unit)
+                for red, black, pick in ((unit, zero, 0), (zero, unit, 1)):
+                    want = np.zeros((k,) + tail)
+                    for s, move in enumerate(moves):
+                        if move[pick] == row:
+                            want[s] = move[2 + pick]
+                    assert np.array_equal(pull(t, red, black), want), (law, n, t, row, pick)
 
 
 _PIN_URNS = (
