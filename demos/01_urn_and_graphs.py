@@ -54,6 +54,6 @@ print(f"peeling extremes recovers draws = {seq.draws}, relabeling = {relabeling}
 
 json_path = OUT / "graph.json"
 edges_path = OUT / "edges.csv"
-write_json(json_path, graph_json_payload(g, params=params, seed=None, memory=None))
+write_json(json_path, graph_json_payload(g, params=params, seed=None))
 write_edge_csv(edges_path, g)
 print(f"\nwrote {json_path} and {edges_path}")

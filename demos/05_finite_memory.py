@@ -10,7 +10,6 @@ table as CSV.
 from pathlib import Path
 
 from polyagraph import (
-    FiniteMemoryParams,
     UrnParams,
     memory_sweep,
     opinion_preset,
@@ -25,14 +24,14 @@ OUT.mkdir(exist_ok=True)
 params = UrnParams(5, 5, 2)
 
 print("--- the finite-memory law ---")
-fm1 = FiniteMemoryParams(params, memory=1)
+fm1 = UrnParams(5, 5, 2, memory=1)
 print(f"M = 1: P(1,1,1) = {polya_joint_pmf(fm1, (1, 1, 1)):.7f} "
       f"(infinite memory: {polya_joint_pmf(params, (1, 1, 1)):.7f})")
-fm_big = FiniteMemoryParams(params, memory=6)
+fm_big = UrnParams(5, 5, 2, memory=6)
 z = (1, 0, 1, 1, 0, 1)
 print(f"M = 6 covers the horizon, laws coincide: "
       f"{polya_joint_pmf(fm_big, z):.10f} vs {polya_joint_pmf(params, z):.10f}")
-print(f"sampled with M = 2: {sample_polya(FiniteMemoryParams(params, 2), 12, seed=5).draws}")
+print(f"sampled with M = 2: {sample_polya(UrnParams(5, 5, 2, memory=2), 12, seed=5).draws}")
 
 print("\n--- memory sweep of the expected consensus ---")
 n, runs = 10, 2000

@@ -47,7 +47,6 @@ from .graph import (
 from .spectral import EigenpairReport, eigenbasis, laplacian, spectrum, verify_eigenpairs
 from .urn import (
     CreationSequence,
-    FiniteMemoryParams,
     UrnParams,
     beta_binomial_pmf,
     polya_joint_pmf,

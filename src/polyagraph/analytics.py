@@ -23,8 +23,9 @@ Node counts and indices pass the package's one integer guard,
 :func:`polyagraph._numeric.as_int`: numpy integers are taken, a bool or a
 float raises ValueError ("i must be an integer, got True"), and an index
 outside 1..n raises IndexError.  The closed forms hold for the
-exchangeable urn, :class:`polyagraph.urn.UrnParams`; any other law, a
-finite-memory one included, raises TypeError naming its type.
+exchangeable urn, :class:`polyagraph.urn.UrnParams` without a memory;
+an urn with a memory raises TypeError naming its memory, and anything
+else naming its type.
 """
 
 from __future__ import annotations

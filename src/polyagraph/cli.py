@@ -32,6 +32,7 @@ from .analytics import (
 from .consensus import (
     AveragingOperator,
     EnumerationLimitError,
+    _OPINION_PRESETS,
     _opinions,
     averaging_matrix,
     expected_stationary_exact,
@@ -44,7 +45,7 @@ from .consensus import (
 from .graph import build_graph
 from .oracle import run_validation_suite
 from .spectral import spectrum, verify_eigenpairs
-from .urn import FiniteMemoryParams, UrnParams, sample_polya
+from .urn import UrnParams, sample_polya
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -123,31 +124,25 @@ def _seed(text: str) -> int:
 
 
 def _urn_params(args) -> UrnParams:
+    """The urn of the urn flags, with --memory where the command has it."""
     counts = (args.R, args.B, args.delta_balls)
     props = (args.rho, args.delta)
+    memory = getattr(args, "memory", None)
     have_counts = all(v is not None for v in counts)
     have_props = all(v is not None for v in props)
     if have_counts and not any(v is not None for v in props):
-        return UrnParams(args.R, args.B, args.delta_balls)
+        return UrnParams(args.R, args.B, args.delta_balls, memory=memory)
     if have_props and not any(v is not None for v in counts):
-        return UrnParams.from_proportions(args.rho, args.delta)
+        return UrnParams.from_proportions(args.rho, args.delta, memory=memory)
     raise ConfigError(
         "provide exactly one parameter style: --R --B --delta-balls, or --rho --delta"
     )
 
 
-def _law_params(args):
-    params = _urn_params(args)
-    memory = getattr(args, "memory", None)
-    if memory is not None:
-        return FiniteMemoryParams(params, memory)
-    return params
-
-
 def _parse_x0(source: str, n: int) -> np.ndarray:
     """x0 as read from a preset name, a comma list or an @file; its length
     and finiteness are checked by the library, as for any caller."""
-    if source in ("paper-n10", "paper-n100", "polarized"):
+    if source in _OPINION_PRESETS:
         return opinion_preset(source, n)
     if source.startswith("@"):
         text = Path(source[1:]).read_text(encoding="utf-8")
@@ -157,7 +152,8 @@ def _parse_x0(source: str, n: int) -> np.ndarray:
     try:
         return np.array([float(tok) for tok in tokens])
     except ValueError as exc:
-        raise ConfigError(f"cannot parse x0: {exc}") from exc
+        presets = ", ".join(_OPINION_PRESETS)
+        raise ConfigError(f"cannot parse x0: {exc}; expected numbers, an @file or a preset ({presets})") from exc
 
 
 def _parse_draws(text: str):
@@ -173,7 +169,7 @@ def _realization(args):
         return build_graph(_parse_draws(args.draws))
     if args.n is None or args.seed is None:
         raise ConfigError("need either --draws or (--n and --seed with urn parameters)")
-    return _sampled_graph(args, _law_params(args))
+    return _sampled_graph(args, _urn_params(args))
 
 
 def _sampled_graph(args, law):
@@ -188,12 +184,11 @@ def _sampled_graph(args, law):
 # subcommand handlers
 
 def _cmd_generate(args) -> int:
-    law = _law_params(args)
-    params = law.base if isinstance(law, FiniteMemoryParams) else law
-    g = _sampled_graph(args, law)
+    params = _urn_params(args)
+    g = _sampled_graph(args, params)
     json_path = _out_path(args.json_out)
     edges_path = _out_path(args.edges_out)
-    io.write_json(json_path, io.graph_json_payload(g, params=params, seed=args.seed, memory=args.memory))
+    io.write_json(json_path, io.graph_json_payload(g, params=params, seed=args.seed))
     io.write_edge_csv(edges_path, g)
     # a universal node t has t edges, down to itself, as edges() yields them
     edges = sum(t for t, z in enumerate(g.draws, start=1) if z)
@@ -255,7 +250,7 @@ def _cmd_consensus(args) -> int:
 
 
 def _cmd_pi_e(args) -> int:
-    law = _law_params(args)
+    law = _urn_params(args)
     if args.mode == "exact":
         try:
             est = expected_stationary_exact(law, args.n)
@@ -279,7 +274,7 @@ def _cmd_pi_e(args) -> int:
 
 
 def _cmd_histogram(args) -> int:
-    law = _law_params(args)
+    law = _urn_params(args)
     x0 = _opinions(_parse_x0(args.x0, args.n), args.n)
     # the theory value first: where the DP refuses n, its Monte Carlo runs
     # draw from seed + 1, which must be a seed too, checked before sampling

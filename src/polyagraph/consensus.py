@@ -59,7 +59,7 @@ import numpy as np
 from ._numeric import as_int, prefix_table, sum_errors
 from .graph import ThresholdGraph, build_graph, neighbor_counts
 from .rng import uniform_rows
-from .urn import _PASS_RUNS, CreationSequence, FiniteMemoryParams, UrnParams, _chain, _draw_list, _draw_pass, _pass_runs, sample_runs
+from .urn import _PASS_RUNS, CreationSequence, UrnParams, _chain, _draw_list, _draw_pass, _pass_runs, sample_runs
 
 __all__ = [
     "AveragingOperator",
@@ -111,12 +111,15 @@ class AveragingOperator:
         return cls(z, neighbor_counts(z))
 
     def power(self, x, t: int) -> np.ndarray:
-        """W^t x: t steps in place over one set of buffers.  The result is a
+        """W^t x: t steps in place over one set of buffers, refused where a
+        state is not finite (:meth:`_Stepper.check`).  The result is a
         fresh array, also for t = 0."""
         t = as_int("t", t, 0)
         stepper = _Stepper(self, x)
-        for _ in range(t):
-            stepper.step()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(t):
+                stepper.step()
+        stepper.check(t)
         return stepper.x
 
     def __matmul__(self, x) -> np.ndarray:
@@ -168,7 +171,10 @@ class _Stepper:
     overflow included, is that of two separate compensated tables, never
     cumsum(x) - x; with an inf or a NaN in x the NaNs fall in the same
     places, but where two NaNs meet, which one's sign survives is left
-    open by IEEE 754.
+    open by IEEE 754.  The sums overflow once a row's partial sums pass the
+    largest float, and a batch's flat pairs across rows may overflow where
+    their errors are overwritten, so callers step with numpy's overflow
+    warnings off and :meth:`check` the state.
 
     Every view is made here, once, and each is flat: numpy buffers a
     strided 2-d operand, not a flat one.  So a step runs the ufuncs alone
@@ -220,6 +226,15 @@ class _Stepper:
         np.add(out_last, self._zero, out=out_last)
         np.add(self.x, self._sums, out=self.x)
         return np.divide(self.x, self._counts, out=self.x)
+
+    def check(self, t: int) -> None:
+        """Raise ValueError if the state at step t holds a NaN or an inf:
+        x0 did, or a step overflowed.  Two reductions, no temporary."""
+        if not (-math.inf < self.x.min(initial=0.0) and self.x.max(initial=0.0) < math.inf):
+            raise ValueError(
+                f"x0 must keep every state and its averaging sums within +-{float(np.finfo(float).max)!r}; "
+                f"the state at step {t} is not"
+            )
 
     def max_deviation(self, limit: float) -> float:
         """max |x - limit| from two reductions and no temporary.  Rounding
@@ -304,9 +319,7 @@ _BLOCK_RUNS = _PASS_RUNS // 4  # runs per block of pi*, the unit the Monte Carlo
 
 
 def _urn_mode(params) -> str:
-    if isinstance(params, FiniteMemoryParams):
-        return f"finite-memory(M={params.memory})"
-    return "infinite"
+    return "infinite" if params.memory is None else f"finite-memory(M={params.memory})"
 
 
 def sample_connected_graph(params, n: int, seed: int, *, stream_index: int = 0) -> ThresholdGraph:
@@ -362,7 +375,8 @@ def iterate(
     test takes max|x - limit| as max(max(x) - limit, limit - min(x)): two
     reductions, no temporary, and the same bits.
     Non-convergence is reported through ``converged_at = None``, never
-    silently.  ``record=False`` keeps only the current state.
+    silently.  ``record=False`` keeps only the current state.  An x0 whose
+    averaging sums overflow is refused with ValueError at that step.
 
     ``tol`` is absolute, but floored at 64 * eps * max|x0|: each step rounds
     every entry by a few ulps of the opinion scale, so no tolerance finer
@@ -382,13 +396,17 @@ def iterate(
     if stepper.max_deviation(limit) < tol:
         converged_at = 0
     else:
-        for t in range(1, t_max + 1):
-            x = stepper.step()
-            if record:
-                states.append(x.copy())
-            if stepper.max_deviation(limit) < tol:
-                converged_at = t
-                break
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(1, t_max + 1):
+                x = stepper.step()
+                if record:
+                    states.append(x.copy())
+                deviation = stepper.max_deviation(limit)
+                if deviation < tol:
+                    converged_at = t
+                    break
+                if deviation != deviation:  # a NaN: x0 is finite, so a step overflowed
+                    stepper.check(t)
     return Trajectory(
         states=tuple(states) if record else None,
         converged_at=converged_at,
@@ -597,14 +615,17 @@ def memory_sweep(
     cells of 1000 share one tile of the Philox kernel), while each cell
     keeps its own draw loop, law and block edges, so each cell's values are
     those it would have on its own.
+    ``base``, an :class:`UrnParams` without a memory, gives rho alone.
     ``n`` >= 1, ``runs`` >= 2 (each cell has a standard error) and the
-    memory lengths (as :class:`FiniteMemoryParams` takes them) must be
-    integers, numpy's included.  A bool, a float or a smaller value there,
-    or a delta that :meth:`UrnParams.from_proportions` refuses, is refused
-    before any cell runs.
+    memory lengths (as :class:`UrnParams` takes them) must be integers,
+    numpy's included.  A bool, a float or a smaller value there, or a delta
+    that :meth:`UrnParams.from_proportions` refuses, is refused before any
+    cell runs.
     """
     n, runs = as_int("n", n, 1), as_int("runs", runs, 2)
-    memories = [FiniteMemoryParams(base, m).memory for m in memories]
+    if not (isinstance(base, UrnParams) and base.memory is None):
+        raise TypeError(f"base must be UrnParams without a memory, got {base!r}")
+    memories = [as_int("memory", m, 1) for m in memories]
     deltas = list(deltas)
     if not memories:
         raise ValueError("need at least one memory length")
@@ -612,10 +633,7 @@ def memory_sweep(
         raise ValueError("need at least one delta")
     x = _opinions(x0, n)
     # every delta is checked here, before any cell samples
-    laws = []
-    for d in deltas:
-        params = UrnParams.from_proportions(base.rho, d)
-        laws += [params] + [FiniteMemoryParams(params, memory) for memory in memories]
+    laws = [UrnParams.from_proportions(base.rho, d, memory=m) for d in deltas for m in (None, *memories)]
     span = _pass_runs(n - 1)  # as many runs per pass as sample_runs draws
 
     def cell_stats():  # mean and standard error of pi* . x0 over each cell's runs
@@ -632,6 +650,9 @@ def memory_sweep(
             value, std_error = next(stats)
             points.append(SweepPoint(float(d), memory, value, std_error, baseline, baseline_se))
     return points
+
+
+_OPINION_PRESETS = ("paper-n10", "paper-n100", "polarized")
 
 
 def opinion_preset(name: str, n: int) -> np.ndarray:
@@ -655,4 +676,4 @@ def opinion_preset(name: str, n: int) -> np.ndarray:
         x = np.full(n, 100.0)
         x[: n // 2] = 0.0
         return x
-    raise ValueError(f"unknown preset {name!r}")
+    raise ValueError(f"unknown preset {name!r}; the presets are {', '.join(_OPINION_PRESETS)}")

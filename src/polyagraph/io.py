@@ -77,25 +77,16 @@ def _params_metadata(params: UrnParams) -> list[str]:
     ]
 
 
-def graph_json_payload(
-    graph: ThresholdGraph,
-    params: UrnParams | None = None,
-    seed=None,
-    memory: int | None = None,
-) -> dict:
-    """Graph realization document: n, draws, urn params, seed, memory."""
+def graph_json_payload(graph: ThresholdGraph, params: UrnParams | None = None, seed=None) -> dict:
+    """Graph realization document: n, draws, urn params, seed and the urn's
+    memory, None where not given (the memory also for the infinite urn)."""
+    p = params
     return {
         "n": graph.n,
         "draws": list(graph.draws),
-        "params": None
-        if params is None
-        else {
-            "R": params.red_initial,
-            "B": params.black_initial,
-            "delta": params.reinforcement,
-        },
+        "params": None if p is None else {"R": p.red_initial, "B": p.black_initial, "delta": p.reinforcement},
         "seed": None if seed is None else str(seed),
-        "memory": memory,
+        "memory": None if p is None else p.memory,
     }
 
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -61,7 +61,7 @@ from .consensus import (
 from .graph import build_graph
 from .rng import stream
 from .spectral import _eigenpair_flags, laplacian, spectrum
-from .urn import FiniteMemoryParams, UrnParams, polya_joint_pmf
+from .urn import UrnParams, polya_joint_pmf
 
 __all__ = [
     "enumerate_expectation",
@@ -110,12 +110,11 @@ def _weight_table(params, n: int) -> np.ndarray:
     k reds then n - k blacks, and indexed by each vector's popcount; the
     values are those of one call per vector, bit for bit.
     """
-    if isinstance(params, UrnParams):
+    if isinstance(params, UrnParams) and params.memory is None:
         by_reds = np.array([polya_joint_pmf(params, (1,) * k + (0,) * (n - k)) for k in range(n + 1)])
         return by_reds[np.bitwise_count(_gray_codes(n))]
-    if isinstance(params, FiniteMemoryParams):
-        return np.array([polya_joint_pmf(params, z) for z in _gray_draws(n).tolist()])
-    raise TypeError(f"expected UrnParams or FiniteMemoryParams, got {type(params).__name__}")
+    # the finite-memory law; polya_joint_pmf refuses anything but an UrnParams
+    return np.array([polya_joint_pmf(params, z) for z in _gray_draws(n).tolist()])
 
 
 def enumerate_expectation(params, n: int, evaluator: Callable, *, pin_last: bool = False):
@@ -123,8 +122,8 @@ def enumerate_expectation(params, n: int, evaluator: Callable, *, pin_last: bool
 
     ``evaluator`` must be a pure, total function of a 0/1 tuple of length n
     returning a float or a fixed-shape vector.  ``params`` selects the draw
-    law: an UrnParams for the plain urn, a FiniteMemoryParams for the
-    finite-memory variant.  All length-n vectors are enumerated; with
+    law: an UrnParams, with a memory for the finite-memory variant.  All
+    length-n vectors are enumerated; with
     ``pin_last`` the final draw is pinned to 1 and (z_1..z_{n-1}, 1) weighs
     the joint probability of the free n - 1 draws, which already sums to
     one.  Each component is the exactly rounded sum (:func:`math.fsum`) of
@@ -392,8 +391,8 @@ def _check_finite_memory(params, sizes, extra_memory, short_memory) -> list[Vali
     for n in sizes:
         plain = _weight_table(params, n)
         for m in extra_memory:
-            worst = max(worst, float(np.max(np.abs(_weight_table(FiniteMemoryParams(params, n + m), n) - plain))))
-        mass = math.fsum(_weight_table(FiniteMemoryParams(params, short_memory), n).tolist())
+            worst = max(worst, float(np.max(np.abs(_weight_table(replace(params, memory=n + m), n) - plain))))
+        mass = math.fsum(_weight_table(replace(params, memory=short_memory), n).tolist())
         total = max(total, mass, key=lambda s: abs(s - 1.0))
     return [
         ValidationCheck(

@@ -22,13 +22,13 @@ rising products (:func:`polyagraph._numeric.log_tables`), built once per
 Python floats; the Beta-Binomial law reads one log row built once per
 (rho, delta, n) from those tables.
 
-A finite-memory variant removes each reinforcement batch ``memory`` steps
+An urn with a ``memory`` removes each reinforcement batch ``memory`` steps
 after it was added.  The first ``memory`` draws keep the law above; later
-draws depend on the previous ``memory`` outcomes only, making the process a
-Markov chain of that order.  The infinite urn is the finite-memory urn
-whose window of past draws is the whole past, so one sampler and one joint
-law serve both: each takes an :class:`UrnParams` or a
-:class:`FiniteMemoryParams`, and ``_law`` alone tells them apart.
+draws depend on the previous ``memory`` outcomes only, a Markov chain of
+that order.  The infinite urn, ``memory=None``, is the finite-memory urn
+whose window of past draws is the whole past, so one :class:`UrnParams`,
+one sampler and one joint law serve both; ``_law`` alone turns the memory
+into that window.
 ``_law`` and ``_chain`` are the one statement of the urn's transitions:
 ``_chain`` walks the draws as a Markov chain, whose state is the red count
 so far or the window of the last ``memory`` draws.  Its two moves, a pull
@@ -48,7 +48,7 @@ row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
@@ -58,7 +58,6 @@ from .rng import _BULK_MAX_N, _check_out, _tile_rows, stream, uniform_rows
 
 __all__ = [
     "UrnParams",
-    "FiniteMemoryParams",
     "CreationSequence",
     "as_draws",
     "sample_polya",
@@ -70,7 +69,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class UrnParams:
-    """Initial urn composition and reinforcement size.
+    """Initial urn composition, reinforcement size and memory.
 
     Ball counts may be any positive reals, since draws depend only on color
     proportions.  ``rho`` is the initial red proportion R/(R+B) and ``delta``
@@ -78,11 +77,17 @@ class UrnParams:
     computed once, at construction.  Counts whose proportions do not exist
     as floats, with rho rounded to 0 or 1 or delta to 0 or inf, are refused
     with ValueError, as :meth:`from_proportions` refuses them.
+
+    ``memory``, keyword-only, is None for the infinite urn, or an integer
+    M >= 1 (numpy's included, stored as an int) after which each
+    reinforcement batch expires; a bool, a float or a smaller value raises
+    ValueError rather than being truncated.
     """
 
     red_initial: float
     black_initial: float
     reinforcement: float
+    memory: int | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         for name in ("red_initial", "black_initial", "reinforcement"):
@@ -90,6 +95,8 @@ class UrnParams:
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")
             object.__setattr__(self, name, v)
+        if self.memory is not None:
+            object.__setattr__(self, "memory", as_int("memory", self.memory, 1))
         if not (0.0 < self.rho < 1.0 and 0.0 < self.delta < math.inf):
             raise ValueError(
                 f"counts ({self.red_initial!r}, {self.black_initial!r}, {self.reinforcement!r}) give "
@@ -108,32 +115,18 @@ class UrnParams:
     def delta(self) -> float:
         return self.reinforcement / self.total
 
+    @cached_property
+    def _exchangeable(self) -> tuple[float, float]:
+        return _proportions(self)  # cached; an urn with a memory raises on every read
+
     @classmethod
-    def from_proportions(cls, rho: float, delta: float) -> "UrnParams":
+    def from_proportions(cls, rho: float, delta: float, *, memory: int | None = None) -> "UrnParams":
         """Build parameters from (rho, delta), normalizing the total to 1."""
         if not (math.isfinite(rho) and 0.0 < rho < 1.0):
             raise ValueError(f"rho must lie strictly in (0, 1), got {rho!r}")
         if not (math.isfinite(delta) and delta > 0):
             raise ValueError(f"delta must be positive, got {delta!r}")
-        return cls(rho, 1.0 - rho, delta)
-
-
-@dataclass(frozen=True)
-class FiniteMemoryParams:
-    """Urn whose reinforcement balls expire ``memory`` steps after insertion.
-
-    ``memory`` may be a Python or numpy integer >= 1 and is stored as an
-    int; a bool, a float or a smaller value raises ValueError rather than
-    being truncated.
-    """
-
-    base: UrnParams
-    memory: int
-
-    def __post_init__(self):
-        if not isinstance(self.base, UrnParams):
-            raise TypeError(f"base must be UrnParams, got {type(self.base).__name__}")
-        object.__setattr__(self, "memory", as_int("memory", self.memory, 1))
+        return cls(rho, 1.0 - rho, delta, memory=memory)
 
 
 @dataclass(frozen=True)
@@ -202,24 +195,23 @@ def as_draws(z) -> tuple[int, ...]:
 
 
 def _law(law, n: int) -> tuple[float, float, int]:
-    """(rho, delta, window) of either urn over n draws: the red probability
-    of a draw is set by the last ``window`` draws, the memory capped at n
-    for a :class:`FiniteMemoryParams` and the whole past, n, for an
-    :class:`UrnParams`.  Anything else raises TypeError."""
-    if isinstance(law, FiniteMemoryParams):
-        return law.base.rho, law.base.delta, min(law.memory, n)
-    if isinstance(law, UrnParams):
-        return law.rho, law.delta, n
-    raise TypeError(f"expected UrnParams or FiniteMemoryParams, got {type(law).__name__}")
+    """(rho, delta, window) of an :class:`UrnParams` over n draws: the red
+    probability of a draw is set by the last ``window`` draws, the memory
+    capped at n, or the whole past, n, when the urn has no memory.
+    Anything else raises TypeError."""
+    if not isinstance(law, UrnParams):
+        raise TypeError(f"expected UrnParams, got {type(law).__name__}")
+    return law.rho, law.delta, n if law.memory is None else min(law.memory, n)
 
 
 def _proportions(law) -> tuple[float, float]:
-    """(rho, delta) of an :class:`UrnParams`, the exchangeable urn for which
-    the closed-form laws hold.  Anything else, a
-    :class:`FiniteMemoryParams` included, raises TypeError."""
-    if isinstance(law, UrnParams):
+    """(rho, delta) of an :class:`UrnParams` without a memory, the
+    exchangeable urn for which the closed-form laws hold.  Anything else,
+    an urn with a memory included, raises TypeError."""
+    if isinstance(law, UrnParams) and law.memory is None:
         return law.rho, law.delta
-    raise TypeError(f"the closed forms hold for the exchangeable urn: expected UrnParams, got {type(law).__name__}")
+    got = f"memory = {law.memory}" if isinstance(law, UrnParams) else type(law).__name__
+    raise TypeError(f"the closed forms hold for the exchangeable urn: expected UrnParams without a memory, got {got}")
 
 
 def _chain(law, n: int):
@@ -277,8 +269,7 @@ def _chain(law, n: int):
 
 
 def sample_polya(law, n: int, seed: int, *, stream_index: int = 0) -> CreationSequence:
-    """Draw n indicators from the urn ``law``, an :class:`UrnParams` or a
-    :class:`FiniteMemoryParams`.
+    """Draw n indicators from the urn ``law``, an :class:`UrnParams`.
 
     Given the history, draw t (0-based) is red with probability
     (rho + delta * r) / (1 + w * delta), where w = min(t, memory) and r is
@@ -310,7 +301,7 @@ def _draw_list(law, n: int, seed: int, stream_index: int) -> list[int]:
 
 def polya_joint_pmf(law, z) -> float:
     """Exact probability of one draw vector under the urn ``law``, an
-    :class:`UrnParams` or a :class:`FiniteMemoryParams`.
+    :class:`UrnParams` with or without a memory.
 
     The first min(n, memory) draws carry the exchangeable law: a product of
     linear factors read off the log tables, which depends on those draws
@@ -342,18 +333,20 @@ def beta_binomial_pmf(params: UrnParams, n: int, k: int) -> float:
     (rho, delta, n) is one row built once with the log tables
     (:meth:`polyagraph._numeric.LogTables.log_pmf_row`); a call reads one
     entry and exponentiates it.  ``n`` and ``k`` must be integers (numpy's
-    included); a bool or a float raises ValueError.  A finite-memory law
+    included); a bool or a float raises ValueError.  An urn with a memory
     has no such closed form and raises TypeError.
     """
     if not (type(n) is int and type(k) is int and 0 <= k <= n):
         n, k = as_int("n", n), as_int("k", k)
         if k < 0 or k > n:
             raise ValueError(f"k must lie in [0, {n}], got {k}")
-    # the type test costs less than a call to _proportions, which this
-    # scalar law would pay tens of thousands of times in a sweep
+    # a type test and one cached lookup, which refuses a memory, cost less
+    # than a call to _proportions, which this scalar law would pay tens of
+    # thousands of times in a sweep
     if type(params) is not UrnParams:
         _proportions(params)
-    return math.exp(log_tables(params.rho, params.delta, n).log_pmf_row()[k])
+    rho, delta = params._exchangeable
+    return math.exp(log_tables(rho, delta, n).log_pmf_row()[k])
 
 
 _PASS_RUNS = 1024  # runs per time-major pass of the batched sampler

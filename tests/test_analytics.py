@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from polyagraph import (
     CentralityConfig,
-    FiniteMemoryParams,
     UrnParams,
     beta_binomial_pmf,
     build_graph,
@@ -55,9 +54,9 @@ def rising_factorial(x, m):
 )
 def test_closed_forms_refuse_a_finite_memory_law(law_fn):
     # a finite-memory law used to fail with an AttributeError on .rho; the
-    # refusal names its type and the urn the closed forms hold for
-    law = FiniteMemoryParams(UrnParams(1, 1, 1), 2)
-    with pytest.raises(TypeError, match="closed forms hold for the exchangeable urn: .* got FiniteMemoryParams"):
+    # refusal names its memory and the urn the closed forms hold for
+    law = UrnParams(1, 1, 1, memory=2)
+    with pytest.raises(TypeError, match="closed forms hold for the exchangeable urn: .* without a memory, got memory = 2"):
         law_fn(law)
 
 

@@ -1,12 +1,12 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from polyagraph import (
-    FiniteMemoryParams,
     SweepPoint,
     UrnParams,
     averaging_matrix,
@@ -127,7 +127,7 @@ def test_operator_is_linear_in_size():
 
 
 def test_sampled_operator_rows_are_the_per_run_realizations(ref_params):
-    for law in (ref_params, FiniteMemoryParams(ref_params, 2)):
+    for law in (ref_params, replace(ref_params, memory=2)):
         for n in (1, 2, 7):
             W = AveragingOperator.sample(law, n, 5, 41, first_stream=9)
             for r in range(5):
@@ -315,6 +315,17 @@ def test_neighbor_sums_integer_rows_shared_by_a_stack():
 
 
 _EDGE_VALUES = (0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324, 1e200, -1e200, 1e-200, -1e-200, 1.0, -3.5)
+_OVERFLOW = r"x0 must keep every state and its averaging sums within \+-1.7976931348623157e\+308; the state at step"
+
+
+def _power_or_refusal(W, x, want):
+    # W.power(x, 1) gives the step's bits, or where the step is not finite
+    # (x is not, or its sums overflowed) refuses x
+    if not np.isfinite(want).all():
+        with pytest.raises(ValueError, match=_OVERFLOW + " 1 is not$"):
+            W.power(x, 1)
+        return want
+    return W.power(x, 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 99])
@@ -323,7 +334,8 @@ def test_neighbor_sums_paired_chains_are_the_reference(n):
     # accumulate, yet every bit of a step is that of two separate
     # compensated tables: signed zeros, sums that overflow to inf (and the
     # NaN of their errors), subnormals and magnitudes of 1e+-200; one vector
-    # and a batch, z per row or shared by the rows, and a strided x
+    # and a batch, z per row or shared by the rows, and a strided x.
+    # W.power refuses the x whose step overflows
     rng = stream(562)
     for trial in range(12):
         shape = (n,) if trial % 2 else (5, n)
@@ -337,13 +349,13 @@ def test_neighbor_sums_paired_chains_are_the_reference(n):
                 want = _step_reference(z, W.neighbor_counts, x)
                 assert _Stepper(W, x).step().tobytes() == want.tobytes()
                 strided = np.repeat(x, 2, axis=-1)[..., ::2]
-                assert W.power(strided, 1).tobytes() == want.tobytes()
+                assert _power_or_refusal(W, strided, want).tobytes() == want.tobytes()
 
 
 def test_neighbor_sums_non_finite_opinions_give_the_reference_nans():
     # with an inf or a NaN among the opinions a step's NaNs land where the
     # reference's do; only which of two meeting NaNs keeps its sign, which
-    # IEEE 754 leaves open, may differ
+    # IEEE 754 leaves open, may differ.  W.power refuses such an x
     rng = stream(563)
     values = _EDGE_VALUES + (math.inf, -math.inf, math.nan)
     for n in (1, 2, 3, 17):
@@ -355,7 +367,64 @@ def test_neighbor_sums_non_finite_opinions_give_the_reference_nans():
                 with np.errstate(over="ignore", invalid="ignore"):
                     want = _step_reference(z, W.neighbor_counts, x)
                     assert np.array_equal(_Stepper(W, x).step(), want, equal_nan=True)
-                    assert np.array_equal(W.power(x, 1), want, equal_nan=True)
+                    assert np.array_equal(_power_or_refusal(W, x, want), want, equal_nan=True)
+
+
+def test_opinions_whose_sums_overflow_are_refused():
+    # the O(n) step sums a row before it divides, so a row whose sum of |x|
+    # overflows stepped to NaN although its limit and the dense W @ x are
+    # finite: on this realization arange(10) * 1e307 (sum 4.5e308) ran all
+    # t_max steps to an all-NaN state, and it is refused now, by iterate,
+    # power and @ alike; arange(10) * 3e306 (sum 1.35e308) converges with
+    # the bits it had
+    sys_ = averaging_matrix(build_graph((1, 0, 1, 0, 0, 1, 1, 0, 0, 1)))
+    assert np.all(np.isfinite(sys_.W.toarray() @ (np.arange(10) * 1e307)))
+    for call, step in (
+        (lambda x: iterate(sys_, x), 1),
+        (lambda x: iterate(sys_, x, record=False), 1),
+        (lambda x: sys_.W.power(x, 3), 3),
+        (lambda x: sys_.W @ x, 1),
+        (lambda x: sys_.W.power(np.stack([np.ones(10), x]), 3), 3),
+    ):
+        with pytest.raises(ValueError, match=f"{_OVERFLOW} {step} is not$"):
+            call(np.arange(10) * 1e307)
+    trajectory = iterate(sys_, np.arange(10) * 3e306)
+    assert trajectory.converged_at == 62 and np.all(np.isfinite(trajectory.final))
+    # a row that sums to the largest float steps to finite values, one, a
+    # (runs, n) batch or rows of both signs; one ulp more in one entry
+    # overflows the sum
+    big = np.finfo(float).max / 2
+    below, above = np.array([big, big]), np.array([big, np.nextafter(big, math.inf)])
+    W = averaging_matrix(build_graph((1, 1))).W
+    for x in (below, -below, np.stack([below, -below, np.ones(2)])):
+        assert np.all(np.isfinite(W.power(x, 5)))
+    assert iterate(averaging_matrix(build_graph((1, 1))), below).converged_at == 0
+    for x in (above, -above, np.stack([below, np.ones(2), above])):
+        with pytest.raises(ValueError, match=_OVERFLOW + " 1 is not$"):
+            W.power(x, 1)
+    # an infinity or a NaN is refused before any step
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=_OVERFLOW + " 0 is not$"):
+            W.power(np.array([bad, 0.0]), 0)
+
+
+def test_opinions_whose_later_sums_overflow_are_refused():
+    # averaging keeps each entry within max|x0|, not a row's sum: 0.9 of the
+    # largest float on the last of ten nodes sums to less than it, but one
+    # step spreads it to all ten, and the next step's sums overflow.  That
+    # step is refused, and one step alone still goes through
+    sys_ = averaging_matrix(build_graph((0,) * 9 + (1,)))
+    x0 = np.zeros(10)
+    x0[-1] = 0.9 * np.finfo(float).max
+    for call, step in (
+        (lambda: iterate(sys_, x0), 2),
+        (lambda: iterate(sys_, x0, record=False), 2),
+        (lambda: sys_.W.power(x0, 2), 2),
+        (lambda: sys_.W.power(np.stack([np.ones(10), x0]), 7), 7),
+    ):
+        with pytest.raises(ValueError, match=f"{_OVERFLOW} {step} is not$"):
+            call()
+    assert np.all(np.isfinite(sys_.W @ x0))
 
 
 @pytest.mark.parametrize(
@@ -563,7 +632,7 @@ DP_LAWS = _PARAM_GRID + (UrnParams.from_proportions(0.3, 1e-8), UrnParams.from_p
 def test_expected_stationary_matches_enumeration(params, n):
     # the DP against the 2^(n-1)-term oracle, under both laws; memory n + 2
     # covers the horizon, memory 1..3 runs the window states
-    for law in (params, *(FiniteMemoryParams(params, m) for m in (1, 2, 3, n + 2))):
+    for law in (params, *(replace(params, memory=m) for m in (1, 2, 3, n + 2))):
         brute = enumerate_expectation(law, n, pi_star_of, pin_last=True)
         assert np.max(np.abs(expected_stationary_exact(law, n).pi - brute)) < 1e-12
 
@@ -572,7 +641,7 @@ def test_expected_stationary_guard(ref_params):
     # refused from the table sizes alone: at M = 40 one state table would
     # hold 2^40 rows, and n = 10^9 must not cost O(n) before refusing
     for memory, n in ((None, 100), (None, 200), (None, 10**9), (40, 60), (12, 40)):
-        law = ref_params if memory is None else FiniteMemoryParams(ref_params, memory)
+        law = replace(ref_params, memory=memory)
         tracemalloc.start()
         try:
             with pytest.raises(EnumerationLimitError, match="expected_stationary_mc"):
@@ -600,7 +669,7 @@ def test_expected_stationary_memory_within_budget(ref_params):
 @pytest.mark.parametrize("bad", [None, {"rho": 0.5}])
 def test_expected_stationary_refuses_anything_that_is_not_a_law(bad):
     # these used to fail with AttributeError: '...' object has no attribute 'rho'
-    match = f"expected UrnParams or FiniteMemoryParams, got {type(bad).__name__}"
+    match = f"expected UrnParams, got {type(bad).__name__}"
     with pytest.raises(TypeError, match=match):
         expected_stationary_exact(bad, 5)
     with pytest.raises(TypeError, match=match):
@@ -616,7 +685,7 @@ def test_samplers_check_their_law_and_seed_at_one_node(ref_params):
             lambda: expected_stationary_mc(None, n, runs=4, seed=0),
             lambda: AveragingOperator.sample(None, n, 3, 0),
         ):
-            with pytest.raises(TypeError, match="expected UrnParams or FiniteMemoryParams, got NoneType"):
+            with pytest.raises(TypeError, match="expected UrnParams, got NoneType"):
                 call()
         for seed in (-1, 2**64):
             for call in (
@@ -641,7 +710,7 @@ def test_batched_samplers_check_their_law_and_keys_at_zero_runs(ref_params):
             lambda: AveragingOperator.sample(None, 3, runs, 0),
             lambda: AveragingOperator.sample(None, 1, runs, 0),
         ):
-            with pytest.raises(TypeError, match="expected UrnParams or FiniteMemoryParams, got NoneType"):
+            with pytest.raises(TypeError, match="expected UrnParams, got NoneType"):
                 call()
         for seed in (-1, 2**64):
             for call in (
@@ -662,7 +731,7 @@ def test_batched_samplers_check_their_law_and_keys_at_zero_runs(ref_params):
 
 def test_expected_stationary_finite_memory_small(ref_params):
     # with memory covering the horizon the law is the infinite-memory one
-    fm = FiniteMemoryParams(ref_params, 8)
+    fm = replace(ref_params, memory=8)
     a = expected_stationary_exact(fm, 6).pi
     b = expected_stationary_exact(ref_params, 6).pi
     assert np.max(np.abs(a - b)) < 1e-14
@@ -697,7 +766,7 @@ MC_SE_RTOL = 1e-13
 @pytest.mark.parametrize("memory", [None, 1, 4])
 def test_monte_carlo_is_the_per_run_loop(ref_params, memory):
     # the runs cross two block edges; streaming must not change a bit of pi
-    law = ref_params if memory is None else FiniteMemoryParams(ref_params, memory)
+    law = replace(ref_params, memory=memory)
     n, runs, seed = 10, 600, 19
     assert runs > 2 * _BLOCK_RUNS
     samples = per_run_pi_star(law, n, runs, seed)
@@ -820,7 +889,7 @@ def per_run_sweep(base, n, deltas, memories, runs, x0, seed):
         baseline = (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(runs)))
         block += 1
         for memory in memories:
-            vals = per_run_pi_star(FiniteMemoryParams(params, memory), n, runs, seed, block * runs) @ x0
+            vals = per_run_pi_star(replace(params, memory=memory), n, runs, seed, block * runs) @ x0
             block += 1
             want.append(SweepPoint(delta, memory, float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(runs)), *baseline))
     return want
@@ -896,7 +965,7 @@ def test_memory_sweep_checks_every_delta_before_any_cell_samples(ref_params, mon
 
 
 def test_memory_sweep_memories_follow_the_finite_memory_rule(ref_params):
-    # memories are stored as FiniteMemoryParams stores them, as ints
+    # memories are stored as UrnParams stores them, as ints
     n, x0 = 4, opinion_preset("polarized", 4)
     points = memory_sweep(ref_params, n, deltas=(0.2,), memories=np.array([1, 3]), runs=4, x0=x0, seed=1)
     assert points == memory_sweep(ref_params, n, deltas=(0.2,), memories=(1, 3), runs=4, x0=x0, seed=1)
@@ -937,7 +1006,7 @@ def _block_sizes(runs):
 def test_pi_star_passes_yield_the_per_run_blocks(ref_params, n, memory):
     # runs are sampled in passes of several blocks, but the blocks keep their
     # sizes and every pi* is the per-run one, bit for bit
-    law = ref_params if memory is None else FiniteMemoryParams(ref_params, memory)
+    law = replace(ref_params, memory=memory)
     seed, first = 29, 5
     want = per_run_pi_star(law, n, max(PASS_EDGE_RUNS), seed, first)
     for runs in PASS_EDGE_RUNS:
@@ -952,7 +1021,7 @@ def test_pi_star_passes_yield_the_per_run_blocks(ref_params, n, memory):
 @pytest.mark.parametrize("memory", [None, 4])
 def test_monte_carlo_at_n100_is_the_per_run_loop_at_pass_edges(ref_params, memory):
     # the re-keyed route, under the infinite urn and a window of 4 draws
-    law = ref_params if memory is None else FiniteMemoryParams(ref_params, memory)
+    law = replace(ref_params, memory=memory)
     n, seed = 100, 31
     samples = per_run_pi_star(law, n, max(PASS_EDGE_RUNS), seed)
     for runs in PASS_EDGE_RUNS:
@@ -967,7 +1036,7 @@ def test_monte_carlo_at_n100_is_the_per_run_loop_at_pass_edges(ref_params, memor
 def test_sample_runs_into_a_strided_view(ref_params, n, memory):
     # the passes' in-place float draws are the int64 ones; the buffer's last
     # column stays
-    law = ref_params if memory is None else FiniteMemoryParams(ref_params, memory)
+    law = replace(ref_params, memory=memory)
     for runs in PASS_EDGE_RUNS:
         buf = np.full((runs, n + 1), 7.0)
         view = sample_runs(law, n, runs, 13, first_stream=6, out=buf[:, :-1])
@@ -977,6 +1046,10 @@ def test_sample_runs_into_a_strided_view(ref_params, n, memory):
 
 
 def test_memory_sweep_validation(ref_params):
+    # the base gives rho alone; an urn with a memory, or no urn, is refused
+    for bad, got in ((replace(ref_params, memory=2), r"UrnParams\(.*, memory=2\)"), (None, "None")):
+        with pytest.raises(TypeError, match=f"base must be UrnParams without a memory, got {got}$"):
+            memory_sweep(bad, 4, deltas=(0.2,), memories=(1,), runs=10, x0=np.zeros(4), seed=0)
     with pytest.raises(ValueError):
         memory_sweep(ref_params, 4, deltas=(0.2,), memories=(), runs=10, x0=np.zeros(4), seed=0)
     with pytest.raises(ValueError):

@@ -6,10 +6,10 @@ the package namespace does not re-export oracle names.  The stepping kernel
 ``consensus._Stepper`` stays inside ``consensus``; everyone else steps
 through ``AveragingOperator.power`` or ``iterate``.  The batched eigenpair
 kernel ``spectral._eigenpair_flags`` serves ``spectral`` and the ``oracle``
-check alone.  ``urn._law`` decides which urn a law is, in ``urn`` alone,
-and ``urn._chain`` is the urn's one Markov chain: the exact pi_E DP in
-``consensus`` pulls and pushes through it and keeps no state encoding,
-fold or successor rows of its own.
+check alone.  ``urn._law`` turns an urn's memory into its window, in
+``urn`` alone, and ``urn._chain`` is the urn's one Markov chain: the exact
+pi_E DP in ``consensus`` pulls and pushes through it and keeps no state
+encoding, fold or successor rows of its own.
 The creation-sequence kernels
 ``neighbor_sums`` (exact integer sums) and ``neighbor_counts`` are defined
 in ``graph`` alone: ``spectral`` takes both from there, and ``consensus``
@@ -98,9 +98,19 @@ def test_only_rng_touches_numpy_bit_generator_memory():
 
 
 def test_only_urn_names_the_urn_law():
-    # urn._law alone tells the infinite urn from the finite-memory one; the
-    # exact pi_E DP reads the law through urn._chain
+    # urn._law alone turns an urn's memory into its window of past draws;
+    # the exact pi_E DP reads the law through urn._chain, and no other
+    # module caps a memory at n
     assert _namers("_law") == ["urn"]
+    cappers = [
+        module for module, tree in _modules()
+        if any(
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "min"
+            and any("memory" in ast.unparse(arg) for arg in node.args)
+            for node in ast.walk(tree)
+        )
+    ]
+    assert cappers == ["urn"]
 
 
 def test_the_exact_dp_walks_the_urn_chain():

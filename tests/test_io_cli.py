@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from polyagraph import (
     sample_connected_graph,
     spectrum,
 )
-from polyagraph import cli
+from polyagraph import cli, consensus
 from polyagraph.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from polyagraph.io import (
     emit_table,
@@ -76,12 +77,15 @@ def test_graph_json_round_trip(tmp_path):
     g = build_graph((1, 0, 0, 1, 0))
     params = UrnParams(5, 5, 2)
     path = tmp_path / "g.json"
-    write_json(path, graph_json_payload(g, params=params, seed=42, memory=None))
+    write_json(path, graph_json_payload(g, params=params, seed=42))
     loaded, payload = load_graph_json(path)
     assert loaded.draws == g.draws
     assert payload["params"] == {"R": 5.0, "B": 5.0, "delta": 2.0}
     assert payload["seed"] == "42"
     assert payload["memory"] is None
+    # the memory is read from the urn, and there is none without one
+    assert graph_json_payload(g, params=replace(params, memory=3))["memory"] == 3
+    assert graph_json_payload(g)["memory"] is None
 
 
 def test_edge_csv_example(tmp_path):
@@ -525,3 +529,42 @@ def test_validate_failure_exit_code(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "FAIL  broken  off by 1" in out
     assert "1 of 2 checks failed" in out
+
+
+X0_COMMANDS = {
+    "consensus": ["consensus", "--draws", "0,1"],
+    "histogram": ["histogram", *URN, "--n", "10", "--runs", "2", "--t", "1", "--seed", "7"],
+    "memory-sweep": ["memory-sweep", "--rho", "0.5", "--n", "10", "--deltas", "1", "--memories", "1", "--runs", "4"],
+}
+
+
+@pytest.mark.parametrize("command", X0_COMMANDS)
+def test_x0_parse_errors_name_the_presets(tmp_path, capsys, command):
+    # --x0 foo used to answer "cannot parse x0: could not convert string to
+    # float: 'foo'" without naming a preset the command takes
+    argv = [*X0_COMMANDS[command], "--x0", "foo", "--out", str(tmp_path / "out.csv")]
+    assert run_cli(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cannot parse x0" in err
+    for name in consensus._OPINION_PRESETS:
+        assert name in err
+    with pytest.raises(ValueError, match="the presets are paper-n10, paper-n100, polarized"):
+        opinion_preset("foo", 10)
+
+
+def test_every_opinion_preset_reaches_the_cli():
+    # the CLI reads the one list of presets that opinion_preset serves
+    for name in consensus._OPINION_PRESETS:
+        n = 100 if name == "paper-n100" else 10
+        assert np.array_equal(cli._parse_x0(name, n), opinion_preset(name, n))
+
+
+@pytest.mark.parametrize("command", ["consensus", "histogram"])
+def test_opinions_whose_sums_overflow_exit_with_a_config_error(tmp_path, capsys, command):
+    # 0..9 * 1e307 used to step to NaN rows; now the stepper refuses them
+    x0 = ",".join(str(i * 1e307) for i in range(10))
+    argv = {"consensus": ["consensus", "--draws", "1,0,1,0,0,1,1,0,0,1"], "histogram": X0_COMMANDS["histogram"]}
+    out = tmp_path / "out.csv"
+    assert run_cli([*argv[command], "--x0", x0, "--out", str(out)]) == EXIT_CONFIG
+    assert "averaging sums within +-1.7976931348623157e+308" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,11 +1,11 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from polyagraph import (
-    FiniteMemoryParams,
     UrnParams,
     averaging_matrix,
     build_graph,
@@ -36,7 +36,7 @@ COUNTS = [
     ("sample_polya", "n", 1, 5, lambda v: sample_polya(REF, v, 1)),
     ("sample_runs", "n", 1, 3, lambda v: sample_runs(REF, v, 4, 1).tolist()),
     ("sample_runs", "runs", 0, 4, lambda v: sample_runs(REF, 3, v, 1).tolist()),
-    ("FiniteMemoryParams", "memory", 1, 3, lambda v: FiniteMemoryParams(REF, v)),
+    ("UrnParams", "memory", 1, 3, lambda v: replace(REF, memory=v)),
     ("uniform_rows", "runs", 0, 4, lambda v: uniform_rows(3, 5, v, 7).tolist()),
     ("uniform_rows", "n", 0, 7, lambda v: uniform_rows(3, 5, 4, v).tolist()),
     ("AveragingOperator.sample", "n", 1, 7, lambda v: AveragingOperator.sample(REF, v, 5, 41).z.tolist()),

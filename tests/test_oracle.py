@@ -1,13 +1,13 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from polyagraph import (
     EnumerationLimitError,
-    FiniteMemoryParams,
     UrnParams,
     build_graph,
     expected_stationary_exact,
@@ -53,7 +53,7 @@ def test_gray_draws_cover_all_and_flip_one_bit():
 def test_weights_sum_to_one_under_each_law(ref_params):
     one = lambda z: 1.0
     for pin_last in (False, True):
-        for params in (ref_params, FiniteMemoryParams(ref_params, 2)):
+        for params in (ref_params, replace(ref_params, memory=2)):
             total = enumerate_expectation(params, 6, one, pin_last=pin_last)
             assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -147,7 +147,7 @@ def test_weight_table_matches_per_vector_evaluation():
         for n in range(1, 11):
             per_vector = [polya_joint_pmf(params, z) for z in _gray_draws(n).tolist()]
             assert np.array_equal(_weight_table(params, n), per_vector)
-    fm = FiniteMemoryParams(UrnParams(5.0, 5.0, 2.0), 2)
+    fm = UrnParams(5.0, 5.0, 2.0, memory=2)
     assert np.array_equal(
         _weight_table(fm, 6), [polya_joint_pmf(fm, z) for z in _gray_draws(6).tolist()]
     )

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from polyagraph import (
     CreationSequence,
-    FiniteMemoryParams,
     UrnParams,
     beta_binomial_pmf,
     polya_joint_pmf,
@@ -129,21 +129,17 @@ def test_creation_sequence_refuses_complex_draws(bad):
 
 
 def test_finite_memory_params_validation():
-    base = UrnParams(1, 1, 1)
-    assert FiniteMemoryParams(base, 3).memory == 3
-    numpy_memory = FiniteMemoryParams(base, np.int64(3))
+    assert UrnParams(1, 1, 1).memory is None
+    assert UrnParams(1, 1, 1, memory=3).memory == 3
+    numpy_memory = UrnParams(1, 1, 1, memory=np.int64(3))
     assert type(numpy_memory.memory) is int
+    assert UrnParams.from_proportions(0.5, 1.0, memory=3) == UrnParams(0.5, 0.5, 1.0, memory=3)
     with pytest.raises(ValueError, match="memory must be an integer, got '3'"):
-        FiniteMemoryParams(base, "3")
-
-
-def test_finite_memory_params_refuses_a_base_that_is_not_an_urn():
-    # a string base was accepted, and a nested finite-memory law failed only
-    # when it was sampled
-    inner = FiniteMemoryParams(UrnParams(1, 1, 1), 2)
-    for bad, name in (("x", "str"), (inner, "FiniteMemoryParams"), (None, "NoneType")):
-        with pytest.raises(TypeError, match=f"base must be UrnParams, got {name}"):
-            FiniteMemoryParams(bad, 2)
+        UrnParams(1, 1, 1, memory="3")
+    with pytest.raises(ValueError, match="memory must be >= 1, got 0"):
+        UrnParams.from_proportions(0.5, 1.0, memory=0)
+    with pytest.raises(TypeError, match="positional"):  # the memory is keyword-only
+        UrnParams(1, 1, 1, 3)
 
 
 @pytest.mark.parametrize("bad", [None, {"rho": 0.5}, (0.5, 0.2)])
@@ -156,7 +152,7 @@ def test_urn_functions_refuse_anything_that_is_not_a_law(bad):
         lambda: polya_joint_pmf(bad, (0, 1, 1)),
         lambda: _chain(bad, 5),
     ):
-        with pytest.raises(TypeError, match=f"expected UrnParams or FiniteMemoryParams, got {name}"):
+        with pytest.raises(TypeError, match=f"expected UrnParams, got {name}"):
             call()
 
 
@@ -308,31 +304,31 @@ def test_beta_binomial_is_the_fused_scalar_expression(rho, delta):
 # finite memory
 
 def test_finite_memory_reduces_to_infinite_when_memory_covers_horizon(ref_params):
-    fm = FiniteMemoryParams(ref_params, 8)
+    fm = replace(ref_params, memory=8)
     for n in (1, 4, 8):
         for z in all_vectors(n):
             assert abs(polya_joint_pmf(fm, z) - polya_joint_pmf(ref_params, z)) <= 1e-12
     # with the same stream the sampled sequences are identical outright
     for r in range(20):
         a = sample_polya(ref_params, 6, seed=3, stream_index=r)
-        b = sample_polya(FiniteMemoryParams(ref_params, 6), 6, seed=3, stream_index=r)
+        b = sample_polya(replace(ref_params, memory=6), 6, seed=3, stream_index=r)
         assert a.draws == b.draws
 
 
 def test_finite_memory_known_value(ref_params):
-    fm = FiniteMemoryParams(ref_params, 1)
+    fm = replace(ref_params, memory=1)
     expected = 0.5 * (0.7 / 1.2) ** 2
     assert polya_joint_pmf(fm, (1, 1, 1)) == pytest.approx(expected, abs=1e-14)
 
 
 def test_finite_memory_normalizes(ref_params):
-    fm = FiniteMemoryParams(ref_params, 2)
+    fm = replace(ref_params, memory=2)
     total = math.fsum(polya_joint_pmf(fm, z) for z in all_vectors(4))
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_finite_memory_sampler_determinism(ref_params):
-    fm = FiniteMemoryParams(ref_params, 2)
+    fm = replace(ref_params, memory=2)
     a = sample_polya(fm, 7, seed=9)
     assert a.draws == sample_polya(fm, 7, seed=9).draws
     with pytest.raises(ValueError):
@@ -345,7 +341,7 @@ def test_sampler_follows_the_sliding_window_rule(ref_params):
     rho, delta = ref_params.rho, ref_params.delta
     u = stream(4, 2).random(60)
     for memory in (1, 3, 59, 60, None):
-        law = ref_params if memory is None else FiniteMemoryParams(ref_params, memory)
+        law = replace(ref_params, memory=memory)
         z = sample_polya(law, 60, seed=4, stream_index=2).draws
         for t in range(60):
             w = t if memory is None else min(t, memory)
@@ -391,7 +387,7 @@ def _chain_laws():
     for n in range(1, 9):
         yield base, n
         for memory in sorted({1, 2, 3, n + 2}):
-            yield FiniteMemoryParams(base, memory), n
+            yield replace(base, memory=memory), n
 
 
 @pytest.mark.parametrize("tail", [(), (3,), (4, 2)], ids=["scalar", "W", "Q2"])
@@ -445,7 +441,7 @@ def test_samplers_are_pinned_to_the_chain(monkeypatch, params, memory):
     # z_t = 0 and nextafter(p_t, 0) where z_t = 1, p_t the chain's red
     # probability along z's path: a sampler whose red probability drifts
     # one ulp either way from the chain's flips a draw
-    law = params if memory is None else FiniteMemoryParams(params, memory)
+    law = replace(params, memory=memory)
 
     class Fixed:  # urn.stream: stream index r yields row r of u
         def __init__(self, seed, stream_index=0):
@@ -479,7 +475,7 @@ def test_sample_runs_rows_are_the_per_run_draws(ref_params, n, memory):
     # at the last step
     if memory == "n-1":
         memory = max(n - 1, 1)
-    law = ref_params if memory is None else FiniteMemoryParams(ref_params, memory)
+    law = replace(ref_params, memory=memory)
     for seed, first, runs in ((8, 3, 300), (2**64 - 1, 2**64 - 40, 40)):
         block = sample_runs(law, n, runs, seed, first_stream=first)
         assert block.shape == (runs, n)
@@ -511,7 +507,7 @@ def test_sample_runs_validation(ref_params):
 
 def test_finite_memory_sliding_window_frequency(ref_params):
     # P(Z_3 = 1 | Z_2 = 1) = (rho + delta)/(1 + delta) = 0.7/1.2 under M = 1
-    fm = FiniteMemoryParams(ref_params, 1)
+    fm = replace(ref_params, memory=1)
     runs = 100_000
     cond, hits = 0, 0
     for r in range(runs):
@@ -529,7 +525,7 @@ def test_finite_memory_is_markov_of_its_order(ref_params):
     # last M draws only, and equals the sliding-window expression
     rho, delta = ref_params.rho, ref_params.delta
     for memory in (1, 2, 3):
-        fm = FiniteMemoryParams(ref_params, memory)
+        fm = replace(ref_params, memory=memory)
         for t in range(memory + 1, 9):
             for past in all_vectors(t - 1):
                 p_past = polya_joint_pmf(fm, past)
