@@ -16,7 +16,6 @@ from .analytics import (
     DegreeDistribution,
     DistanceDistribution,
     degree_pmf,
-    degree_support,
     degree_variance,
     distance_pmf,
     empirical_decay_centrality,

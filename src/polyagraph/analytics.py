@@ -7,18 +7,20 @@ resulting exact expressions:
 
 * the degree pmf, one float64 array over the degrees 0..n whose support is
   {0..n} when 2i <= n and otherwise {0..n-i} union {i..n}, with both branch
-  terms added where they overlap (its support tuple and a read-only
-  mapping of it are built only when first read);
+  terms added where they overlap; its support tuple, and a read-only dict
+  from each supported degree to its probability, are built only when
+  first read;
 * the degree mean n*rho (the same for every node) and the closed-form degree
   variance;
-* the distance law over the attainable values {0, 1, 2, inf}, from a
-  product of one-draw probabilities of black, so no entry is the
-  difference of two nearly equal values;
-* the expected decay centrality sum_j alpha^d(i,j), with alpha^inf = 0.
+* the distance law over the attainable values {0, 1, 2, inf} and the
+  expected decay centrality sum_j alpha^d(i,j), with alpha^inf = 0, both
+  from one set of one-draw probabilities of black, so no entry is the
+  difference of two nearly equal values.
 
-Every other rising-factorial ratio and binomial coefficient is read off the
-urn's cached log tables (see :func:`polyagraph._numeric.log_tables`), so
-each law lives in log space until one final exponentiation and costs O(n).
+The degree pmf's rising-factorial ratios and binomial coefficients are read
+off the urn's cached log tables (see :func:`polyagraph._numeric.log_tables`),
+so it lives in log space until one final exponentiation.  Every law costs
+O(n).
 Node counts and indices pass the package's one integer guard,
 :func:`polyagraph._numeric.as_int`: numpy integers are taken, a bool or a
 float raises ValueError ("i must be an integer, got True"), and an index
@@ -32,10 +34,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -48,7 +50,6 @@ __all__ = [
     "DistanceDistribution",
     "CentralityConfig",
     "expected_degree",
-    "degree_support",
     "degree_pmf",
     "degree_variance",
     "distance_pmf",
@@ -68,63 +69,18 @@ class CentralityConfig:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
 
 
-class _LawView(Mapping):
-    """Read-only {degree: probability} view of a degree law's array over its
-    support, in increasing degree.  Entries are read from the array as
-    Python floats when asked for; no dict is built."""
-
-    __slots__ = ("_p", "_ranges")
-
-    def __init__(self, p: np.ndarray, ranges: tuple[range, ...]):
-        self._p, self._ranges = p, ranges
-
-    def __getitem__(self, k) -> float:
-        try:
-            k = operator.index(k)  # any integer, numpy's included, in O(1)
-        except TypeError:
-            pass  # a float equal to a degree finds it too, as a dict key would
-        if any(k in r for r in self._ranges):
-            return self._p.item(int(k))
-        raise KeyError(k)
-
-    def __iter__(self):
-        return itertools.chain(*self._ranges)
-
-    def __len__(self) -> int:
-        return sum(map(len, self._ranges))
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
-
-    def values(self):
-        return _LawValues(self)
-
-    def items(self):
-        return _LawItems(self)
-
-
-class _LawValues(ValuesView):
-    def __iter__(self):
-        p = self._mapping._p
-        return itertools.chain.from_iterable(p[r.start : r.stop].tolist() for r in self._mapping._ranges)
-
-
-class _LawItems(ItemsView):
-    def __iter__(self):
-        return zip(self._mapping, _LawValues(self._mapping))
-
-
 @dataclass(frozen=True, eq=False)
 class DegreeDistribution:
     """Exact degree law of one node at a given horizon.
 
     ``probabilities`` is the law as one read-only float64 array over the
     degrees 0..n, zero off the support; :func:`degree_pmf` computes it and
-    builds nothing per entry.  ``support`` (the attainable degrees, a tuple)
-    and ``pmf`` (a read-only mapping from each of them to its probability,
-    in increasing degree, which reads the array) are made when first read,
-    then cached.  Two laws are equal when their fields are, the arrays
-    entry by entry.
+    builds nothing per entry.  ``support`` (the attainable degrees in
+    increasing order, a tuple: all of 0..n when 2i <= n, otherwise the
+    isolated branch 0..n-i and the universal branch i..n) and ``pmf`` (a
+    read-only view of a dict from each of them to its probability as a
+    Python float) are made when first read, then cached.  Two laws are
+    equal when their fields are, the arrays entry by entry.
     """
 
     node: int
@@ -135,11 +91,12 @@ class DegreeDistribution:
 
     @cached_property
     def support(self) -> tuple[int, ...]:
-        return tuple(self.pmf)
+        return tuple(itertools.chain(*_support_ranges(self.horizon, self.node)))
 
     @cached_property
     def pmf(self) -> Mapping[int, float]:
-        return _LawView(self.probabilities, _support_ranges(self.horizon, self.node))
+        values = self.probabilities.tolist()
+        return MappingProxyType({k: values[k] for k in self.support})
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -175,13 +132,6 @@ def expected_degree(params: UrnParams, n: int, i: int) -> float:
     """Expected degree of node i: n * rho, independent of i."""
     n, i = check_node(n, i)
     return n * _proportions(params)[0]
-
-
-def degree_support(n: int, i: int) -> tuple[int, ...]:
-    """Attainable degrees of node i: all of 0..n when 2i <= n, otherwise the
-    isolated branch 0..n-i together with the universal branch i..n."""
-    n, i = check_node(n, i)
-    return tuple(itertools.chain(*_support_ranges(n, i)))
 
 
 def _support_ranges(n: int, i: int) -> tuple[range, ...]:
@@ -234,14 +184,11 @@ def degree_variance(params: UrnParams, n: int, i: int) -> float:
     return rho * (1.0 - rho) * (i * i + tail * (1.0 + tail * delta + 2.0 * i * delta) / (1.0 + delta))
 
 
-def _blacks_after_black(rho: float, delta: float, m: int) -> tuple[float, float]:
-    """P(m more draws are black | the first draw was black) and its log.
-
-    P is the product of the factors 1 - q_s, q_s = rho/(1 + s delta) for
-    s = 1..m, and log P the sum of their logs, all <= 0.  Each factor and
-    log is formed to its relative accuracy.  exp(log P) then loses about
-    |log P| ulps and the product about m, so P is taken from whichever
-    loses fewer."""
+def _blacks_after_black(rho: float, delta: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m factors 1 - q_s, q_s = rho/(1 + s delta) for s = 1..m, and their
+    logs, all <= 0: draw s after a black one is black again with chance
+    1 - q_s given that every draw between was black.  Each factor and log
+    is formed to its relative accuracy, so no law built from them cancels."""
     grow = np.arange(1.0, m + 1)
     grow *= delta
     grow += 1.0
@@ -255,8 +202,7 @@ def _blacks_after_black(rho: float, delta: float, m: int) -> tuple[float, float]
     if k:
         stay[:k] = ((1.0 - rho) + np.arange(1.0, k + 1) * delta) / grow[:k]
         logs[:k] = np.log(stay[:k])
-    log_p = float(logs.sum())
-    return (math.exp(log_p) if -log_p < m else float(stay.prod())), log_p
+    return stay, logs
 
 
 def distance_pmf(params: UrnParams, n: int, i: int, j: int) -> DistanceDistribution:
@@ -265,11 +211,14 @@ def distance_pmf(params: UrnParams, n: int, i: int, j: int) -> DistanceDistribut
     Same node: distance 0 with probability rho (self-loop), inf otherwise.
     Distinct nodes: distance 1 with probability rho; unreachable iff no draw
     from max(i,j) on is red; distance 2 carries the remaining mass.  With
-    P the chance that the n - max(i,j) draws after max(i,j) are all black
-    given that draw max(i,j) is, P(inf) = (1-rho) P and
+    P the chance that the m = n - max(i,j) draws after max(i,j) are all
+    black given that draw max(i,j) is, the product of the m factors of
+    :func:`_blacks_after_black`, P(inf) = (1-rho) P and
     P(2) = (1-rho) (1 - P), the latter from expm1(log P) and not as
-    1 - rho - P(inf), where nearly equal values cancel.  So both keep their
-    relative accuracy, and P(2) is exactly +0.0 when max(i,j) = n.
+    1 - rho - P(inf), where nearly equal values cancel.  exp(log P) loses
+    about |log P| ulps and the product about m, so P is taken from
+    whichever loses fewer.  So both keep their relative accuracy, and P(2)
+    is exactly +0.0 when max(i,j) = n.
     """
     n, i = check_node(n, i)
     n, j = check_node(n, j, "j")
@@ -277,10 +226,13 @@ def distance_pmf(params: UrnParams, n: int, i: int, j: int) -> DistanceDistribut
     if i == j:
         probs = {0.0: rho, 1.0: 0.0, 2.0: 0.0, math.inf: 1.0 - rho}
     else:
-        stay, log_stay = _blacks_after_black(rho, delta, n - max(i, j))
+        m = n - max(i, j)
+        stay, logs = _blacks_after_black(rho, delta, m)
+        log_stay = float(logs.sum())
+        p_stay = math.exp(log_stay) if -log_stay < m else float(stay.prod())
         # 0.0 - expm1(0.0) is +0.0, where -expm1(0.0) would be -0.0
         p_two = (1.0 - rho) * (0.0 - math.expm1(log_stay))
-        probs = {0.0: 0.0, 1.0: rho, 2.0: p_two, math.inf: (1.0 - rho) * stay}
+        probs = {0.0: 0.0, 1.0: rho, 2.0: p_two, math.inf: (1.0 - rho) * p_stay}
     return DistanceDistribution(i=i, j=j, probabilities=probs)
 
 
@@ -291,19 +243,24 @@ def expected_decay_centrality(
 
     Built from the distance law: the self term contributes rho, and each
     other node j contributes alpha*rho + alpha^2 * P(d(i,j) = 2), where
-    P(d = 2) = 1 - rho - P(d = inf).  The i-1 earlier nodes share one
-    unreachability probability; the later nodes j take one each, for
-    horizons n-j+1 = 1..n-i.
+    P(d = 2) = (1-rho) g_m with m = n - max(i,j) and g_m = -expm1(L_m), L_m
+    the sum of the logs of the first m all-black factors of
+    :func:`_blacks_after_black` (g_0 = 0).  The i-1 earlier nodes share
+    g_{n-i}, and the later ones take g_0..g_{n-i-1}, so
+
+        C = rho + (n-1) alpha rho
+            + alpha^2 (1-rho) fsum((i-1) g_{n-i}, g_0, ..., g_{n-i-1}).
+
+    Every term is non-negative, so nothing cancels for rho near 0 or 1
+    at any delta, and the cost is O(n - i).
     """
     n, i = check_node(n, i)
     alpha = cfg.alpha
     rho, delta = _proportions(params)
-    t = log_tables(rho, delta, n)
-    h = slice(1, n - i + 1)
-    later = np.exp(t.black[h] - t.total[h]).tolist()
-    # the n-i+1 draws from node i on all black: the joint law of that many blacks
-    p_inf = (i - 1) * math.exp(t.log_joint(n - i + 1, 0)) + math.fsum(later)
-    return rho + (n - 1) * (alpha * rho + alpha * alpha * (1.0 - rho)) - alpha * alpha * p_inf
+    _, logs = _blacks_after_black(rho, delta, n - i)
+    g = [0.0, *(-np.expm1(np.cumsum(logs))).tolist()]
+    two = math.fsum([(i - 1) * g[-1], *g[:-1]])
+    return rho + (n - 1) * alpha * rho + alpha * alpha * (1.0 - rho) * two
 
 
 def empirical_decay_centrality(

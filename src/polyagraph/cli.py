@@ -123,8 +123,9 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _urn_params(args) -> UrnParams:
-    """The urn of the urn flags, with --memory where the command has it."""
+def _urn_params(args, styles: str = "--R --B --delta-balls, or --rho --delta") -> UrnParams:
+    """The urn of the urn flags, with --memory where the command has it;
+    a refusal names the command's parameter ``styles``."""
     counts = (args.R, args.B, args.delta_balls)
     props = (args.rho, args.delta)
     memory = getattr(args, "memory", None)
@@ -134,9 +135,7 @@ def _urn_params(args) -> UrnParams:
         return UrnParams(args.R, args.B, args.delta_balls, memory=memory)
     if have_props and not any(v is not None for v in counts):
         return UrnParams.from_proportions(args.rho, args.delta, memory=memory)
-    raise ConfigError(
-        "provide exactly one parameter style: --R --B --delta-balls, or --rho --delta"
-    )
+    raise ConfigError(f"provide exactly one parameter style: {styles}")
 
 
 def _parse_x0(source: str, n: int) -> np.ndarray:
@@ -208,14 +207,16 @@ def _cmd_degree_dist(args) -> int:
 
 def _cmd_centrality(args) -> int:
     cfg = CentralityConfig(alpha=args.alpha)
-    if args.mode in ("expected", "both"):
-        if args.n is None:
-            raise ConfigError("expected centrality needs --n")
+    if args.mode != "empirical" and args.n is None:
+        raise ConfigError("expected centrality needs --n")
+    g = None if args.mode == "expected" else _realization(args)
+    if args.mode == "both" and g.n != args.n:
+        raise ConfigError(f"--mode both compares the law at --n {args.n} with a realization of {g.n} nodes")
+    if args.mode != "empirical":
         params = _urn_params(args)
         value = expected_decay_centrality(params, args.n, args.node, cfg)
         print(f"expected decay centrality of V_{args.node}: {value:.15g}")
-    if args.mode in ("empirical", "both"):
-        g = _realization(args)
+    if g is not None:
         value = empirical_decay_centrality(g, args.node, cfg)
         print(f"empirical decay centrality of V_{args.node} on draws {g.draws}: {value:.15g}")
     return EXIT_OK
@@ -325,7 +326,7 @@ def _composition(args) -> UrnParams:
         stand_in.delta = 1.0
     if args.R is not None and args.delta_balls is None:
         stand_in.delta_balls = 1.0
-    return _urn_params(stand_in)
+    return _urn_params(stand_in, "--rho, or --R and --B")
 
 
 def _cmd_memory_sweep(args) -> int:

@@ -14,7 +14,6 @@ from polyagraph import (
     beta_binomial_pmf,
     build_graph,
     degree_pmf,
-    degree_support,
     degree_variance,
     distance_pmf,
     empirical_decay_centrality,
@@ -81,11 +80,11 @@ def test_expected_degree_matches_pmf_mean(ref_params):
 # ---------------------------------------------------------------------------
 # degree support and pmf
 
-def test_degree_support_shapes():
-    assert degree_support(6, 3) == tuple(range(7))
-    assert degree_support(5, 4) == (0, 1, 4, 5)
-    assert degree_support(4, 4) == (0, 4)
-    assert degree_support(4, 2) == (0, 1, 2, 3, 4)
+def test_degree_support_shapes(ref_params):
+    assert degree_pmf(ref_params, 6, 3).support == tuple(range(7))
+    assert degree_pmf(ref_params, 5, 4).support == (0, 1, 4, 5)
+    assert degree_pmf(ref_params, 4, 4).support == (0, 4)
+    assert degree_pmf(ref_params, 4, 2).support == (0, 1, 2, 3, 4)
 
 
 def test_degree_pmf_two_node_case(ref_params):
@@ -103,23 +102,28 @@ def test_degree_pmf_last_node_is_scaled_bernoulli(grid_params):
     assert dist.pmf[0] == pytest.approx(1 - grid_params.rho, abs=1e-12)
 
 
+def attainable_degrees(n, i):
+    # i * Z_i plus the r universal nodes after i
+    return tuple(sorted({i * z + r for z in (0, 1) for r in range(n - i + 1)}))
+
+
 def test_degree_pmf_support_equals_attainable_range(grid_params):
     for n in (4, 8, 12):
         for i in range(1, n + 1):
-            assert degree_pmf(grid_params, n, i).support == degree_support(n, i)
+            assert degree_pmf(grid_params, n, i).support == attainable_degrees(n, i)
 
 
 def test_degree_pmf_mapping_reads_the_array_as_a_dict_would(ref_params):
     for n, i in ((7, 3), (7, 6), (1, 1)):
         dist = degree_pmf(ref_params, n, i)
         values = dist.probabilities.tolist()
-        want = {k: values[k] for k in degree_support(n, i)}
+        want = {k: values[k] for k in attainable_degrees(n, i)}
         pmf = dist.pmf
         assert pmf == want and want == pmf and len(pmf) == len(want)
         assert list(pmf) == list(pmf.keys()) == list(want)
         assert list(pmf.values()) == list(want.values())
         assert list(pmf.items()) == list(want.items())
-        assert repr(pmf) == repr(want)
+        assert repr(pmf) == f"mappingproxy({want!r})"
         for k in range(-1, n + 2):
             assert (k in pmf) == (k in want)
             if k in want:
@@ -150,7 +154,7 @@ def test_degree_pmf_two_branch_decomposition(ref_params):
     # isolated branch: P(Z_i = 0, later universal = k); universal branch shifted by i
     n, i = 6, 4
     closed = degree_pmf(ref_params, n, i).pmf
-    for k in degree_support(n, i):
+    for k in attainable_degrees(n, i):
         total = 0.0
         for z in all_vectors(n):
             deg = i * z[i - 1] + sum(z[i:])
@@ -173,8 +177,8 @@ _CENTRALITY = CentralityConfig()
     (degree_pmf, (5, True), "i"),
     (degree_pmf, (5, 2.0), "i"),
     (degree_pmf, (5.0, 2), "n"),
-    (degree_support, (5, 2.0), "i"),
-    (degree_support, (True, 1), "n"),
+    (degree_pmf, (True, 1), "n"),
+    (distance_pmf, (5.0, 1, 2), "n"),
     (distance_pmf, (5, 1, True), "j"),
     (distance_pmf, (5, 2.0, 1), "i"),
     (expected_decay_centrality, (5, True, _CENTRALITY), "i"),
@@ -182,15 +186,13 @@ _CENTRALITY = CentralityConfig()
 ])
 def test_law_arguments_must_be_integers(ref_params, law, args, name):
     # a bool or float index would otherwise read some other node's entry
-    if law is not degree_support:
-        args = (ref_params, *args)
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
-        law(*args)
+        law(ref_params, *args)
 
 
 def test_laws_take_numpy_integers(ref_params):
     n, i, j = np.int64(9), np.int32(3), np.uint8(7)
-    assert degree_support(n, i) == degree_support(9, 3)
+    assert degree_pmf(ref_params, n, i).support == degree_pmf(ref_params, 9, 3).support
     assert degree_pmf(ref_params, n, i) == degree_pmf(ref_params, 9, 3)
     assert degree_pmf(ref_params, n, i) != degree_pmf(ref_params, 9, 4)
     assert distance_pmf(ref_params, n, i, j) == distance_pmf(ref_params, 9, 3, 7)
@@ -219,19 +221,7 @@ def numpy_scalar_degree_pmf(params, n, i):
     p = np.zeros(n + 1)
     p[:m] += np.exp(log_base + t.red[r] + t.black[m - r])
     p[i:] += np.exp(log_base + t.red[r + 1] + t.black[tail - r])
-    return {k: float(p[k]) for k in degree_support(n, i)}
-
-
-def numpy_scalar_p_unreachable(params, n, h):
-    t = log_tables(params.rho, params.delta, n)
-    return math.exp(t.black[h] - t.total[h])
-
-
-def numpy_scalar_centrality(params, n, i, alpha):
-    t = log_tables(params.rho, params.delta, n)
-    h = np.arange(1, n - i + 1)
-    p_inf = (i - 1) * numpy_scalar_p_unreachable(params, n, n - i + 1) + math.fsum(np.exp(t.black[h] - t.total[h]))
-    return params.rho + (n - 1) * (alpha * params.rho + alpha * alpha * (1.0 - params.rho)) - alpha * alpha * p_inf
+    return {k: float(p[k]) for k in attainable_degrees(n, i)}
 
 
 def _product(values):
@@ -290,12 +280,11 @@ def test_laws_equal_their_numpy_scalar_forms(delta, n):
             assert p[support].tobytes() == np.array(list(want.values())).tobytes()
             assert not np.delete(p, support).any()
             assert dist.pmf == want
-            assert dist.support == tuple(dist.pmf) == degree_support(n, i)
+            assert dist.support == tuple(dist.pmf) == tuple(want)
             # the moments as they were summed over the dict's items
             mean = math.fsum(k * q for k, q in want.items())
             assert dist.moment_mean().hex() == mean.hex()
             assert dist.moment_variance().hex() == math.fsum((k - mean) ** 2 * q for k, q in want.items()).hex()
-            assert expected_decay_centrality(params, n, i) == numpy_scalar_centrality(params, n, i, 0.5)
             for j in nodes:
                 probs = distance_pmf(params, n, i, j).probabilities
                 r = params.rho
@@ -306,6 +295,32 @@ def test_laws_equal_their_numpy_scalar_forms(delta, n):
                     assert (probs[0.0], probs[1.0]) == (0.0, r)
                     assert_distance_tail_exact(probs, r, unreachable[n - max(i, j) + 1])
                     assert (probs[2.0] == 0.0) == (max(i, j) == n)
+
+
+@pytest.mark.parametrize("delta", [1e-12, 1e-8, 0.2, 1e4, 1e8])
+@pytest.mark.parametrize("rho", [1e-12, 1e-6, 0.3, 1.0 - 1e-6])
+def test_centrality_against_exact_rationals(rho, delta):
+    # C = rho + (n-1) alpha rho + alpha^2 sum_{j != i} P(d(i,j) = 2) with
+    # P(2) = (1 - rho) - P(inf) taken exactly: the i-1 nodes before i share
+    # the horizon n-i+1 of P(inf), and the nodes after i take 1..n-i.  A
+    # float sum of these terms cancels for rho near 0 (relative errors up to
+    # 6.8e-2 on this grid); the law keeps every term non-negative.
+    params = UrnParams.from_proportions(rho, delta)
+    r, top = Fraction(params.rho), 200
+    unreachable = exact_unreachable(params.rho, params.delta, range(1, top + 1))
+    # P(inf) over the common denominator of the longest horizon, whose
+    # denominator every shorter one divides, and its prefix sums
+    den = unreachable[top][1]
+    inf = {h: num * (den // d) for h, (num, d) in unreachable.items()}
+    prefix = [0, *itertools.accumulate(inf[h] for h in range(1, top + 1))]
+    for n in (5, 40, top):
+        for i in (1, -(-n // 2), n):
+            p_inf = Fraction((i - 1) * inf[n - i + 1] + prefix[n - i], den)
+            for alpha in (0.3, 0.5, 0.99):
+                a = Fraction(alpha)
+                want = r + (n - 1) * a * r + a * a * ((n - 1) * (1 - r) - p_inf)
+                got = expected_decay_centrality(params, n, i, CentralityConfig(alpha))
+                assert abs(Fraction(got) - want) <= want / 10**14, (n, i, alpha, got, float(want))
 
 
 def test_degree_pmf_builds_nothing_per_entry():

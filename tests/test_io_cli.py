@@ -241,6 +241,24 @@ def test_centrality_command_modes(capsys):
     assert "2.5" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("realization,code", [
+    (["--draws", "1,0,1"], EXIT_CONFIG),
+    (["--seed", "1"], EXIT_OK),
+])
+def test_centrality_both_compares_one_size(capsys, realization, code):
+    # --mode both prints the law at --n next to one realization; draws of
+    # another length are refused, naming both sizes, before anything prints
+    urn = ["--R", "5", "--B", "5", "--delta-balls", "2"]
+    assert run_cli(["centrality", "--mode", "both", "--n", "5", "--node", "2", *urn, *realization]) == code
+    captured = capsys.readouterr()
+    if code == EXIT_CONFIG:
+        assert captured.out == ""
+        assert captured.err == "error: --mode both compares the law at --n 5 with a realization of 3 nodes\n"
+    else:
+        assert "expected decay centrality of V_2" in captured.out
+        assert "empirical decay centrality of V_2 on draws (" in captured.out
+
+
 def test_spectrum_command(tmp_path, capsys):
     out = tmp_path / "spec.csv"
     code = run_cli(["spectrum", "--draws", "1,0,0,1,0", "--out", str(out)])
@@ -479,9 +497,13 @@ def test_memory_sweep_needs_only_the_composition(tmp_path, capsys):
         csvs[name] = out.read_bytes()
     assert csvs["rho"] == csvs["rho-delta"] and csvs["counts"] == csvs["counts-delta"]
     assert csvs["rho"] != csvs["counts"]
-    # one style still: a lone --delta, or both compositions, is refused
-    for urn in (["--delta", "0.2"], ["--rho", "0.5", "--R", "3", "--B", "2"], ["--R", "3", "--B", "2", "--delta", "4"]):
+    # one style still: a lone --delta or --R, or both compositions, is
+    # refused, and the refusal names this command's styles
+    capsys.readouterr()
+    for urn in (["--delta", "0.2"], ["--rho", "0.5", "--R", "3", "--B", "2"], ["--R", "3", "--B", "2", "--delta", "4"],
+                ["--R", "1"]):
         assert run_cli(["memory-sweep", *urn, *sweep, "--out", str(tmp_path / "refused.csv")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: provide exactly one parameter style: --rho, or --R and --B\n"
     assert not (tmp_path / "refused.csv").exists()
     with pytest.raises(SystemExit):
         main(["memory-sweep", "--help"])

@@ -10,11 +10,11 @@ from polyagraph import (
     EnumerationLimitError,
     UrnParams,
     build_graph,
+    degree_pmf,
     expected_stationary_exact,
     polya_joint_pmf,
 )
 from polyagraph import oracle
-from polyagraph.analytics import degree_support
 from polyagraph.graph import ThresholdGraph
 from polyagraph.oracle import (
     _CHECKS,
@@ -128,7 +128,7 @@ def test_oracle_degree_pmf_values(ref_params):
     assert set(last) == {0, 5}
     for n in (4, 6):
         for i in range(1, n + 1):
-            assert set(oracle_degree_pmf(ref_params, n, i)) <= set(degree_support(n, i))
+            assert set(oracle_degree_pmf(ref_params, n, i)) <= set(degree_pmf(ref_params, n, i).support)
     with pytest.raises(IndexError):
         oracle_degree_pmf(ref_params, 4, 5)
 
