@@ -7,6 +7,12 @@ flags --delta-balls (the reinforcement ball count) and --delta (the
 reinforcement ratio) are deliberately distinct.  Relative output paths land
 in $POLYAGRAPH_OUT_DIR when set, else the current directory.
 
+generate, centrality, spectrum and consensus get their graph by one rule
+(:func:`_realization`): the creation sequence of --draws, whose length a
+given --n must equal, or else a sample at --n and --seed under the urn
+flags, its last draw pinned to 1 under --force-last-universal and always in
+consensus, whose limits hold on connected realizations.
+
 Exit codes: 0 success, 2 configuration error, 3 guard refusal (a request
 over an enumeration or exact-DP size budget), 4 validation failure, 5 I/O
 error.
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from pathlib import Path
@@ -123,6 +130,23 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _add_realization_args(p: argparse.ArgumentParser, draws: bool = True, connected: bool = False) -> None:
+    """--n, --seed, --draws and --force-last-universal, the flags that
+    :func:`_realization` reads.  Without ``draws`` the graph is always
+    sampled, so --n and --seed are required; a ``connected`` command always
+    pins the last draw and has no force flag."""
+    p.add_argument("--n", action=_AtLeast, least=1, required=not draws)
+    p.add_argument("--seed", type=_seed, required=not draws)
+    if draws:
+        p.add_argument("--draws", type=_int_list, help="comma list of 0/1 draws, the creation sequence")
+    else:
+        p.set_defaults(draws=None)
+    if connected:
+        p.set_defaults(force_last_universal=True)
+    else:
+        p.add_argument("--force-last-universal", action=argparse.BooleanOptionalAction, default=False)
+
+
 def _urn_params(args, styles: str = "--R --B --delta-balls, or --rho --delta") -> UrnParams:
     """The urn of the urn flags, with --memory where the command has it;
     a refusal names the command's parameter ``styles``."""
@@ -155,25 +179,17 @@ def _parse_x0(source: str, n: int) -> np.ndarray:
         raise ConfigError(f"cannot parse x0: {exc}; expected numbers, an @file or a preset ({presets})") from exc
 
 
-def _parse_draws(text: str):
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse draws: {exc}") from exc
-
-
 def _realization(args):
-    """Graph from --draws, or sampled from the urn flags."""
+    """The graph of --draws, whose length must be --n when both are given;
+    else sampled under the urn flags at --n and --seed, its last node
+    universal where the command pins it or --force-last-universal asks."""
     if args.draws is not None:
-        return build_graph(_parse_draws(args.draws))
+        if args.n is not None and len(args.draws) != args.n:
+            raise ConfigError(f"--draws gives {len(args.draws)} nodes but --n is {args.n}")
+        return build_graph(args.draws)
     if args.n is None or args.seed is None:
         raise ConfigError("need either --draws or (--n and --seed with urn parameters)")
-    return _sampled_graph(args, _urn_params(args))
-
-
-def _sampled_graph(args, law):
-    """Graph sampled under ``law`` at --n and --seed, its last node forced
-    universal under --force-last-universal."""
+    law = _urn_params(args)
     if args.force_last_universal:
         return sample_connected_graph(law, args.n, args.seed)
     return build_graph(sample_polya(law, args.n, args.seed))
@@ -184,7 +200,7 @@ def _sampled_graph(args, law):
 
 def _cmd_generate(args) -> int:
     params = _urn_params(args)
-    g = _sampled_graph(args, params)
+    g = _realization(args)
     json_path = _out_path(args.json_out)
     edges_path = _out_path(args.edges_out)
     io.write_json(json_path, io.graph_json_payload(g, params=params, seed=args.seed))
@@ -207,14 +223,12 @@ def _cmd_degree_dist(args) -> int:
 
 def _cmd_centrality(args) -> int:
     cfg = CentralityConfig(alpha=args.alpha)
-    if args.mode != "empirical" and args.n is None:
-        raise ConfigError("expected centrality needs --n")
     g = None if args.mode == "expected" else _realization(args)
-    if args.mode == "both" and g.n != args.n:
-        raise ConfigError(f"--mode both compares the law at --n {args.n} with a realization of {g.n} nodes")
     if args.mode != "empirical":
-        params = _urn_params(args)
-        value = expected_decay_centrality(params, args.n, args.node, cfg)
+        n = args.n if g is None else g.n
+        if n is None:
+            raise ConfigError("expected centrality needs --n")
+        value = expected_decay_centrality(_urn_params(args), n, args.node, cfg)
         print(f"expected decay centrality of V_{args.node}: {value:.15g}")
     if g is not None:
         value = empirical_decay_centrality(g, args.node, cfg)
@@ -293,13 +307,22 @@ def _cmd_histogram(args) -> int:
     theoretical = float(est.pi @ x0)
     # one realization per row, so each step advances every run at once
     W = AveragingOperator.sample(law, args.n, args.runs, args.seed)
-    exact_limits = W.pi_star @ x0
-    snapshots = W.power(x0, args.t).mean(axis=1)
+    # a mean overflows once its sum passes the largest float; a snapshot
+    # that did makes the sample mean inf or NaN too
+    with np.errstate(over="ignore", invalid="ignore"):
+        exact_limits = W.pi_star @ x0
+        snapshots = W.power(x0, args.t).mean(axis=1)
+        sample_mean, mean_limit = float(snapshots.mean()), float(exact_limits.mean())
+    if not (math.isfinite(sample_mean) and math.isfinite(mean_limit)):
+        raise ConfigError(
+            f"x0 must keep the consensus values and their means within +-{float(np.finfo(float).max)!r}; "
+            f"the sample mean and the mean of the exact limits are {sample_mean!r}, {mean_limit!r}"
+        )
     path = _out_path(args.out)
     io.write_histogram_csv(
         path,
         snapshots,
-        sample_mean=float(snapshots.mean()),
+        sample_mean=sample_mean,
         theoretical=theoretical,
         metadata=[
             f"n = {args.n}",
@@ -307,12 +330,12 @@ def _cmd_histogram(args) -> int:
             f"t = {args.t}",
             f"seed = {args.seed}",
             f"theory_mode = {theory_mode}",
-            f"mean_exact_limit = {io.format_value(float(exact_limits.mean()))}",
+            f"mean_exact_limit = {io.format_value(mean_limit)}",
         ],
     )
     print(f"{args.runs} consensus values at t = {args.t} -> {path}")
-    print(f"sample mean of snapshots      = {snapshots.mean():.15g}")
-    print(f"sample mean of exact limits   = {exact_limits.mean():.15g}")
+    print(f"sample mean of snapshots      = {sample_mean:.15g}")
+    print(f"sample mean of exact limits   = {mean_limit:.15g}")
     print(f"theoretical pi_E . x0         = {theoretical:.15g}")
     return EXIT_OK
 
@@ -370,9 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="sample a realization; emit graph JSON and edge CSV")
     _add_urn_args(p)
-    p.add_argument("--n", action=_AtLeast, least=1, required=True)
-    p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--force-last-universal", action=argparse.BooleanOptionalAction, default=False)
+    _add_realization_args(p, draws=False)
     p.add_argument("--json-out", default="graph.json")
     p.add_argument("--edges-out", default="edges.csv")
     p.set_defaults(handler=_cmd_generate)
@@ -386,33 +407,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("centrality", help="expected and/or empirical decay centrality")
     _add_urn_args(p, memory=False)
-    p.add_argument("--n", action=_AtLeast, least=1)
+    _add_realization_args(p)
     p.add_argument("--node", type=int, required=True)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--mode", choices=("expected", "empirical", "both"), default="expected")
-    p.add_argument("--draws", help="comma-separated 0/1 creation sequence")
-    p.add_argument("--seed", type=_seed)
-    p.add_argument("--force-last-universal", action=argparse.BooleanOptionalAction, default=False)
     p.set_defaults(handler=_cmd_centrality)
 
     p = sub.add_parser("spectrum", help="closed-form Laplacian spectrum + eigenpair verification")
     _add_urn_args(p)
-    p.add_argument("--n", action=_AtLeast, least=1)
-    p.add_argument("--seed", type=_seed)
-    p.add_argument("--draws")
-    p.add_argument("--force-last-universal", action=argparse.BooleanOptionalAction, default=False)
+    _add_realization_args(p)
     p.add_argument("--out", default="spectrum.csv")
     p.set_defaults(handler=_cmd_spectrum)
 
     p = sub.add_parser("consensus", help="averaging trajectory on one realization")
     _add_urn_args(p)
-    p.add_argument("--n", action=_AtLeast, least=1)
-    p.add_argument("--seed", type=_seed)
-    p.add_argument("--draws")
+    _add_realization_args(p, connected=True)
     p.add_argument("--x0", required=True, help="comma list, @file, or preset name")
     p.add_argument("--t-max", action=_AtLeast, least=1, default=10_000)
     p.add_argument("--tolerance", type=float, default=1e-10)
-    p.add_argument("--force-last-universal", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--out", default="trajectory.csv")
     p.set_defaults(handler=_cmd_consensus)
 

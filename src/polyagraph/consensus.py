@@ -620,7 +620,9 @@ def memory_sweep(
     memory lengths (as :class:`UrnParams` takes them) must be integers,
     numpy's included.  A bool, a float or a smaller value there, or a delta
     that :meth:`UrnParams.from_proportions` refuses, is refused before any
-    cell runs.
+    cell runs.  A cell whose mean or standard error overflows, as the sums
+    of huge x0 values or of their squared deviations can, raises
+    ValueError naming its (delta, M).
     """
     n, runs = as_int("n", n, 1), as_int("runs", runs, 2)
     if not (isinstance(base, UrnParams) and base.memory is None):
@@ -633,14 +635,24 @@ def memory_sweep(
         raise ValueError("need at least one delta")
     x = _opinions(x0, n)
     # every delta is checked here, before any cell samples
-    laws = [UrnParams.from_proportions(base.rho, d, memory=m) for d in deltas for m in (None, *memories)]
+    cells = [(d, m) for d in deltas for m in (None, *memories)]
+    laws = [UrnParams.from_proportions(base.rho, d, memory=m) for d, m in cells]
     span = _pass_runs(n - 1)  # as many runs per pass as sample_runs draws
 
     def cell_stats():  # mean and standard error of pi* . x0 over each cell's runs
-        cells = itertools.groupby(_pi_star_blocks(laws, n, runs, seed, span=span), key=lambda pair: pair[0])
-        for _, blocks in cells:
+        grouped = itertools.groupby(_pi_star_blocks(laws, n, runs, seed, span=span), key=lambda pair: pair[0])
+        for cell, blocks in grouped:
             vals = np.concatenate([pi @ x for _, pi in blocks])
-            yield float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(runs))
+            # the sum of the values or of their squared deviations may overflow
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean, std_error = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(runs))
+            if not (math.isfinite(mean) and math.isfinite(std_error)):
+                d, m = cells[cell]
+                raise ValueError(
+                    f"x0 must keep each cell's mean and standard error within +-{float(np.finfo(float).max)!r}; "
+                    f"at (delta, M) = ({d!r}, {'infinite' if m is None else m}) they are {mean!r}, {std_error!r}"
+                )
+            yield mean, std_error
 
     stats = cell_stats()
     points: list[SweepPoint] = []

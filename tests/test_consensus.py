@@ -972,6 +972,13 @@ def test_memory_sweep_memories_follow_the_finite_memory_rule(ref_params):
     assert [type(p.memory) for p in points] == [int, int]
 
 
+def test_memory_sweep_refuses_statistics_that_overflow(ref_params):
+    # each run's value is about 1e306, but the squares of their rounding
+    # deviations overflowed, and std_error came back inf with a warning
+    with pytest.raises(ValueError, match=r"at \(delta, M\) = \(1.0, infinite\) they are 1e\+306, inf$"):
+        memory_sweep(ref_params, 10, [1.0], [2], runs=50, x0=np.full(10, 1e306), seed=1)
+
+
 def test_pi_star_blocks_leave_no_single_run_tail(ref_params):
     # numpy takes a one-row product as a dot product, which can differ in the
     # last bit from that row of the whole (runs, n) product, so a run past a

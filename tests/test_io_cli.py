@@ -253,10 +253,49 @@ def test_centrality_both_compares_one_size(capsys, realization, code):
     captured = capsys.readouterr()
     if code == EXIT_CONFIG:
         assert captured.out == ""
-        assert captured.err == "error: --mode both compares the law at --n 5 with a realization of 3 nodes\n"
+        assert captured.err == "error: --draws gives 3 nodes but --n is 5\n"
     else:
         assert "expected decay centrality of V_2" in captured.out
         assert "empirical decay centrality of V_2 on draws (" in captured.out
+
+
+DRAWS_COMMANDS = {
+    "spectrum": ["spectrum", "--draws", "1,0,0,1,1", "--out", "spectrum.csv"],
+    "consensus": ["consensus", "--draws", "1,0,0,1,1", "--x0", "polarized", "--out", "trajectory.csv"],
+    "centrality --mode empirical": ["centrality", "--mode", "empirical", "--node", "2", "--draws", "1,0,0,1,1"],
+    "centrality --mode both": ["centrality", "--mode", "both", "--node", "2", "--draws", "1,0,0,1,1",
+                               "--R", "5", "--B", "5", "--delta-balls", "2"],
+}
+
+
+@pytest.mark.parametrize("command", DRAWS_COMMANDS)
+def test_draws_and_n_give_one_size(tmp_path, monkeypatch, capsys, command):
+    # the graph is the one of --draws, and a --n must agree with its length;
+    # another --n used to be ignored, and the command ran on the draws' size
+    monkeypatch.setenv("POLYAGRAPH_OUT_DIR", str(tmp_path))
+    argv = DRAWS_COMMANDS[command]
+    assert run_cli([*argv, "--n", "6"]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", "error: --draws gives 5 nodes but --n is 6\n")
+    assert list(tmp_path.iterdir()) == []
+    outputs = []
+    for n in (["--n", "5"], []):
+        assert run_cli([*argv, *n]) == EXIT_OK
+        outputs.append((capsys.readouterr(), {p.name: p.read_bytes() for p in tmp_path.iterdir()}))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].out
+
+
+def test_consensus_always_samples_connected(capsys):
+    # --no-force-last-universal used to sample graphs that averaging_matrix
+    # refused, on 7 of the seeds 0..9 at n = 10
+    argv = ["consensus", *URN, "--n", "10", "--x0", "paper-n10", "--out", "unused.csv"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*argv, "--seed", "1", "--no-force-last-universal"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --no-force-last-universal" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["consensus", "--help"])
+    assert "force-last-universal" not in capsys.readouterr().out
 
 
 def test_spectrum_command(tmp_path, capsys):
@@ -398,6 +437,7 @@ OUT_OF_RANGE = ("-1", str(1 << 64), "x")
       for command in sorted(SEED_COMMANDS) for value in OUT_OF_RANGE),
     ("memory-sweep", "--deltas", "0.2,x", "expected a comma list of numbers, got '0.2,x'"),
     ("memory-sweep", "--memories", "1,x", "expected a comma list of integers, got '1,x'"),
+    ("spectrum", "--draws", "1,x", "expected a comma list of integers, got '1,x'"),
 ])
 def test_parse_errors_name_the_flag(tmp_path, monkeypatch, capsys, command, flag, value, message):
     # pi-e, memory-sweep and generate used to pass a bad seed on and print
@@ -590,3 +630,20 @@ def test_opinions_whose_sums_overflow_exit_with_a_config_error(tmp_path, capsys,
     assert run_cli([*argv[command], "--x0", x0, "--out", str(out)]) == EXIT_CONFIG
     assert "averaging sums within +-1.7976931348623157e+308" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["histogram", *URN, "--n", "10", "--runs", "20", "--t", "3", "--seed", "1", "--x0", ",".join(["1.7e307"] * 10)],
+    ["memory-sweep", "--rho", "0.5", "--n", "3", "--deltas", "1", "--memories", "1", "--runs", "5",
+     "--x0", "1e307,1e307,1e307"],
+])
+def test_means_that_overflow_exit_with_a_config_error(tmp_path, monkeypatch, capsys, argv):
+    # every run's value is finite, but the sum of 20 histogram values, or
+    # the sweep's squared deviations, overflowed: these wrote inf means and
+    # standard errors and exited 0
+    monkeypatch.setenv("POLYAGRAPH_OUT_DIR", str(tmp_path))
+    assert run_cli(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "within +-1.7976931348623157e+308" in captured.err
+    assert list(tmp_path.iterdir()) == []
