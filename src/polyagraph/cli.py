@@ -10,8 +10,9 @@ in $POLYAGRAPH_OUT_DIR when set, else the current directory.
 generate, centrality, spectrum and consensus get their graph by one rule
 (:func:`_realization`): the creation sequence of --draws, whose length a
 given --n must equal, or else a sample at --n and --seed under the urn
-flags, its last draw pinned to 1 under --force-last-universal and always in
-consensus, whose limits hold on connected realizations.
+flags.  The last draw is pinned to 1 under --force-last-universal and
+always in consensus, whose limits hold on connected realizations; there
+--draws must end in 1.
 
 Exit codes: 0 success, 2 configuration error, 3 guard refusal (a request
 over an enumeration or exact-DP size budget), 4 validation failure, 5 I/O
@@ -181,12 +182,16 @@ def _parse_x0(source: str, n: int) -> np.ndarray:
 
 def _realization(args):
     """The graph of --draws, whose length must be --n when both are given;
-    else sampled under the urn flags at --n and --seed, its last node
-    universal where the command pins it or --force-last-universal asks."""
+    else sampled under the urn flags at --n and --seed.  Its last node is
+    universal where the command pins it or --force-last-universal asks: a
+    sample's last draw is pinned, and --draws must end in 1."""
     if args.draws is not None:
         if args.n is not None and len(args.draws) != args.n:
             raise ConfigError(f"--draws gives {len(args.draws)} nodes but --n is {args.n}")
-        return build_graph(args.draws)
+        g = build_graph(args.draws)
+        if args.force_last_universal and g.draws[-1] != 1:
+            raise ConfigError("--draws must end in 1: the last node is pinned universal")
+        return g
     if args.n is None or args.seed is None:
         raise ConfigError("need either --draws or (--n and --seed with urn parameters)")
     law = _urn_params(args)
@@ -223,6 +228,8 @@ def _cmd_degree_dist(args) -> int:
 
 def _cmd_centrality(args) -> int:
     cfg = CentralityConfig(alpha=args.alpha)
+    if args.mode == "expected" and args.draws is not None:
+        raise ConfigError("--mode expected takes no --draws (use --mode empirical or both)")
     g = None if args.mode == "expected" else _realization(args)
     if args.mode != "empirical":
         n = args.n if g is None else g.n

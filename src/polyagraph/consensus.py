@@ -31,21 +31,19 @@ and the state of the urn's Markov chain, which :mod:`polyagraph.urn` states
 once for the samplers and this pass, with one pull and one push as its
 only moves (polynomial in n, guarded by a 64 MiB table budget), or
 estimated by seeded Monte Carlo with one independent stream per run,
-merged by run index so scheduling cannot change the estimate.  Monte Carlo
-runs are sampled in time-major passes of up to 1024 runs (a memory sweep's
-span consecutive cells, up to a tile of the Philox kernel), each drawn by
-the urn's one draw loop, which reproduces the scalar sampler bit for bit:
-row t of the pass buffer holds draw t of every run, each row contiguous,
-so an urn step is a few array operations over one row.  Its uniforms come from
-:func:`polyagraph.rng.uniform_rows`: for realizations of up to 33 nodes
-(32 free draws) a Philox kernel computes a tile of runs at once, and
-longer ones come from a generator re-keyed per run.  The draw loop leaves
-each run's neighbour counts, less 1 + T, in the pass buffer, so a pass
-becomes pi* by one add, one sum and one divide; the runs then stream on
-as blocks of 256, each copied run-major into one block buffer: memory is
-O(pass * n) for any number of runs.  The estimate is one row-by-row sum
-in run order, bit for bit the mean of all samples at once; its standard
-error merges per-block moments.
+merged by run index so scheduling cannot change the estimate.  A batch of
+runs is drawn one way: the uniforms of its n - 1 free draws
+(:func:`polyagraph.rng.uniform_rows`) fill a time-major buffer, whose row t
+holds draw t of every run, each row contiguous; the urn's one draw loop
+turns them into the scalar sampler's draws, a few array operations per
+row; then the pinned 1.  Monte Carlo runs are drawn so in passes of up to
+1024 runs (a memory sweep's span consecutive cells, up to a tile of the
+Philox kernel), sized here alone; row t of a pass then becomes t z_t - C_t,
+so the pass becomes pi* by one add, one sum and one divide, and streams on
+as blocks of 256 copied run-major into one block buffer: memory is
+O(pass * n) for any number of runs.  The estimate is one row-by-row sum in
+run order, bit for bit the mean of all samples at once; its standard error
+merges per-block moments.
 """
 
 from __future__ import annotations
@@ -58,8 +56,8 @@ import numpy as np
 
 from ._numeric import as_int, prefix_table, sum_errors
 from .graph import ThresholdGraph, build_graph, neighbor_counts
-from .rng import uniform_rows
-from .urn import _PASS_RUNS, CreationSequence, UrnParams, _chain, _draw_list, _draw_pass, _pass_runs, sample_runs
+from .rng import _BULK_MAX_N, _tile_rows, uniform_rows
+from .urn import CreationSequence, UrnParams, _chain, _draw_list, _draw_pass
 
 __all__ = [
     "AveragingOperator",
@@ -95,20 +93,20 @@ class AveragingOperator:
     neighbor_counts: np.ndarray
 
     @classmethod
-    def sample(cls, params, n: int, runs: int, seed: int, *, first_stream: int = 0) -> "AveragingOperator":
+    def sample(cls, params, n: int, runs: int, seed: int) -> "AveragingOperator":
         """Operator over ``runs`` connected realizations, one per row: row r
         is the realization :func:`sample_connected_graph` draws at stream
-        index ``first_stream + r``, drawn by the batched sampler
-        :func:`polyagraph.urn.sample_runs`.  z and N are float64, exact
-        small integers, as the stepper reads them."""
+        index r, all drawn at once in one time-major buffer.  z, its
+        run-major copy, and N, whose cumulative sums reuse it, are
+        C-contiguous float64, exact small integers, as the stepper reads
+        them."""
         n, runs = as_int("n", n, 1), as_int("runs", runs, 0)
-        z = np.empty((runs, n))
-        z[:, -1] = 1.0  # the urn's n - 1 free draws, then the pinned 1
-        if n > 1:
-            sample_runs(params, n - 1, runs, seed, first_stream=first_stream, out=z[:, :-1])
-        else:  # sample_runs refuses zero draws; a zero-row pass still checks the law and seed
-            _draw_pass(params, uniform_rows(seed, first_stream, runs, 0, out=z[:, :-1]).T)
-        return cls(z, neighbor_counts(z))
+        buf = np.empty((runs, n), order="F")  # time-major: column t is draw t of every run
+        uniform_rows(seed, 0, runs, n - 1, out=buf[:, :-1])
+        _draw_pass(params, buf[:, :-1].T)  # at n = 1 no rows, but the law is checked
+        buf[:, -1] = 1.0
+        z = buf.copy()  # C order, and a copy even at runs = 1, where buf is C-contiguous too
+        return cls(z, neighbor_counts(z, work=buf))
 
     def power(self, x, t: int) -> np.ndarray:
         """W^t x: t steps in place over one set of buffers, refused where a
@@ -315,7 +313,13 @@ class SweepPoint:
     baseline_se: float
 
 
+_PASS_RUNS = 1024  # runs per time-major pass of the Monte Carlo samplers
 _BLOCK_RUNS = _PASS_RUNS // 4  # runs per block of pi*, the unit the Monte Carlo sums see
+
+
+def _pass_runs(draws: int) -> int:
+    # 1024, or a Philox kernel tile of rows of ``draws`` uniforms if larger
+    return max(_PASS_RUNS, _tile_rows(draws)) if 0 < draws <= _BULK_MAX_N else _PASS_RUNS
 
 
 def _urn_mode(params) -> str:
@@ -485,29 +489,26 @@ def _pi_e_dp(params, n: int) -> np.ndarray:
     return pi
 
 
-def _pi_star_blocks(laws, n: int, runs: int, seed: int, first_stream: int = 0, span: int = _PASS_RUNS + 1):
+def _pi_star_blocks(laws, n: int, runs: int, seed: int, span: int = _PASS_RUNS + 1):
     """pi* of ``runs`` runs under each law of ``laws`` in turn, as (cell,
-    block) pairs: cell c is the runs at streams first_stream + c * runs
-    onwards, in run order, one (block, n) array per block of 256 runs.
+    block) pairs: cell c is the runs at streams c * runs onwards, in run
+    order, one (block, n) array per block of 256 runs.
 
     A cell is cut into pieces of 1024 runs and a piece into blocks of 256,
     a last run on its own joining the chunk before it (:func:`_chunks`).
     Consecutive pieces, of one cell or of several, are drawn in one
     time-major pass while it holds at most ``span`` runs (a piece is drawn
-    whole whatever its size): row t of the pass buffer holds draw t of
-    every run, each row contiguous, and its last row the pinned 1.  The
-    pass's uniforms come from one call of
-    :func:`polyagraph.rng.uniform_rows`, and each piece's draw loop, under
-    its own law (:func:`polyagraph.urn._draw_pass`), leaves t z_t - C_t in
-    row t and the red total of each run's free draws in ``totals``.  Then,
-    over the whole pass, one add of 1 + T (T counting the pinned draw)
-    gives the neighbour counts N, one exact axis-0 sum their total D and
-    one divide pi* = N / D: small integers up to the divide, so every bit
-    is that of the per-run pi*.  Each block is copied, transposed, into one
-    run-major block buffer, so memory stays O(span * n) whatever the number
-    of runs.  A block is a view of the block buffer: it is valid until the
-    next block is made, and its user may overwrite it.  Its callers check
-    n >= 1.
+    whole whatever its size): one call of
+    :func:`polyagraph.rng.uniform_rows`, then each piece's draw loop under
+    its own law (:func:`polyagraph.urn._draw_pass`).  Row t then becomes
+    t z_t - C_t, C_t the run's red count through draw t, T its red total;
+    one add of 1 + T (T counting the pinned draw) gives the neighbour
+    counts N, one exact axis-0 sum their total D and one divide pi* = N / D:
+    small integers up to the divide, so every bit is that of the per-run
+    pi*.  Each block is copied, transposed, into one run-major block
+    buffer, so memory stays O(span * n) whatever the number of runs.  A
+    block is a view of the block buffer: it is valid until the next block
+    is made, and its user may overwrite it.  Its callers check n >= 1.
     """
     groups = []  # the pieces of each pass: (cell, law, start, stop) in the runs of all cells
     for cell, law in enumerate(laws):
@@ -524,9 +525,14 @@ def _pi_star_blocks(laws, n: int, runs: int, seed: int, first_stream: int = 0, s
     for group in groups:
         lo, hi = group[0][2], group[-1][3]
         draws, totals = passes[:, : hi - lo], red_totals[: hi - lo]
-        uniform_rows(seed, first_stream + lo, hi - lo, n - 1, out=draws[:-1].T)
+        uniform_rows(seed, lo, hi - lo, n - 1, out=draws[:-1].T)
         for _, law, start, stop in group:
-            _draw_pass(law, draws[:-1, start - lo : stop - lo], totals[start - lo : stop - lo])
+            _draw_pass(law, draws[:-1, start - lo : stop - lo])
+        totals.fill(0)  # only once all are drawn: a window's running sum reads earlier 0/1 rows
+        for t, row in enumerate(draws[:-1]):
+            totals += row
+            row *= t
+            row -= totals
         totals += 2.0  # 1 + T, with the pinned draw in T
         np.subtract(n, totals, out=draws[-1])  # the pinned draw's (n - 1) * 1 - T
         draws += totals
@@ -610,19 +616,23 @@ def memory_sweep(
     from ``runs`` fresh realizations, then each memory length gets its own
     ``runs`` finite-memory realizations.  Every cell uses a disjoint block of
     run streams derived from ``seed``, so the full table is reproducible.
-    The cells' streams are consecutive, so passes span cells, as many runs
-    per pass as :func:`polyagraph.urn.sample_runs` draws (at n = 10 two
-    cells of 1000 share one tile of the Philox kernel), while each cell
-    keeps its own draw loop, law and block edges, so each cell's values are
-    those it would have on its own.
+    The cells' streams are consecutive, so passes span cells, 1024 runs or
+    a tile of the Philox kernel when that holds more (at n = 10 two cells
+    of 1000 share one tile), while each cell keeps its own draw loop, law
+    and block edges, so each cell's values are those it would have on its
+    own.
     ``base``, an :class:`UrnParams` without a memory, gives rho alone.
     ``n`` >= 1, ``runs`` >= 2 (each cell has a standard error) and the
     memory lengths (as :class:`UrnParams` takes them) must be integers,
     numpy's included.  A bool, a float or a smaller value there, or a delta
     that :meth:`UrnParams.from_proportions` refuses, is refused before any
-    cell runs.  A cell whose mean or standard error overflows, as the sums
-    of huge x0 values or of their squared deviations can, raises
-    ValueError naming its (delta, M).
+    cell runs.  The values are taken with x0 scaled by the power of two
+    that puts max|x0| in [1/2, 1), and the mean and standard error scaled
+    back, so the sums of huge values and of their squared deviations do not
+    overflow, nor tiny ones underflow; no other bit changes, barring x0
+    entries that fall below the normal range once scaled.  A cell whose
+    mean or standard error still overflows raises ValueError naming its
+    (delta, M).
     """
     n, runs = as_int("n", n, 1), as_int("runs", runs, 2)
     if not (isinstance(base, UrnParams) and base.memory is None):
@@ -637,15 +647,18 @@ def memory_sweep(
     # every delta is checked here, before any cell samples
     cells = [(d, m) for d in deltas for m in (None, *memories)]
     laws = [UrnParams.from_proportions(base.rho, d, memory=m) for d, m in cells]
-    span = _pass_runs(n - 1)  # as many runs per pass as sample_runs draws
+    span = _pass_runs(n - 1)
+    e = math.frexp(float(np.max(np.abs(x))))[1]  # 0 for x0 = 0
+    x = np.ldexp(x, -e)
 
     def cell_stats():  # mean and standard error of pi* . x0 over each cell's runs
         grouped = itertools.groupby(_pi_star_blocks(laws, n, runs, seed, span=span), key=lambda pair: pair[0])
         for cell, blocks in grouped:
             vals = np.concatenate([pi @ x for _, pi in blocks])
-            # the sum of the values or of their squared deviations may overflow
-            with np.errstate(over="ignore", invalid="ignore"):
-                mean, std_error = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(runs))
+            # scaled back, a mean or standard error past the largest float is inf
+            with np.errstate(over="ignore"):
+                mean = float(np.ldexp(vals.mean(), e))
+                std_error = float(np.ldexp(vals.std(ddof=1) / math.sqrt(runs), e))
             if not (math.isfinite(mean) and math.isfinite(std_error)):
                 d, m = cells[cell]
                 raise ValueError(

@@ -113,8 +113,11 @@ def uniform_rows(
     runs, n = as_int("runs", runs, 0), as_int("n", n, 0)
     if out is None:
         out = np.empty((runs, n))
-    else:
-        _check_out(out, runs, n)
+    # a float32 out would round every uniform and no longer be the stream's
+    elif out.dtype != np.float64:
+        raise ValueError(f"out must be float64, got {out.dtype}")
+    elif out.shape != (runs, n):
+        raise ValueError(f"out must have shape {(runs, n)}, got {out.shape}")
     # the indices are consecutive, so checking both ends checks them all; the
     # upper end is capped at the first out-of-range index, as a per-run loop
     # would fail there.  No uint64 key is formed before this check, and the
@@ -128,14 +131,6 @@ def uniform_rows(
     elif n:
         _philox_rows(seed, first, out)
     return out
-
-
-def _check_out(out: np.ndarray, runs: int, n: int) -> None:
-    # a float32 out would round every uniform and no longer be the stream's
-    if out.dtype != np.float64:
-        raise ValueError(f"out must be float64, got {out.dtype}")
-    if out.shape != (runs, n):
-        raise ValueError(f"out must have shape {(runs, n)}, got {out.shape}")
 
 
 def _tile_rows(n: int) -> int:

@@ -38,11 +38,12 @@ window is full; the exact pi_E pass of :mod:`polyagraph.consensus` walks
 them.  The samplers' loops round its red probability identically, and
 tests pin them to it.
 
-:func:`sample_polya` draws one realization; :func:`sample_runs` draws a
-block of realizations, one per stream, with rows identical to the scalar
-sampler's.  It steps every run of a pass at once over a time-major buffer,
-whose row t holds draw t of each run, so each step works on one contiguous
-row.
+:func:`sample_polya` draws one realization.  :func:`_draw_pass` draws a
+batch, one run per stream, with columns identical to the scalar sampler's:
+it steps every run at once over a time-major buffer of uniforms, whose row
+t holds draw t of each run, so each step works on one contiguous row.  The
+batched samplers of :mod:`polyagraph.consensus` fill that buffer and size
+its passes.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from ._numeric import as_int, log_tables
-from .rng import _BULK_MAX_N, _check_out, _tile_rows, stream, uniform_rows
+from .rng import stream
 
 __all__ = [
     "UrnParams",
@@ -63,7 +64,6 @@ __all__ = [
     "sample_polya",
     "polya_joint_pmf",
     "beta_binomial_pmf",
-    "sample_runs",
 ]
 
 
@@ -349,55 +349,7 @@ def beta_binomial_pmf(params: UrnParams, n: int, k: int) -> float:
     return math.exp(log_tables(rho, delta, n).log_pmf_row()[k])
 
 
-_PASS_RUNS = 1024  # runs per time-major pass of the batched sampler
-
-
-def _pass_runs(n: int) -> int:
-    # runs per pass of n >= 0 draws: 1024, or one tile of the uniforms'
-    # Philox kernel when that is more, so the kernel's fixed cost per call
-    # falls on as many runs as it can
-    return max(_PASS_RUNS, _tile_rows(n)) if 0 < n <= _BULK_MAX_N else _PASS_RUNS
-
-
-def sample_runs(
-    law, n: int, runs: int, seed: int, *, first_stream: int = 0, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Draw ``runs`` independent realizations of n indicators at once.
-
-    Returns a (runs, n) int64 array of 0/1 whose row r is, byte for byte,
-    the draw vector of :func:`sample_polya` under the same ``law`` at
-    stream index ``first_stream + r``.  The runs are drawn in time-major
-    passes through one scratch buffer (:func:`_draw_pass`), and each pass
-    is copied into its rows of the result, so the workspace does not grow
-    with ``runs``.  A pass holds 1024 runs, or one tile of the uniforms'
-    Philox kernel when that is more (up to 8192 runs of rows of 1..4
-    draws, 2730 of 9..12): the kernel's fixed cost per call then falls on
-    as many runs as it can.  ``n`` and ``runs`` must be integers
-    (numpy's included), n >= 1 and runs >= 0; a bool, a float or a smaller
-    value raises ValueError naming the argument.
-
-    ``out``, any float64 (runs, n) array or view (for instance all but the
-    last column of a wider buffer), receives the draws as 0.0/1.0 instead
-    and is returned.
-    """
-    n, runs = as_int("n", n, 1), as_int("runs", runs, 0)
-    if out is None:
-        out = np.empty((runs, n), np.int64)
-    else:
-        _check_out(out, runs, n)
-    size = _pass_runs(n)
-    scratch = np.empty((n, min(runs, size)))
-    # at runs = 0 one empty pass still checks the law, seed and stream
-    for start in range(0, runs or 1, size):
-        stop = min(start + size, runs)
-        draws = scratch[:, : stop - start]
-        uniform_rows(seed, first_stream + start, stop - start, n, out=draws.T)
-        _draw_pass(law, draws)
-        out[start:stop] = draws.T
-    return out
-
-
-def _draw_pass(law, draws: np.ndarray, totals: np.ndarray | None = None) -> None:
+def _draw_pass(law, draws: np.ndarray) -> None:
     """Turn the uniforms in a time-major (n, runs) float64 view, whose rows
     are each contiguous, into draws: row t holds draw t of every run, and
     column r one run, whose uniforms :func:`polyagraph.rng.uniform_rows`
@@ -407,15 +359,8 @@ def _draw_pass(law, draws: np.ndarray, totals: np.ndarray | None = None) -> None
     as a running sum (the infinite urn's window is the whole past), and the
     red probability is the scalar sampler's expression, rounded
     identically, so with the uniforms of stream i column r is
-    :func:`sample_polya`'s draw vector at stream index i, as 0.0/1.0.
-
-    With ``totals``, a (runs,) float64 array, row t then receives
-    t z_t - C_t, C_t the run's red count up to and including draw t, and
-    ``totals`` the run's red count: a threshold graph's neighbour count
-    N_t is that plus 1 + T, T the red total of the whole sequence.  The
-    rows are turned in a second loop once all are drawn, since a finite
-    window's running sum reads the 0/1 of earlier rows.  All of these are
-    small integers, exact in float64.
+    :func:`sample_polya`'s draw vector at stream index i, as 0.0/1.0.  A
+    view of no rows draws nothing but still checks the law.
     """
     n, runs = draws.shape
     rho, delta, window = _law(law, n)
@@ -431,9 +376,3 @@ def _draw_pass(law, draws: np.ndarray, totals: np.ndarray | None = None) -> None
         p_red /= 1.0 + delta * min(t, window)
         np.less(row, p_red, out=row, casting="unsafe")
         reds += row
-    if totals is not None:
-        totals.fill(0)
-        for t, row in enumerate(draws):
-            totals += row
-            row *= t
-            row -= totals

@@ -17,6 +17,7 @@ from polyagraph import (
     memory_sweep,
     opinion_preset,
     sample_connected_graph,
+    sample_polya,
 )
 from polyagraph import consensus
 from polyagraph.consensus import (
@@ -30,7 +31,7 @@ from polyagraph.consensus import (
 from polyagraph.graph import neighbor_counts, neighbor_sums
 from polyagraph.oracle import _PARAM_GRID, EnumerationLimitError, enumerate_expectation
 from polyagraph.rng import stream, uniform_rows
-from polyagraph.urn import sample_runs
+from polyagraph.urn import _draw_pass
 
 
 def random_connected_draws(rng, n):
@@ -129,9 +130,9 @@ def test_operator_is_linear_in_size():
 def test_sampled_operator_rows_are_the_per_run_realizations(ref_params):
     for law in (ref_params, replace(ref_params, memory=2)):
         for n in (1, 2, 7):
-            W = AveragingOperator.sample(law, n, 5, 41, first_stream=9)
+            W = AveragingOperator.sample(law, n, 5, 41)
             for r in range(5):
-                sys_ = averaging_matrix(sample_connected_graph(law, n, 41, stream_index=9 + r))
+                sys_ = averaging_matrix(sample_connected_graph(law, n, 41, stream_index=r))
                 assert np.array_equal(W.z[r], sys_.W.z)
                 assert np.array_equal(W.neighbor_counts[r], sys_.neighbor_counts)
                 assert np.array_equal(W.pi_star[r], sys_.pi_star)
@@ -697,8 +698,6 @@ def test_samplers_check_their_law_and_seed_at_one_node(ref_params):
                     call()
         with pytest.raises(ValueError, match="stream_index out of range"):
             sample_connected_graph(ref_params, n, 0, stream_index=-1)
-        with pytest.raises(ValueError, match="stream_index out of range"):
-            AveragingOperator.sample(ref_params, n, 3, 0, first_stream=2**64 - 2)
 
 
 def test_batched_samplers_check_their_law_and_keys_at_zero_runs(ref_params):
@@ -706,7 +705,6 @@ def test_batched_samplers_check_their_law_and_keys_at_zero_runs(ref_params):
     # checked as at runs = 1; these calls used to return empty results
     for runs in (0, 1):
         for call in (
-            lambda: sample_runs(None, 5, runs, 1),
             lambda: AveragingOperator.sample(None, 3, runs, 0),
             lambda: AveragingOperator.sample(None, 1, runs, 0),
         ):
@@ -714,18 +712,11 @@ def test_batched_samplers_check_their_law_and_keys_at_zero_runs(ref_params):
                 call()
         for seed in (-1, 2**64):
             for call in (
-                lambda: sample_runs(ref_params, 5, runs, seed),
                 lambda: AveragingOperator.sample(ref_params, 3, runs, seed),
                 lambda: AveragingOperator.sample(ref_params, 1, runs, seed),
             ):
                 with pytest.raises(ValueError, match="master_seed out of range"):
                     call()
-        for first in (-1, 2**64):
-            with pytest.raises(ValueError, match="stream_index out of range"):
-                sample_runs(ref_params, 5, runs, 0, first_stream=first)
-            with pytest.raises(ValueError, match="stream_index out of range"):
-                AveragingOperator.sample(ref_params, 3, runs, 0, first_stream=first)
-    assert sample_runs(ref_params, 5, 0, 0).shape == (0, 5)
     assert AveragingOperator.sample(ref_params, 3, 0, 0).z.shape == (0, 3)
 
 
@@ -972,11 +963,23 @@ def test_memory_sweep_memories_follow_the_finite_memory_rule(ref_params):
     assert [type(p.memory) for p in points] == [int, int]
 
 
-def test_memory_sweep_refuses_statistics_that_overflow(ref_params):
-    # each run's value is about 1e306, but the squares of their rounding
-    # deviations overflowed, and std_error came back inf with a warning
-    with pytest.raises(ValueError, match=r"at \(delta, M\) = \(1.0, infinite\) they are 1e\+306, inf$"):
-        memory_sweep(ref_params, 10, [1.0], [2], runs=50, x0=np.full(10, 1e306), seed=1)
+def test_memory_sweep_answers_statistics_whose_sums_overflowed(ref_params):
+    # each run's value is about 1e306, and the squares of their rounding
+    # deviations overflowed: the cell was refused, though its standard
+    # error is about 1e289.  The sweep scales x0 by a power of two, which
+    # leaves every bit of statistics that neither overflowed nor underflowed
+    (point,) = memory_sweep(ref_params, 10, [1.0], [2], runs=50, x0=np.full(10, 1e306), seed=1)
+    assert point.value == point.baseline == 1e306
+    assert 0 < point.std_error < 1e291 and 0 < point.baseline_se < 1e291
+    x0 = np.geomspace(1e-200, 1e150, 10)
+    assert memory_sweep(ref_params, 10, [1.0], [2], 50, x0, 1) == per_run_sweep(ref_params, 10, [1.0], [2], 50, x0, 1)
+    # tiny opinions: their squared deviations underflowed to a standard error of 0
+    x0 = opinion_preset("polarized", 10)
+    (point,) = memory_sweep(ref_params, 10, [1.0], [2], 50, x0 * 2.0**-960, 1)
+    (want,) = per_run_sweep(ref_params, 10, [1.0], [2], 50, x0, 1)
+    fields = ("value", "std_error", "baseline", "baseline_se")
+    assert [getattr(point, f) for f in fields] == [getattr(want, f) * 2.0**-960 for f in fields]
+    assert point.std_error > 0
 
 
 def test_pi_star_blocks_leave_no_single_run_tail(ref_params):
@@ -1014,11 +1017,11 @@ def test_pi_star_passes_yield_the_per_run_blocks(ref_params, n, memory):
     # runs are sampled in passes of several blocks, but the blocks keep their
     # sizes and every pi* is the per-run one, bit for bit
     law = replace(ref_params, memory=memory)
-    seed, first = 29, 5
-    want = per_run_pi_star(law, n, max(PASS_EDGE_RUNS), seed, first)
+    seed = 29
+    want = per_run_pi_star(law, n, max(PASS_EDGE_RUNS), seed)
     for runs in PASS_EDGE_RUNS:
         sizes = []
-        for _, block in _pi_star_blocks([law], n, runs, seed, first):
+        for _, block in _pi_star_blocks([law], n, runs, seed):
             done = sum(sizes)
             assert np.array_equal(block, want[done : done + len(block)])
             sizes.append(len(block))
@@ -1041,15 +1044,17 @@ def test_monte_carlo_at_n100_is_the_per_run_loop_at_pass_edges(ref_params, memor
 @pytest.mark.parametrize("memory", [None, 1, 4])
 @pytest.mark.parametrize("n", [1, 2, 10, 100])
 def test_sample_runs_into_a_strided_view(ref_params, n, memory):
-    # the passes' in-place float draws are the int64 ones; the buffer's last
-    # column stays
+    # a pass draws each piece of runs into a range of columns of its
+    # time-major buffer: those columns become the scalar sampler's draws as
+    # 0.0/1.0, and the buffer's other columns and its last row stay
     law = replace(ref_params, memory=memory)
+    want = np.array([sample_polya(law, n, 13, stream_index=r).draws for r in range(max(PASS_EDGE_RUNS))])
     for runs in PASS_EDGE_RUNS:
-        buf = np.full((runs, n + 1), 7.0)
-        view = sample_runs(law, n, runs, 13, first_stream=6, out=buf[:, :-1])
-        assert view.base is buf and view.dtype == np.float64
-        assert np.array_equal(view, sample_runs(law, n, runs, 13, first_stream=6))
-        assert np.all(buf[:, -1] == 7.0)
+        buf = np.full((n + 1, runs + 3), 7.0)
+        view = buf[:-1, 2:-1]
+        _draw_pass(law, uniform_rows(13, 0, runs, n, out=view.T).T)
+        assert np.array_equal(view.T, want[:runs])
+        assert np.all(buf[-1] == 7.0) and np.all(buf[:, :2] == 7.0) and np.all(buf[:, -1] == 7.0)
 
 
 def test_memory_sweep_validation(ref_params):

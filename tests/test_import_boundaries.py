@@ -9,7 +9,10 @@ kernel ``spectral._eigenpair_flags`` serves ``spectral`` and the ``oracle``
 check alone.  ``urn._law`` turns an urn's memory into its window, in
 ``urn`` alone, and ``urn._chain`` is the urn's one Markov chain: the exact
 pi_E DP in ``consensus`` pulls and pushes through it and keeps no state
-encoding, fold or successor rows of its own.
+encoding, fold or successor rows of its own.  ``urn._draw_pass`` is the
+batched draw loop alone: ``consensus`` fills its buffers, sizes its passes
+and turns draws into neighbour counts, so ``urn`` takes only ``stream``
+from ``rng``.
 The creation-sequence kernels
 ``neighbor_sums`` (exact integer sums) and ``neighbor_counts`` are defined
 in ``graph`` alone: ``spectral`` takes both from there, and ``consensus``
@@ -142,6 +145,25 @@ def test_the_exact_dp_walks_the_urn_chain():
     ]
     assert row_picks == []
     assert [node for node in ast.walk(dp) if isinstance(node, ast.Attribute) and node.attr == "reshape"] == []
+
+
+def test_consensus_alone_sizes_the_batched_draws():
+    # urn draws a buffer it is given: it sizes no pass, fills no uniforms
+    # and counts no neighbours
+    urn_imports = set(_imported_modules(dict(_modules())["urn"]))
+    assert sorted(name for name in urn_imports if name.startswith("polyagraph.rng")) == [
+        "polyagraph.rng", "polyagraph.rng.stream",
+    ]
+    defining = [
+        module for module, tree in _modules()
+        if any(isinstance(node, ast.FunctionDef) and node.name == "_pass_runs" for node in ast.walk(tree))
+    ]
+    assert defining == ["consensus"]
+    (draw_pass,) = [
+        node for node in ast.walk(dict(_modules())["urn"])
+        if isinstance(node, ast.FunctionDef) and node.name == "_draw_pass"
+    ]
+    assert [arg.arg for arg in draw_pass.args.args] == ["law", "draws"]
 
 
 def test_graph_owns_the_creation_sequence_kernels():

@@ -322,6 +322,31 @@ def test_consensus_rejects_disconnected_draws(capsys):
     assert run_cli(["consensus", "--draws", "1,0", "--x0", "0,1"]) == EXIT_CONFIG
 
 
+PINNED = "error: --draws must end in 1: the last node is pinned universal\n"
+REFUSED_DRAWS = {
+    "centrality --mode expected": (
+        ["centrality", "--node", "2", "--n", "5", "--draws", "1,0,1", "--R", "5", "--B", "5", "--delta-balls", "2"],
+        "error: --mode expected takes no --draws (use --mode empirical or both)\n",
+    ),
+    "consensus": (["consensus", "--draws", "1,0", "--x0", "0,1", "--out", "trajectory.csv"], PINNED),
+    "spectrum --force-last-universal": (
+        ["spectrum", "--draws", "1,0", "--force-last-universal", "--out", "spectrum.csv"], PINNED,
+    ),
+}
+
+
+@pytest.mark.parametrize("command", REFUSED_DRAWS)
+def test_draws_a_command_cannot_use_are_refused(tmp_path, monkeypatch, capsys, command):
+    # expected centrality used to print the law at --n whatever the draws;
+    # consensus answered draws ending in 0 with a library function's name,
+    # and spectrum pinned nothing and ran on a disconnected graph
+    monkeypatch.setenv("POLYAGRAPH_OUT_DIR", str(tmp_path))
+    argv, message = REFUSED_DRAWS[command]
+    assert run_cli(argv) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", message)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["consensus", "--draws", "0,0,1", "--x0", "0,nan,1"],
     ["histogram", "--rho", "0.5", "--delta", "0.2", "--n", "3", "--runs", "2", "--seed", "1", "--x0", "0,1,inf"],
@@ -634,16 +659,25 @@ def test_opinions_whose_sums_overflow_exit_with_a_config_error(tmp_path, capsys,
 
 @pytest.mark.parametrize("argv", [
     ["histogram", *URN, "--n", "10", "--runs", "20", "--t", "3", "--seed", "1", "--x0", ",".join(["1.7e307"] * 10)],
-    ["memory-sweep", "--rho", "0.5", "--n", "3", "--deltas", "1", "--memories", "1", "--runs", "5",
-     "--x0", "1e307,1e307,1e307"],
 ])
 def test_means_that_overflow_exit_with_a_config_error(tmp_path, monkeypatch, capsys, argv):
-    # every run's value is finite, but the sum of 20 histogram values, or
-    # the sweep's squared deviations, overflowed: these wrote inf means and
-    # standard errors and exited 0
+    # every run's value is finite, but the sum of 20 histogram values
+    # overflowed: this wrote an inf mean and exited 0
     monkeypatch.setenv("POLYAGRAPH_OUT_DIR", str(tmp_path))
     assert run_cli(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "within +-1.7976931348623157e+308" in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_memory_sweep_writes_the_statistics_of_huge_opinions(tmp_path):
+    # the squared deviations of values near 1e307 overflowed, and the sweep
+    # exited 2 for a standard error near 1e291; it scales x0 by a power of two
+    out = tmp_path / "sweep.csv"
+    argv = ["memory-sweep", "--rho", "0.5", "--n", "3", "--deltas", "1", "--memories", "1", "--runs", "5",
+            "--x0", "1e307,1e307,1e307", "--out", str(out)]
+    assert run_cli(argv) == EXIT_OK
+    rows = [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert [math.isfinite(float(v)) for v in rows[1]] == [True] * len(rows[1])
+    assert float(rows[1][rows[0].index("value")]) == 1e307

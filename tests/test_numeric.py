@@ -23,7 +23,6 @@ from polyagraph._numeric import log_rising, log_tables
 from polyagraph.consensus import AveragingOperator
 from polyagraph.oracle import _gray_draws, enumerate_expectation
 from polyagraph.rng import uniform_rows
-from polyagraph.urn import sample_runs
 
 REF = UrnParams(5.0, 5.0, 2.0)
 SYS = averaging_matrix(build_graph((0, 1)))
@@ -34,8 +33,6 @@ X0 = np.array([0.0, 0.0, 100.0, 100.0])
 # == compares; ok is a valid count.
 COUNTS = [
     ("sample_polya", "n", 1, 5, lambda v: sample_polya(REF, v, 1)),
-    ("sample_runs", "n", 1, 3, lambda v: sample_runs(REF, v, 4, 1).tolist()),
-    ("sample_runs", "runs", 0, 4, lambda v: sample_runs(REF, 3, v, 1).tolist()),
     ("UrnParams", "memory", 1, 3, lambda v: replace(REF, memory=v)),
     ("uniform_rows", "runs", 0, 4, lambda v: uniform_rows(3, 5, v, 7).tolist()),
     ("uniform_rows", "n", 0, 7, lambda v: uniform_rows(3, 5, 4, v).tolist()),

@@ -5,7 +5,7 @@ import pytest
 
 from polyagraph import rng
 from polyagraph.rng import _BULK_MAX_N, _CHUNK_WORDS, _TILE_BLOCKS, _state_words, stream, uniform_rows
-from polyagraph.urn import UrnParams, sample_polya, sample_runs
+from polyagraph.urn import UrnParams, sample_polya
 
 
 def test_same_pair_reproduces():
@@ -92,8 +92,6 @@ def test_out_must_be_float64(n):
     for dtype in (np.float32, np.int64):
         with pytest.raises(ValueError, match=f"out must be float64, got {np.dtype(dtype)}"):
             uniform_rows(1, 0, 5, n, out=np.empty((5, n), dtype))
-        with pytest.raises(ValueError, match=f"out must be float64, got {np.dtype(dtype)}"):
-            sample_runs(UrnParams(5, 5, 2), n, 5, 1, out=np.empty((5, n), dtype))
 
 
 def test_uniform_rows_workspace_is_independent_of_runs():

@@ -17,8 +17,10 @@ from polyagraph import (
 )
 from polyagraph import urn
 from polyagraph._numeric import log_tables
+from polyagraph.consensus import AveragingOperator
+from polyagraph.graph import neighbor_counts
 from polyagraph.rng import _BULK_MAX_N, stream
-from polyagraph.urn import _chain, as_draws, sample_runs
+from polyagraph.urn import _chain, _draw_pass, as_draws
 
 
 def all_vectors(n):
@@ -148,7 +150,7 @@ def test_urn_functions_refuse_anything_that_is_not_a_law(bad):
     name = type(bad).__name__
     for call in (
         lambda: sample_polya(bad, 5, 0),
-        lambda: sample_runs(bad, 5, 3, 0),
+        lambda: _draw_pass(bad, np.empty((5, 3))),
         lambda: polya_joint_pmf(bad, (0, 1, 1)),
         lambda: _chain(bad, 5),
     ):
@@ -450,59 +452,63 @@ def test_samplers_are_pinned_to_the_chain(monkeypatch, params, memory):
         def random(self, size):
             return self.row[:size].copy()
 
-    def rows(seed, first, runs, width, *, out):  # urn.uniform_rows over the same rows
-        out[...] = u[first : first + runs]
-        return out
-
     monkeypatch.setattr(urn, "stream", Fixed)
-    monkeypatch.setattr(urn, "uniform_rows", rows)
     for n in range(1, 9):
         zs = np.array(list(all_vectors(n)))
         p = np.array([_chain_path(law, z) for z in zs])
         u = np.where(zs == 1, np.nextafter(p, 0.0), p)
         for r, z in enumerate(zs):
             assert sample_polya(law, n, 0, stream_index=r).draws == tuple(z)
-        assert np.array_equal(sample_runs(law, n, len(zs), 0), zs)
+        draws = u.T.copy()  # the batched draw loop over the same uniforms, time-major
+        _draw_pass(law, draws)
+        assert np.array_equal(draws.T, zs)
 
 
 @pytest.mark.parametrize("n", [1, 2, 10, _BULK_MAX_N, _BULK_MAX_N + 1, 48, 49, 100])
 @pytest.mark.parametrize("memory", [None, 1, 4, 1000, "n-1"])
 def test_sample_runs_rows_are_the_per_run_draws(ref_params, n, memory):
-    # row r is byte for byte the scalar sampler at stream first_stream + r;
-    # _BULK_MAX_N and one more draw straddle the Philox route of
-    # rng.uniform_rows, 48 and 49 fill and pad the re-keyed route's Philox
-    # blocks, and a memory of n - 1 (1 at n = 1) drops only the first draw,
-    # at the last step
+    # a batch of runs of n free draws, AveragingOperator.sample at n + 1
+    # nodes: row r's free draws are byte for byte the scalar sampler at
+    # stream r, and its last draw the pinned 1.  _BULK_MAX_N and one more
+    # draw straddle the Philox route of rng.uniform_rows, 48 and 49 fill
+    # and pad the re-keyed route's Philox blocks, and a memory of n - 1 (1
+    # at n = 1) drops only the first draw, at the last step.  At runs = 1
+    # the time-major buffer is run-major too, and z must still be a copy of
+    # it, not the buffer the neighbour counts' cumulative sums overwrite
     if memory == "n-1":
         memory = max(n - 1, 1)
     law = replace(ref_params, memory=memory)
-    for seed, first, runs in ((8, 3, 300), (2**64 - 1, 2**64 - 40, 40)):
-        block = sample_runs(law, n, runs, seed, first_stream=first)
-        assert block.shape == (runs, n)
+    for seed, runs in ((8, 300), (2**64 - 1, 40), (3, 0), (3, 1), (3, 2)):
+        W = AveragingOperator.sample(law, n + 1, runs, seed)
+        assert W.z.shape == (runs, n + 1)
+        assert W.z.flags.c_contiguous and W.neighbor_counts.flags.c_contiguous
+        assert np.all(W.z[:, -1] == 1.0)
         for r in range(runs):
-            assert tuple(block[r]) == sample_polya(law, n, seed, stream_index=first + r).draws
+            assert tuple(W.z[r, :-1]) == sample_polya(law, n, seed, stream_index=r).draws
+        assert np.array_equal(W.neighbor_counts, neighbor_counts(W.z))
 
 
 @pytest.mark.parametrize("n", [1, 9, _BULK_MAX_N, _BULK_MAX_N + 1, 48, 49])
 def test_sample_runs_across_pass_boundaries(ref_params, n):
-    # passes hold 1024 runs, or a Philox kernel tile when that is more
-    # (8192 runs at n = 1, 2730 at n = 9); every pass and tile boundary
-    # leaves the rows the scalar sampler's
+    # one batch of any size, across the Monte Carlo passes' 1024 runs and
+    # the Philox kernel's tiles (8192 runs of 1 draw, 2730 of 9), keeps the
+    # scalar sampler's rows
     want = np.array([sample_polya(ref_params, n, 6, stream_index=r).draws for r in range(5000)])
     for runs in (1023, 1024, 1025, 2731, 5000):
-        assert np.array_equal(sample_runs(ref_params, n, runs, 6), want[:runs])
-    assert np.array_equal(sample_runs(ref_params, n, 2731, 6, first_stream=2269), want[2269:])
+        assert np.array_equal(AveragingOperator.sample(ref_params, n + 1, runs, 6).z[:, :-1], want[:runs])
 
 
 def test_sample_runs_validation(ref_params):
-    with pytest.raises(ValueError) as err:
-        sample_runs(ref_params, 3, 4, 0, first_stream=2**64 - 2)
-    with pytest.raises(ValueError) as want:
-        stream(0, 2**64)
-    assert str(err.value) == str(want.value)
+    # a batch's seed is checked as the scalar sampler's, also with no runs
+    for runs in (0, 4):
+        with pytest.raises(ValueError) as err:
+            AveragingOperator.sample(ref_params, 3, runs, 2**64)
+        with pytest.raises(ValueError) as want:
+            stream(2**64)
+        assert str(err.value) == str(want.value)
     with pytest.raises(ValueError):
-        sample_runs(ref_params, 0, 4, 0)
-    assert sample_runs(ref_params, 3, 0, 0).shape == (0, 3)
+        AveragingOperator.sample(ref_params, 0, 4, 0)
+    assert AveragingOperator.sample(ref_params, 3, 0, 0).z.shape == (0, 3)
 
 
 def test_finite_memory_sliding_window_frequency(ref_params):
